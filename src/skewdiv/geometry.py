@@ -2,7 +2,9 @@
 
 Everything at a point is assembled from expression-defined metric components
 evaluated on jet seeds, so Christoffel symbols, curvature tensors, Hessians
-and Laplacians come out with exact derivatives.
+and Laplacians come out with exact derivatives.  Jet-valued tensors are
+coefficient arrays of shape ``tensor_shape + (ncoef,)`` (see
+:mod:`skewdiv.jets`); ``T[..., 0]`` holds their values.
 
 Index conventions, fixed once for the whole package:
 
@@ -45,12 +47,13 @@ from .expr import Expr, ParamSet, chart_variables, evaluate, parse, to_source
 from .jets import (
     DEFAULT_ORDER,
     Jet,
+    contract,
     finite_difference_oracle,
-    partial_derivative,
+    jet_order,
+    jet_space,
+    partials,
     seed_variables,
 )
-
-_PD_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -106,8 +109,9 @@ class ScalarField:
 class MetricField:
     """Symmetric matrix of expressions defining g_ij on a chart.
 
-    Positive definiteness is enforced at every evaluation point via leading
-    principal minors; a violation raises instead of silently propagating.
+    Positive definiteness is enforced at every evaluation point by a Cholesky
+    factorization, which does not depend on the metric's scale; a violation
+    or a non-finite component raises instead of silently propagating.
     """
 
     def __init__(self, dim: int, exprs: Sequence[Sequence[Expr]], params: ParamSet | None = None):
@@ -124,23 +128,32 @@ class MetricField:
 
     @classmethod
     def parse(cls, rows: Sequence[Sequence[str]], params: ParamSet | None = None) -> "MetricField":
+        """Parse each distinct entry text once; equal texts share one tree."""
         dim = len(rows)
         params = dict(params or {})
         names = chart_variables(dim)
-        parsed = [[parse(src, variables=names, params=tuple(params)) for src in row] for row in rows]
-        return cls(dim, parsed, params)
+        trees: dict[str, Expr] = {}
+        for row in rows:
+            for src in row:
+                if src not in trees:
+                    trees[src] = parse(src, variables=names, params=tuple(params))
+        return cls(dim, [[trees[src] for src in row] for row in rows], params)
 
     def component_jets(self, point: Sequence[float], order: int = DEFAULT_ORDER) -> np.ndarray:
+        """Coefficient array g[i, j, :] at ``point``; a shared tree is evaluated once."""
         seeds = seed_variables(point, self.dim, order)
-        g = np.empty((self.dim, self.dim), dtype=object)
+        g = np.empty((self.dim, self.dim, jet_space(self.dim, order).size))
+        coeffs: dict[int, np.ndarray] = {}
         for i in range(self.dim):
             for j in range(i, self.dim):
-                out = evaluate(self.exprs[i][j], seeds, self.params)
-                if not isinstance(out, Jet):
-                    out = Jet.constant(float(out), self.dim, order)
-                g[i, j] = out
-                g[j, i] = out
-        self._check_positive_definite(jet_values(g), point)
+                e = self.exprs[i][j]
+                if id(e) not in coeffs:
+                    out = evaluate(e, seeds, self.params)
+                    if not isinstance(out, Jet):
+                        out = Jet.constant(float(out), self.dim, order)
+                    coeffs[id(e)] = out.c
+                g[i, j] = g[j, i] = coeffs[id(e)]
+        self._check_positive_definite(g[..., 0], point)
         return g
 
     def component_values(self, point: Sequence[float]) -> np.ndarray:
@@ -154,84 +167,36 @@ class MetricField:
         return vals
 
     def _check_positive_definite(self, vals: np.ndarray, point) -> None:
-        for k in range(1, self.dim + 1):
-            minor = float(np.linalg.det(vals[:k, :k]))
-            if minor <= _PD_TOLERANCE:
-                raise NonPositiveDefiniteError(
-                    f"metric is not positive definite at {tuple(float(x) for x in point)}: "
-                    f"leading {k}x{k} minor = {minor!r}"
-                )
+        where = tuple(float(x) for x in point)
+        if not np.all(np.isfinite(vals)):
+            raise NonPositiveDefiniteError(f"metric has non-finite components at {where}")
+        try:
+            np.linalg.cholesky(vals)
+        except np.linalg.LinAlgError:
+            raise NonPositiveDefiniteError(
+                f"metric is not positive definite at {where}: Cholesky factorization fails"
+            ) from None
 
     def sources(self) -> list[list[str]]:
-        return [[to_source(e) for e in row] for row in self.exprs]
-
-
-# -- jet-tensor helpers --------------------------------------------------------
-
-
-def jet_values(T: np.ndarray) -> np.ndarray:
-    """Value part of an object array of jets."""
-    out = np.empty(T.shape)
-    for idx in np.ndindex(T.shape):
-        out[idx] = T[idx].value
-    return out
-
-
-def jet_d1(T: np.ndarray) -> np.ndarray:
-    """First coordinate derivatives of a jet tensor; leading axis is d_a."""
-    n = next(iter(T.flat)).nvars
-    out = np.empty((n,) + T.shape)
-    for idx in np.ndindex(T.shape):
-        out[(slice(None),) + idx] = T[idx].first_derivatives()
-    return out
-
-
-def trunc_tensor(T: np.ndarray, order: int) -> np.ndarray:
-    out = np.empty(T.shape, dtype=object)
-    for idx in np.ndindex(T.shape):
-        out[idx] = T[idx].truncate(order)
-    return out
-
-
-def invert_jet_matrix(g: np.ndarray) -> np.ndarray:
-    """Inverse of a jet-valued matrix by Gauss-Jordan with value pivoting."""
-    n = g.shape[0]
-    a = [[g[i, j] for j in range(n)] for i in range(n)]
-    nvars = a[0][0].nvars
-    order = a[0][0].order
-    inv = [
-        [Jet.constant(1.0 if i == j else 0.0, nvars, order) for j in range(n)]
-        for i in range(n)
-    ]
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(a[r][col].value))
-        if abs(a[pivot][col].value) == 0.0:
-            raise NonPositiveDefiniteError("metric matrix is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        scale = a[col][col]._reciprocal()
-        a[col] = [x * scale for x in a[col]]
-        inv[col] = [x * scale for x in inv[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            factor = a[r][col]
-            if factor.is_constant() and factor.value == 0.0:
-                continue
-            a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-            inv[r] = [x - factor * y for x, y in zip(inv[r], inv[col])]
-    out = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = inv[i][j]
-    return out
+        """Entry sources for reports; each distinct tree is rendered once."""
+        text: dict[int, str] = {}
+        for row in self.exprs:
+            for e in row:
+                if id(e) not in text:
+                    text[id(e)] = to_source(e)
+        return [[text[id(e)] for e in row] for row in self.exprs]
 
 
 # -- per-point geometry bundle ---------------------------------------------------
 
 
 class MetricJets:
-    """Jet-valued metric data at one point, with cached derived tensors."""
+    """Metric coefficient arrays at one point, with cached derived tensors.
+
+    Every jet-valued attribute is a float array of shape
+    ``tensor_shape + (ncoef,)`` (see :mod:`skewdiv.jets`); the ``*_val``
+    attributes are the component values.
+    """
 
     def __init__(self, metric: MetricField, point: Sequence[float], order: int = DEFAULT_ORDER):
         self.metric = metric
@@ -242,46 +207,50 @@ class MetricJets:
 
     @cached_property
     def ginv(self) -> np.ndarray:
-        return invert_jet_matrix(self.g)
+        """g^-1 by the truncated Neumann series g0^-1 sum_k M^k, M = -(g - g0) g0^-1.
+
+        M has no constant term, so M^k starts at degree k and the series
+        through k = order is exact at the truncation order.  It is summed by
+        Horner's rule S <- I + M S; as M raises the degree, step t fixes the
+        degree-t coefficients and runs at order t.  Coefficients of S above
+        that order meet only M's zero constant term in the next step.
+        """
+        n = self.dim
+        g0inv = np.linalg.inv(self.g_val)
+        m = -np.einsum("ijZ,jk->ikZ", self.g, g0inv)
+        m[..., 0] = 0.0
+        eye = np.zeros_like(m)
+        eye[..., 0] = np.eye(n)
+        series = eye + m
+        for t in range(2, self.order + 1):
+            sp = jet_space(n, t)
+            series[..., : sp.size] = eye[..., : sp.size] + contract("ij,jk->ik", m, series, sp)
+        return np.einsum("ij,jkZ->ikZ", g0inv, series)
 
     @cached_property
     def gamma(self) -> np.ndarray:
-        n = self.dim
-        dg = np.empty((n, n, n), dtype=object)  # dg[l,i,j] = d_l g_ij
-        for l in range(n):
-            for i in range(n):
-                for j in range(i, n):
-                    d = partial_derivative(self.g[i, j], l)
-                    dg[l, i, j] = d
-                    dg[l, j, i] = d
-        gamma = np.empty((n, n, n), dtype=object)  # gamma[k,i,j] = Gamma^k_ij
-        for k in range(n):
-            for i in range(n):
-                for j in range(i, n):
-                    acc = None
-                    for l in range(n):
-                        term = self.ginv[k, l] * (dg[i, j, l] + dg[j, i, l] - dg[l, i, j])
-                        acc = term if acc is None else acc + term
-                    val = acc * 0.5
-                    gamma[k, i, j] = val
-                    gamma[k, j, i] = val
-        return gamma
+        """Gamma[k, i, j] = Gamma^k_ij, one order below g."""
+        dg = partials(self.g, self.dim)  # dg[l, i, j] = d_l g_ij
+        # first[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
+        first = dg.transpose(2, 0, 1, 3) + dg.transpose(2, 1, 0, 3) - dg
+        sp = jet_space(self.dim, self.order - 1)
+        return 0.5 * contract("kl,lij->kij", self.ginv, first, sp)
 
     @cached_property
     def g_val(self) -> np.ndarray:
-        return jet_values(self.g)
+        return self.g[..., 0]
 
     @cached_property
     def ginv_val(self) -> np.ndarray:
-        return jet_values(self.ginv)
+        return self.ginv[..., 0]
 
     @cached_property
     def gamma_val(self) -> np.ndarray:
-        return jet_values(self.gamma)
+        return self.gamma[..., 0]
 
     @cached_property
     def dgamma_val(self) -> np.ndarray:
-        return jet_d1(self.gamma)  # [a,k,i,j] = d_a Gamma^k_ij
+        return partials(self.gamma, self.dim)[..., 0]  # [a,k,i,j] = d_a Gamma^k_ij
 
     @cached_property
     def curvature(self) -> "CurvatureEval":
@@ -328,8 +297,9 @@ class MetricJets:
 class CurvatureEval:
     """Full local geometry at a point.
 
-    ``g``, ``ginv`` and ``gamma`` remain jet-valued (so downstream covariant
-    derivatives stay exact); the curvature tensors are plain arrays.
+    ``g``, ``ginv`` and ``gamma`` remain coefficient arrays (so downstream
+    covariant derivatives stay exact); the curvature tensors are plain
+    arrays of values.
     """
 
     point: tuple
@@ -343,11 +313,28 @@ class CurvatureEval:
     weyl: np.ndarray
 
 
+def cov_derivative(T: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """Covariant derivative of a covariant coefficient-array tensor.
+
+    The result gains a leading derivative slot, grad_i T_a.. = d_i T_a..
+    minus one Gamma contraction per slot, and is one order below T (no
+    higher than ``gamma``'s order).  ``T`` may have any rank, 0 included.
+    """
+    n = gamma.shape[0]
+    sp = jet_space(n, min(jet_order(T, n) - 1, jet_order(gamma, n)))
+    out = partials(T, n)[..., : sp.size]
+    slots = "abcdefgh"[: T.ndim - 1]
+    for s, name in enumerate(slots):
+        t_sub = slots[:s] + "l" + slots[s + 1 :]
+        out = out - contract(f"li{name},{t_sub}->i{slots}", gamma, T, sp)
+    return out
+
+
 # -- public operations -----------------------------------------------------------
 
 
 def christoffel(metric: MetricField, point, order: int = DEFAULT_ORDER) -> np.ndarray:
-    """Jet-valued Christoffel symbols Gamma^k_ij at ``point`` (index order k,i,j)."""
+    """Christoffel coefficient array Gamma^k_ij at ``point`` (index order k,i,j)."""
     return MetricJets(metric, point, order).gamma
 
 
@@ -357,88 +344,39 @@ def riemann(metric: MetricField, point, order: int = DEFAULT_ORDER) -> Curvature
 
 
 def hessian(f: ScalarField, metric: MetricField, point, order: int = DEFAULT_ORDER) -> np.ndarray:
-    """Covariant Hessian grad^2_ij f as a symmetric jet-valued matrix."""
+    """Covariant Hessian grad^2_ij f as a coefficient array, two orders below f."""
     mj = MetricJets(metric, point, order)
-    return _hessian_jets(f.jet(point, order), mj)
-
-
-def _hessian_jets(fjet: Jet, mj: MetricJets) -> np.ndarray:
-    n = mj.dim
-    df = [partial_derivative(fjet, a) for a in range(n)]
-    out = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(i, n):
-            acc = partial_derivative(df[i], j)
-            for k in range(n):
-                acc = acc - mj.gamma[k, i, j] * df[k]
-            out[i, j] = acc
-            out[j, i] = acc
-    return out
+    return cov_derivative(partials(f.jet(point, order).c, mj.dim), mj.gamma)
 
 
 def laplacian(f: ScalarField, metric: MetricField, point, order: int = DEFAULT_ORDER) -> float:
     """Laplace-Beltrami value g^ij grad^2_ij f at ``point``."""
     mj = MetricJets(metric, point, order)
-    hess = jet_values(_hessian_jets(f.jet(point, order), mj))
+    hess = cov_derivative(partials(f.jet(point, order).c, mj.dim), mj.gamma)[..., 0]
     return float(np.einsum("ij,ij->", mj.ginv_val, hess))
 
 
-def covariant_derivative(T: np.ndarray, metric: MetricField, point, order: int = DEFAULT_ORDER) -> np.ndarray:
-    """Covariant derivative of a covariant jet tensor of rank <= 2.
+def covariant_derivative(T: np.ndarray, metric: MetricField, point) -> np.ndarray:
+    """Covariant derivative of a covariant coefficient-array tensor at ``point``.
 
-    ``T`` must hold the tensor's component jets at ``point`` (a scalar may be
-    passed as a bare Jet).  The result gains a leading derivative slot:
-    grad_i T_j... = d_i T_j... minus one Gamma correction per slot.
+    ``T`` holds the tensor's coefficients at ``point``; its jet order is read
+    from the length of the trailing axis.  The result gains a leading
+    derivative slot: grad_i T_j... = d_i T_j... minus one Gamma correction
+    per slot.
     """
-    mj = MetricJets(metric, point, order)
-    return _cov_derivative(T, mj.gamma)
-
-
-def _cov_derivative(T, gamma: np.ndarray) -> np.ndarray:
-    n = gamma.shape[0]
-    if isinstance(T, Jet):
-        out = np.empty((n,), dtype=object)
-        for i in range(n):
-            out[i] = partial_derivative(T, i)
-        return out
-    rank = T.ndim
-    if rank == 0:
-        return _cov_derivative(T.item(), gamma)
-    if rank == 1:
-        out = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                acc = partial_derivative(T[j], i)
-                for l in range(n):
-                    acc = acc - gamma[l, i, j] * T[l]
-                out[i, j] = acc
-        return out
-    if rank == 2:
-        out = np.empty((n, n, n), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    acc = partial_derivative(T[j, k], i)
-                    for l in range(n):
-                        acc = acc - gamma[l, i, j] * T[l, k] - gamma[l, i, k] * T[j, l]
-                    out[i, j, k] = acc
-        return out
-    raise ValueError("covariant_derivative supports rank <= 2")
+    T = np.asarray(T, dtype=float)
+    mj = MetricJets(metric, point, jet_order(T, metric.dim))
+    return cov_derivative(T, mj.gamma)
 
 
 def norm_sq(T, metric: MetricField, point) -> float:
     """Fully metric-contracted squared norm of a covariant tensor at ``point``.
 
-    Accepts jet-valued or plain-float component arrays of rank 1..3 (rank 0
-    returns the squared value).
+    ``T`` holds component values of rank 0..3; pass ``T[..., 0]`` for a
+    coefficient array.
     """
-    vals = T if isinstance(T, np.ndarray) and T.dtype != object else None
-    if vals is None:
-        vals = jet_values(T) if isinstance(T, np.ndarray) else None
-    if vals is None:
-        return float(T.value) ** 2 if isinstance(T, Jet) else float(T) ** 2
     ginv = MetricJets(metric, point, order=1).ginv_val
-    return _norm_sq_val(vals, ginv)
+    return _norm_sq_val(np.asarray(T, dtype=float), ginv)
 
 
 def _norm_sq_val(vals: np.ndarray, ginv: np.ndarray) -> float:
@@ -463,48 +401,18 @@ def second_bianchi_residual(metric: MetricField, point, order: int = DEFAULT_ORD
     """
     mj = MetricJets(metric, point, order)
     n = mj.dim
+    sp = jet_space(n, order - 2)
+    G = mj.gamma
+    dG = partials(G, n)  # [a,k,i,j] = d_a Gamma^k_ij
     # Ricci jets by direct contraction of the curvature operator.
-    dgamma = np.empty((n, n, n, n), dtype=object)  # [a,k,i,j] = d_a Gamma^k_ij
-    for k in range(n):
-        for i in range(n):
-            for j in range(i, n):
-                for a in range(n):
-                    d = partial_derivative(mj.gamma[k, i, j], a)
-                    dgamma[a, k, i, j] = d
-                    dgamma[a, k, j, i] = d
-    gtr = trunc_tensor(mj.gamma, order - 2)
-    ric = np.empty((n, n), dtype=object)
-    for j in range(n):
-        for s in range(n):
-            acc = None
-            for i in range(n):
-                term = dgamma[i, i, j, s] - dgamma[j, i, i, s]
-                for p in range(n):
-                    term = term + gtr[i, i, p] * gtr[p, j, s] - gtr[i, j, p] * gtr[p, i, s]
-                acc = term if acc is None else acc + term
-            ric[j, s] = acc
-    ginv_tr = trunc_tensor(mj.ginv, order - 2)
-    scal = None
-    for j in range(n):
-        for s in range(n):
-            term = ginv_tr[j, s] * ric[j, s]
-            scal = term if scal is None else scal + term
-    dscal = scal.first_derivatives()
-    ric_val = jet_values(ric)
-    dric = jet_d1(ric)  # [a,j,s]
-    gamma_val = mj.gamma_val
-    ginv_val = mj.ginv_val
-    divric = np.zeros(n)
-    for k in range(n):
-        total = 0.0
-        for i in range(n):
-            for j in range(n):
-                term = dric[i, j, k]
-                for l in range(n):
-                    term -= gamma_val[l, i, j] * ric_val[l, k]
-                    term -= gamma_val[l, i, k] * ric_val[j, l]
-                total += ginv_val[i, j] * term
-        divric[k] = total
+    ric = (
+        np.einsum("iijsZ->jsZ", dG)
+        - np.einsum("jiisZ->jsZ", dG)
+        + contract("p,pjs->js", np.einsum("iipZ->pZ", G), G, sp)
+        - contract("ijp,pis->js", G, G, sp)
+    )
+    dscal = partials(contract("js,js->", mj.ginv, ric, sp), n)[..., 0]
+    divric = np.einsum("ij,ijk->k", mj.ginv_val, cov_derivative(ric, G)[..., 0])
     scale = max(1.0, float(np.max(np.abs(dscal))))
     return float(np.max(np.abs(divric - 0.5 * dscal))) / scale
 

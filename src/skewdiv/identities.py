@@ -43,8 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvalDomainError
-from .geometry import MetricField, MetricJets, ScalarField, _hessian_jets, jet_values
-from .jets import DEFAULT_ORDER
+from .geometry import MetricField, MetricJets, ScalarField, cov_derivative
+from .jets import DEFAULT_ORDER, partials
 from .ptensor import PointAnalysis, PTensorSpec
 
 F_GATE = 1e-8
@@ -150,7 +150,7 @@ def static_residual(
     mj = MetricJets(metric, point, order)
     fjet = f.jet(point, order)
     fval = fjet.value
-    hess = jet_values(_hessian_jets(fjet, mj))
+    hess = cov_derivative(partials(fjet.c, mj.dim), mj.gamma)[..., 0]
     curv = mj.curvature
     gi = mj.ginv_val
 
@@ -190,7 +190,7 @@ def cpe_residual(
     mj = MetricJets(metric, point, order)
     fjet = f.jet(point, order)
     fval = fjet.value
-    hess = jet_values(_hessian_jets(fjet, mj))
+    hess = cov_derivative(partials(fjet.c, mj.dim), mj.gamma)[..., 0]
     curv = mj.curvature
     gi = mj.ginv_val
 
@@ -246,7 +246,7 @@ def static_bochner_residual(
     div_up = gi @ an.div_P_val
     p_gf_div = float(np.einsum("ab,a,b->", an.P_val, an.grad_f_val, div_up))
     t_pair = 2.0 / fval * p_gf_div
-    df_val = np.array([d.value for d in an.df])
+    df_val = an.df[:, 0]
     t_grad_pn = -0.5 / fval * float(
         np.einsum("ab,a,b->", gi, df_val, an.grad_p_norm_sq_val)
     )

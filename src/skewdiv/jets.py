@@ -14,6 +14,14 @@ coefficient array, so concurrent use from many threads is safe.
 Storage is dense over the C(nvars+order, order) monomials, ordered by total
 degree then lexicographically.  The graded ordering makes truncation to a
 lower order a prefix slice, which keeps mixed-order arithmetic cheap.
+
+Tensors of jets (metric, Christoffel symbols, P, ...) are not arrays of
+:class:`Jet` objects but single float arrays of shape
+``tensor_shape + (ncoef,)``: the trailing axis holds the coefficients in the
+same graded order, and ``T[..., 0]`` are the component values.
+:func:`contract` multiplies two such tensors and contracts their tensor
+indices in one call; :func:`partials` stacks their first partials.  The
+scalar :class:`Jet` serves expression evaluation.
 """
 
 from __future__ import annotations
@@ -81,6 +89,13 @@ class JetSpace:
         self.mul_ia = np.asarray(ia, dtype=np.intp)
         self.mul_ib = np.asarray(ib, dtype=np.intp)
         self.mul_ic = np.asarray(ic, dtype=np.intp)
+        # The same pairs grouped by target coefficient for :func:`contract`.
+        # The sort is stable, so each target sums its products in a fixed
+        # order and results repeat bit for bit.
+        by_target = np.argsort(self.mul_ic, kind="stable")
+        self.pair_a = self.mul_ia[by_target]
+        self.pair_b = self.mul_ib[by_target]
+        self.pair_starts = np.searchsorted(self.mul_ic[by_target], np.arange(self.size))
 
         # Partial-derivative maps into the (nvars, order-1) layout.  The
         # graded ordering makes the lower space's monomials a prefix of ours,
@@ -101,6 +116,8 @@ class JetSpace:
                 facs.append(np.asarray(fac))
             self.diff_src = tuple(srcs)
             self.diff_fac = tuple(facs)
+            self.diff_src_all = np.stack(srcs)
+            self.diff_fac_all = np.stack(facs)
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"JetSpace(nvars={self.nvars}, order={self.order})"
@@ -450,6 +467,71 @@ def partial_derivative(j: Jet, var: int) -> Jet:
         raise OrderExceededError("cannot differentiate an order-0 jet")
     lo = jet_space(sp.nvars, sp.order - 1)
     return Jet(lo, j.c[sp.diff_src[var]] * sp.diff_fac[var])
+
+
+# -- coefficient-array tensors --------------------------------------------------
+
+
+def jet_order(T: np.ndarray, nvars: int) -> int:
+    """Truncation order of a coefficient array in ``nvars`` variables."""
+    size = np.shape(T)[-1]
+    order = 0
+    while math.comb(nvars + order, order) < size:
+        order += 1
+    if math.comb(nvars + order, order) != size:
+        raise ValueError(f"{size} coefficients fit no jet order in {nvars} variables")
+    return order
+
+
+def contract(subscripts: str, A: np.ndarray, B: np.ndarray, space: JetSpace) -> np.ndarray:
+    """Jet product of two coefficient-array tensors, contracted like ``einsum``.
+
+    ``subscripts`` names the tensor axes only, e.g. ``"kl,lij->kij"``; each
+    operand's trailing coefficient axis is implicit.  The product is
+    truncated to ``space``, whose order may not exceed either operand's.
+
+    Both operands are gathered on the space's product pairs, the tensor
+    indices are contracted by one ``matmul`` batched over the pairs, and each
+    output coefficient sums its pairs in the space's fixed order.  Every
+    index must appear in the other operand or in the output, once per
+    operand.
+    """
+    ins, out = subscripts.split("->")
+    a, b = ins.split(",")
+    batch = [c for c in a if c in b and c in out]
+    summed = [c for c in a if c in b and c not in out]
+    free_a = [c for c in a if c not in b]
+    free_b = [c for c in b if c not in a]
+    dims = {**dict(zip(a, A.shape)), **dict(zip(b, B.shape))}
+
+    def gathered(T, subs, pairs, rows, cols):
+        # Pairs on the leading axis, then the tensor axes in matmul order.
+        G = T.transpose([T.ndim - 1] + [subs.index(c) for c in batch + rows + cols])
+        G = G[pairs]
+        return G.reshape(
+            G.shape[: 1 + len(batch)]
+            + (math.prod(dims[c] for c in rows), math.prod(dims[c] for c in cols))
+        )
+
+    prod = np.matmul(
+        gathered(A, a, space.pair_a, free_a, summed),
+        gathered(B, b, space.pair_b, summed, free_b),
+    )
+    prod = prod.reshape(prod.shape[:-2] + tuple(dims[c] for c in free_a + free_b))
+    coef = np.add.reduceat(prod, space.pair_starts, axis=0)
+    axes = batch + free_a + free_b
+    return coef.transpose([1 + axes.index(c) for c in out] + [0])
+
+
+def partials(T: np.ndarray, nvars: int) -> np.ndarray:
+    """First partials of a coefficient-array tensor, one order lower.
+
+    ``out[a, ...] = d_a T[...]``: the derivative index comes first.
+    """
+    sp = jet_space(nvars, jet_order(T, nvars))
+    if sp.order < 1:
+        raise OrderExceededError("cannot differentiate an order-0 jet")
+    return np.moveaxis(T[..., sp.diff_src_all] * sp.diff_fac_all, -2, 0)
 
 
 def finite_difference_oracle(

@@ -37,15 +37,8 @@ import numpy as np
 
 from .errors import DegeneratePError, FrameConsistencyError
 from .expr import Expr, ParamSet, evaluate
-from .geometry import (
-    MetricField,
-    MetricJets,
-    ScalarField,
-    jet_d1,
-    jet_values,
-    trunc_tensor,
-)
-from .jets import DEFAULT_ORDER, Jet, extract_derivative, partial_derivative
+from .geometry import MetricField, MetricJets, ScalarField, cov_derivative
+from .jets import DEFAULT_ORDER, Jet, contract, jet_space, partials
 
 DEGENERATE_P_TOLERANCE = 1e-10
 FRAME_MATCH_TOLERANCE = 1e-10
@@ -97,6 +90,8 @@ class PointAnalysis:
 
     Every derived quantity is the exact Taylor data of the corresponding
     field, so repeated covariant differentiation stays truncation-error free.
+    Jet-valued tensors are coefficient arrays (see :mod:`skewdiv.jets`); f
+    and lambda(f), which come from expression evaluation, are scalar jets.
     Instances are read-only after construction and safe to share.
     """
 
@@ -110,23 +105,25 @@ class PointAnalysis:
     def dim(self) -> int:
         return self.mj.dim
 
+    def _space(self, drop: int):
+        """Jet space ``drop`` orders below the analysis order."""
+        return jet_space(self.dim, max(self.order - drop, 0))
+
     @cached_property
     def fjet(self) -> Jet:
         return self.spec.f.jet(self.point, self.order)
 
     @cached_property
-    def df(self) -> list[Jet]:
-        return [partial_derivative(self.fjet, a) for a in range(self.dim)]
+    def df(self) -> np.ndarray:
+        """df[a] = d_a f, one order below f."""
+        return partials(self.fjet.c, self.dim)
 
     @cached_property
-    def w(self) -> Jet:
-        """|grad f|^2 as a jet."""
-        acc = None
-        for a in range(self.dim):
-            for b in range(self.dim):
-                term = self.mj.ginv[a, b] * self.df[a] * self.df[b]
-                acc = term if acc is None else acc + term
-        return acc
+    def w(self) -> np.ndarray:
+        """|grad f|^2 = g^ab d_a f d_b f."""
+        sp = self._space(1)
+        grad_f = contract("ab,b->a", self.mj.ginv, self.df, sp)
+        return contract("a,a->", grad_f, self.df, sp)
 
     @cached_property
     def lam_f(self) -> Jet:
@@ -138,72 +135,37 @@ class PointAnalysis:
     @cached_property
     def P(self) -> np.ndarray:
         n = self.dim
+        sp = self._space(2)
         # h_k = grad^2 f(grad f, .)_k = (1/2) d_k |grad f|^2.  The Hessian
         # pairing fixes the normalization: d|grad f|^2 itself is twice this,
         # and the factor would otherwise just be absorbed into lambda.
-        h = [partial_derivative(self.w, k) * 0.5 for k in range(n)]
-        out = np.empty((n, n), dtype=object)
-        zero = None
-        for j in range(n):
-            for k in range(j, n):
-                if j == k:
-                    if zero is None:
-                        zero = Jet.constant(0.0, n, max(self.order - 2, 0))
-                    out[j, k] = zero
-                    continue
-                pjk = self.lam_f * (self.df[j] * h[k] - self.df[k] * h[j])
-                out[j, k] = pjk
-                out[k, j] = -pjk
-        return out
+        h = 0.5 * partials(self.w, n)
+        dfh = contract("j,k->jk", self.df, h, sp)  # d_j f h_k
+        j, k = np.triu_indices(n, 1)
+        return _skew(contract(",p->p", self.lam_f.c, dfh[j, k] - dfh[k, j], sp), n)
 
     @cached_property
     def nabla_P(self) -> np.ndarray:
-        n = self.dim
-        target = max(self.order - 3, 0)
-        gm = trunc_tensor(self.mj.gamma, target)
-        pt = trunc_tensor(self.P, target)
-        out = np.empty((n, n, n), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                for k in range(j, n):
-                    if j == k:
-                        out[i, j, k] = Jet.constant(0.0, n, target)
-                        continue
-                    acc = partial_derivative(self.P[j, k], i)
-                    for l in range(n):
-                        acc = acc - gm[l, i, j] * pt[l, k] - gm[l, i, k] * pt[j, l]
-                    out[i, j, k] = acc
-                    out[i, k, j] = -acc
-        return out
+        j, k = np.triu_indices(self.dim, 1)
+        return _skew(cov_derivative(self.P, self.mj.gamma)[:, j, k], self.dim)
 
     @cached_property
     def div_P(self) -> np.ndarray:
-        n = self.dim
-        target = max(self.order - 3, 0)
-        ginv = trunc_tensor(self.mj.ginv, target)
-        out = np.empty((n,), dtype=object)
-        for k in range(n):
-            acc = None
-            for i in range(n):
-                for j in range(n):
-                    term = ginv[i, j] * self.nabla_P[i, j, k]
-                    acc = term if acc is None else acc + term
-            out[k] = acc
-        return out
+        return contract("ij,ijk->k", self.mj.ginv, self.nabla_P, self._space(3))
 
     # -- value-level pieces ------------------------------------------------
 
     @cached_property
     def P_val(self) -> np.ndarray:
-        return jet_values(self.P)
+        return self.P[..., 0]
 
     @cached_property
     def nabla_P_val(self) -> np.ndarray:
-        return jet_values(self.nabla_P)
+        return self.nabla_P[..., 0]
 
     @cached_property
     def div_P_val(self) -> np.ndarray:
-        return jet_values(self.div_P)
+        return self.div_P[..., 0]
 
     @cached_property
     def P_up(self) -> np.ndarray:
@@ -230,69 +192,32 @@ class PointAnalysis:
         return float(np.einsum("ka,k,a->", gi, self.div_P_val, self.div_P_val))
 
     @cached_property
-    def p_norm_sq_jet(self) -> Jet:
+    def p_norm_sq_jet(self) -> np.ndarray:
         """|P|^2 as a jet (order-2 data; enough for its Laplacian)."""
-        n = self.dim
-        target = max(self.order - 2, 0)
-        ginv = trunc_tensor(self.mj.ginv, target)
-        P = self.P
+        sp = self._space(2)
+        ginv = self.mj.ginv
         # N_jk = (g^-1 P g^-1)_jk so that |P|^2 = sum P_jk N_jk.
-        acc = None
-        for j in range(n):
-            for k in range(n):
-                if j == k:
-                    continue
-                njk = None
-                for a in range(n):
-                    for b in range(n):
-                        if a == b:
-                            continue
-                        term = ginv[j, a] * P[a, b] * ginv[b, k]
-                        njk = term if njk is None else njk + term
-                term = P[j, k] * njk
-                acc = term if acc is None else acc + term
-        if acc is None:
-            acc = Jet.constant(0.0, n, target)
-        return acc
+        N = contract("jb,bk->jk", contract("ja,ab->jb", ginv, self.P, sp), ginv, sp)
+        return contract("jk,jk->", self.P, N, sp)
 
     @cached_property
     def laplacian_p_norm_sq(self) -> float:
-        s = self.p_norm_sq_jet
-        n = self.dim
-        ds = s.first_derivatives()
-        gi = self.mj.ginv_val
-        gam = self.mj.gamma_val
-        total = 0.0
-        for i in range(n):
-            for j in range(n):
-                alpha = [0] * n
-                alpha[i] += 1
-                alpha[j] += 1
-                hess = extract_derivative(s, alpha)
-                hess -= float(np.dot(gam[:, i, j], ds))
-                total += gi[i, j] * hess
-        return total
+        ds = partials(self.p_norm_sq_jet, self.dim)
+        hess = cov_derivative(ds, self.mj.gamma)[..., 0]
+        return float(np.einsum("ij,ij->", self.mj.ginv_val, hess))
 
     @cached_property
     def grad_p_norm_sq_val(self) -> np.ndarray:
-        return self.p_norm_sq_jet.first_derivatives()
+        return partials(self.p_norm_sq_jet, self.dim)[..., 0]
 
     @cached_property
     def nabla_div_P_val(self) -> np.ndarray:
         """grad_j (div P)_k values."""
-        n = self.dim
-        ddiv = jet_d1(self.div_P)  # [j,k]
-        gam = self.mj.gamma_val
-        out = np.empty((n, n))
-        for j in range(n):
-            for k in range(n):
-                out[j, k] = ddiv[j, k] - float(np.dot(gam[:, j, k], self.div_P_val))
-        return out
+        return cov_derivative(self.div_P, self.mj.gamma)[..., 0]
 
     @cached_property
     def grad_f_val(self) -> np.ndarray:
-        dfv = np.array([d.value for d in self.df])
-        return self.mj.ginv_val @ dfv
+        return self.mj.ginv_val @ self.df[:, 0]
 
     @cached_property
     def violation(self) -> float:
@@ -319,16 +244,31 @@ class PointAnalysis:
 # -- module operations ---------------------------------------------------------
 
 
+def _skew(block: np.ndarray, n: int) -> np.ndarray:
+    """Skew tensor from its j<k block (``np.triu_indices(n, 1)`` order).
+
+    Entries below the diagonal are the exact negatives and the diagonal is
+    exactly zero, whatever the rounding of the block.
+    """
+    j, k = np.triu_indices(n, 1)
+    out = np.zeros(block.shape[:-2] + (n, n, block.shape[-1]))
+    out[..., j, k, :] = block
+    out[..., k, j, :] = -block
+    return out
+
+
 def build_P(spec: PTensorSpec, point, order: int = DEFAULT_ORDER) -> np.ndarray:
-    """Jet-valued components of P at ``point`` (skew by construction)."""
+    """Coefficient array of P at ``point`` (skew by construction)."""
     return PointAnalysis(spec, point, order).P
 
 
 def nabla_P(spec: PTensorSpec, point, order: int = DEFAULT_ORDER) -> np.ndarray:
+    """Coefficient array of grad_i P_jk at ``point`` (skew in j, k)."""
     return PointAnalysis(spec, point, order).nabla_P
 
 
 def div_P(spec: PTensorSpec, point, order: int = DEFAULT_ORDER) -> np.ndarray:
+    """Coefficient array of (div P)_k at ``point``."""
     return PointAnalysis(spec, point, order).div_P
 
 
@@ -357,7 +297,9 @@ def cyclic_residual(spec: PTensorSpec, point, order: int = DEFAULT_ORDER) -> flo
 class FrameEval:
     """Adapted orthonormal frame and the two frame divergence formulas.
 
-    ``vectors[i]`` holds the chart components of E_i (rows).  ``div_true``
+    ``vectors[i]`` holds the chart components of E_i (rows) and
+    ``vector_jets`` their order-1 coefficient array; ``u_jet`` is P(E_1, E_2)
+    as an order-1 coefficient array.  ``div_true``
     uses the connection-coefficient formula; ``div_false`` is the
     bracket-free shortcut -E_2(u) theta^1 + E_1(u) theta^2.  Frame covector
     components convert to chart components through :meth:`covector_to_chart`.
@@ -367,7 +309,7 @@ class FrameEval:
     vectors: np.ndarray
     vector_jets: np.ndarray
     u: float
-    u_jet: Jet
+    u_jet: np.ndarray
     frame_derivatives_of_u: np.ndarray
     connection: np.ndarray  # connection[i,j,k] = <nabla_{E_i} E_j, E_k>
     brackets: np.ndarray  # brackets[i,j] = chart components of [E_i, E_j]
@@ -404,75 +346,56 @@ def build_frame(spec: PTensorSpec, point, order: int = DEFAULT_ORDER) -> FrameEv
             "the adapted frame requires a nonvanishing P"
         )
 
+    # Only values and first derivatives of the frame enter below, so the
+    # frame jets are built at order 1.
+    sp = jet_space(n, 1)
     g = an.mj.g
     ginv = an.mj.ginv
 
+    def scaled(c, v):
+        return contract(",a->a", c, v, sp)
+
     def dot(u_vec, v_vec):
-        acc = None
-        for a in range(n):
-            for b in range(n):
-                term = g[a, b] * u_vec[a] * v_vec[b]
-                acc = term if acc is None else acc + term
-        return acc
+        return contract("a,a->", u_vec, contract("ab,b->a", g, v_vec, sp), sp)
+
+    def inv_sqrt(x):
+        return (1.0 / Jet(sp, x[: sp.size]).sqrt()).c
 
     # E_1 along grad f.
-    grad_f = [None] * n
-    for a in range(n):
-        acc = None
-        for b in range(n):
-            term = ginv[a, b] * an.df[b]
-            acc = term if acc is None else acc + term
-        grad_f[a] = acc
-    inv_len = 1.0 / an.w.sqrt()
-    E = [[c * inv_len for c in grad_f]]
+    grad_f = contract("ab,b->a", ginv, an.df, sp)
+    E = [scaled(inv_sqrt(an.w), grad_f)]
 
     # E_2 along A E_1.
-    ae1 = [None] * n
-    for j in range(n):
-        acc = None
-        for i in range(n):
-            for m in range(n):
-                term = ginv[j, m] * an.P[i, m] * E[0][i]
-                acc = term if acc is None else acc + term
-        ae1[j] = acc
-    ae1_len = dot(ae1, ae1).sqrt()
-    inv_ae1 = 1.0 / ae1_len
-    E.append([c * inv_ae1 for c in ae1])
+    ae1 = contract("jm,m->j", ginv, contract("im,i->m", an.P, E[0], sp), sp)
+    E.append(scaled(inv_sqrt(dot(ae1, ae1)), ae1))
 
     # Deterministic Gram-Schmidt completion over coordinate vectors.
-    basis = []
-    for c in range(n):
-        vec = [Jet.constant(1.0 if a == c else 0.0, n, order) for a in range(n)]
-        basis.append(vec)
+    basis = np.zeros((n, n, sp.size))
+    basis[..., 0] = np.eye(n)
     while len(E) < n:
         residuals = []
         for c in range(n):
-            r = list(basis[c])
+            r = basis[c]
             for built in E:
-                coef = dot(basis[c], built)
-                r = [ra - coef * ba for ra, ba in zip(r, built)]
-            residuals.append((r, dot(r, r).value))
-        best = max(range(n), key=lambda c: (residuals[c][1], -c))
+                r = r - scaled(dot(basis[c], built), built)
+            residuals.append((r, dot(r, r)))
+        best = max(range(n), key=lambda c: (residuals[c][1][0], -c))
         r, norm2 = residuals[best]
-        if norm2 <= 0.0:
+        if norm2[0] <= 0.0:
             raise FrameConsistencyError("Gram-Schmidt completion degenerated")
-        inv = 1.0 / dot(r, r).sqrt()
-        E.append([c * inv for c in r])
+        E.append(scaled(inv_sqrt(norm2), r))
 
-    vector_jets = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for a in range(n):
-            vector_jets[i, a] = E[i][a]
-    vectors = jet_values(vector_jets)
-    dE = jet_d1(vector_jets)  # [a, i, c] = d_a E_i^c
+    vector_jets = np.stack(E)
+    vectors = vector_jets[..., 0]
+    dE = partials(vector_jets, n)[..., 0]  # [a, i, c] = d_a E_i^c
 
     g_val = an.mj.g_val
     gram = np.einsum("ab,ia,jb->ij", g_val, vectors, vectors)
     gram_residual = float(np.max(np.abs(gram - np.eye(n))))
 
-    u_jet = _p_pairing(an.P, E[0], E[1], n)
-    u = u_jet.value
-    du = u_jet.first_derivatives()
+    u_jet = contract("a,a->", E[0], contract("ab,b->a", an.P, E[1], sp), sp)
+    u = float(u_jet[0])
+    du = partials(u_jet, n)[..., 0]
     eu = vectors @ du
 
     gamma_val = an.mj.gamma_val
@@ -521,18 +444,6 @@ def build_frame(spec: PTensorSpec, point, order: int = DEFAULT_ORDER) -> FrameEv
         div_coord_in_frame=div_coord_in_frame,
         metric_values=g_val,
     )
-
-
-def _p_pairing(P: np.ndarray, x: list, y: list, n: int) -> Jet:
-    """P(X, Y) for jet vectors X, Y."""
-    acc = None
-    for a in range(n):
-        for b in range(n):
-            if a == b:
-                continue
-            term = P[a, b] * x[a] * y[b]
-            acc = term if acc is None else acc + term
-    return acc
 
 
 def div_true_vs_false(frame: FrameEval) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

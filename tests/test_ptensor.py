@@ -7,6 +7,7 @@ from skewdiv.errors import DegeneratePError
 from skewdiv.expr import parse
 from skewdiv.geometry import MetricField, ScalarField
 from skewdiv.ptensor import (
+    PointAnalysis,
     PTensorSpec,
     analyze,
     build_frame,
@@ -52,7 +53,18 @@ def test_P_is_exactly_skew():
     P = build_P(sc.spec(), sc.grid_points()[0])
     for j in range(3):
         for k in range(3):
-            assert np.array_equal(P[j, k].c, (-P[k, j]).c)
+            assert np.array_equal(P[j, k], -P[k, j])
+
+
+def test_P_and_nabla_P_skew_with_zero_diagonal():
+    for dim in (3, 4):
+        for seed in (7, 8):
+            sc = random_scenario(seed, dim)
+            for pt in sc.grid_points():
+                an = PointAnalysis(sc.spec(), pt)
+                for T in (an.P, an.nabla_P):
+                    assert np.array_equal(T, -np.swapaxes(T, -3, -2))
+                    assert not np.any(np.diagonal(T, axis1=-3, axis2=-2))
 
 
 def test_euclidean_radial_potential_gives_zero_P():
