@@ -9,20 +9,28 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from typing import Sequence
 
 import numpy as np
 
 from . import warped as warped_mod
-from .errors import DegeneratePError, SkewdivError
+from .errors import DegeneratePError, ScenarioError, SkewdivError
 from .identities import bochner_residual, static_residual
-from .ptensor import FORM_DICTIONARY, PointAnalysis, build_frame, div_true_vs_false
+from .ptensor import (
+    FORM_DICTIONARY,
+    PointAnalysis,
+    build_frame,
+    cyclic_residual,
+    div_true_vs_false,
+)
 from .report import (
     Report,
     ResidualSummary,
     Verdict,
     fmt17,
+    fmt_point,
     report_to_json,
     rows_to_csv,
     summarize_residuals,
@@ -49,94 +57,87 @@ TOLERANCES = {
 
 
 def run_verify(scenario: Scenario, tolerance: float | None = None) -> Report:
-    """Evaluate every identity over the scenario grid and emit verdicts."""
+    """Evaluate every identity over the scenario grid, in one batch, and emit verdicts."""
     spec = scenario.spec()
     points = scenario.grid_points()
     n = scenario.dim
+    if n < 3:
+        raise ScenarioError(f"verify needs a chart of dimension >= 3, not {n}")
 
-    rows = []
-    cyc_rows = []
-    boch_rows = []
-    static_t_rows = []
-    static_s_rows = []
-    for pt in points:
-        an = PointAnalysis(spec, pt)
-        T = an.nabla_P_val
-        cyclic = float(np.max(np.abs(T + T.transpose(1, 2, 0) + T.transpose(2, 0, 1))))
-        boch = bochner_residual(spec, pt, analysis=an)
-        row = {
-            "point": list(pt),
-            "p_norm_sq": an.p_norm_sq,
-            "nabla_p_norm_sq": an.nabla_p_norm_sq,
-            "div_p_norm_sq": an.div_p_norm_sq,
-            "violation": an.violation,
-            "sharp_margin": an.sharp_margin,
-            "cyclic_residual": cyclic,
-            "bochner_rel_residual": boch.rel_residual,
-        }
-        cyc_rows.append((pt, cyclic, cyclic))
-        boch_rows.append((pt, boch.abs_residual, boch.rel_residual))
-        if scenario.is_static:
-            st_t, st_s = static_residual(scenario.metric, scenario.f, pt)
-            row["static_tensor_residual"] = st_t.abs_residual
-            row["static_scalar_residual"] = st_s.abs_residual
-            static_t_rows.append((pt, st_t.abs_residual, st_t.rel_residual))
-            static_s_rows.append((pt, st_s.abs_residual, st_s.rel_residual))
-        rows.append(row)
-
+    an = PointAnalysis(spec, points)
+    cyclic = cyclic_residual(spec, points, analysis=an)
+    boch = bochner_residual(spec, points, analysis=an)
+    columns = {
+        "p_norm_sq": an.p_norm_sq,
+        "nabla_p_norm_sq": an.nabla_p_norm_sq,
+        "div_p_norm_sq": an.div_p_norm_sq,
+        "violation": an.violation,
+        "sharp_margin": an.sharp_margin,
+        "cyclic_residual": cyclic,
+        "bochner_rel_residual": boch.rel_residual,
+    }
     residuals = [
-        summarize_residuals("cyclic", cyc_rows),
-        summarize_residuals("bochner", boch_rows),
+        summarize_residuals("cyclic", zip(points, cyclic, cyclic)),
+        summarize_residuals("bochner", zip(points, boch.abs_residual, boch.rel_residual)),
     ]
     if scenario.is_static:
-        residuals.append(summarize_residuals("static-tensor", static_t_rows))
-        residuals.append(summarize_residuals("static-scalar", static_s_rows))
+        st_t, st_s = static_residual(scenario.metric, scenario.f, points)
+        columns["static_tensor_residual"] = st_t.abs_residual
+        columns["static_scalar_residual"] = st_s.abs_residual
+        for res in (st_t, st_s):
+            residuals.append(
+                summarize_residuals(res.name, zip(points, res.abs_residual, res.rel_residual))
+            )
+    rows = tuple(
+        {"point": list(pt), **{name: float(col[i]) for name, col in columns.items()}}
+        for i, pt in enumerate(points)
+    )
 
     tol_cyc = tolerance if tolerance is not None else TOLERANCES["cyclic"]
     tol_boch = tolerance if tolerance is not None else TOLERANCES["bochner_rel"]
     tol_static = tolerance if tolerance is not None else TOLERANCES["static"]
 
+    margin, margin_at = _extreme(an.sharp_margin, points, np.argmin)
+    bound, bound_at = _extreme(an.nabla_p_norm_sq - an.div_p_norm_sq / n, points, np.argmin)
     verdicts = [
-        Verdict.at_most("cyclic_residual", residuals[0].max_abs, tol_cyc),
-        Verdict.at_most("bochner_rel_residual", residuals[1].max_rel, tol_boch),
-        Verdict.at_least(
-            "sharp_margin",
-            min(r["sharp_margin"] for r in rows),
-            TOLERANCES["sharp_margin"],
+        Verdict.at_most(
+            "cyclic_residual", residuals[0].max_abs, tol_cyc, residuals[0].worst_point
         ),
-        Verdict.at_least(
-            "one_over_n_bound",
-            min(
-                r["nabla_p_norm_sq"] - r["div_p_norm_sq"] / n for r in rows
-            ),
-            TOLERANCES["one_over_n"],
+        Verdict.at_most(
+            "bochner_rel_residual", residuals[1].max_rel, tol_boch, residuals[1].worst_point
         ),
+        Verdict.at_least("sharp_margin", margin, TOLERANCES["sharp_margin"], margin_at),
+        Verdict.at_least("one_over_n_bound", bound, TOLERANCES["one_over_n"], bound_at),
     ]
     if scenario.is_static:
-        verdicts.append(
-            Verdict.at_most("static_tensor", residuals[2].max_abs, tol_static)
-        )
-        verdicts.append(
-            Verdict.at_most("static_scalar", residuals[3].max_abs, tol_static)
-        )
-    if scenario.expect_zero_p:
-        p_max = max(np.sqrt(max(r["p_norm_sq"], 0.0)) for r in rows)
-        verdicts.append(Verdict.at_most("p_vanishes", float(p_max), TOLERANCES["p_zero"]))
-    if scenario.expect_violation:
-        verdicts.append(
-            Verdict.below(
-                "violation_negative",
-                max(r["violation"] for r in rows),
-                0.0,
+        for name, summary in (("static_tensor", residuals[2]), ("static_scalar", residuals[3])):
+            verdicts.append(
+                Verdict.at_most(name, summary.max_abs, tol_static, summary.worst_point)
             )
-        )
+    if scenario.expect_zero_p:
+        p_max, p_at = _extreme(np.sqrt(np.maximum(an.p_norm_sq, 0.0)), points, np.argmax)
+        verdicts.append(Verdict.at_most("p_vanishes", p_max, TOLERANCES["p_zero"], p_at))
+    if scenario.expect_violation:
+        v_max, v_at = _extreme(an.violation, points, np.argmax)
+        verdicts.append(Verdict.below("violation_negative", v_max, 0.0, v_at))
 
     return Report(
         scenario=scenario.echo(),
         residuals=tuple(residuals),
-        violations=tuple(rows),
+        violations=rows,
         verdicts=tuple(verdicts),
     )
+
+
+def _extreme(values, points, pick) -> tuple[float, tuple]:
+    """``pick`` (argmin or argmax) of per-point values, with its point.
+
+    A non-finite value is never folded away: the first one wins.
+    """
+    values = np.asarray(values, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(values))
+    i = int(bad[0]) if bad.size else int(pick(values))
+    return float(values[i]), tuple(points[i])
 
 
 def verify_csv(report: Report, dim: int) -> str:
@@ -166,16 +167,24 @@ def verify_csv(report: Report, dim: int) -> str:
 # -- subcommand implementations ---------------------------------------------------
 
 
+def _finite(text: str, what: str) -> float:
+    """``text`` as a finite float; a usage error names ``what`` otherwise."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise SkewdivError(f"bad {what}: {text.strip()!r} is not a number") from None
+    if not math.isfinite(value):
+        raise SkewdivError(f"bad {what}: {value!r} is not finite")
+    return value
+
+
 def _parse_params(items: Sequence[str]) -> dict:
     out = {}
     for item in items or ():
         if "=" not in item:
             raise SkewdivError(f"bad --param {item!r}; want NAME=VALUE")
         name, _, val = item.partition("=")
-        try:
-            out[name.strip()] = float(val)
-        except ValueError:
-            raise SkewdivError(f"bad --param value in {item!r}") from None
+        out[name.strip()] = _finite(val, f"--param value in {item!r}")
     return out
 
 
@@ -208,7 +217,11 @@ def _emit(report: Report, out: str | None, fmt: str, dim: int) -> None:
 def _print_verdicts(report: Report) -> None:
     for v in report.verdicts:
         status = "PASS" if v.passed else "FAIL"
-        print(f"[{status}] {v.name}: value={fmt17(v.value)} ({v.kind} {fmt17(v.threshold)})")
+        where = "" if math.isfinite(v.value) else f" non-finite at {fmt_point(v.point)}"
+        print(
+            f"[{status}] {v.name}: value={fmt17(v.value)} ({v.kind} {fmt17(v.threshold)})"
+            + where
+        )
 
 
 def cmd_verify(args) -> int:
@@ -290,12 +303,15 @@ def cmd_search(args) -> int:
     for spec in args.bounds or ():
         bits = spec.split(":")
         if len(bits) != 3:
-            print(f"bad --bounds {spec!r}; want name:lo:hi", file=sys.stderr)
-            return 2
-        bounds[bits[0].strip()] = (float(bits[1]), float(bits[2]))
-    result = warped_mod.search_violation(
-        bounds or None, seed=args.seed, iterations=args.iterations
-    )
+            raise SkewdivError(f"bad --bounds {spec!r}; want name:lo:hi")
+        what = f"--bounds {spec!r}"
+        bounds[bits[0].strip()] = (_finite(bits[1], what), _finite(bits[2], what))
+    try:
+        result = warped_mod.search_violation(
+            bounds or None, seed=args.seed, iterations=args.iterations
+        )
+    except ValueError as err:  # an unknown parameter name or an empty range
+        raise SkewdivError(f"bad --bounds: {err}") from None
     print(
         "best violation "
         + fmt17(result.violation)
@@ -327,13 +343,9 @@ def cmd_search(args) -> int:
 def cmd_frame(args) -> int:
     scenario = _load_scenario(args)
     if args.point:
-        point = tuple(float(x) for x in args.point.split(","))
+        point = tuple(_finite(x, f"--point {args.point!r}") for x in args.point.split(","))
         if len(point) != scenario.dim:
-            print(
-                f"--point needs {scenario.dim} comma-separated coordinates",
-                file=sys.stderr,
-            )
-            return 2
+            raise SkewdivError(f"--point needs {scenario.dim} comma-separated coordinates")
     else:
         point = scenario.grid_points()[0]
     try:
@@ -424,7 +436,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
+        # Non-finite values are reported through the verdicts, which they
+        # fail, so numpy's floating-point warnings would only repeat them.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except SkewdivError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -295,8 +295,9 @@ def evaluate(e: Expr, point: Sequence, params: ParamSet | None = None):
 
     ``point`` entries may be plain floats or jets; the result has the same
     semantics.  Evaluation is pure: identical inputs give bit-identical
-    output.  Domain violations are reported with the offset of the offending
-    subexpression.
+    output.  Domain violations, and a function or power whose value
+    overflows a float, are reported as :class:`EvalDomainError` with the
+    offset of the offending subexpression.
     """
     pm = params if params is not None else {}
     return _ev(e, point, pm)
@@ -325,8 +326,8 @@ def _ev(e: Expr, pt, params):
             return -v
         try:
             return getattr(jets, e.op)(v)
-        except EvalDomainError as err:
-            raise _located(err, e.offset) from None
+        except _NUMERIC_ERRORS as err:
+            raise _located(err, e.offset, e.op) from None
     # Binary
     left = _ev(e.left, pt, params)
     right = _ev(e.right, pt, params)
@@ -346,14 +347,21 @@ def _ev(e: Expr, pt, params):
             raise _located(err, e.offset) from None
     try:
         return jets.powop(left, right)
-    except EvalDomainError as err:
-        raise _located(err, e.offset) from None
+    except _NUMERIC_ERRORS as err:
+        raise _located(err, e.offset, "power") from None
 
 
-def _located(err: EvalDomainError, offset: int) -> EvalDomainError:
-    if err.offset is not None:
-        return err
-    return EvalDomainError(str(err), offset)
+# Float arithmetic raises these where a result leaves the float range.
+_NUMERIC_ERRORS = (EvalDomainError, OverflowError, ZeroDivisionError)
+
+
+def _located(err: Exception, offset: int, what: str = "") -> EvalDomainError:
+    """``err`` as an :class:`EvalDomainError` of the subexpression ``what`` at ``offset``."""
+    if isinstance(err, EvalDomainError):
+        return err if err.offset is not None else EvalDomainError(str(err), offset)
+    if isinstance(err, OverflowError):
+        return EvalDomainError(f"{what} overflows a float", offset)
+    return EvalDomainError(f"{what} divides by zero", offset)
 
 
 # -- small analyses used by validators ---------------------------------------

@@ -6,6 +6,16 @@ and Laplacians come out with exact derivatives.  Jet-valued tensors are
 coefficient arrays of shape ``tensor_shape + (ncoef,)`` (see
 :mod:`skewdiv.jets`); ``T[..., 0]`` holds their values.
 
+A whole grid is analysed in one pass: :class:`MetricJets` takes ``points``
+of shape ``(npts, n)`` as well as a single point of shape ``(n,)``, and every
+tensor it derives then has the leading batch axes of ``points``,
+``batch_shape + tensor_shape + (ncoef,)``; value-level scalars become arrays
+of shape ``batch_shape``.  A single point has batch shape ``()`` and goes
+through the same code, so its tensors and Python-float scalars keep their
+unbatched shapes.  The per-point expression evaluation stays a loop in grid
+order (:func:`per_point`); only the tensor algebra is batched, and each batch
+entry's values are those of the point analysed alone.
+
 Index conventions, fixed once for the whole package:
 
 * Christoffel symbols:  Gamma^k_ij = 1/2 g^kl (d_i g_jl + d_j g_il - d_l g_ij).
@@ -187,23 +197,50 @@ class MetricField:
         return [[text[id(e)] for e in row] for row in self.exprs]
 
 
+# -- batches of points -------------------------------------------------------------
+
+
+def per_point(fn, rows: np.ndarray) -> np.ndarray:
+    """``fn`` applied to each row ``rows[*b, :]`` in order, stacked as ``b + fn``'s shape."""
+    rows = np.asarray(rows, dtype=float)
+    out = [fn(row) for row in rows.reshape(-1, rows.shape[-1])]
+    return np.stack(out).reshape(rows.shape[:-1] + np.shape(out[0]))
+
+
+def point_tuple(points) -> tuple:
+    """A point as a tuple of floats; a batch of points as a tuple of those."""
+    def nested(x):
+        return tuple(nested(v) for v in x) if isinstance(x, list) else x
+
+    return nested(np.asarray(points, dtype=float).tolist())
+
+
+def batch_value(x):
+    """A value-level result: a Python float for one point, else an array."""
+    x = np.asarray(x)
+    return float(x) if x.ndim == 0 else x
+
+
 # -- per-point geometry bundle ---------------------------------------------------
 
 
 class MetricJets:
-    """Metric coefficient arrays at one point, with cached derived tensors.
+    """Metric coefficient arrays at one point or a batch, with cached derived tensors.
 
-    Every jet-valued attribute is a float array of shape
-    ``tensor_shape + (ncoef,)`` (see :mod:`skewdiv.jets`); the ``*_val``
-    attributes are the component values.
+    ``points`` has shape ``(n,)`` or ``batch_shape + (n,)``.  Every
+    jet-valued attribute is a float array of shape
+    ``batch_shape + tensor_shape + (ncoef,)`` (see :mod:`skewdiv.jets`); the
+    ``*_val`` attributes are the component values.
     """
 
-    def __init__(self, metric: MetricField, point: Sequence[float], order: int = DEFAULT_ORDER):
+    def __init__(self, metric: MetricField, points, order: int = DEFAULT_ORDER):
         self.metric = metric
-        self.point = tuple(float(x) for x in point)
+        self.points = np.asarray(points, dtype=float)
+        self.point = point_tuple(self.points)
+        self.batch = self.points.ndim - 1
         self.order = order
         self.dim = metric.dim
-        self.g = metric.component_jets(self.point, order)
+        self.g = per_point(lambda p: metric.component_jets(p, order), self.points)
 
     @cached_property
     def ginv(self) -> np.ndarray:
@@ -217,7 +254,7 @@ class MetricJets:
         """
         n = self.dim
         g0inv = np.linalg.inv(self.g_val)
-        m = -np.einsum("ijZ,jk->ikZ", self.g, g0inv)
+        m = -np.einsum("...ijZ,...jk->...ikZ", self.g, g0inv)
         m[..., 0] = 0.0
         eye = np.zeros_like(m)
         eye[..., 0] = np.eye(n)
@@ -225,16 +262,23 @@ class MetricJets:
         for t in range(2, self.order + 1):
             sp = jet_space(n, t)
             series[..., : sp.size] = eye[..., : sp.size] + contract("ij,jk->ik", m, series, sp)
-        return np.einsum("ij,jkZ->ikZ", g0inv, series)
+        return np.einsum("...ij,...jkZ->...ikZ", g0inv, series)
 
     @cached_property
     def gamma(self) -> np.ndarray:
-        """Gamma[k, i, j] = Gamma^k_ij, one order below g."""
-        dg = partials(self.g, self.dim)  # dg[l, i, j] = d_l g_ij
-        # first[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
-        first = dg.transpose(2, 0, 1, 3) + dg.transpose(2, 1, 0, 3) - dg
+        """Gamma[..., k, i, j] = Gamma^k_ij, one order below g."""
+        dg = partials(self.g, self.dim, self.batch)  # dg[..., l, i, j] = d_l g_ij
+        # first[..., l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
+        first = np.einsum("...ijlZ->...lijZ", dg) + np.einsum("...jilZ->...lijZ", dg) - dg
         sp = jet_space(self.dim, self.order - 1)
-        return 0.5 * contract("kl,lij->kij", self.ginv, first, sp)
+        # first is exactly symmetric in i, j, so only its i <= j block is
+        # contracted and the result mirrored.
+        i, j = np.triu_indices(self.dim)
+        block = contract("kl,lp->kp", self.ginv, first[..., i, j, :], sp)
+        gamma = np.empty(block.shape[:-2] + (self.dim, self.dim, sp.size))
+        gamma[..., i, j, :] = block
+        gamma[..., j, i, :] = block
+        return 0.5 * gamma
 
     @cached_property
     def g_val(self) -> np.ndarray:
@@ -250,32 +294,34 @@ class MetricJets:
 
     @cached_property
     def dgamma_val(self) -> np.ndarray:
-        return partials(self.gamma, self.dim)[..., 0]  # [a,k,i,j] = d_a Gamma^k_ij
+        # [..., a, k, i, j] = d_a Gamma^k_ij
+        return partials(self.gamma, self.dim, self.batch)[..., 0]
 
     @cached_property
     def curvature(self) -> "CurvatureEval":
         n = self.dim
         G = self.gamma_val
         dG = self.dgamma_val
-        quad = np.einsum("mip,pjs->mijs", G, G)
+        quad = np.einsum("...mip,...pjs->...mijs", G, G)
         rup = (
-            dG.transpose(1, 0, 2, 3)  # [m,i,j,s] = d_i Gamma^m_js
-            - dG.transpose(1, 2, 0, 3)
+            np.einsum("...imjs->...mijs", dG)  # [m,i,j,s] = d_i Gamma^m_js
+            - np.einsum("...jmis->...mijs", dG)
             + quad
-            - quad.transpose(0, 2, 1, 3)
+            - np.einsum("...mjis->...mijs", quad)
         )
-        riem = np.einsum("km,mijs->ijks", self.g_val, rup)
-        ricci = np.einsum("ik,ijks->js", self.ginv_val, riem)
-        scal = float(np.einsum("js,js->", self.ginv_val, ricci))
-        z = ricci - (scal / n) * self.g_val
+        riem = np.einsum("...km,...mijs->...ijks", self.g_val, rup)
+        ricci = np.einsum("...ik,...ijks->...js", self.ginv_val, riem)
+        scal = np.asarray(np.einsum("...js,...js->...", self.ginv_val, ricci))
+        z = ricci - (scal / n)[..., None, None] * self.g_val
         if n >= 3:
-            gg = np.einsum("ik,js->ijks", self.g_val, self.g_val)
-            rg = np.einsum("ik,js->ijks", ricci, self.g_val)
-            gr = np.einsum("ik,js->ijks", self.g_val, ricci)
+            gg = np.einsum("...ik,...js->...ijks", self.g_val, self.g_val)
+            rg = np.einsum("...ik,...js->...ijks", ricci, self.g_val)
+            gr = np.einsum("...ik,...js->...ijks", self.g_val, ricci)
             weyl = (
                 riem
-                + scal / ((n - 1) * (n - 2)) * (gg - gg.transpose(0, 1, 3, 2))
-                - (rg - rg.transpose(0, 1, 3, 2) + gr - gr.transpose(0, 1, 3, 2))
+                + (scal / ((n - 1) * (n - 2)))[..., None, None, None, None]
+                * (gg - np.swapaxes(gg, -1, -2))
+                - (rg - np.swapaxes(rg, -1, -2) + gr - np.swapaxes(gr, -1, -2))
                 / (n - 2)
             )
         else:
@@ -287,7 +333,7 @@ class MetricJets:
             gamma=self.gamma,
             riemann=riem,
             ricci=ricci,
-            scalar=scal,
+            scalar=batch_value(scal),
             traceless_ricci=z,
             weyl=weyl,
         )
@@ -295,11 +341,12 @@ class MetricJets:
 
 @dataclass(frozen=True)
 class CurvatureEval:
-    """Full local geometry at a point.
+    """Full local geometry at a point or over a batch of points.
 
     ``g``, ``ginv`` and ``gamma`` remain coefficient arrays (so downstream
     covariant derivatives stay exact); the curvature tensors are plain
-    arrays of values.
+    arrays of values, with the batch axes of :class:`MetricJets` in front.
+    ``scalar`` is a float for one point and an array over a batch.
     """
 
     point: tuple
@@ -308,7 +355,7 @@ class CurvatureEval:
     gamma: np.ndarray
     riemann: np.ndarray
     ricci: np.ndarray
-    scalar: float
+    scalar: float | np.ndarray
     traceless_ricci: np.ndarray
     weyl: np.ndarray
 
@@ -316,14 +363,17 @@ class CurvatureEval:
 def cov_derivative(T: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """Covariant derivative of a covariant coefficient-array tensor.
 
-    The result gains a leading derivative slot, grad_i T_a.. = d_i T_a..
-    minus one Gamma contraction per slot, and is one order below T (no
-    higher than ``gamma``'s order).  ``T`` may have any rank, 0 included.
+    The result gains a derivative slot, grad_i T_a.. = d_i T_a.. minus one
+    Gamma contraction per slot, and is one order below T (no higher than
+    ``gamma``'s order).  ``T`` may have any rank, 0 included.  ``gamma``'s
+    leading batch axes (those in front of its three index axes) are ``T``'s
+    too; the derivative slot comes directly after them.
     """
-    n = gamma.shape[0]
+    n = gamma.shape[-2]
+    batch = gamma.ndim - 4
     sp = jet_space(n, min(jet_order(T, n) - 1, jet_order(gamma, n)))
-    out = partials(T, n)[..., : sp.size]
-    slots = "abcdefgh"[: T.ndim - 1]
+    out = partials(T, n, batch)[..., : sp.size]
+    slots = "abcdefgh"[: T.ndim - 1 - batch]
     for s, name in enumerate(slots):
         t_sub = slots[:s] + "l" + slots[s + 1 :]
         out = out - contract(f"li{name},{t_sub}->i{slots}", gamma, T, sp)

@@ -43,7 +43,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvalDomainError
-from .geometry import MetricField, MetricJets, ScalarField, cov_derivative
+from .geometry import (
+    MetricField,
+    MetricJets,
+    ScalarField,
+    batch_value,
+    cov_derivative,
+    per_point,
+    point_tuple,
+)
 from .jets import DEFAULT_ORDER, partials
 from .ptensor import PointAnalysis, PTensorSpec
 
@@ -52,37 +60,42 @@ F_GATE = 1e-8
 
 @dataclass(frozen=True)
 class IdentityResidual:
-    """Residual of one identity at one point."""
+    """Residual of one identity at one point, or over a batch of points.
+
+    Over a batch, ``point`` is a tuple of points and every number is an
+    array with one entry per point.
+    """
 
     name: str
     point: tuple
-    lhs: float
-    rhs: float
-    abs_residual: float
-    rel_residual: float
-    scale: float
+    lhs: float | np.ndarray
+    rhs: float | np.ndarray
+    abs_residual: float | np.ndarray
+    rel_residual: float | np.ndarray
+    scale: float | np.ndarray
 
 
-def _residual(name: str, point, lhs: float, rhs: float, terms) -> IdentityResidual:
-    scale = max(abs(float(t)) for t in list(terms) + [lhs])
-    absr = abs(lhs - rhs)
+def _residual(name: str, point, lhs, rhs, terms) -> IdentityResidual:
+    # A non-finite term or side propagates into scale and residual.
+    scale = np.max(np.abs([*terms, lhs]), axis=0)
+    absr = np.abs(np.subtract(lhs, rhs))
     return IdentityResidual(
         name=name,
-        point=tuple(float(x) for x in point),
-        lhs=float(lhs),
-        rhs=float(rhs),
-        abs_residual=float(absr),
-        rel_residual=float(absr / max(scale, 1.0)),
-        scale=float(scale),
+        point=point_tuple(point),
+        lhs=batch_value(lhs),
+        rhs=batch_value(rhs),
+        abs_residual=batch_value(absr),
+        rel_residual=batch_value(absr / np.maximum(scale, 1.0)),
+        scale=batch_value(scale),
     )
 
 
 def _curvature_terms(an: PointAnalysis):
     curv = an.mj.curvature
     gi = an.mj.ginv_val
-    ric_quad = float(
+    ric_quad = batch_value(
         np.einsum(
-            "js,sa,jb,kc,ak,bc->",
+            "...js,...sa,...jb,...kc,...ak,...bc->...",
             curv.ricci,
             gi,
             gi,
@@ -105,8 +118,9 @@ def bochner_residual(
 
     ``form`` selects the right-hand side: "general" keeps the Weyl term (any
     n >= 3), "dim3" uses the reduced dimension-3 expression, "auto" picks
-    "dim3" when n == 3.  Pass a precomputed ``analysis`` for the same spec
-    and point to reuse its jet pipeline.
+    "dim3" when n == 3.  ``point`` may be a batch of points (see
+    :class:`PointAnalysis`).  Pass a precomputed ``analysis`` for the same
+    spec and points to reuse its jet pipeline.
     """
     an = analysis if analysis is not None else PointAnalysis(spec, point, order)
     n = an.dim
@@ -119,7 +133,7 @@ def bochner_residual(
 
     lhs = 0.5 * an.laplacian_p_norm_sq
     t_grad = an.nabla_p_norm_sq
-    t_div = 2.0 * float(np.einsum("jk,jk->", an.P_up, an.nabla_div_P_val))
+    t_div = 2.0 * batch_value(np.einsum("...jk,...jk->...", an.P_up, an.nabla_div_P_val))
     curv, ric_quad = _curvature_terms(an)
 
     if form == "dim3":
@@ -132,7 +146,9 @@ def bochner_residual(
         p_up = an.P_up
         t_scal = 2.0 * curv.scalar / ((n - 1) * (n - 2)) * an.p_norm_sq
         t_ric = 2.0 * (n - 4) / (n - 2) * ric_quad
-        t_weyl = 2.0 * float(np.einsum("ijks,is,jk->", curv.weyl, p_up, p_up))
+        t_weyl = 2.0 * batch_value(
+            np.einsum("...ijks,...is,...jk->...", curv.weyl, p_up, p_up)
+        )
         terms = (t_grad, t_div, t_scal, t_ric, t_weyl)
         rhs = t_grad + t_div + t_scal + t_ric + t_weyl
         name = "bochner-general"
@@ -144,22 +160,23 @@ def bochner_residual(
 def static_residual(
     metric: MetricField, f: ScalarField, point, order: int = DEFAULT_ORDER
 ) -> tuple[IdentityResidual, IdentityResidual]:
-    """Tensor and scalar residuals of the vacuum static system (n = 3)."""
+    """Tensor and scalar residuals of the vacuum static system (n = 3).
+
+    ``point`` may be a batch of points, as for :class:`MetricJets`.
+    """
     if metric.dim != 3:
         raise ValueError("the static system is checked in dimension 3")
-    mj = MetricJets(metric, point, order)
-    fjet = f.jet(point, order)
-    fval = fjet.value
-    hess = cov_derivative(partials(fjet.c, mj.dim), mj.gamma)[..., 0]
+    mj, fval, hess = _hessian_values(metric, f, point, order)
     curv = mj.curvature
     gi = mj.ginv_val
+    scal = np.asarray(curv.scalar)
 
-    lhs_t = fval * curv.ricci
-    rhs_t = hess + 0.5 * curv.scalar * fval * mj.g_val
+    lhs_t = fval[..., None, None] * curv.ricci
+    rhs_t = hess + (0.5 * scal * fval)[..., None, None] * mj.g_val
     diff = lhs_t - rhs_t
 
     def tnorm(m):
-        return float(np.sqrt(max(np.einsum("ia,jb,ij,ab->", gi, gi, m, m), 0.0)))
+        return np.sqrt(np.maximum(np.einsum("...ia,...jb,...ij,...ab->...", gi, gi, m, m), 0.0))
 
     tensor = _residual(
         "static-tensor",
@@ -169,15 +186,23 @@ def static_residual(
         (tnorm(lhs_t), tnorm(hess), tnorm(rhs_t - hess)),
     )
 
-    lap = float(np.einsum("ij,ij->", gi, hess))
+    lap = np.einsum("...ij,...ij->...", gi, hess)
     scalar = _residual(
         "static-scalar",
         point,
         lap,
-        -0.5 * curv.scalar * fval,
-        (lap, 0.5 * curv.scalar * fval),
+        -0.5 * scal * fval,
+        (lap, 0.5 * scal * fval),
     )
     return tensor, scalar
+
+
+def _hessian_values(metric: MetricField, f: ScalarField, point, order: int):
+    """MetricJets, the values of f and the values of grad^2 f at ``point``."""
+    mj = MetricJets(metric, point, order)
+    fjet = per_point(lambda p: f.jet(p, order).c, mj.points)
+    hess = cov_derivative(partials(fjet, mj.dim, mj.batch), mj.gamma)[..., 0]
+    return mj, fjet[..., 0], hess
 
 
 def cpe_residual(
@@ -187,19 +212,17 @@ def cpe_residual(
     n = metric.dim
     if n < 3:
         raise ValueError("the critical-point system needs dimension >= 3")
-    mj = MetricJets(metric, point, order)
-    fjet = f.jet(point, order)
-    fval = fjet.value
-    hess = cov_derivative(partials(fjet.c, mj.dim), mj.gamma)[..., 0]
+    mj, fval, hess = _hessian_values(metric, f, point, order)
     curv = mj.curvature
     gi = mj.ginv_val
+    scal = np.asarray(curv.scalar)
 
-    lhs_t = (1.0 + fval) * curv.traceless_ricci
-    rhs_t = hess + curv.scalar / (n * (n - 1)) * mj.g_val
+    lhs_t = (1.0 + fval)[..., None, None] * curv.traceless_ricci
+    rhs_t = hess + (scal / (n * (n - 1)))[..., None, None] * mj.g_val
     diff = lhs_t - rhs_t
 
     def tnorm(m):
-        return float(np.sqrt(max(np.einsum("ia,jb,ij,ab->", gi, gi, m, m), 0.0)))
+        return np.sqrt(np.maximum(np.einsum("...ia,...jb,...ij,...ab->...", gi, gi, m, m), 0.0))
 
     tensor = _residual(
         "cpe-tensor",
@@ -209,13 +232,13 @@ def cpe_residual(
         (tnorm(lhs_t), tnorm(hess), tnorm(rhs_t - hess)),
     )
 
-    lap = float(np.einsum("ij,ij->", gi, hess))
+    lap = np.einsum("...ij,...ij->...", gi, hess)
     scalar = _residual(
         "cpe-scalar",
         point,
         lap,
-        -curv.scalar / (n - 1) * fval,
-        (lap, curv.scalar / (n - 1) * fval),
+        -scal / (n - 1) * fval,
+        (lap, scal / (n - 1) * fval),
     )
     return tensor, scalar
 
@@ -231,7 +254,7 @@ def static_bochner_residual(
     an = PointAnalysis(spec, point, order)
     if an.dim != 3:
         raise ValueError("the static substitution is a dimension-3 identity")
-    fval = an.fjet.value
+    fval = float(an.fjet[0])
     if abs(fval) < F_GATE:
         raise EvalDomainError(
             f"|f| = {abs(fval)!r} < {F_GATE}: the identity divides by f"

@@ -18,9 +18,12 @@ lower order a prefix slice, which keeps mixed-order arithmetic cheap.
 Tensors of jets (metric, Christoffel symbols, P, ...) are not arrays of
 :class:`Jet` objects but single float arrays of shape
 ``tensor_shape + (ncoef,)``: the trailing axis holds the coefficients in the
-same graded order, and ``T[..., 0]`` are the component values.
+same graded order, and ``T[..., 0]`` are the component values.  Optional
+leading batch axes hold one tensor per grid point, ``batch_shape +
+tensor_shape + (ncoef,)``, so a whole grid is one array.
 :func:`contract` multiplies two such tensors and contracts their tensor
-indices in one call; :func:`partials` stacks their first partials.  The
+indices in one call, batch axes included; :func:`partials` stacks their
+first partials, with the derivative slot directly after the batch axes.  The
 scalar :class:`Jet` serves expression evaluation.
 """
 
@@ -89,13 +92,26 @@ class JetSpace:
         self.mul_ia = np.asarray(ia, dtype=np.intp)
         self.mul_ib = np.asarray(ib, dtype=np.intp)
         self.mul_ic = np.asarray(ic, dtype=np.intp)
-        # The same pairs grouped by target coefficient for :func:`contract`.
-        # The sort is stable, so each target sums its products in a fixed
-        # order and results repeat bit for bit.
-        by_target = np.argsort(self.mul_ic, kind="stable")
-        self.pair_a = self.mul_ia[by_target]
-        self.pair_b = self.mul_ib[by_target]
-        self.pair_starts = np.searchsorted(self.mul_ic[by_target], np.arange(self.size))
+        # The same pairs laid out for :func:`contract`, which sums each target
+        # coefficient's products in a fixed order (that of ``mul_ia``), so
+        # results repeat bit for bit.  Layer r holds the r-th pair of every
+        # target that has more than r pairs, the targets ordered by
+        # descending pair count: layer r then adds onto the leading
+        # ``layer_widths[r]`` rows of the running sums, a slice, and
+        # ``sum_inverse`` puts the sums back in coefficient order.
+        by_target: list[list[int]] = [[] for _ in monos]
+        for pair, target in enumerate(ic):
+            by_target[target].append(pair)
+        by_count = sorted(range(self.size), key=lambda t: -len(by_target[t]))  # stable
+        layers = [
+            [by_target[t][r] for t in by_count if len(by_target[t]) > r]
+            for r in range(len(by_target[by_count[0]]))
+        ]
+        self.layer_widths = tuple(len(layer) for layer in layers)
+        self.sum_inverse = np.asarray(sorted(range(self.size), key=by_count.__getitem__))
+        pairs = [pair for layer in layers for pair in layer]
+        self.pair_a = self.mul_ia[pairs]
+        self.pair_b = self.mul_ib[pairs]
 
         # Partial-derivative maps into the (nvars, order-1) layout.  The
         # graded ordering makes the lower space's monomials a prefix of ours,
@@ -487,29 +503,46 @@ def contract(subscripts: str, A: np.ndarray, B: np.ndarray, space: JetSpace) -> 
     """Jet product of two coefficient-array tensors, contracted like ``einsum``.
 
     ``subscripts`` names the tensor axes only, e.g. ``"kl,lij->kij"``; each
-    operand's trailing coefficient axis is implicit.  The product is
-    truncated to ``space``, whose order may not exceed either operand's.
+    operand's trailing coefficient axis is implicit.  Axes in front of the
+    named ones are batch axes (one per grid point, say): both operands must
+    have the same batch shape, and the result keeps it in front, so ``A`` of
+    shape ``batch + (n, n, ncoef)`` under ``"kl,..."`` is one ``(n, n)``
+    tensor per batch entry.  The product is truncated to ``space``, whose
+    order may not exceed either operand's.
 
     Both operands are gathered on the space's product pairs, the tensor
-    indices are contracted by one ``matmul`` batched over the pairs, and each
-    output coefficient sums its pairs in the space's fixed order.  Every
-    index must appear in the other operand or in the output, once per
+    indices are contracted by one ``matmul`` batched over the pairs and the
+    batch axes, and each output coefficient sums its pairs in the space's
+    fixed order, so a batch entry's result does not depend on the others.
+    Every index must appear in the other operand or in the output, once per
     operand.
     """
     ins, out = subscripts.split("->")
     a, b = ins.split(",")
-    batch = [c for c in a if c in b and c in out]
+    nb = A.ndim - 1 - len(a)
+    if B.shape[: B.ndim - 1 - len(b)] != A.shape[:nb]:
+        raise ValueError(
+            f"contract {subscripts!r}: batch shapes {A.shape[:nb]} and "
+            f"{B.shape[: B.ndim - 1 - len(b)]} differ"
+        )
+    shared = [c for c in a if c in b and c in out]
     summed = [c for c in a if c in b and c not in out]
     free_a = [c for c in a if c not in b]
     free_b = [c for c in b if c not in a]
-    dims = {**dict(zip(a, A.shape)), **dict(zip(b, B.shape))}
+    dims = {**dict(zip(a, A.shape[nb:])), **dict(zip(b, B.shape[nb:]))}
 
     def gathered(T, subs, pairs, rows, cols):
-        # Pairs on the leading axis, then the tensor axes in matmul order.
-        G = T.transpose([T.ndim - 1] + [subs.index(c) for c in batch + rows + cols])
-        G = G[pairs]
+        # Pairs on the leading axis, then the batch axes and the shared
+        # tensor axes, then the tensor axes in matmul order.
+        G = T.transpose(
+            [T.ndim - 1] + list(range(nb)) + [nb + subs.index(c) for c in shared + rows + cols]
+        )
+        # ``take`` returns C order whatever the layout of T.  matmul's
+        # summation order depends on its operands' strides, and must not
+        # differ between a batch entry and the same point analysed alone.
+        G = np.take(G, pairs, axis=0)
         return G.reshape(
-            G.shape[: 1 + len(batch)]
+            G.shape[: 1 + nb + len(shared)]
             + (math.prod(dims[c] for c in rows), math.prod(dims[c] for c in cols))
         )
 
@@ -518,20 +551,28 @@ def contract(subscripts: str, A: np.ndarray, B: np.ndarray, space: JetSpace) -> 
         gathered(B, b, space.pair_b, summed, free_b),
     )
     prod = prod.reshape(prod.shape[:-2] + tuple(dims[c] for c in free_a + free_b))
-    coef = np.add.reduceat(prod, space.pair_starts, axis=0)
-    axes = batch + free_a + free_b
-    return coef.transpose([1 + axes.index(c) for c in out] + [0])
+    sums = prod[: space.size]
+    at = space.size
+    for width in space.layer_widths[1:]:
+        sums[:width] += prod[at : at + width]
+        at += width
+    coef = sums[space.sum_inverse]
+    axes = shared + free_a + free_b
+    return coef.transpose(
+        list(range(1, 1 + nb)) + [1 + nb + axes.index(c) for c in out] + [0]
+    )
 
 
-def partials(T: np.ndarray, nvars: int) -> np.ndarray:
+def partials(T: np.ndarray, nvars: int, batch: int = 0) -> np.ndarray:
     """First partials of a coefficient-array tensor, one order lower.
 
-    ``out[a, ...] = d_a T[...]``: the derivative index comes first.
+    ``out[*b, a, ...] = d_a T[*b, ...]``: the derivative index comes directly
+    after the ``batch`` leading batch axes.
     """
     sp = jet_space(nvars, jet_order(T, nvars))
     if sp.order < 1:
         raise OrderExceededError("cannot differentiate an order-0 jet")
-    return np.moveaxis(T[..., sp.diff_src_all] * sp.diff_fac_all, -2, 0)
+    return np.moveaxis(T[..., sp.diff_src_all] * sp.diff_fac_all, -2, batch)
 
 
 def finite_difference_oracle(

@@ -30,18 +30,29 @@ and the factor-1 statement for the form are the same inequality.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Sequence
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import DegeneratePError, FrameConsistencyError
 from .expr import Expr, ParamSet, evaluate
-from .geometry import MetricField, MetricJets, ScalarField, cov_derivative
+from .geometry import (
+    MetricField,
+    MetricJets,
+    ScalarField,
+    batch_value,
+    cov_derivative,
+    per_point,
+)
 from .jets import DEFAULT_ORDER, Jet, contract, jet_space, partials
 
 DEGENERATE_P_TOLERANCE = 1e-10
 FRAME_MATCH_TOLERANCE = 1e-10
+
+#: Lowest jet order that yields the values of P, grad P and div P: f at
+#: order 3 gives |grad f|^2 at order 2, P at order 1 and grad P at order 0.
+#: The |P|^2 Laplacian and the Bochner balance need DEFAULT_ORDER.
+VALUE_ORDER = 3
 
 #: Conversion constants between the tensor P and the corresponding 2-form.
 FORM_DICTIONARY = {
@@ -72,34 +83,48 @@ class PTensorSpec:
 
 @dataclass(frozen=True)
 class PTensorEval:
-    """Value-level analysis of P at one point."""
+    """Value-level analysis of P at one point or over a batch of points.
+
+    Over a batch, every field has the batch axes in front and the norms and
+    margins are arrays of shape ``batch_shape``.
+    """
 
     point: tuple
     P: np.ndarray
     nabla_P: np.ndarray
     div_P: np.ndarray
-    p_norm_sq: float
-    nabla_p_norm_sq: float
-    div_p_norm_sq: float
-    violation: float
-    sharp_margin: float
+    p_norm_sq: float | np.ndarray
+    nabla_p_norm_sq: float | np.ndarray
+    div_p_norm_sq: float | np.ndarray
+    violation: float | np.ndarray
+    sharp_margin: float | np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _upper(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the j < k block of an n x n tensor."""
+    return np.triu_indices(n, 1)
 
 
 class PointAnalysis:
-    """Lazy, cached jet pipeline for one spec at one point.
+    """Lazy, cached jet pipeline for one spec at one point or a batch of points.
 
-    Every derived quantity is the exact Taylor data of the corresponding
-    field, so repeated covariant differentiation stays truncation-error free.
-    Jet-valued tensors are coefficient arrays (see :mod:`skewdiv.jets`); f
-    and lambda(f), which come from expression evaluation, are scalar jets.
-    Instances are read-only after construction and safe to share.
+    ``points`` has shape ``(n,)`` or ``(npts, n)``; every tensor carries the
+    batch axes in front (see :mod:`skewdiv.geometry`), and a value-level
+    scalar is a float for one point and an array over a batch.  Every derived
+    quantity is the exact Taylor data of the corresponding field, so repeated
+    covariant differentiation stays truncation-error free.  Jet-valued
+    tensors are coefficient arrays (see :mod:`skewdiv.jets`), f and
+    lambda(f) included: those two are evaluated point by point, in grid
+    order, on scalar jets and then stacked.  Instances are read-only after
+    construction and safe to share.
     """
 
-    def __init__(self, spec: PTensorSpec, point: Sequence[float], order: int = DEFAULT_ORDER):
+    def __init__(self, spec: PTensorSpec, points, order: int = DEFAULT_ORDER):
         self.spec = spec
-        self.point = tuple(float(x) for x in point)
         self.order = order
-        self.mj = MetricJets(spec.metric, self.point, order)
+        self.mj = MetricJets(spec.metric, points, order)
+        self.point = self.mj.point
 
     @property
     def dim(self) -> int:
@@ -110,13 +135,14 @@ class PointAnalysis:
         return jet_space(self.dim, max(self.order - drop, 0))
 
     @cached_property
-    def fjet(self) -> Jet:
-        return self.spec.f.jet(self.point, self.order)
+    def fjet(self) -> np.ndarray:
+        """Coefficient array of f."""
+        return per_point(lambda p: self.spec.f.jet(p, self.order).c, self.mj.points)
 
     @cached_property
     def df(self) -> np.ndarray:
-        """df[a] = d_a f, one order below f."""
-        return partials(self.fjet.c, self.dim)
+        """df[..., a] = d_a f, one order below f."""
+        return partials(self.fjet, self.dim, self.mj.batch)
 
     @cached_property
     def w(self) -> np.ndarray:
@@ -126,11 +152,15 @@ class PointAnalysis:
         return contract("a,a->", grad_f, self.df, sp)
 
     @cached_property
-    def lam_f(self) -> Jet:
-        out = evaluate(self.spec.lam, [self.fjet], self.spec.lam_params)
-        if not isinstance(out, Jet):
-            out = Jet.constant(float(out), self.dim, self.order)
-        return out
+    def lam_f(self) -> np.ndarray:
+        """Coefficient array of lambda(f)."""
+        sp = self._space(0)
+
+        def at(fc):
+            out = evaluate(self.spec.lam, [Jet(sp, fc)], self.spec.lam_params)
+            return out.c if isinstance(out, Jet) else Jet.constant(float(out), sp.nvars, sp.order).c
+
+        return per_point(at, self.fjet)
 
     @cached_property
     def P(self) -> np.ndarray:
@@ -139,15 +169,16 @@ class PointAnalysis:
         # h_k = grad^2 f(grad f, .)_k = (1/2) d_k |grad f|^2.  The Hessian
         # pairing fixes the normalization: d|grad f|^2 itself is twice this,
         # and the factor would otherwise just be absorbed into lambda.
-        h = 0.5 * partials(self.w, n)
+        h = 0.5 * partials(self.w, n, self.mj.batch)
         dfh = contract("j,k->jk", self.df, h, sp)  # d_j f h_k
-        j, k = np.triu_indices(n, 1)
-        return _skew(contract(",p->p", self.lam_f.c, dfh[j, k] - dfh[k, j], sp), n)
+        j, k = _upper(n)
+        block = dfh[..., j, k, :] - dfh[..., k, j, :]
+        return _skew(contract(",p->p", self.lam_f, block, sp), n)
 
     @cached_property
     def nabla_P(self) -> np.ndarray:
-        j, k = np.triu_indices(self.dim, 1)
-        return _skew(cov_derivative(self.P, self.mj.gamma)[:, j, k], self.dim)
+        j, k = _upper(self.dim)
+        return _skew(cov_derivative(self.P, self.mj.gamma)[..., j, k, :], self.dim)
 
     @cached_property
     def div_P(self) -> np.ndarray:
@@ -171,25 +202,32 @@ class PointAnalysis:
     def P_up(self) -> np.ndarray:
         """P with both slots raised, P^ab = g^aj g^bk P_jk (values)."""
         gi = self.mj.ginv_val
-        return np.einsum("aj,bk,jk->ab", gi, gi, self.P_val)
+        return np.einsum("...aj,...bk,...jk->...ab", gi, gi, self.P_val)
 
     @cached_property
-    def p_norm_sq(self) -> float:
-        return float(np.einsum("ab,ab->", self.P_up, self.P_val))
+    def p_norm_sq(self) -> float | np.ndarray:
+        return batch_value(np.einsum("...ab,...ab->...", self.P_up, self.P_val))
 
     @cached_property
-    def nabla_p_norm_sq(self) -> float:
+    def nabla_p_norm_sq(self) -> float | np.ndarray:
         gi = self.mj.ginv_val
-        return float(
+        return batch_value(
             np.einsum(
-                "ia,jb,kc,ijk,abc->", gi, gi, gi, self.nabla_P_val, self.nabla_P_val
+                "...ia,...jb,...kc,...ijk,...abc->...",
+                gi,
+                gi,
+                gi,
+                self.nabla_P_val,
+                self.nabla_P_val,
             )
         )
 
     @cached_property
-    def div_p_norm_sq(self) -> float:
+    def div_p_norm_sq(self) -> float | np.ndarray:
         gi = self.mj.ginv_val
-        return float(np.einsum("ka,k,a->", gi, self.div_P_val, self.div_P_val))
+        return batch_value(
+            np.einsum("...ka,...k,...a->...", gi, self.div_P_val, self.div_P_val)
+        )
 
     @cached_property
     def p_norm_sq_jet(self) -> np.ndarray:
@@ -201,14 +239,14 @@ class PointAnalysis:
         return contract("jk,jk->", self.P, N, sp)
 
     @cached_property
-    def laplacian_p_norm_sq(self) -> float:
-        ds = partials(self.p_norm_sq_jet, self.dim)
+    def laplacian_p_norm_sq(self) -> float | np.ndarray:
+        ds = partials(self.p_norm_sq_jet, self.dim, self.mj.batch)
         hess = cov_derivative(ds, self.mj.gamma)[..., 0]
-        return float(np.einsum("ij,ij->", self.mj.ginv_val, hess))
+        return batch_value(np.einsum("...ij,...ij->...", self.mj.ginv_val, hess))
 
     @cached_property
     def grad_p_norm_sq_val(self) -> np.ndarray:
-        return partials(self.p_norm_sq_jet, self.dim)[..., 0]
+        return partials(self.p_norm_sq_jet, self.dim, self.mj.batch)[..., 0]
 
     @cached_property
     def nabla_div_P_val(self) -> np.ndarray:
@@ -217,14 +255,14 @@ class PointAnalysis:
 
     @cached_property
     def grad_f_val(self) -> np.ndarray:
-        return self.mj.ginv_val @ self.df[:, 0]
+        return np.einsum("...ab,...b->...a", self.mj.ginv_val, self.df[..., 0])
 
     @cached_property
-    def violation(self) -> float:
+    def violation(self) -> float | np.ndarray:
         return self.nabla_p_norm_sq - 2.0 * self.div_p_norm_sq
 
     @cached_property
-    def sharp_margin(self) -> float:
+    def sharp_margin(self) -> float | np.ndarray:
         return self.nabla_p_norm_sq - (2.0 / (self.dim - 1)) * self.div_p_norm_sq
 
     def result(self) -> PTensorEval:
@@ -250,7 +288,7 @@ def _skew(block: np.ndarray, n: int) -> np.ndarray:
     Entries below the diagonal are the exact negatives and the diagonal is
     exactly zero, whatever the rounding of the block.
     """
-    j, k = np.triu_indices(n, 1)
+    j, k = _upper(n)
     out = np.zeros(block.shape[:-2] + (n, n, block.shape[-1]))
     out[..., j, k, :] = block
     out[..., k, j, :] = -block
@@ -272,22 +310,29 @@ def div_P(spec: PTensorSpec, point, order: int = DEFAULT_ORDER) -> np.ndarray:
     return PointAnalysis(spec, point, order).div_P
 
 
-def analyze(spec: PTensorSpec, point, order: int = DEFAULT_ORDER) -> PTensorEval:
-    """Value-level P report at ``point``: components, norms, both margins."""
-    return PointAnalysis(spec, point, order).result()
+def analyze(spec: PTensorSpec, points, order: int = VALUE_ORDER) -> PTensorEval:
+    """Value-level P report at a point or a batch of points: components, norms, both margins."""
+    return PointAnalysis(spec, points, order).result()
 
 
-def cyclic_residual(spec: PTensorSpec, point, order: int = DEFAULT_ORDER) -> float:
+def cyclic_residual(
+    spec: PTensorSpec,
+    points,
+    order: int = VALUE_ORDER,
+    analysis: PointAnalysis | None = None,
+) -> float | np.ndarray:
     """Max over index triples of |grad_i P_jk + grad_j P_ki + grad_k P_ij|.
 
     Vanishes identically for every P of this module's form, whatever the
     metric: the underlying 2-form is closed because the profile depends on f
-    alone.
+    alone.  Over a batch of points it is an array with one maximum per
+    point.  Pass a precomputed ``analysis`` of the same spec and points to
+    reuse its jet pipeline.
     """
-    an = PointAnalysis(spec, point, order)
+    an = analysis if analysis is not None else PointAnalysis(spec, points, order)
     T = an.nabla_P_val
-    cyc = T + T.transpose(1, 2, 0) + T.transpose(2, 0, 1)
-    return float(np.max(np.abs(cyc)))
+    cyc = T + np.einsum("...jki->...ijk", T) + np.einsum("...kij->...ijk", T)
+    return batch_value(np.max(np.abs(cyc), axis=(-3, -2, -1)))
 
 
 # -- adapted orthonormal frame ---------------------------------------------------

@@ -2,12 +2,15 @@
 
 All floats serialize with 17 significant digits ('.17g'), '.' decimal
 separator and LF line endings, so identical runs produce byte-identical
-files and every double round-trips exactly.
+files and every double round-trips exactly.  A non-finite value is never
+folded away: it fails its verdict, and JSON carries it as the string
+"nan", "inf" or "-inf" (the CSV spelling), so the output stays valid JSON.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -16,6 +19,10 @@ from . import __version__ as VERSION
 
 def fmt17(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def fmt_point(point: Sequence[float]) -> str:
+    return "(" + ", ".join(fmt17(x) for x in point) + ")"
 
 
 @dataclass(frozen=True)
@@ -36,25 +43,33 @@ class ResidualSummary:
 
 @dataclass(frozen=True)
 class Verdict:
-    """A pass/fail decision plus the numbers it was computed from."""
+    """A pass/fail decision plus the numbers it was computed from.
+
+    ``point`` is where ``value`` was found, when it came from a grid.  A
+    non-finite value fails whatever the threshold.
+    """
 
     name: str
     value: float
     threshold: float
     kind: str  # "max<=" or "min>=" or "max<"
     passed: bool
+    point: tuple = ()
 
     @staticmethod
-    def at_most(name: str, value: float, threshold: float) -> "Verdict":
-        return Verdict(name, value, threshold, "max<=", value <= threshold)
+    def at_most(name: str, value: float, threshold: float, point: tuple = ()) -> "Verdict":
+        passed = math.isfinite(value) and value <= threshold
+        return Verdict(name, value, threshold, "max<=", passed, point)
 
     @staticmethod
-    def at_least(name: str, value: float, threshold: float) -> "Verdict":
-        return Verdict(name, value, threshold, "min>=", value >= threshold)
+    def at_least(name: str, value: float, threshold: float, point: tuple = ()) -> "Verdict":
+        passed = math.isfinite(value) and value >= threshold
+        return Verdict(name, value, threshold, "min>=", passed, point)
 
     @staticmethod
-    def below(name: str, value: float, threshold: float) -> "Verdict":
-        return Verdict(name, value, threshold, "max<", value < threshold)
+    def below(name: str, value: float, threshold: float, point: tuple = ()) -> "Verdict":
+        passed = math.isfinite(value) and value < threshold
+        return Verdict(name, value, threshold, "max<", passed, point)
 
 
 @dataclass(frozen=True)
@@ -70,19 +85,44 @@ class Report:
         return all(v.passed for v in self.verdicts)
 
 
+def _exceeds(value: float, current: float) -> bool:
+    """Whether ``value`` replaces ``current`` as a running maximum.
+
+    A non-finite value (NaN included) exceeds every finite one, and the
+    first one is kept.
+    """
+    return math.isfinite(current) and (value >= current or not math.isfinite(value))
+
+
 def summarize_residuals(
     name: str, rows: Iterable[tuple[tuple, float, float]]
 ) -> ResidualSummary:
-    """Fold per-point (point, abs, rel) rows into a summary."""
+    """Fold per-point (point, abs, rel) rows into a summary.
+
+    The worst point is the last with the largest absolute residual, or the
+    first whose residual is not finite.
+    """
     worst = None
     max_abs = 0.0
     max_rel = 0.0
     for point, absr, relr in rows:
-        if absr >= max_abs:
-            max_abs = absr
+        if _exceeds(absr, max_abs):
+            max_abs = float(absr)
             worst = point
-        max_rel = max(max_rel, relr)
+        if _exceeds(relr, max_rel):
+            max_rel = float(relr)
     return ResidualSummary(name, max_abs, max_rel, worst if worst is not None else ())
+
+
+def _json_safe(x):
+    """``x`` with every non-finite float replaced by its :func:`fmt17` string."""
+    if isinstance(x, float):
+        return x if math.isfinite(x) else fmt17(x)
+    if isinstance(x, dict):
+        return {k: _json_safe(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_json_safe(v) for v in x]
+    return x
 
 
 def report_to_json(report: Report) -> str:
@@ -93,7 +133,7 @@ def report_to_json(report: Report) -> str:
         "violations": list(report.violations),
         "verdicts": [{"name": v.name, "pass": v.passed} for v in report.verdicts],
     }
-    return json.dumps(doc, indent=2, allow_nan=True) + "\n"
+    return json.dumps(_json_safe(doc), indent=2, allow_nan=False) + "\n"
 
 
 def rows_to_csv(columns: Sequence[str], rows: Iterable[Sequence]) -> str:

@@ -18,13 +18,14 @@ the exact grammar.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import warped as warped_mod
 from .errors import ScenarioError
-from .expr import Expr, parse
+from .expr import Expr, chart_variables, parse
 from .geometry import MetricField, ScalarField
 from .ptensor import PTensorSpec
 
@@ -48,6 +49,8 @@ class GridAxis:
     def __post_init__(self):
         if self.count < 1:
             raise ScenarioError(f"grid axis {self.name}: count must be >= 1")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ScenarioError(f"grid axis {self.name}: bounds must be finite")
         if self.hi < self.lo:
             raise ScenarioError(f"grid axis {self.name}: empty range")
 
@@ -113,9 +116,8 @@ class Scenario:
 
 
 def _axis_names(dim: int) -> list[str]:
-    names = ["r"]
-    names.extend(f"x{i}" for i in range(1, dim))
-    return names
+    """Grid axis names, one per chart slot: the slot's last alias (r, x1, x2, ...)."""
+    return [v if isinstance(v, str) else v[-1] for v in chart_variables(dim)]
 
 
 def _default_grid(dim: int, lo: float, hi: float, count: int) -> tuple[GridAxis, ...]:
@@ -298,7 +300,7 @@ def parse_scenario_file(text: str, fallback_name: str = "scenario") -> Scenario:
             dim_str = fields.get("dim")
             if dim_str is None:
                 raise ScenarioError("scenario file: 'dim' must precede 'metric:'")
-            dim = int(dim_str)
+            dim = _parse_dim(dim_str)
             while len(metric_rows) < dim:
                 if i >= len(lines):
                     raise ScenarioError(
@@ -320,16 +322,18 @@ def parse_scenario_file(text: str, fallback_name: str = "scenario") -> Scenario:
             try:
                 params[pname] = float(value)
             except ValueError:
+                params[pname] = math.nan  # rejected below, like a non-finite value
+            if not math.isfinite(params[pname]):
                 raise ScenarioError(
                     f"scenario file line {i}: bad parameter value {value!r}"
-                ) from None
+                )
         else:
             fields[key] = value
 
     for required in ("dim", "f"):
         if required not in fields:
             raise ScenarioError(f"scenario file: missing {required!r}")
-    dim = int(fields["dim"])
+    dim = _parse_dim(fields["dim"])
     if not metric_rows:
         raise ScenarioError("scenario file: missing metric: section")
     rows = []
@@ -365,6 +369,16 @@ def parse_scenario_file(text: str, fallback_name: str = "scenario") -> Scenario:
         is_static=fields.get("static", "false").lower() == "true",
         description=fields.get("description", ""),
     )
+
+
+def _parse_dim(text: str) -> int:
+    try:
+        dim = int(text)
+    except ValueError:
+        dim = 0
+    if dim < 1:
+        raise ScenarioError(f"scenario file: bad dim {text!r}; want a positive integer")
+    return dim
 
 
 def parse_grid_spec(src: str, dim: int) -> tuple[GridAxis, ...]:

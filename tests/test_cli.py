@@ -1,10 +1,11 @@
 import json
+import math
 
 import pytest
 
 from skewdiv.cli import main, run_verify
 from skewdiv.errors import ScenarioError
-from skewdiv.report import report_to_json
+from skewdiv.report import Verdict, report_to_json, summarize_residuals
 from skewdiv.scenarios import (
     BUILTIN_NAMES,
     builtin_scenario,
@@ -239,3 +240,100 @@ def test_report_json_is_fixed_order():
     report = run_verify(sc)
     text = report_to_json(report)
     assert text.index('"version"') < text.index('"scenario"') < text.index('"residuals"')
+
+
+OVERFLOW_SCENARIO = """\
+name = overflow
+dim = 3
+f = exp(300*r)*x1
+grid = r:0:1:3, x1:0.2:0.8:2
+metric:
+1 | 0 | 0
+0 | 1 | 0
+0 | 0 | 1
+"""
+
+
+def _reject_constant(token):
+    raise AssertionError(f"invalid JSON token {token}")
+
+
+def test_non_finite_values_fail_and_name_the_point(tmp_path, capsys):
+    path = tmp_path / "overflow.txt"
+    path.write_text(OVERFLOW_SCENARIO)
+    out = tmp_path / "report.json"
+    assert main(["verify", "--scenario-file", str(path), "--out", str(out)]) == 1
+    verdict_lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("[")]
+    assert len(verdict_lines) == 4
+    for line in verdict_lines:
+        assert line.startswith("[FAIL]") and "non-finite at (" in line, line
+    doc = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert not any(v["pass"] for v in doc["verdicts"])
+    assert all(r["max_abs"] == "nan" and r["worst_point"] for r in doc["residuals"])
+
+
+def test_non_finite_residual_is_never_folded_away():
+    rows = [((0.0,), 1e-3, 1e-3), ((1.0,), float("nan"), float("nan")), ((2.0,), 5.0, 0.5)]
+    summary = summarize_residuals("r", rows)
+    assert math.isnan(summary.max_abs) and math.isnan(summary.max_rel)
+    assert summary.worst_point == (1.0,)
+    for make in (Verdict.at_most, Verdict.at_least, Verdict.below):
+        assert not make("v", float("nan"), 0.0).passed
+        assert not make("v", float("inf"), 0.0).passed
+        assert not make("v", float("-inf"), 0.0).passed
+    assert "NaN" not in report_to_json(run_verify(builtin_scenario("euclidean")))
+
+
+def _exit_and_message(args, capsys):
+    code = main(args)
+    err = capsys.readouterr().err.strip()
+    return code, err
+
+
+@pytest.mark.parametrize(
+    "f_source", ["exp(exp(7*r))*x1", "(r + 1)^(2000.5)*x1"], ids=["exp", "power"]
+)
+def test_expression_overflow_exits_2(f_source, tmp_path, capsys):
+    path = tmp_path / "s.txt"
+    path.write_text(OVERFLOW_SCENARIO.replace("exp(300*r)*x1", f_source))
+    code, err = _exit_and_message(["verify", "--scenario-file", str(path)], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "overflows a float (at offset" in err
+    assert "\n" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["search", "--bounds", "k:a:3"],
+        ["search", "--bounds", "k:1:inf"],
+        ["search", "--bounds", "z:1:3"],
+        ["frame", "--scenario", "warped-canonical", "--point", "a,b,c"],
+        ["frame", "--scenario", "warped-canonical", "--point", "0,nan,0"],
+        ["verify", "--scenario", "warped-canonical", "--param", "k=inf"],
+        ["counterexample", "--param", "c=nan"],
+        ["verify", "--scenario", "warped-canonical", "--grid", "r:0:nan:2"],
+        ["counterexample", "--grid", "r:-inf:1:2"],
+    ],
+)
+def test_bad_numbers_exit_2_with_one_line(args, capsys):
+    code, err = _exit_and_message(args, capsys)
+    assert code == 2
+    assert err.startswith("error:") and "\n" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        SCENARIO_FILE.replace("dim = 3", "dim = abc"),
+        SCENARIO_FILE.replace("param k = 5", "param k = inf"),
+        "dim = 2\nf = x1\nmetric:\n1 | 0\n0 | 1\n",
+    ],
+    ids=["dim-not-a-number", "param-not-finite", "dim-below-3"],
+)
+def test_bad_scenario_file_exits_2_with_one_line(text, tmp_path, capsys):
+    path = tmp_path / "s.txt"
+    path.write_text(text)
+    code, err = _exit_and_message(["verify", "--scenario-file", str(path)], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "\n" not in err and "Traceback" not in err

@@ -211,3 +211,15 @@ def test_jet_gradient_matches_finite_differences():
                 assert abs(fd - exact) <= 1e-6 * max(1.0, abs(exact))
             pairs += 1
     assert pairs >= 20
+
+
+@pytest.mark.parametrize(
+    "source,offset",
+    [("1 + exp(exp(7*r))", 4), ("x1 * 2.5^(r*1000.5)", 8), ("(r*1e-200)^(-2.5)", 10)],
+)
+def test_float_overflow_is_a_located_domain_error(source, offset):
+    e = parse(source, variables=VARS3)
+    for point in ((1.0, 0.5, 0.5), seed_variables((1.0, 0.5, 0.5), 3, 2)):
+        with pytest.raises(EvalDomainError, match="overflows a float") as exc:
+            evaluate(e, point)
+        assert exc.value.offset == offset
