@@ -12,9 +12,12 @@ tensor it derives then has the leading batch axes of ``points``,
 ``batch_shape + tensor_shape + (ncoef,)``; value-level scalars become arrays
 of shape ``batch_shape``.  A single point has batch shape ``()`` and goes
 through the same code, so its tensors and Python-float scalars keep their
-unbatched shapes.  The per-point expression evaluation stays a loop in grid
-order (:func:`per_point`); only the tensor algebra is batched, and each batch
-entry's values are those of the point analysed alone.
+unbatched shapes.  The expressions (metric entries, f) are evaluated once
+for the whole batch on batched jet seeds (see :mod:`skewdiv.jets`), and
+each batch entry's values are those of the point analysed alone, bit for
+bit.  Errors stay per point: a batch that fails is evaluated again point by
+point in grid order (:func:`each_point_on_error`), so the first failing
+point raises its own error, with its own values, exactly as it would alone.
 
 Index conventions, fixed once for the whole package:
 
@@ -52,11 +55,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NonPositiveDefiniteError
+from .errors import NonPositiveDefiniteError, SkewdivError
 from .expr import Expr, ParamSet, chart_variables, evaluate, parse, to_source
 from .jets import (
     DEFAULT_ORDER,
     Jet,
+    as_coefficients,
     contract,
     finite_difference_oracle,
     jet_order,
@@ -99,12 +103,15 @@ class ScalarField:
         e = parse(source, variables=chart_variables(dim), params=tuple(params))
         return cls(dim, e, params)
 
-    def jet(self, point: Sequence[float], order: int = DEFAULT_ORDER) -> Jet:
-        seeds = seed_variables(point, self.dim, order)
-        out = evaluate(self.expr, seeds, self.params)
-        if isinstance(out, Jet):
-            return out
-        return Jet.constant(float(out), self.dim, order)
+    def jet(self, point, order: int = DEFAULT_ORDER) -> Jet:
+        """Jet of the field at ``point``, or at each point of a batch of points."""
+        sp = jet_space(self.dim, order)
+
+        def coefficients(points):
+            out = evaluate(self.expr, seed_variables(points, self.dim, order), self.params)
+            return as_coefficients(out, points.shape[:-1] + (sp.size,))
+
+        return Jet(sp, each_point_on_error(coefficients, point))
 
     def __call__(self, point: Sequence[float]) -> float:
         pt = [float(x) for x in point]
@@ -149,21 +156,25 @@ class MetricField:
                     trees[src] = parse(src, variables=names, params=tuple(params))
         return cls(dim, [[trees[src] for src in row] for row in rows], params)
 
-    def component_jets(self, point: Sequence[float], order: int = DEFAULT_ORDER) -> np.ndarray:
-        """Coefficient array g[i, j, :] at ``point``; a shared tree is evaluated once."""
-        seeds = seed_variables(point, self.dim, order)
-        g = np.empty((self.dim, self.dim, jet_space(self.dim, order).size))
+    def component_jets(self, point, order: int = DEFAULT_ORDER) -> np.ndarray:
+        """Coefficient array g[..., i, j, :] at a point or a batch of points.
+
+        Each distinct tree is evaluated once, on the seeds of the whole batch.
+        """
+        return each_point_on_error(lambda points: self._component_jets(points, order), point)
+
+    def _component_jets(self, points: np.ndarray, order: int) -> np.ndarray:
+        seeds = seed_variables(points, self.dim, order)
+        shape = points.shape[:-1] + (jet_space(self.dim, order).size,)
+        g = np.empty(points.shape[:-1] + (self.dim, self.dim, shape[-1]))
         coeffs: dict[int, np.ndarray] = {}
         for i in range(self.dim):
             for j in range(i, self.dim):
                 e = self.exprs[i][j]
                 if id(e) not in coeffs:
-                    out = evaluate(e, seeds, self.params)
-                    if not isinstance(out, Jet):
-                        out = Jet.constant(float(out), self.dim, order)
-                    coeffs[id(e)] = out.c
-                g[i, j] = g[j, i] = coeffs[id(e)]
-        self._check_positive_definite(g[..., 0], point)
+                    coeffs[id(e)] = as_coefficients(evaluate(e, seeds, self.params), shape)
+                g[..., i, j, :] = g[..., j, i, :] = coeffs[id(e)]
+        self._check_positive_definite(g[..., 0], points)
         return g
 
     def component_values(self, point: Sequence[float]) -> np.ndarray:
@@ -177,7 +188,7 @@ class MetricField:
         return vals
 
     def _check_positive_definite(self, vals: np.ndarray, point) -> None:
-        where = tuple(float(x) for x in point)
+        where = point_tuple(point)
         if not np.all(np.isfinite(vals)):
             raise NonPositiveDefiniteError(f"metric has non-finite components at {where}")
         try:
@@ -200,11 +211,28 @@ class MetricField:
 # -- batches of points -------------------------------------------------------------
 
 
-def per_point(fn, rows: np.ndarray) -> np.ndarray:
-    """``fn`` applied to each row ``rows[*b, :]`` in order, stacked as ``b + fn``'s shape."""
+# Errors that evaluation at a single point raises.
+_POINT_ERRORS = (SkewdivError, ArithmeticError)
+
+
+def each_point_on_error(fn, rows) -> np.ndarray:
+    """``fn(rows)`` on a whole batch; if that fails, ``fn`` on each row in grid order.
+
+    ``rows`` has shape ``batch_shape + (k,)``, a point per row say.  A batch
+    evaluates each expression once for all its rows, so an error it meets
+    belongs to no particular row.  Run row by row, the first failing row in
+    grid order raises its own error, with its own values in the message,
+    exactly as it would alone; if no row fails alone, the rows' results are
+    stacked.  This path runs only after a batch has failed.
+    """
     rows = np.asarray(rows, dtype=float)
+    try:
+        return fn(rows)
+    except _POINT_ERRORS:
+        if rows.ndim == 1:
+            raise
     out = [fn(row) for row in rows.reshape(-1, rows.shape[-1])]
-    return np.stack(out).reshape(rows.shape[:-1] + np.shape(out[0]))
+    return np.stack(out).reshape(rows.shape[:-1] + out[0].shape)
 
 
 def point_tuple(points) -> tuple:
@@ -240,7 +268,7 @@ class MetricJets:
         self.batch = self.points.ndim - 1
         self.order = order
         self.dim = metric.dim
-        self.g = per_point(lambda p: metric.component_jets(p, order), self.points)
+        self.g = metric.component_jets(self.points, order)
 
     @cached_property
     def ginv(self) -> np.ndarray:
@@ -396,7 +424,7 @@ def riemann(metric: MetricField, point, order: int = DEFAULT_ORDER) -> Curvature
 def hessian(f: ScalarField, metric: MetricField, point, order: int = DEFAULT_ORDER) -> np.ndarray:
     """Covariant Hessian grad^2_ij f as a coefficient array, two orders below f."""
     mj = MetricJets(metric, point, order)
-    return cov_derivative(partials(f.jet(point, order).c, mj.dim), mj.gamma)
+    return cov_derivative(partials(f.jet(point, order).c, mj.dim, mj.batch), mj.gamma)
 
 
 def laplacian(f: ScalarField, metric: MetricField, point, order: int = DEFAULT_ORDER) -> float:

@@ -49,7 +49,6 @@ from .geometry import (
     ScalarField,
     batch_value,
     cov_derivative,
-    per_point,
     point_tuple,
 )
 from .jets import DEFAULT_ORDER, partials
@@ -200,7 +199,7 @@ def static_residual(
 def _hessian_values(metric: MetricField, f: ScalarField, point, order: int):
     """MetricJets, the values of f and the values of grad^2 f at ``point``."""
     mj = MetricJets(metric, point, order)
-    fjet = per_point(lambda p: f.jet(p, order).c, mj.points)
+    fjet = f.jet(mj.points, order).c
     hess = cov_derivative(partials(fjet, mj.dim, mj.batch), mj.gamma)[..., 0]
     return mj, fjet[..., 0], hess
 

@@ -15,6 +15,20 @@ Storage is dense over the C(nvars+order, order) monomials, ordered by total
 degree then lexicographically.  The graded ordering makes truncation to a
 lower order a prefix slice, which keeps mixed-order arithmetic cheap.
 
+A :class:`Jet`'s coefficients may carry leading batch axes, ``batch_shape +
+(ncoef,)``, one jet per grid point: seeding a batch of points
+(:func:`seed_variables`) and evaluating an expression on the seeds walks the
+expression once for the whole grid.  Each batch entry is computed exactly as
+its point alone would be, bit for bit; a single point is the batch shape
+``()``, keeps 1-D coefficients and a float ``value``.  Each jet also carries
+``deg``, an upper bound on its polynomial degree (0 for constants, 1 for
+seeds, the maximum over a sum, the sum over a product, the order after
+composing an analytic function with a non-constant jet), and a product only
+forms the coefficient pairs that the two bounds allow.  Where a batch fails (a domain error, an
+overflow), the error belongs to no particular point; the callers that
+evaluate on batches re-run point by point so that the first failing point
+raises its own error (:func:`skewdiv.geometry.each_point_on_error`).
+
 Tensors of jets (metric, Christoffel symbols, P, ...) are not arrays of
 :class:`Jet` objects but single float arrays of shape
 ``tensor_shape + (ncoef,)``: the trailing axis holds the coefficients in the
@@ -23,8 +37,8 @@ leading batch axes hold one tensor per grid point, ``batch_shape +
 tensor_shape + (ncoef,)``, so a whole grid is one array.
 :func:`contract` multiplies two such tensors and contracts their tensor
 indices in one call, batch axes included; :func:`partials` stacks their
-first partials, with the derivative slot directly after the batch axes.  The
-scalar :class:`Jet` serves expression evaluation.
+first partials, with the derivative slot directly after the batch axes.
+:class:`Jet` serves expression evaluation.
 """
 
 from __future__ import annotations
@@ -112,6 +126,14 @@ class JetSpace:
         pairs = [pair for layer in layers for pair in layer]
         self.pair_a = self.mul_ia[pairs]
         self.pair_b = self.mul_ib[pairs]
+        # Product pairs of jets with degree bounds (deg_a, deg_b), at
+        # ``product_pairs[deg_a][deg_b]``; see :meth:`_product_pairs`.
+        self.degree = np.asarray([sum(m) for m in monos], dtype=np.intp)
+        self.product_pairs = tuple(
+            tuple(self._product_pairs(da, db) for db in range(order + 1))
+            for da in range(order + 1)
+        )
+        self._batch_pairs: dict = {}
 
         # Partial-derivative maps into the (nvars, order-1) layout.  The
         # graded ordering makes the lower space's monomials a prefix of ours,
@@ -135,6 +157,38 @@ class JetSpace:
             self.diff_src_all = np.stack(srcs)
             self.diff_fac_all = np.stack(facs)
 
+    def _product_pairs(self, deg_a: int, deg_b: int) -> tuple:
+        """``mul_ia, mul_ib, mul_ic`` where |a| <= deg_a and |b| <= deg_b, and the product's ``deg``.
+
+        Coefficients above a jet's degree bound are zero, so the dropped
+        pairs only add exact zeros.  The kept pairs stay in ``mul_ia`` order:
+        each target coefficient sums the same nonzero products in the same
+        order as over the full table.
+        """
+        keep = (self.degree[self.mul_ia] <= deg_a) & (self.degree[self.mul_ib] <= deg_b)
+        return (
+            self.mul_ia[keep],
+            self.mul_ib[keep],
+            self.mul_ic[keep],
+            min(deg_a + deg_b, self.order),
+        )
+
+    def batch_pairs(self, deg_a: int, deg_b: int, entries: int) -> tuple[np.ndarray, ...]:
+        """``product_pairs[deg_a][deg_b]`` on ``entries`` flattened batch entries.
+
+        Entry e's pairs index its coefficients at ``e * size``, so one
+        ``bincount`` sums every entry's products, each in its single-point
+        order.
+        """
+        tables = self._batch_pairs.get((deg_a, deg_b, entries))
+        if tables is None:
+            offsets = np.arange(entries)[:, None] * self.size
+            tables = tuple(
+                (offsets + t).ravel() for t in self.product_pairs[deg_a][deg_b][:3]
+            )
+            self._batch_pairs[deg_a, deg_b, entries] = tables
+        return tables
+
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"JetSpace(nvars={self.nvars}, order={self.order})"
 
@@ -152,14 +206,29 @@ def _align(a: "Jet", b: "Jet") -> tuple["Jet", "Jet"]:
     return a.truncate(m), b.truncate(m)
 
 
+# Raised where batch entries would take different code paths; evaluating the
+# entries one at a time (see :func:`skewdiv.geometry.each_point_on_error`)
+# does not meet it.
+_ENTRIES_DIFFER = "a jet exponent differs in kind or value between batch entries"
+
+
 class Jet:
-    """Truncated Taylor expansion of a scalar at a point."""
+    """Truncated Taylor expansion of a scalar at a point, or at each point of a batch.
 
-    __slots__ = ("space", "c")
+    ``c`` has shape ``batch_shape + (ncoef,)``: one point is the batch shape
+    ``()``, and every operation acts on each batch entry as it would on that
+    point alone, bit for bit.  ``value`` is a float for one point and an
+    array over a batch.  ``deg`` bounds the polynomial degree: coefficients
+    of higher degree are zero, so a product only forms the pairs of
+    coefficients that can both be nonzero.
+    """
 
-    def __init__(self, space: JetSpace, coeffs: np.ndarray):
+    __slots__ = ("space", "c", "deg")
+
+    def __init__(self, space: JetSpace, coeffs: np.ndarray, deg: int | None = None):
         self.space = space
         self.c = coeffs
+        self.deg = space.order if deg is None else deg
 
     # -- constructors -------------------------------------------------------
 
@@ -168,7 +237,7 @@ class Jet:
         sp = jet_space(nvars, order)
         c = np.zeros(sp.size)
         c[0] = value
-        return Jet(sp, c)
+        return Jet(sp, c, 0)
 
     @staticmethod
     def variable(value: float, slot: int, nvars: int, order: int = DEFAULT_ORDER) -> "Jet":
@@ -176,7 +245,7 @@ class Jet:
         c = np.zeros(sp.size)
         c[0] = value
         c[sp.var_pos[slot]] = 1.0
-        return Jet(sp, c)
+        return Jet(sp, c, 1)
 
     # -- basic queries ------------------------------------------------------
 
@@ -189,11 +258,9 @@ class Jet:
         return self.space.order
 
     @property
-    def value(self) -> float:
-        return float(self.c[0])
-
-    def is_constant(self) -> bool:
-        return bool(np.all(self.c[1:] == 0.0))
+    def value(self) -> float | np.ndarray:
+        c = self.c
+        return float(c[0]) if c.ndim == 1 else c[..., 0].copy()
 
     def truncate(self, order: int) -> "Jet":
         if order >= self.space.order:
@@ -201,56 +268,79 @@ class Jet:
         if order < 0:
             raise ValueError("order must be nonnegative")
         sp = jet_space(self.space.nvars, order)
-        return Jet(sp, self.c[: sp.size])
+        return Jet(sp, self.c[..., : sp.size], min(self.deg, order))
 
     def first_derivatives(self) -> np.ndarray:
         """Gradient of the underlying field at the base point."""
         if self.space.order < 1:
             raise OrderExceededError("jet of order 0 carries no derivatives")
-        return self.c[list(self.space.var_pos)].copy()
+        return self.c[..., list(self.space.var_pos)].copy()
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, Jet):
-            a, b = _align(self, other)
-            return Jet(a.space, a.c + b.c)
+            a, b = (self, other) if self.space is other.space else _align(self, other)
+            return Jet(a.space, a.c + b.c, a.deg if a.deg > b.deg else b.deg)
         if isinstance(other, _SCALARS):
             c = self.c.copy()
-            c[0] += other
-            return Jet(self.space, c)
+            if c.ndim == 1:
+                c[0] += other
+            else:
+                c[..., 0] += other
+            return Jet(self.space, c, self.deg)
         return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, Jet):
-            a, b = _align(self, other)
-            return Jet(a.space, a.c - b.c)
+            a, b = (self, other) if self.space is other.space else _align(self, other)
+            return Jet(a.space, a.c - b.c, a.deg if a.deg > b.deg else b.deg)
         if isinstance(other, _SCALARS):
             c = self.c.copy()
-            c[0] -= other
-            return Jet(self.space, c)
+            if c.ndim == 1:
+                c[0] -= other
+            else:
+                c[..., 0] -= other
+            return Jet(self.space, c, self.deg)
         return NotImplemented
 
     def __rsub__(self, other):
         if isinstance(other, _SCALARS):
             c = -self.c
-            c[0] += other
-            return Jet(self.space, c)
+            if c.ndim == 1:
+                c[0] += other
+            else:
+                c[..., 0] += other
+            return Jet(self.space, c, self.deg)
         return NotImplemented
 
     def __neg__(self):
-        return Jet(self.space, -self.c)
+        return Jet(self.space, -self.c, self.deg)
 
     def __mul__(self, other):
         if isinstance(other, Jet):
-            a, b = _align(self, other)
+            a, b = (self, other) if self.space is other.space else _align(self, other)
             sp = a.space
-            prod = a.c[sp.mul_ia] * b.c[sp.mul_ib]
-            return Jet(sp, np.bincount(sp.mul_ic, weights=prod, minlength=sp.size))
+            ac, bc = a.c, b.c
+            ia, ib, ic, deg = sp.product_pairs[a.deg][b.deg]
+            if ac.ndim == 1 and bc.ndim == 1:
+                prod = ac[ia] * bc[ib]
+                return Jet(sp, np.bincount(ic, weights=prod, minlength=sp.size), deg)
+            if ac.ndim == 1:
+                ac = np.broadcast_to(ac, bc.shape)
+            elif bc.ndim == 1:
+                bc = np.broadcast_to(bc, ac.shape)
+            elif ac.shape != bc.shape:
+                raise ValueError(f"jet batch shapes {ac.shape[:-1]} and {bc.shape[:-1]} differ")
+            entries = ac.size // sp.size
+            fa, fb, fc = sp.batch_pairs(a.deg, b.deg, entries)
+            prod = ac.ravel()[fa] * bc.ravel()[fb]
+            c = np.bincount(fc, weights=prod, minlength=entries * sp.size)
+            return Jet(sp, c.reshape(ac.shape), deg)
         if isinstance(other, _SCALARS):
-            return Jet(self.space, self.c * other)
+            return Jet(self.space, self.c * other, self.deg)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -261,7 +351,7 @@ class Jet:
         if isinstance(other, _SCALARS):
             if other == 0:
                 raise EvalDomainError("division by zero")
-            return Jet(self.space, self.c / other)
+            return Jet(self.space, self.c / other, self.deg)
         return NotImplemented
 
     def __rtruediv__(self, other):
@@ -285,60 +375,111 @@ class Jet:
     # For f smooth at v = self.value, f(self) = sum_k f^(k)(v)/k! * t^k with
     # t = self - v.  The tilde part t has no constant term, hence t^k only
     # touches coefficients of degree >= k and the Horner sum is exact at the
-    # truncation order.
+    # truncation order.  The coefficients f^(k)(v)/k! come from ``math`` on
+    # each batch entry's value as a Python float, so a batch entry meets the
+    # same domain checks and overflows, with the same values, as its point
+    # alone.
 
-    def _compose(self, coefs: Sequence[float]) -> "Jet":
+    def _series(self, series: Callable[..., list[float]], *args):
+        """``series(v, *args, order)`` at the value; over a batch, stacked (series index first)."""
+        c, order = self.c, self.space.order
+        if c.ndim == 1:
+            return series(float(c[0]), *args, order)
+        values = c[..., 0]
+        stacked = np.array([series(v, *args, order) for v in values.ravel().tolist()])
+        return stacked.T.reshape((-1,) + values.shape)
+
+    def _compose(self, coefs) -> "Jet":
         sp = self.space
+        value = 0 if self.c.ndim == 1 else (..., 0)
         tilde_c = self.c.copy()
-        tilde_c[0] = 0.0
-        tilde = Jet(sp, tilde_c)
-        acc = Jet.constant(coefs[-1], sp.nvars, sp.order)
+        tilde_c[value] = 0.0
+        acc_c = np.zeros(tilde_c.shape)
+        acc_c[value] = coefs[-1]
+        tilde = Jet(sp, tilde_c, self.deg)
+        acc = Jet(sp, acc_c, 0)
         for k in range(len(coefs) - 2, -1, -1):
-            acc = acc * tilde + coefs[k]
+            acc = acc * tilde
+            acc.c[value] += coefs[k]  # a product's coefficients are its own
         return acc
 
     def _reciprocal(self) -> "Jet":
-        v = self.value
-        if v == 0.0:
-            raise EvalDomainError("division by zero")
-        coefs = []
-        cur = 1.0 / v
-        for _ in range(self.space.order + 1):
-            coefs.append(cur)
-            cur *= -1.0 / v
-        return self._compose(coefs)
+        return self._compose(self._series(_reciprocal_series))
 
     def sin(self) -> "Jet":
-        v = self.value
-        cycle = (math.sin(v), math.cos(v), -math.sin(v), -math.cos(v))
-        coefs = [cycle[k % 4] / math.factorial(k) for k in range(self.space.order + 1)]
-        return self._compose(coefs)
+        return self._compose(self._series(_sin_series))
 
     def cos(self) -> "Jet":
-        v = self.value
-        cycle = (math.cos(v), -math.sin(v), -math.cos(v), math.sin(v))
-        coefs = [cycle[k % 4] / math.factorial(k) for k in range(self.space.order + 1)]
-        return self._compose(coefs)
+        return self._compose(self._series(_cos_series))
 
     def exp(self) -> "Jet":
-        ev = math.exp(self.value)
-        coefs = [ev / math.factorial(k) for k in range(self.space.order + 1)]
-        return self._compose(coefs)
+        return self._compose(self._series(_exp_series))
 
     def log(self) -> "Jet":
-        v = self.value
-        if v <= 0.0:
-            raise EvalDomainError(f"log of nonpositive value {v!r}")
-        coefs = [math.log(v)]
-        for k in range(1, self.space.order + 1):
-            coefs.append((-1.0) ** (k - 1) / (k * v**k))
-        return self._compose(coefs)
+        """log(v + t) = log v + log(1 + t/v), composed as a series in t/v.
+
+        Its coefficients (-1)^(k-1)/k neither overflow nor underflow, whatever
+        the size of v; those of the series in t are ~ v^-k and do both.  The
+        jet's own coefficients can still leave the float range where
+        derivatives are huge relative to v, and then it raises.
+        """
+        coefs = self._series(_log_series)
+        out = Jet(self.space, self.c / self.c[..., :1], self.deg)._compose(coefs)
+        if _overflows(self, out):
+            raise OverflowError("log overflows a float")
+        return out
 
     def sqrt(self) -> "Jet":
-        v = self.value
-        if v <= 0.0:
-            raise EvalDomainError(f"sqrt of nonpositive value {v!r} in jet arithmetic")
-        return self._compose(_pow_series(v, 0.5, self.space.order))
+        return self._compose(self._series(_sqrt_series))
+
+
+# Taylor coefficients f^(k)(v)/k!, k = 0..order, of the analytic functions,
+# with their domain checks.
+
+
+def _reciprocal_series(v: float, order: int) -> list[float]:
+    if v == 0.0:
+        raise EvalDomainError("division by zero")
+    coefs = []
+    cur = 1.0 / v
+    for _ in range(order + 1):
+        coefs.append(cur)
+        cur *= -1.0 / v
+    return coefs
+
+
+def _sin_series(v: float, order: int) -> list[float]:
+    cycle = (math.sin(v), math.cos(v), -math.sin(v), -math.cos(v))
+    return [cycle[k % 4] / math.factorial(k) for k in range(order + 1)]
+
+
+def _cos_series(v: float, order: int) -> list[float]:
+    cycle = (math.cos(v), -math.sin(v), -math.cos(v), math.sin(v))
+    return [cycle[k % 4] / math.factorial(k) for k in range(order + 1)]
+
+
+def _exp_series(v: float, order: int) -> list[float]:
+    ev = math.exp(v)
+    return [ev / math.factorial(k) for k in range(order + 1)]
+
+
+def _log_series(v: float, order: int) -> list[float]:
+    """log v, then the coefficients of log(1 + u) in u = t/v (see :meth:`Jet.log`)."""
+    if v <= 0.0:
+        raise EvalDomainError(f"log of nonpositive value {v!r}")
+    return [math.log(v)] + [(-1.0) ** (k - 1) / k for k in range(1, order + 1)]
+
+
+def _sqrt_series(v: float, order: int) -> list[float]:
+    if v <= 0.0:
+        raise EvalDomainError(f"sqrt of nonpositive value {v!r} in jet arithmetic")
+    return _pow_series(v, 0.5, order)
+
+
+def _fractional_power_series(v: float, p: float, order: int) -> list[float]:
+    if v <= 0.0:
+        raise EvalDomainError(f"fractional power of non-positive base {v!r}")
+    return _pow_series(v, p, order)
 
 
 def _pow_series(v: float, p: float, order: int) -> list[float]:
@@ -371,34 +512,48 @@ def _int_pow(base, k: int):
     return acc
 
 
+def _overflows(base, out) -> bool:
+    """Whether ``out`` is non-finite where ``base`` is finite, at some batch entry."""
+    if not isinstance(out, Jet):
+        return math.isfinite(base) and not math.isfinite(out)
+    ok = np.isfinite(out.c).all(axis=-1)
+    if np.all(ok):
+        return False
+    base_ok = np.isfinite(base.c).all(axis=-1) if isinstance(base, Jet) else math.isfinite(base)
+    return bool(np.any(base_ok & ~ok))
+
+
 def powop(base, exponent):
     """Power with the package's domain rules, generic over floats and jets.
 
     Integer exponents are valid for any base; fractional exponents require a
     strictly positive base (this sidesteps branch-cut ambiguity).  A jet
-    exponent that is not constant forces the exp/log route.
+    exponent that is not constant forces the exp/log route.  A power that
+    overflows a float raises :class:`OverflowError`.
     """
     if isinstance(exponent, Jet):
-        if exponent.is_constant():
-            exponent = exponent.value
-        else:
+        constant = np.all(exponent.c[..., 1:] == 0.0, axis=-1)
+        if not np.any(constant):
             bval = base.value if isinstance(base, Jet) else float(base)
-            if bval <= 0.0:
+            if np.any(np.asarray(bval) <= 0.0):
                 raise EvalDomainError(
                     "variable exponent requires a strictly positive base"
                 )
             return exp(exponent * log(base))
+        values = np.unique(exponent.c[..., 0])
+        if not np.all(constant) or values.size > 1:
+            raise EvalDomainError(_ENTRIES_DIFFER)
+        exponent = float(values[0])
     e = float(exponent)
     if not math.isfinite(e):
         raise EvalDomainError(f"non-finite exponent {e!r}")
     if e.is_integer():
-        return _int_pow(base, int(e))
+        out = _int_pow(base, int(e))
+        if _overflows(base, out):
+            raise OverflowError("integer power overflows a float")
+        return out
     if isinstance(base, Jet):
-        if base.value <= 0.0:
-            raise EvalDomainError(
-                f"fractional power of non-positive base {base.value!r}"
-            )
-        return base._compose(_pow_series(base.value, e, base.order))
+        return base._compose(base._series(_fractional_power_series, e))
     if base <= 0.0:
         raise EvalDomainError(f"fractional power of non-positive base {base!r}")
     return math.pow(base, e)
@@ -439,26 +594,52 @@ def sqrt(x):
     return math.sqrt(x)
 
 
+def as_coefficients(x, shape: tuple) -> np.ndarray:
+    """Coefficients of an evaluation result, a jet or a constant, as an array of ``shape``.
+
+    ``shape`` is ``batch_shape + (ncoef,)``; a constant, or a jet without
+    batch axes, is repeated over the batch.
+    """
+    if isinstance(x, Jet) and x.c.shape == shape:
+        return x.c
+    c = np.zeros(shape)
+    if isinstance(x, Jet):
+        c[...] = x.c
+    else:
+        c[..., 0] = x
+    return c
+
+
 # -- seeding and extraction ---------------------------------------------------
 
 
 def seed_variables(
     point: Sequence[float], nvars: int | None = None, order: int = DEFAULT_ORDER
 ) -> list[Jet]:
-    """Seed one jet per chart variable at ``point``.
+    """Seed one jet per chart variable at ``point``, or at each point of a batch.
 
-    Jet ``i`` has value ``point[i]``, a unit first-order coefficient in slot
-    ``i`` and zeros elsewhere, so evaluating any expression on the seeds
-    yields the expression's full derivative data at the point.
+    ``point`` has shape ``(n,)`` or ``batch_shape + (n,)``.  Jet ``i`` has
+    value ``point[..., i]``, a unit first-order coefficient in slot ``i`` and
+    zeros elsewhere, so evaluating any expression on the seeds yields the
+    expression's full derivative data at each point.
     """
-    pt = [float(x) for x in point]
+    pts = np.asarray(point, dtype=float)
     if nvars is None:
-        nvars = len(pt)
-    if len(pt) != nvars:
-        raise ValueError(f"point has {len(pt)} coordinates, expected {nvars}")
+        nvars = pts.shape[-1]
+    if pts.shape[-1] != nvars:
+        raise ValueError(f"point has {pts.shape[-1]} coordinates, expected {nvars}")
     if order < 1:
         raise ValueError("seed order must be at least 1")
-    return [Jet.variable(pt[i], i, nvars, order) for i in range(nvars)]
+    if pts.ndim == 1:
+        return [Jet.variable(x, i, nvars, order) for i, x in enumerate(pts.tolist())]
+    sp = jet_space(nvars, order)
+    seeds = []
+    for i in range(nvars):
+        c = np.zeros(pts.shape[:-1] + (sp.size,))
+        c[..., 0] = pts[..., i]
+        c[..., sp.var_pos[i]] = 1.0
+        seeds.append(Jet(sp, c, 1))
+    return seeds
 
 
 def extract_derivative(j: Jet, alpha: Sequence[int]) -> float:
@@ -482,7 +663,8 @@ def partial_derivative(j: Jet, var: int) -> Jet:
     if sp.order < 1:
         raise OrderExceededError("cannot differentiate an order-0 jet")
     lo = jet_space(sp.nvars, sp.order - 1)
-    return Jet(lo, j.c[sp.diff_src[var]] * sp.diff_fac[var])
+    c, src = j.c, sp.diff_src[var]
+    return Jet(lo, (c[src] if c.ndim == 1 else c[..., src]) * sp.diff_fac[var], max(j.deg - 1, 0))
 
 
 # -- coefficient-array tensors --------------------------------------------------

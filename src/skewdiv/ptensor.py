@@ -42,9 +42,9 @@ from .geometry import (
     ScalarField,
     batch_value,
     cov_derivative,
-    per_point,
+    each_point_on_error,
 )
-from .jets import DEFAULT_ORDER, Jet, contract, jet_space, partials
+from .jets import DEFAULT_ORDER, Jet, as_coefficients, contract, jet_space, partials
 
 DEGENERATE_P_TOLERANCE = 1e-10
 FRAME_MATCH_TOLERANCE = 1e-10
@@ -115,8 +115,8 @@ class PointAnalysis:
     quantity is the exact Taylor data of the corresponding field, so repeated
     covariant differentiation stays truncation-error free.  Jet-valued
     tensors are coefficient arrays (see :mod:`skewdiv.jets`), f and
-    lambda(f) included: those two are evaluated point by point, in grid
-    order, on scalar jets and then stacked.  Instances are read-only after
+    lambda(f) included: each of those two expressions is evaluated once, on
+    jets batched over the points.  Instances are read-only after
     construction and safe to share.
     """
 
@@ -137,7 +137,7 @@ class PointAnalysis:
     @cached_property
     def fjet(self) -> np.ndarray:
         """Coefficient array of f."""
-        return per_point(lambda p: self.spec.f.jet(p, self.order).c, self.mj.points)
+        return self.spec.f.jet(self.mj.points, self.order).c
 
     @cached_property
     def df(self) -> np.ndarray:
@@ -158,9 +158,9 @@ class PointAnalysis:
 
         def at(fc):
             out = evaluate(self.spec.lam, [Jet(sp, fc)], self.spec.lam_params)
-            return out.c if isinstance(out, Jet) else Jet.constant(float(out), sp.nvars, sp.order).c
+            return as_coefficients(out, fc.shape)
 
-        return per_point(at, self.fjet)
+        return each_point_on_error(at, self.fjet)
 
     @cached_property
     def P(self) -> np.ndarray:

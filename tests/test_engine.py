@@ -4,21 +4,26 @@
 * the positive-definiteness check is scale-free and rejects non-finite input;
 * the tensor pipeline performs no scalar ``Jet`` products of its own;
 * a batch of points gives each point's single-point analysis, and analysis
-  at the value order agrees with analysis at the default order.
+  at the value order agrees with analysis at the default order;
+* expressions walked once over a batch give each point's jets bit for bit,
+  and a failing batch raises the first failing point's own error;
+* op-count gate: a verify evaluates each expression tree once.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewdiv.errors import NonPositiveDefiniteError
-from skewdiv.expr import Binary, Num, evaluate
-from skewdiv.geometry import MetricField, MetricJets
+from skewdiv.cli import run_verify
+from skewdiv.errors import EvalDomainError, NonPositiveDefiniteError, SkewdivError
+from skewdiv.expr import Binary, Num, evaluate, parse
+from skewdiv.geometry import MetricField, MetricJets, ScalarField
 from skewdiv.identities import bochner_residual
-from skewdiv.jets import Jet, contract, jet_space
+from skewdiv.jets import Jet, contract, jet_space, seed_variables
 from skewdiv.ptensor import VALUE_ORDER, PointAnalysis, PTensorSpec, analyze
 from skewdiv.scenarios import BUILTIN_NAMES, builtin_scenario, random_scenario
 from skewdiv.warped import WarpedSpec, ptensor_spec
@@ -181,3 +186,103 @@ def test_value_order_matches_default_order(spec, points):
     assert VALUE_ORDER == 3
     for name in ("P", "nabla_P", "div_P", "nabla_p_norm_sq", "div_p_norm_sq", "violation"):
         assert _rel_dev(getattr(low, name), getattr(high, name)) <= 1e-12, name
+
+
+FUNCTIONS_SPEC = PTensorSpec(
+    lam=parse("exp(f/4) + f^2 / (1 + f*f)", variables=("f",)),
+    # At r = 0.2 the exponent's jet is the constant 2.5, at r = 0.8 it is not.
+    f=ScalarField.parse("r^2.5 + x1*x2^3 - log(1 + r*x2) + x1^((r - 0.2)^5 + 2.5)", 3),
+    metric=MetricField.parse(
+        [
+            ["2 + sin(r)*x1", "0.1*cos(x2)", "0"],
+            ["0.1*cos(x2)", "exp(r/3)", "0.1/(2 + x1)"],
+            ["0", "0.1/(2 + x1)", "sqrt(1 + r*r) + log(2 + x2)^2"],
+        ]
+    ),
+)
+EXPRESSION_CASES = [(sc.spec(), sc.grid_points()) for sc in BATCH_SCENARIOS] + [
+    VALUE_ORDER_CASES[0],
+    (FUNCTIONS_SPEC, [(r, x, y) for r in (0.2, 0.8) for x in (0.3, 0.9) for y in (0.1, 0.6)]),
+]
+
+
+@pytest.mark.parametrize("spec,points", EXPRESSION_CASES)
+def test_batched_expressions_equal_single_points(spec, points):
+    """Each expression walked once over the grid gives each point's jets, bit for bit."""
+    one = [PointAnalysis(spec, pt) for pt in points]
+    batch = PointAnalysis(spec, points)
+    single = {
+        "g": np.stack([spec.metric.component_jets(pt) for pt in points]),
+        "f": np.stack([spec.f.jet(pt).c for pt in points]),
+        "lam_f": np.stack([an.lam_f for an in one]),
+    }
+    batched = {
+        "g": spec.metric.component_jets(points),
+        "f": spec.f.jet(points).c,
+        "lam_f": batch.lam_f,
+    }
+    for name, want in single.items():
+        got = batched[name]
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+    assert batch.mj.g.tobytes() == single["g"].tobytes()
+
+
+def test_batch_error_is_the_first_failing_point():
+    """A batch raises what the first failing point raises alone, never an array."""
+
+    def error(fn, *args):
+        with pytest.raises(SkewdivError) as exc:
+            fn(*args)
+        return type(exc.value), str(exc.value), getattr(exc.value, "offset", None)
+
+    f = ScalarField.parse("log(r - 0.5)", 3)
+    points = [(r, 0.0, 0.0) for r in (0.0, 0.5, 1.0)]  # r:0:1:3
+    want = error(f.jet, points[0])
+    assert want == (EvalDomainError, "log of nonpositive value -0.5 (at offset 0)", 0)
+    assert error(f.jet, points) == want
+
+    # Entry (0,1) fails only at point 2, entry (1,1) only at point 1.
+    m = MetricField.parse(
+        [["1", "0.1*log(1.5 - r)", "0"], ["0.1*log(1.5 - r)", "1 + log(x1)", "0"], ["0", "0", "1"]]
+    )
+    points = [(0.5, 1.0, 0.0), (0.5, 0.0, 0.0), (1.75, 1.0, 0.0)]
+    want = error(m.component_jets, points[1])
+    assert "log of nonpositive value 0.0" in want[1]
+    assert error(m.component_jets, points) == want
+    assert error(MetricJets, m, points) == want
+
+    m = MetricField.parse([["1", "0", "0"], ["0", "1 - r", "0"], ["0", "0", "1"]])
+    points = [(0.5, 0.0, 0.0), (0.25, 0.0, 0.0), (2.5, 0.0, 0.5)]
+    want = error(m.component_jets, points[2])
+    assert want[:2] == (
+        NonPositiveDefiniteError,
+        "metric is not positive definite at (2.5, 0.0, 0.5): Cholesky factorization fails",
+    )
+    assert error(MetricJets, m, points) == want
+
+
+def test_verify_walks_each_expression_once(monkeypatch):
+    """Op-count gate: one verify of a 4-point 4-D grid evaluates 12 trees, once each.
+
+    10 distinct metric entries, f and lambda(f); a product of two seeds
+    (degree 1 each) at (4 variables, order 4) forms 25 coefficient pairs.
+    """
+    calls = []
+
+    def counted(e, point, params=None):
+        calls.append(e)
+        return evaluate(e, point, params)
+
+    for mod in [m for name, m in sys.modules.items() if name.startswith("skewdiv.")]:
+        if getattr(mod, "evaluate", None) is evaluate:
+            monkeypatch.setattr(mod, "evaluate", counted)
+    sc = random_scenario(0, 4)
+    assert len(sc.grid_points()) == 4
+    run_verify(sc)
+    assert len(calls) == 12
+    assert len({id(e) for e in calls}) == 12
+
+    sp = jet_space(4, 4)
+    x, y = seed_variables(sc.grid_points()[0], 4, 4)[:2]
+    ia, ib, ic, deg = sp.product_pairs[x.deg][y.deg]
+    assert (ia.size, deg) == (25, 2)

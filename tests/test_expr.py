@@ -223,3 +223,14 @@ def test_float_overflow_is_a_located_domain_error(source, offset):
         with pytest.raises(EvalDomainError, match="overflows a float") as exc:
             evaluate(e, point)
         assert exc.value.offset == offset
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("source,offset", [("2.0^(r*2000)", 3), ("(r*1e200)^2", 9)])
+def test_integer_power_overflow_is_a_located_domain_error(source, offset):
+    """An integer power that leaves the float range raises, on floats and on jets."""
+    e = parse(source, variables=VARS3)
+    for point in ((1.0, 0.5, 0.5), seed_variables((1.0, 0.5, 0.5), 3, 2)):
+        with pytest.raises(EvalDomainError, match="power overflows a float") as exc:
+            evaluate(e, point)
+        assert exc.value.offset == offset

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewdiv.errors import EvalDomainError, OrderExceededError
+from skewdiv.expr import chart_variables, evaluate, parse
 from skewdiv.jets import (
     Jet,
     extract_derivative,
@@ -248,3 +249,31 @@ def test_fd_matches_jets_on_smooth_fields():
                 fd = finite_difference_oracle(fn, pt, alpha)
                 exact = extract_derivative(j, alpha)
                 assert fd == pytest.approx(exact, rel=1e-6, abs=1e-6)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf and nan in the second case
+def test_log_of_a_large_value_keeps_its_derivatives():
+    """log(r*1e300) has tiny Taylor coefficients although r*1e300 is huge."""
+    e = parse("log(r*1e300)", variables=chart_variables(2))
+    j = evaluate(e, seed_variables((1.0, 0.5), 2, 4))
+    assert j.value == evaluate(e, (1.0, 0.5)) == pytest.approx(690.7755278982137, rel=1e-15)
+    assert extract_derivative(j, (1, 0)) == pytest.approx(1.0, rel=1e-15)  # 1/r
+    assert extract_derivative(j, (2, 0)) == pytest.approx(-1.0, rel=1e-15)  # -1/r^2
+    assert extract_derivative(j, (0, 1)) == 0.0
+    # d^2/dr^2 log(1e-300 + r) = -1e600 at r = 0 leaves the float range.
+    tiny = parse("log(1e-300 + r)", variables=chart_variables(2))
+    with pytest.raises(EvalDomainError, match="log overflows a float") as exc:
+        evaluate(tiny, seed_variables((0.0, 0.5), 2, 4))
+    assert exc.value.offset == 0
+
+
+def test_degree_bounds_restrict_the_product_pairs():
+    sp = jet_space(4, 4)
+    x, y = seed_variables((0.1, 0.2, 0.3, 0.4), 4, 4)[:2]
+    assert (Jet.constant(2.0, 4, 4).deg, x.deg) == (0, 1)
+    assert [(x * y).deg, (x * y * x).deg, (x * y * x * y * x).deg] == [2, 3, 4]
+    assert ((x * y).truncate(1).deg, partial_derivative(x * y, 0).deg) == (1, 1)
+    assert (x + 1.0).deg == 1 and (x * y + x).deg == 2 and x.exp().deg == 4
+    assert sp.product_pairs[4][4][0].size == sp.mul_ia.size == 495
+    full = Jet(sp, x.c) * Jet(sp, y.c)  # no degree bound: every pair
+    assert full.c.tobytes() == (x * y).c.tobytes()

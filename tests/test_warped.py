@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from skewdiv import warped
 from skewdiv.errors import EvalDomainError
 from skewdiv.warped import (
     WarpedSpec,
@@ -138,3 +139,20 @@ def test_search_validates_arguments():
         search_violation({"q": (0, 1)})
     with pytest.raises(ValueError):
         search_violation({"k": (5, 1)})
+
+
+@pytest.mark.parametrize("seed", [3, 11, 42])
+def test_search_with_the_profile_computed_once_is_exact(seed, monkeypatch):
+    """Reusing G across evaluations changes no bit of the search result."""
+    hoisted = search_violation(seed=seed, iterations=300)
+    calls = []
+
+    def recomputing(spec, r, x1, params=None, *, profile=None):
+        calls.append(profile is not None)
+        return closed_form_eval(spec, r, x1, params=params)
+
+    monkeypatch.setattr(warped, "closed_form_eval", recomputing)
+    plain = search_violation(seed=seed, iterations=300)
+    assert len(calls) == plain.evaluations and all(calls)
+    assert hoisted == plain
+    assert math.copysign(1.0, hoisted.violation) == math.copysign(1.0, plain.violation)
