@@ -20,12 +20,22 @@ lets a parameter search reuse one parse.  Evaluation is a pure structural
 recursion, generic over the numeric semantics of the point entries: feed
 floats to get a value, feed jets (see :mod:`skewdiv.jets`) to get exact
 derivatives.
+
+Representation.  A node is an immutable tuple of its fields with the source
+offset last (``Binary`` is ``(op, left, right, offset)``); the named fields
+are read-only properties over the tuple slots.  Equality and hashing compare
+the structural fields only, so offsets and the alias a ``Var`` was written
+with do not take part.  The scanner is a single ``finditer`` pass over the
+source, and the parser a set of closures over its token list.  Evaluation and
+printing look up a handler by ``type(node)`` in one table each (``_EVAL``,
+``_FMT``) and recurse through the same tables, so each node costs one dict
+lookup and one call.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Mapping, Sequence, Union
 
 from . import jets
@@ -42,43 +52,69 @@ FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
 
 
 # -- abstract syntax ----------------------------------------------------------
-#
-# Offsets locate nodes in the source for error reporting; they are excluded
-# from equality so that parse/print round trips compare structurally.
 
 
-@dataclass(frozen=True)
-class Num:
-    value: float
-    offset: int = field(default=-1, compare=False, repr=False)
+class _Node(tuple):
+    """A tree node: the tuple of its ``fields``, ``offset`` last.
+
+    Equality and hash use the first ``compared`` fields; the offset (and a
+    variable's alias) only locate the node in the source.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, fields: tuple, compared: int):
+        cls._fields = fields
+        cls._compared = compared
+        for i, name in enumerate(fields):
+            setattr(cls, name, property(itemgetter(i)))
+
+    def __eq__(self, other):
+        n = self._compared
+        return type(other) is type(self) and self[:n] == other[:n]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[: self._compared])
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields[:-1], self))
+        return f"{type(self).__name__}({shown})"
+
+    def __getnewargs__(self):
+        return tuple(self)
 
 
-@dataclass(frozen=True)
-class Var:
-    index: int
-    name: str = field(compare=False)
-    offset: int = field(default=-1, compare=False, repr=False)
+class Num(_Node, fields=("value", "offset"), compared=1):
+    __slots__ = ()
+    def __new__(cls, value: float, offset: int = -1):
+        return tuple.__new__(cls, (value, offset))
 
 
-@dataclass(frozen=True)
-class Param:
-    name: str
-    offset: int = field(default=-1, compare=False, repr=False)
+class Var(_Node, fields=("index", "name", "offset"), compared=1):
+    __slots__ = ()
+    def __new__(cls, index: int, name: str, offset: int = -1):
+        return tuple.__new__(cls, (index, name, offset))
 
 
-@dataclass(frozen=True)
-class Unary:
-    op: str  # 'neg' or a function name
-    arg: "Expr"
-    offset: int = field(default=-1, compare=False, repr=False)
+class Param(_Node, fields=("name", "offset"), compared=1):
+    __slots__ = ()
+    def __new__(cls, name: str, offset: int = -1):
+        return tuple.__new__(cls, (name, offset))
 
 
-@dataclass(frozen=True)
-class Binary:
-    op: str  # one of + - * / ^
-    left: "Expr"
-    right: "Expr"
-    offset: int = field(default=-1, compare=False, repr=False)
+class Unary(_Node, fields=("op", "arg", "offset"), compared=2):
+    __slots__ = ()
+    def __new__(cls, op: str, arg: "Expr", offset: int = -1):  # op: 'neg' or a function name
+        return tuple.__new__(cls, (op, arg, offset))
+
+
+class Binary(_Node, fields=("op", "left", "right", "offset"), compared=3):
+    __slots__ = ()
+    def __new__(cls, op: str, left: "Expr", right: "Expr", offset: int = -1):  # op: + - * / ^
+        return tuple.__new__(cls, (op, left, right, offset))
 
 
 Expr = Union[Num, Var, Param, Unary, Binary]
@@ -106,121 +142,34 @@ def _name_table(variables) -> dict[str, int]:
     return table
 
 
+# The catch-all group is \S, not '.': trailing whitespace then matches
+# nothing, so ``finditer`` ends there instead of reporting a blank.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
-  | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<op>[-+*/^()])
-  | (?P<ws>\s+)
+    \s*(?:
+        (?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
+      | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
+      | (?P<op>[-+*/^()])
+      | (?P<bad>\S)
+    )
     """,
     re.VERBOSE,
 )
 
 
-def _tokenize(source: str) -> list[tuple[str, str, int]]:
+def _scan(source: str) -> list[tuple[str, str, int]]:
+    """``(tag, text, offset)`` tokens, ``tag`` being num, name, the operator itself, or end."""
     tokens = []
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {source[pos]!r}", pos)
+    for m in _TOKEN_RE.finditer(source):
         kind = m.lastgroup
-        if kind != "ws":
-            tokens.append((kind, m.group(), pos))
-        pos = m.end()
+        text = m[kind]
+        if kind == "op":
+            kind = text
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {text!r}", m.end() - 1)
+        tokens.append((kind, text, m.end() - len(text)))
     tokens.append(("end", "", len(source)))
     return tokens
-
-
-class _Parser:
-    def __init__(self, tokens, var_table, params):
-        self.tokens = tokens
-        self.pos = 0
-        self.vars = var_table
-        self.params = params
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, text, off = self.peek()
-        if kind != "op" or text != op:
-            raise ParseError(f"expected {op!r}", off)
-        return self.advance()
-
-    def parse_expr(self) -> Expr:
-        node = self.parse_term()
-        while True:
-            kind, text, off = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                node = Binary(text, node, self.parse_term(), off)
-            else:
-                return node
-
-    def parse_term(self) -> Expr:
-        node = self.parse_factor()
-        while True:
-            kind, text, off = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                node = Binary(text, node, self.parse_factor(), off)
-            else:
-                return node
-
-    def parse_factor(self) -> Expr:
-        kind, text, off = self.peek()
-        if kind == "op" and text == "-":
-            self.advance()
-            return Unary("neg", self.parse_factor(), off)
-        return self.parse_power()
-
-    def parse_power(self) -> Expr:
-        node = self.parse_atom()
-        while True:
-            kind, text, off = self.peek()
-            if kind == "op" and text == "^":
-                self.advance()
-                node = Binary("^", node, self.parse_exponent(), off)
-            else:
-                return node
-
-    def parse_exponent(self) -> Expr:
-        kind, text, off = self.peek()
-        if kind == "op" and text == "-":
-            self.advance()
-            return Unary("neg", self.parse_exponent(), off)
-        return self.parse_atom()
-
-    def parse_atom(self) -> Expr:
-        kind, text, off = self.advance()
-        if kind == "num":
-            return Num(float(text), off)
-        if kind == "name":
-            nxt_kind, nxt_text, _ = self.peek()
-            if nxt_kind == "op" and nxt_text == "(":
-                if text not in FUNCTIONS:
-                    raise UnknownNameError(text, off, FUNCTIONS)
-                self.advance()
-                arg = self.parse_expr()
-                self.expect_op(")")
-                return Unary(text, arg, off)
-            if text in self.vars:
-                return Var(self.vars[text], text, off)
-            if text in self.params:
-                return Param(text, off)
-            valid = tuple(self.vars) + tuple(sorted(self.params)) + FUNCTIONS
-            raise UnknownNameError(text, off, valid)
-        if kind == "op" and text == "(":
-            node = self.parse_expr()
-            self.expect_op(")")
-            return node
-        raise ParseError(f"unexpected token {text!r}" if text else "unexpected end of input", off)
 
 
 def parse(source: str, *, variables, params: Sequence[str] = ()) -> Expr:
@@ -237,10 +186,87 @@ def parse(source: str, *, variables, params: Sequence[str] = ()) -> Expr:
     for p in param_set:
         if p in FUNCTIONS or p in var_table:
             raise ValueError(f"parameter name {p!r} collides with an existing name")
-    parser = _Parser(_tokenize(source), var_table, param_set)
-    node = parser.parse_expr()
-    kind, text, off = parser.peek()
-    if kind != "end":
+    toks = _scan(source)
+    new = tuple.__new__  # the node constructors, without their Python frame
+    pos = 0  # index of the next token
+
+    def expr():
+        nonlocal pos
+        node = term()
+        tag, _, off = toks[pos]
+        while tag == "+" or tag == "-":
+            pos += 1
+            node = new(Binary, (tag, node, term(), off))
+            tag, _, off = toks[pos]
+        return node
+
+    def term():
+        nonlocal pos
+        node = factor()
+        tag, _, off = toks[pos]
+        while tag == "*" or tag == "/":
+            pos += 1
+            node = new(Binary, (tag, node, factor(), off))
+            tag, _, off = toks[pos]
+        return node
+
+    def factor():
+        nonlocal pos
+        tag, _, off = toks[pos]
+        if tag == "-":
+            pos += 1
+            return new(Unary, ("neg", factor(), off))
+        node = atom()
+        tag, _, off = toks[pos]
+        while tag == "^":
+            pos += 1
+            node = new(Binary, ("^", node, exponent(), off))
+            tag, _, off = toks[pos]
+        return node
+
+    def exponent():
+        nonlocal pos
+        tag, _, off = toks[pos]
+        if tag == "-":
+            pos += 1
+            return new(Unary, ("neg", exponent(), off))
+        return atom()
+
+    def atom():
+        nonlocal pos
+        tag, text, off = toks[pos]
+        pos += 1
+        if tag == "num":
+            return new(Num, (float(text), off))
+        if tag == "name":
+            if toks[pos][0] == "(":
+                if text not in FUNCTIONS:
+                    raise UnknownNameError(text, off, FUNCTIONS)
+                pos += 1
+                return new(Unary, (text, parenthesized(), off))
+            if text in var_table:
+                return new(Var, (var_table[text], text, off))
+            if text in param_set:
+                return new(Param, (text, off))
+            valid = tuple(var_table) + tuple(sorted(param_set)) + FUNCTIONS
+            raise UnknownNameError(text, off, valid)
+        if tag == "(":
+            return parenthesized()
+        raise ParseError(f"unexpected token {text!r}" if text else "unexpected end of input", off)
+
+    def parenthesized():
+        """The expression after a consumed '(', and its ')'."""
+        nonlocal pos
+        node = expr()
+        tag, _, off = toks[pos]
+        if tag != ")":
+            raise ParseError("expected ')'", off)
+        pos += 1
+        return node
+
+    node = expr()
+    tag, text, off = toks[pos]
+    if tag != "end":
         raise ParseError(f"trailing input {text!r}", off)
     return node
 
@@ -250,41 +276,47 @@ def parse(source: str, *, variables, params: Sequence[str] = ()) -> Expr:
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
 
-def _fmt_num(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
-        return str(int(v))
-    return repr(v)
+# Each printer returns the text and its binding strength (5 for atoms).
 
 
-def _fmt(e: Expr) -> tuple[str, int]:
-    if isinstance(e, Num):
-        s = _fmt_num(e.value)
-        return s, (3 if s.startswith("-") else 5)
-    if isinstance(e, Var):
-        return e.name, 5
-    if isinstance(e, Param):
-        return e.name, 5
-    if isinstance(e, Unary):
-        if e.op == "neg":
-            s, p = _fmt(e.arg)
-            if p < _PREC["neg"]:
-                s = f"({s})"
-            return "-" + s, _PREC["neg"]
-        s, _ = _fmt(e.arg)
-        return f"{e.op}({s})", 5
-    prec = _PREC[e.op]
-    ls, lp = _fmt(e.left)
-    rs, rp = _fmt(e.right)
+def _fmt_num(e: Num) -> tuple[str, int]:
+    v = e[0]
+    s = str(int(v)) if v == int(v) and abs(v) < 1e16 else repr(v)
+    return s, (3 if s.startswith("-") else 5)
+
+
+def _fmt_unary(e: Unary) -> tuple[str, int]:
+    op, arg, _ = e
+    s, p = _FMT[type(arg)](arg)
+    if op != "neg":
+        return f"{op}({s})", 5
+    return ("-" + s if p >= 3 else f"-({s})"), 3
+
+
+def _fmt_binary(e: Binary) -> tuple[str, int]:
+    op, left, right, _ = e
+    prec = _PREC[op]
+    ls, lp = _FMT[type(left)](left)
+    rs, rp = _FMT[type(right)](right)
     if lp < prec:
         ls = f"({ls})"
     if rp <= prec:
         rs = f"({rs})"
-    return f"{ls}{e.op}{rs}" if e.op == "^" else f"{ls} {e.op} {rs}", prec
+    return (f"{ls}^{rs}" if op == "^" else f"{ls} {op} {rs}"), prec
+
+
+_FMT = {
+    Num: _fmt_num,
+    Var: lambda e: (e[1], 5),
+    Param: lambda e: (e[0], 5),
+    Unary: _fmt_unary,
+    Binary: _fmt_binary,
+}
 
 
 def to_source(e: Expr) -> str:
     """Render a tree back to source; reparsing yields a structurally equal tree."""
-    return _fmt(e)[0]
+    return _FMT[type(e)](e)[0]
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -295,93 +327,79 @@ def evaluate(e: Expr, point: Sequence, params: ParamSet | None = None):
 
     ``point`` entries may be plain floats or jets; the result has the same
     semantics.  Evaluation is pure: identical inputs give bit-identical
-    output.  Domain violations, and a function or power whose value
-    overflows a float, are reported as :class:`EvalDomainError` with the
-    offset of the offending subexpression.
+    output.  Domain violations, and a function, quotient or power whose
+    value overflows a float, are reported as :class:`EvalDomainError` with
+    the offset of the offending subexpression.
     """
-    pm = params if params is not None else {}
-    return _ev(e, point, pm)
+    return _EVAL[type(e)](e, point, params if params is not None else {})
 
 
-def _ev(e: Expr, pt, params):
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        if e.index >= len(pt):
-            raise EvalDomainError(
-                f"variable {e.name} needs coordinate {e.index}, point has {len(pt)}",
-                e.offset,
-            )
-        return pt[e.index]
-    if isinstance(e, Param):
-        try:
-            return float(params[e.name])
-        except KeyError:
-            raise MissingParameterError(
-                f"parameter {e.name!r} not bound at evaluation"
-            ) from None
-    if isinstance(e, Unary):
-        v = _ev(e.arg, pt, params)
-        if e.op == "neg":
-            return -v
-        try:
-            return getattr(jets, e.op)(v)
-        except _NUMERIC_ERRORS as err:
-            raise _located(err, e.offset, e.op) from None
-    # Binary
-    left = _ev(e.left, pt, params)
-    right = _ev(e.right, pt, params)
-    op = e.op
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
+def _ev_var(e: Var, pt, params):
+    index, name, offset = e
+    if index >= len(pt):
+        raise EvalDomainError(
+            f"variable {name} needs coordinate {index}, point has {len(pt)}", offset
+        )
+    return pt[index]
+
+
+def _ev_param(e: Param, pt, params):
+    try:
+        return float(params[e[0]])
+    except KeyError:
+        raise MissingParameterError(f"parameter {e[0]!r} not bound at evaluation") from None
+
+
+def _ev_unary(e: Unary, pt, params):
+    op, arg, offset = e
+    v = _EVAL[type(arg)](arg, pt, params)
+    if op == "neg":
+        return -v
+    try:
+        return getattr(jets, op)(v)
+    except _NUMERIC_ERRORS as err:
+        raise _located(err, offset, op) from None
+
+
+def _ev_binary(e: Binary, pt, params):
+    op, left, right, offset = e
+    a = _EVAL[type(left)](left, pt, params)
+    b = _EVAL[type(right)](right, pt, params)
     if op == "*":
-        return left * right
+        return a * b
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
     if op == "/":
         try:
-            if not isinstance(right, jets.Jet) and right == 0:
+            if not isinstance(b, jets.Jet) and b == 0:
                 raise EvalDomainError("division by zero")
-            return left / right
-        except EvalDomainError as err:
-            raise _located(err, e.offset) from None
+            return a / b
+        except _NUMERIC_ERRORS as err:
+            raise _located(err, offset, "division") from None
     try:
-        return jets.powop(left, right)
+        return jets.powop(a, b)
     except _NUMERIC_ERRORS as err:
-        raise _located(err, e.offset, "power") from None
+        raise _located(err, offset, "power") from None
 
+
+_EVAL = {
+    Num: lambda e, pt, params: e[0],
+    Var: _ev_var,
+    Param: _ev_param,
+    Unary: _ev_unary,
+    Binary: _ev_binary,
+}
 
 # Float arithmetic raises these where a result leaves the float range.
 _NUMERIC_ERRORS = (EvalDomainError, OverflowError, ZeroDivisionError)
 
 
-def _located(err: Exception, offset: int, what: str = "") -> EvalDomainError:
+def _located(err: Exception, offset: int, what: str) -> EvalDomainError:
     """``err`` as an :class:`EvalDomainError` of the subexpression ``what`` at ``offset``."""
     if isinstance(err, EvalDomainError):
         return err if err.offset is not None else EvalDomainError(str(err), offset)
     if isinstance(err, OverflowError):
         return EvalDomainError(f"{what} overflows a float", offset)
     return EvalDomainError(f"{what} divides by zero", offset)
-
-
-# -- small analyses used by validators ---------------------------------------
-
-
-def variables_used(e: Expr) -> set[int]:
-    if isinstance(e, Var):
-        return {e.index}
-    if isinstance(e, Unary):
-        return variables_used(e.arg)
-    if isinstance(e, Binary):
-        return variables_used(e.left) | variables_used(e.right)
-    return set()
-
-
-def params_used(e: Expr) -> set[str]:
-    if isinstance(e, Param):
-        return {e.name}
-    if isinstance(e, Unary):
-        return params_used(e.arg)
-    if isinstance(e, Binary):
-        return params_used(e.left) | params_used(e.right)
-    return set()

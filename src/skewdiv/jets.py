@@ -378,7 +378,8 @@ class Jet:
     # truncation order.  The coefficients f^(k)(v)/k! come from ``math`` on
     # each batch entry's value as a Python float, so a batch entry meets the
     # same domain checks and overflows, with the same values, as its point
-    # alone.
+    # alone.  A composed jet with a coefficient outside the float range
+    # raises OverflowError rather than return NaN or inf.
 
     def _series(self, series: Callable[..., list[float]], *args):
         """``series(v, *args, order)`` at the value; over a batch, stacked (series index first)."""
@@ -401,10 +402,25 @@ class Jet:
         for k in range(len(coefs) - 2, -1, -1):
             acc = acc * tilde
             acc.c[value] += coefs[k]  # a product's coefficients are its own
+        if not np.isfinite(acc.c).all():
+            raise OverflowError("composed series overflows a float")
         return acc
 
+    def _compose_in_ratio(self, series: Callable[..., list[float]]) -> "Jet":
+        """f(v + t) as a series in u = t/v, whose coefficients ``series`` gives.
+
+        The coefficients of 1/(1 + u) and log(1 + u) neither overflow nor
+        underflow, whatever the size of v; those of the series in t are ~
+        v^-k and do both.  The jet's own coefficients can still leave the
+        float range where derivatives are huge relative to v, and then it
+        raises.
+        """
+        coefs = self._series(series)
+        return Jet(self.space, self.c / self.c[..., :1], self.deg)._compose(coefs)
+
     def _reciprocal(self) -> "Jet":
-        return self._compose(self._series(_reciprocal_series))
+        """1/(v + t) = (1/v) / (1 + t/v), composed in t/v."""
+        return self._compose_in_ratio(_reciprocal_series)
 
     def sin(self) -> "Jet":
         return self._compose(self._series(_sin_series))
@@ -416,18 +432,8 @@ class Jet:
         return self._compose(self._series(_exp_series))
 
     def log(self) -> "Jet":
-        """log(v + t) = log v + log(1 + t/v), composed as a series in t/v.
-
-        Its coefficients (-1)^(k-1)/k neither overflow nor underflow, whatever
-        the size of v; those of the series in t are ~ v^-k and do both.  The
-        jet's own coefficients can still leave the float range where
-        derivatives are huge relative to v, and then it raises.
-        """
-        coefs = self._series(_log_series)
-        out = Jet(self.space, self.c / self.c[..., :1], self.deg)._compose(coefs)
-        if _overflows(self, out):
-            raise OverflowError("log overflows a float")
-        return out
+        """log(v + t) = log v + log(1 + t/v), composed in t/v."""
+        return self._compose_in_ratio(_log_series)
 
     def sqrt(self) -> "Jet":
         return self._compose(self._series(_sqrt_series))
@@ -438,14 +444,11 @@ class Jet:
 
 
 def _reciprocal_series(v: float, order: int) -> list[float]:
+    """The coefficients (-1)^k / v of 1/(v (1 + u)) in u = t/v (see :meth:`Jet._reciprocal`)."""
     if v == 0.0:
         raise EvalDomainError("division by zero")
-    coefs = []
-    cur = 1.0 / v
-    for _ in range(order + 1):
-        coefs.append(cur)
-        cur *= -1.0 / v
-    return coefs
+    inv = 1.0 / v
+    return [inv if k % 2 == 0 else -inv for k in range(order + 1)]
 
 
 def _sin_series(v: float, order: int) -> list[float]:

@@ -40,6 +40,9 @@ CROSS_VALIDATION_TOLERANCE = 1e-10
 
 CANONICAL_PHI = "(r+c)^(-1/k)"
 
+# The closed forms read phi, phi_dot, phi_dd, G and G': jets of order 2.
+CLOSED_FORM_ORDER = 2
+
 
 @dataclass(frozen=True)
 class WarpedSpec:
@@ -136,14 +139,14 @@ def closed_form_eval(
     """All displayed quantities from univariate derivatives only.
 
     ``profile`` is the jet of G at ``x1``, ``spec.profile_jet(x1,
-    params=params)[1]``; pass it to reuse it across calls where it does not
-    change.
+    CLOSED_FORM_ORDER, params)[1]``; pass it to reuse it across calls where
+    it does not change.
     """
-    phi = spec.phi_jet(r, params=params)
+    phi = spec.phi_jet(r, CLOSED_FORM_ORDER, params)
     p0 = phi.value
     p1 = extract_derivative(phi, (1,))
     p2 = extract_derivative(phi, (2,))
-    G = profile if profile is not None else spec.profile_jet(x1, params=params)[1]
+    G = profile if profile is not None else spec.profile_jet(x1, CLOSED_FORM_ORDER, params)[1]
     g0 = G.value
     g1 = extract_derivative(G, (1,))
 
@@ -173,7 +176,7 @@ def closed_form_eval(
 
 def violation_bracket(spec: WarpedSpec, r: float) -> float:
     """The sign-determining factor 4 phi_dot^2/phi^2 - phi_dd/phi."""
-    phi = spec.phi_jet(r)
+    phi = spec.phi_jet(r, CLOSED_FORM_ORDER)
     p0 = phi.value
     p1 = extract_derivative(phi, (1,))
     p2 = extract_derivative(phi, (2,))
@@ -298,7 +301,7 @@ def search_violation(
     base = WarpedSpec.canonical(1.0, 1.0)
     # The canonical psi = x1 and lambda = 1 use neither k nor c, so G at the
     # fixed x1 is the same for every evaluation.
-    _, profile = base.profile_jet(0.5)
+    _, profile = base.profile_jet(0.5, CLOSED_FORM_ORDER)
     evals = 0
 
     def objective(x: np.ndarray) -> float:

@@ -251,6 +251,13 @@ def test_batch_error_is_the_first_failing_point():
     assert error(m.component_jets, points) == want
     assert error(MetricJets, m, points) == want
 
+    f = ScalarField.parse("sqrt(r + 1e-300)", 3)
+    points = [(1.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.5, 0.0, 0.0)]
+    with np.errstate(all="ignore"):
+        want = error(f.jet, points[1])
+        assert want == (EvalDomainError, "sqrt overflows a float (at offset 0)", 0)
+        assert error(f.jet, points) == want
+
     m = MetricField.parse([["1", "0", "0"], ["0", "1 - r", "0"], ["0", "0", "1"]])
     points = [(0.5, 0.0, 0.0), (0.25, 0.0, 0.0), (2.5, 0.0, 0.5)]
     want = error(m.component_jets, points[2])

@@ -1,5 +1,9 @@
+import copy
+import json
 import math
+import pickle
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -234,3 +238,89 @@ def test_integer_power_overflow_is_a_located_domain_error(source, offset):
         with pytest.raises(EvalDomainError, match="power overflows a float") as exc:
             evaluate(e, point)
         assert exc.value.offset == offset
+
+
+# -- parser goldens and the node contract --------------------------------------------
+
+PARSE_GOLDEN = json.loads((Path(__file__).parent / "golden" / "parse_errors.json").read_text())
+GOLDEN_VARS = tuple(v if isinstance(v, str) else tuple(v) for v in PARSE_GOLDEN["variables"])
+
+
+def _dump(e):
+    """A tree as nested lists, offsets included."""
+    if isinstance(e, Num):
+        return ["Num", e.value, e.offset]
+    if isinstance(e, Var):
+        return ["Var", e.index, e.name, e.offset]
+    if isinstance(e, Param):
+        return ["Param", e.name, e.offset]
+    if isinstance(e, Unary):
+        return ["Unary", e.op, _dump(e.arg), e.offset]
+    return ["Binary", e.op, _dump(e.left), _dump(e.right), e.offset]
+
+
+@pytest.mark.parametrize("case", PARSE_GOLDEN["errors"], ids=lambda c: repr(c["source"]))
+def test_parse_error_matches_golden(case):
+    with pytest.raises(ParseError) as exc:
+        parse(case["source"], variables=GOLDEN_VARS, params=PARSE_GOLDEN["params"])
+    assert type(exc.value).__name__ == case["error"]
+    assert str(exc.value) == case["message"]
+    assert exc.value.offset == case["offset"]
+
+
+@pytest.mark.parametrize("case", PARSE_GOLDEN["trees"], ids=lambda c: repr(c["source"]))
+def test_parse_tree_matches_golden(case):
+    tree = parse(case["source"], variables=GOLDEN_VARS, params=PARSE_GOLDEN["params"])
+    assert _dump(tree) == case["tree"]
+
+
+def test_node_equality_and_hash_ignore_offset_and_var_name():
+    assert Num(1.5, 3) == Num(1.5) and hash(Num(1.5, 3)) == hash(Num(1.5))
+    assert Var(0, "r", 2) == Var(0, "x0") and hash(Var(0, "r", 2)) == hash(Var(0, "x0"))
+    assert Var(0, "r") != Var(1, "r")
+    assert Param("k", 7) == Param("k") != Param("c")
+    a = Binary("+", Unary("neg", Var(0, "r", 1), 0), Num(2.0, 5), 3)
+    b = Binary("+", Unary("neg", Var(0, "x0")), Num(2.0))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert Binary("+", Num(1.0), Num(2.0)) != Binary("-", Num(1.0), Num(2.0))
+    # Nodes of different classes never compare equal, whatever their fields.
+    assert Num(1.0) != Param(1.0) and Unary("neg", Num(1.0)) != Num(1.0)
+    assert Num(1.0) != (1.0, -1)
+
+
+def test_node_constructors_and_fields():
+    assert Num(value=2.0, offset=4) == Num(2.0) and Num(value=2.0, offset=4).offset == 4
+    assert Num(2.0).offset == -1
+    v = Var(index=1, name="x1", offset=9)
+    assert (v.index, v.name, v.offset) == (1, "x1", 9)
+    p = Param(name="k")
+    assert (p.name, p.offset) == ("k", -1)
+    u = Unary(op="sin", arg=p, offset=2)
+    assert (u.op, u.arg, u.offset) == ("sin", p, 2)
+    b = Binary(op="^", left=v, right=u, offset=5)
+    assert (b.op, b.left, b.right, b.offset) == ("^", v, u, 5)
+    assert repr(b) == (
+        "Binary(op='^', left=Var(index=1, name='x1'), "
+        "right=Unary(op='sin', arg=Param(name='k')))"
+    )
+    assert repr(Num(0.5, 3)) == "Num(value=0.5)"
+    tree = parse("sin(r)^-2 + k*x1", variables=VARS3, params=("k",))
+    for copied in (copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
+        assert type(copied) is Binary and _dump(copied) == _dump(tree)
+
+
+@pytest.mark.parametrize(
+    "node,field",
+    [
+        (Num(1.0), "value"),
+        (Var(0, "r"), "index"),
+        (Param("k"), "name"),
+        (Unary("neg", Num(1.0)), "arg"),
+        (Binary("+", Num(1.0), Num(2.0)), "offset"),
+    ],
+)
+def test_nodes_are_immutable(node, field):
+    with pytest.raises(AttributeError):
+        setattr(node, field, None)
+    with pytest.raises(AttributeError):
+        node.extra = 1

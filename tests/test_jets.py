@@ -277,3 +277,31 @@ def test_degree_bounds_restrict_the_product_pairs():
     assert sp.product_pairs[4][4][0].size == sp.mul_ia.size == 495
     full = Jet(sp, x.c) * Jet(sp, y.c)  # no degree bound: every pair
     assert full.c.tobytes() == (x * y).c.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "source,r,message,offset",
+    [
+        ("sqrt(1e-300 + r)", 0.0, "sqrt overflows a float", 0),
+        ("exp(1e200*r)", 0.0, "exp overflows a float", 0),
+        ("1 + sin(1e200*r)", 0.0, "sin overflows a float", 4),
+        ("r/(1e-300 + r)", 0.0, "division overflows a float", 1),
+        ("(1e-300 + r)^0.5", 0.0, "power overflows a float", 12),
+        ("(1e-300 + r)^-1", 0.0, "power overflows a float", 12),
+    ],
+)
+def test_composition_out_of_float_range_is_a_located_error(source, r, message, offset):
+    """A composed jet whose coefficients leave the float range raises, never folds to NaN/inf."""
+    e = parse(source, variables=("r",))
+    with pytest.raises(EvalDomainError, match=message) as exc:
+        evaluate(e, seed_variables((r,), 1, 4))
+    assert exc.value.offset == offset
+
+
+def test_reciprocal_composes_in_the_ratio():
+    """1/(r*1e300) at r = 1: the series in t would underflow d/dr to 0."""
+    j = evaluate(parse("1/(r*1e300)", variables=("r",)), seed_variables((1.0,), 1, 4))
+    assert j.c.tolist() == [1e-300, -1e-300, 1e-300, -1e-300, 1e-300]
+    assert extract_derivative(j, (1,)) == -1e-300

@@ -1,6 +1,10 @@
+import dataclasses
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewdiv import warped
 from skewdiv.errors import EvalDomainError
@@ -156,3 +160,36 @@ def test_search_with_the_profile_computed_once_is_exact(seed, monkeypatch):
     assert len(calls) == plain.evaluations and all(calls)
     assert hoisted == plain
     assert math.copysign(1.0, hoisted.violation) == math.copysign(1.0, plain.violation)
+
+
+PROFILES = [("1", "x1"), ("f^2", "sin(x1)"), ("exp(-f)", "x1^3 + x1"), ("1/(1 + f^2)", "x1/2 + 1")]
+
+
+def _bits(row) -> bytes:
+    return np.array(dataclasses.astuple(row), dtype=float).tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(PROFILES),
+    st.floats(1.0, 6.0),
+    st.floats(0.5, 2.0),
+    st.floats(0.0, 1.0),
+    st.floats(-1.0, 1.0),
+)
+def test_closed_form_at_order_2_equals_order_4_bit_for_bit(profile, k, c, r, x1):
+    """The closed forms read phi, phi', phi'', G and G' only; order 4 adds nothing."""
+    lam, psi = profile
+    spec = WarpedSpec.canonical(k, c, lam=lam, psi=psi)
+    low = (_bits(closed_form_eval(spec, r, x1)), violation_bracket(spec, r))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(warped, "CLOSED_FORM_ORDER", 4)
+        high = (_bits(closed_form_eval(spec, r, x1)), violation_bracket(spec, r))
+    assert low[0] == high[0]
+    assert np.float64(low[1]).tobytes() == np.float64(high[1]).tobytes()
+
+
+def test_search_at_order_2_equals_order_4(monkeypatch):
+    low = search_violation(seed=3, iterations=300)
+    monkeypatch.setattr(warped, "CLOSED_FORM_ORDER", 4)
+    assert search_violation(seed=3, iterations=300) == low
