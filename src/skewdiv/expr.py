@@ -327,11 +327,17 @@ def evaluate(e: Expr, point: Sequence, params: ParamSet | None = None):
 
     ``point`` entries may be plain floats or jets; the result has the same
     semantics.  Evaluation is pure: identical inputs give bit-identical
-    output.  Domain violations, and a function, quotient or power whose
-    value overflows a float, are reported as :class:`EvalDomainError` with
-    the offset of the offending subexpression.
+    output.  Domain violations, and a function, sum, difference, product,
+    quotient or power whose value overflows a float, are reported as
+    :class:`EvalDomainError` with the offset of the offending subexpression.
     """
-    return _EVAL[type(e)](e, point, params if params is not None else {})
+    params = params if params is not None else {}
+    out = _EVAL[type(e)](e, point, params)
+    # Arithmetic nodes are not checked as they go: only a non-finite result
+    # from finite point entries walks the tree again to find where it arose.
+    if not jets.finite(out) and all(map(jets.finite, point)):
+        _raise_at_overflow(e, point, params)
+    return out
 
 
 def _ev_var(e: Var, pt, params):
@@ -391,6 +397,29 @@ _EVAL = {
     Unary: _ev_unary,
     Binary: _ev_binary,
 }
+
+_ARITHMETIC = {"+": "sum", "-": "difference", "*": "product", "/": "division"}
+
+
+def _raise_at_overflow(e: Expr, pt, params) -> None:
+    """Raise at the first + - * / node, in evaluation order, that leaves the float range.
+
+    Such a node gives a non-finite value from finite operands; with none, return.
+    """
+    if type(e) is Unary:
+        _raise_at_overflow(e[1], pt, params)
+    elif type(e) is Binary:
+        op, left, right, offset = e
+        _raise_at_overflow(left, pt, params)
+        _raise_at_overflow(right, pt, params)
+        if (
+            op in _ARITHMETIC
+            and jets.finite(_EVAL[type(left)](left, pt, params))
+            and jets.finite(_EVAL[type(right)](right, pt, params))
+            and not jets.finite(_ev_binary(e, pt, params))
+        ):
+            raise EvalDomainError(f"{_ARITHMETIC[op]} overflows a float", offset)
+
 
 # Float arithmetic raises these where a result leaves the float range.
 _NUMERIC_ERRORS = (EvalDomainError, OverflowError, ZeroDivisionError)

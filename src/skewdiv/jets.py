@@ -400,9 +400,11 @@ class Jet:
         tilde = Jet(sp, tilde_c, self.deg)
         acc = Jet(sp, acc_c, 0)
         for k in range(len(coefs) - 2, -1, -1):
-            acc = acc * tilde
+            # A constant (the first step) times tilde is a scaling; ``+ 0.0``
+            # turns its -0.0s into the +0.0s that a product's sums start from.
+            acc = acc * tilde if acc.deg else Jet(sp, acc.c[..., :1] * tilde_c + 0.0, tilde.deg)
             acc.c[value] += coefs[k]  # a product's coefficients are its own
-        if not np.isfinite(acc.c).all():
+        if not finite(acc):
             raise OverflowError("composed series overflows a float")
         return acc
 
@@ -496,11 +498,14 @@ def _pow_series(v: float, p: float, order: int) -> list[float]:
 def _int_pow(base, k: int):
     """base**k for integer k; valid for any base sign, jets or floats."""
     if k < 0:
-        if isinstance(base, Jet):
-            return _int_pow(base, -k)._reciprocal()
-        if base == 0.0:
+        if not isinstance(base, Jet) and base == 0.0:
             raise EvalDomainError("zero base with negative integer exponent")
-        return 1.0 / _int_pow(base, -k)
+        positive = _int_pow(base, -k)
+        # A nonzero base whose positive power underflows to 0: its reciprocal
+        # is beyond the float range.
+        if np.any((value_of(positive) == 0.0) & (value_of(base) != 0.0)):
+            raise OverflowError("integer power overflows a float")
+        return positive._reciprocal() if isinstance(positive, Jet) else 1.0 / positive
     if isinstance(base, Jet):
         acc = Jet.constant(1.0, base.nvars, base.order)
     else:
@@ -563,6 +568,15 @@ def powop(base, exponent):
 
 
 # -- generic numeric helpers (shared semantics for floats and jets) ----------
+
+
+def finite(x) -> bool:
+    """Whether a float is finite, or every coefficient of a jet at every batch entry."""
+    if not isinstance(x, Jet):
+        return math.isfinite(x)
+    c = x.c
+    # On a single point's few coefficients, floats beat a ufunc's overhead.
+    return all(map(math.isfinite, c.tolist())) if c.ndim == 1 else bool(np.isfinite(c).all())
 
 
 def value_of(x) -> float:

@@ -21,6 +21,11 @@ the canonical warp phi = (r+c)^(-1/k) the bracket equals
 Every univariate derivative above comes from the jet engine restricted to
 one variable; the *formulas* are what make this an independent oracle for
 the generic tensor pipeline, which is exercised by :func:`cross_validate`.
+The closed forms read phi, phi_dot, phi_dd, G and G' straight from the
+jets' coefficients (coefficient k of a univariate jet times k!), so one
+evaluation costs the warp's expression walk and little else: on the
+canonical warp that walk makes a single jet product.  :func:`search_violation`
+explores the family on Python floats and tuples.
 """
 
 from __future__ import annotations
@@ -30,10 +35,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import EvalDomainError
+from .errors import EvalDomainError, OrderExceededError
 from .expr import ParamSet, evaluate, parse
 from .geometry import MetricField, ScalarField
-from .jets import Jet, extract_derivative, partial_derivative, seed_variables
+from .jets import Jet, partial_derivative
 from .ptensor import PTensorSpec, analyze
 
 CROSS_VALIDATION_TOLERANCE = 1e-10
@@ -75,7 +80,7 @@ class WarpedSpec:
 
     def phi_jet(self, r: float, order: int = 4, params: ParamSet | None = None) -> Jet:
         """Warp jet at r; ``params`` overrides the stored set without re-parsing."""
-        (seed,) = seed_variables([r], 1, order)
+        seed = Jet.variable(r, 0, 1, order)
         out = evaluate(self._phi, [seed], params if params is not None else self.params)
         if not isinstance(out, Jet):
             out = Jet.constant(float(out), 1, order)
@@ -88,8 +93,7 @@ class WarpedSpec:
     ) -> tuple[Jet, Jet]:
         """Jets of psi and of G = lambda(psi) psi'^3 in the x1 variable."""
         pm = params if params is not None else self.params
-        (seed,) = seed_variables([x1], 1, order)
-        psi = evaluate(self._psi, [seed], pm)
+        psi = evaluate(self._psi, [Jet.variable(x1, 0, 1, order)], pm)
         if not isinstance(psi, Jet):
             psi = Jet.constant(float(psi), 1, order)
         lam = evaluate(self._lam, [psi], pm)
@@ -142,13 +146,13 @@ def closed_form_eval(
     CLOSED_FORM_ORDER, params)[1]``; pass it to reuse it across calls where
     it does not change.
     """
-    phi = spec.phi_jet(r, CLOSED_FORM_ORDER, params)
-    p0 = phi.value
-    p1 = extract_derivative(phi, (1,))
-    p2 = extract_derivative(phi, (2,))
+    # A univariate jet's coefficient k is the k-th derivative over k!.
+    p0, p1, p2 = spec.phi_jet(r, CLOSED_FORM_ORDER, params).c[:3].tolist()
+    p2 *= 2.0
     G = profile if profile is not None else spec.profile_jet(x1, CLOSED_FORM_ORDER, params)[1]
-    g0 = G.value
-    g1 = extract_derivative(G, (1,))
+    if G.order < 1:
+        raise OrderExceededError(f"derivative order 1 exceeds jet order {G.order}")
+    g0, g1 = G.c[:2].tolist()
 
     p_coef = g0 * p1 / p0**3
     nab_r = -(p2 / p0**3 - 4.0 * p1**2 / p0**4) * g0
@@ -176,10 +180,8 @@ def closed_form_eval(
 
 def violation_bracket(spec: WarpedSpec, r: float) -> float:
     """The sign-determining factor 4 phi_dot^2/phi^2 - phi_dd/phi."""
-    phi = spec.phi_jet(r, CLOSED_FORM_ORDER)
-    p0 = phi.value
-    p1 = extract_derivative(phi, (1,))
-    p2 = extract_derivative(phi, (2,))
+    p0, p1, p2 = spec.phi_jet(r, CLOSED_FORM_ORDER).c[:3].tolist()
+    p2 *= 2.0
     return 4.0 * p1**2 / p0**2 - p2 / p0
 
 
@@ -295,8 +297,9 @@ def search_violation(
                 raise ValueError(f"empty bounds for {name!r}")
             bb[name] = (lo, hi)
     names = ("k", "c", "r")
-    lo = np.array([bb[nm][0] for nm in names])
-    hi = np.array([bb[nm][1] for nm in names])
+    lo = [bb[nm][0] for nm in names]
+    hi = [bb[nm][1] for nm in names]
+    span = [h - l for l, h in zip(lo, hi)]
 
     base = WarpedSpec.canonical(1.0, 1.0)
     # The canonical psi = x1 and lambda = 1 use neither k nor c, so G at the
@@ -304,11 +307,11 @@ def search_violation(
     _, profile = base.profile_jet(0.5, CLOSED_FORM_ORDER)
     evals = 0
 
-    def objective(x: np.ndarray) -> float:
+    def objective(x: tuple[float, ...]) -> float:
         nonlocal evals
         evals += 1
-        pm = {"k": float(x[0]), "c": float(x[1])}
-        return closed_form_eval(base, float(x[2]), 0.5, params=pm, profile=profile).violation
+        pm = {"k": x[0], "c": x[1]}
+        return closed_form_eval(base, x[2], 0.5, params=pm, profile=profile).violation
 
     rng = np.random.default_rng(seed)
     budget = iterations
@@ -317,16 +320,16 @@ def search_violation(
     for _ in range(n_starts):
         if budget <= 0:
             break
-        x = lo + rng.random(3) * (hi - lo)
+        x = tuple(l + u * s for l, u, s in zip(lo, rng.random(3).tolist(), span))
         budget -= 1
-        candidates.append((objective(x), tuple(x)))
+        candidates.append((objective(x), x))
     candidates.sort(key=lambda t: (t[0], t[1]))
     best_f, best_x = candidates[0]
 
-    step = (hi - lo) / 4.0
-    x = np.array(best_x)
+    step = [s / 4.0 for s in span]
+    x = best_x
     fx = best_f
-    while budget > 0 and float(np.max(step)) > 1e-9:
+    while budget > 0 and max(step) > 1e-9:
         improved = False
         for d in range(3):
             if step[d] == 0.0:
@@ -334,19 +337,19 @@ def search_violation(
             for sgn in (1.0, -1.0):
                 if budget <= 0:
                     break
-                trial = x.copy()
-                trial[d] = min(max(trial[d] + sgn * step[d], lo[d]), hi[d])
-                if trial[d] == x[d]:
+                moved = min(max(x[d] + sgn * step[d], lo[d]), hi[d])
+                if moved == x[d]:
                     continue
+                trial = x[:d] + (moved,) + x[d + 1 :]
                 budget -= 1
                 ft = objective(trial)
-                candidates.append((ft, tuple(trial)))
+                candidates.append((ft, trial))
                 if ft < fx:
                     x, fx = trial, ft
                     improved = True
                     break
         if not improved:
-            step *= 0.5
+            step = [s * 0.5 for s in step]
     candidates.sort(key=lambda t: (t[0], t[1]))
     best_f, best_x = candidates[0]
     return SearchResult(

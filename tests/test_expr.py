@@ -240,6 +240,37 @@ def test_integer_power_overflow_is_a_located_domain_error(source, offset):
         assert exc.value.offset == offset
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "source,r,message,offset",
+    [
+        ("(1e-300 + r)^-2", 0.0, "power overflows a float", 12),
+        ("r*1e300*1e300", 1.0, "product overflows a float", 7),
+        ("r/1e-310", 1e300, "division overflows a float", 1),
+        ("1e308 + r*1e308", 1.0, "sum overflows a float", 6),
+        ("-1e308 - r*1e308", 1.0, "difference overflows a float", 7),
+    ],
+)
+def test_leaving_the_float_range_is_located(source, r, message, offset):
+    """The first node whose finite operands give a non-finite value raises, on floats and jets."""
+    e = parse(source, variables=VARS3)
+    for point in (
+        (r, 0.5, 0.5),
+        seed_variables((r, 0.5, 0.5), 3, 2),
+        seed_variables([(1.0, 0.5, 0.5), (r, 0.5, 0.5)], 3, 2),
+    ):
+        with pytest.raises(EvalDomainError, match=message) as exc:
+            evaluate(e, point)
+        assert exc.value.offset == offset
+
+
+def test_non_finite_inputs_are_not_located_as_overflow():
+    """Only arithmetic on finite operands overflows; inf in an input or a literal passes through."""
+    assert evaluate(parse("r*2", variables=VARS3), (math.inf, 0.5, 0.5)) == math.inf
+    assert evaluate(parse("r*1e999", variables=VARS3), (1.0, 0.5, 0.5)) == math.inf
+    assert evaluate(parse("r*k", variables=VARS3, params=("k",)), (1.0, 0.5, 0.5), {"k": math.inf}) == math.inf
+
+
 # -- parser goldens and the node contract --------------------------------------------
 
 PARSE_GOLDEN = json.loads((Path(__file__).parent / "golden" / "parse_errors.json").read_text())

@@ -9,6 +9,11 @@ grid point its noise peaks at is arbitrary.  Regenerate a golden only for an
 intended behaviour change, with
 
     PYTHONPATH=src python -m skewdiv <args> --out tests/golden/<file>
+
+``search_runs.json`` holds ``search_violation`` results over seeds and bounds
+as ``repr`` strings and is compared exactly; regenerate it with
+
+    PYTHONPATH=src python tests/test_golden.py
 """
 
 import csv
@@ -19,6 +24,7 @@ from pathlib import Path
 import pytest
 
 from skewdiv.cli import main
+from skewdiv.warped import search_violation
 
 GOLDEN = Path(__file__).parent / "golden"
 REL_TOL = 1e-12
@@ -99,3 +105,36 @@ def test_golden_report(name, tmp_path):
         got, want = json.loads(first), json.loads(want)
         _drop_noise_worst_points(got, want)
         _assert_close(got, want, name)
+
+
+SEARCH_BOUNDS = {"default": None, "k:5:6": {"k": (5.0, 6.0)}, "k:1:2.5": {"k": (1.0, 2.5)}}
+
+
+def search_runs() -> list:
+    """``search_violation`` over seeds 0-15, three bounds, 1000 and 1 iterations."""
+    runs = []
+    for iterations in (1000, 1):
+        for label, bounds in SEARCH_BOUNDS.items():
+            for seed in range(16):
+                res = search_violation(bounds, seed=seed, iterations=iterations)
+                runs.append(
+                    {
+                        "seed": seed,
+                        "bounds": label,
+                        "iterations": iterations,
+                        "params": {nm: repr(v) for nm, v in res.params.items()},
+                        "violation": repr(res.violation),
+                        "evaluations": res.evaluations,
+                    }
+                )
+    return runs
+
+
+def test_search_runs_bit_for_bit():
+    """Every search result, parameters and violation, repeats to the last bit."""
+    want = json.loads((GOLDEN / "search_runs.json").read_text())
+    assert search_runs() == want
+
+
+if __name__ == "__main__":
+    (GOLDEN / "search_runs.json").write_text(json.dumps(search_runs(), indent=1) + "\n")

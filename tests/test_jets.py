@@ -9,6 +9,9 @@ from skewdiv.errors import EvalDomainError, OrderExceededError
 from skewdiv.expr import chart_variables, evaluate, parse
 from skewdiv.jets import (
     Jet,
+    _exp_series,
+    _reciprocal_series,
+    _sin_series,
     extract_derivative,
     finite_difference_oracle,
     jet_space,
@@ -305,3 +308,36 @@ def test_reciprocal_composes_in_the_ratio():
     j = evaluate(parse("1/(r*1e300)", variables=("r",)), seed_variables((1.0,), 1, 4))
     assert j.c.tolist() == [1e-300, -1e-300, 1e-300, -1e-300, 1e-300]
     assert extract_derivative(j, (1,)) == -1e-300
+
+
+def _horner_by_products(j, coefs):
+    """sum_k coefs[k] (j - value)^k by Horner's rule, a full jet product at every step."""
+    value = 0 if j.c.ndim == 1 else (..., 0)
+    tilde_c = j.c.copy()
+    tilde_c[value] = 0.0
+    tilde = Jet(j.space, tilde_c, j.deg)
+    acc = Jet(j.space, np.zeros(j.c.shape), 0)
+    acc.c[value] = coefs[-1]
+    for k in range(len(coefs) - 2, -1, -1):
+        acc = acc * tilde
+        acc.c[value] += coefs[k]
+    return acc
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(coef, min_size=20, max_size=20), st.integers(min_value=0, max_value=3))
+def test_composition_equals_horner_by_products_bit_for_bit(cs, deg):
+    """Composition scales in its first Horner step; every bit, signed zeros included, is kept."""
+    sp = jet_space(2, 3)
+    c = np.array(cs).reshape(2, sp.size)
+    c[:, sp.degree > deg] = 0.0
+    c[:, 0] = [1.0 + abs(cs[0]), -1.0 - abs(cs[10])]  # a negative value gives -0.0s in t/v
+    for j in (Jet(sp, c, deg), Jet(sp, c[0], deg), Jet(sp, c[1], deg)):
+        ratio = Jet(sp, j.c / j.c[..., :1], deg)
+        for got, base, series in (
+            (j.exp(), j, _exp_series),
+            (j.sin(), j, _sin_series),
+            (j._reciprocal(), ratio, _reciprocal_series),
+        ):
+            want = _horner_by_products(base, j._series(series))
+            assert (got.deg, got.c.tobytes()) == (want.deg, want.c.tobytes())

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewdiv import warped
-from skewdiv.errors import EvalDomainError
+from skewdiv.errors import EvalDomainError, OrderExceededError
+from skewdiv.jets import Jet
 from skewdiv.warped import (
     WarpedSpec,
     build_report,
@@ -193,3 +194,81 @@ def test_search_at_order_2_equals_order_4(monkeypatch):
     low = search_violation(seed=3, iterations=300)
     monkeypatch.setattr(warped, "CLOSED_FORM_ORDER", 4)
     assert search_violation(seed=3, iterations=300) == low
+
+
+def violation_law(k: float, c: float, r: float) -> float:
+    """Violation of the canonical warp with psi = x1 and lambda = 1."""
+    return 4.0 * (3.0 - k) / k**4 * (r + c) ** (6.0 / k - 4.0)
+
+
+def norm_laws(k: float, c: float, r: float) -> tuple[float, float]:
+    """|grad P|^2 and |div P|^2 of that warp; with a = -1/k their difference is the violation."""
+    a = -1.0 / k
+    s = (r + c) ** (6.0 / k - 4.0)
+    return 2.0 * (a * a * (3.0 * a + 1.0) ** 2 + a**4) * s, a * a * (2.0 * a + 1.0) ** 2 * s
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.floats(1.0, 6.0), st.floats(0.5, 2.0), st.floats(0.0, 1.0))
+def test_closed_form_eval_follows_the_violation_law(k, c, r):
+    row = closed_form_eval(WarpedSpec.canonical(k, c), r, 0.5)
+    nabla, div = norm_laws(k, c, r)
+    # |div P|^2 vanishes at k = 2 and the violation at k = 3, each by
+    # cancellation: bound their errors by the terms of the violation.
+    scale = nabla + 2.0 * div
+    assert abs(row.nabla_p_norm_sq - nabla) <= 1e-12 * nabla
+    assert abs(row.div_p_norm_sq - div) <= 1e-12 * scale
+    assert abs(row.violation - violation_law(k, c, r)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11, 42])
+def test_search_reaches_the_closed_form_optimum(seed):
+    """Under the default bounds the minimum sits at the smallest s = r + c = 0.5, where
+    d/dk of the law vanishes at k* = 2 - ln s + sqrt((2 - ln s)^2 + 6 ln s)."""
+    ln_s = math.log(0.5)
+    k_star = 2.0 - ln_s + math.sqrt((2.0 - ln_s) ** 2 + 6.0 * ln_s)
+    res = search_violation(seed=seed, iterations=1000)
+    want = violation_law(k_star, 0.5, 0.0)
+    assert (res.params["c"], res.params["r"]) == (0.5, 0.0)
+    assert abs(res.params["k"] - k_star) <= 1e-6
+    assert abs(res.violation - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11, 42])
+def test_search_optimum_on_the_k_bound(seed):
+    """k* = 4.45 lies below k >= 5, and the law increases in k there: the optimum is k = 5."""
+    res = search_violation({"k": (5, 6)}, seed=seed, iterations=1000)
+    assert res.params == {"k": 5.0, "c": 0.5, "r": 0.0}
+    want = violation_law(5.0, 0.5, 0.0)
+    assert abs(res.violation - want) <= 1e-12 * abs(want)
+
+
+def test_each_search_evaluation_makes_one_jet_product(monkeypatch):
+    """The warp (r+c)^(-1/k) at order 2 is the only jet work of an evaluation: one product."""
+    products = []
+    mul = Jet.__mul__
+
+    def counted(self, other):
+        products.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Jet, "__mul__", counted)
+    monkeypatch.setattr(Jet, "__rmul__", counted)
+    per_call = []
+    evaluate_once = warped.closed_form_eval
+
+    def traced(*args, **kwargs):
+        before = len(products)
+        row = evaluate_once(*args, **kwargs)
+        per_call.append(len(products) - before)
+        return row
+
+    monkeypatch.setattr(warped, "closed_form_eval", traced)
+    res = search_violation(seed=3, iterations=300)
+    assert per_call == [1] * res.evaluations
+
+
+def test_closed_form_rejects_a_profile_without_derivatives():
+    spec = WarpedSpec.canonical(4.0, 1.0)
+    with pytest.raises(OrderExceededError, match="derivative order 1 exceeds jet order 0"):
+        closed_form_eval(spec, 0.5, 0.5, profile=Jet.constant(1.0, 1, 0))
