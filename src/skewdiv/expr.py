@@ -30,6 +30,11 @@ source, and the parser a set of closures over its token list.  Evaluation and
 printing look up a handler by ``type(node)`` in one table each (``_EVAL``,
 ``_FMT``) and recurse through the same tables, so each node costs one dict
 lookup and one call.
+
+Fields.  :func:`evaluate_entries` evaluates several trees on one point (a
+metric's entries, say) as sums of terms coef * factor_1 * ... * factor_m:
+variables read their point entries, other factors are walked once, and the
+product of each prefix of factors is formed once for all the trees.
 """
 
 from __future__ import annotations
@@ -364,6 +369,8 @@ def _ev_unary(e: Unary, pt, params):
     try:
         return getattr(jets, op)(v)
     except _NUMERIC_ERRORS as err:
+        if not jets.finite(v):  # name the overflow that fed the function, if any
+            _raise_at_overflow(arg, pt, params)
         raise _located(err, offset, op) from None
 
 
@@ -432,3 +439,66 @@ def _located(err: Exception, offset: int, what: str) -> EvalDomainError:
     if isinstance(err, OverflowError):
         return EvalDomainError(f"{what} overflows a float", offset)
     return EvalDomainError(f"{what} divides by zero", offset)
+
+
+# -- fields: trees on one point, sharing a product table -----------------------
+
+
+def _terms(e: Expr) -> list[tuple[float, tuple]]:
+    """The top level of ``e`` as signed terms ``(coef, factors)``, in source order.
+
+    + - * neg and numbers fold in; other nodes, and products of two sums, are
+    factors, a variable as its index.
+    """
+    kind = type(e)
+    if kind is Num:
+        return [(e[0], ())]
+    if kind is Var:
+        return [(1.0, (e[0],))]
+    op = e[0]
+    if kind is Unary and op == "neg":
+        return [(-c, f) for c, f in _terms(e[1])]
+    if kind is Binary and op in ("+", "-", "*"):
+        left, right = _terms(e[1]), _terms(e[2])
+        if op != "*":
+            left.extend(right if op == "+" else [(-c, f) for c, f in right])
+            return left
+        if len(left) == 1 or len(right) == 1:
+            return [(a * b, fa + fb) for a, fa in left for b, fb in right]
+    return [(1.0, (e,))]
+
+
+def evaluate_entries(exprs: Sequence[Expr], point: Sequence, params: ParamSet | None = None) -> list:
+    """:func:`evaluate` of each tree on one ``point``, sharing factors and their products.
+
+    A tree sums its terms (:func:`_terms`) with the walk's arithmetic, so it
+    is the walk's value up to the products and sums that the lowering
+    re-associates; one whose terms fail or are not finite is walked instead.
+    """
+    params = params if params is not None else {}
+    table: dict[tuple, object] = {}  # factors -> their product, each formed once
+
+    def product(factors: tuple):
+        if factors not in table:
+            f = factors[0]
+            table[factors] = (
+                product(factors[:-1]) * product(factors[-1:]) if len(factors) > 1
+                else point[f] if type(f) is int else evaluate(f, point, params)
+            )
+        return table[factors]
+
+    def value(e: Expr):
+        try:
+            acc = None
+            for coef, factors in _terms(e):
+                term = product(factors) if factors else coef
+                if factors and coef != 1.0:  # a number times a jet, as in the walk
+                    term = jets.Jet(term.space, term.c * coef, term.deg) if isinstance(term, jets.Jet) else coef * term
+                acc = term if acc is None else acc + term
+            if jets.finite(acc):
+                return acc
+        except (EvalDomainError, MissingParameterError, ArithmeticError, LookupError):
+            pass
+        return evaluate(e, point, params)
+
+    return [value(e) for e in exprs]

@@ -56,7 +56,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NonPositiveDefiniteError, SkewdivError
-from .expr import Expr, ParamSet, chart_variables, evaluate, parse, to_source
+from .expr import Expr, ParamSet, chart_variables, evaluate, evaluate_entries, parse, to_source
 from .jets import (
     DEFAULT_ORDER,
     Jet,
@@ -91,7 +91,10 @@ INDEX_CONVENTION = IndexConvention()
 
 @dataclass(frozen=True)
 class ScalarField:
-    """A scalar chart function given by an expression plus parameter values."""
+    """A scalar chart function given by an expression plus parameter values.
+
+    Its jets are sums of terms (:func:`~skewdiv.expr.evaluate_entries`).
+    """
 
     dim: int
     expr: Expr
@@ -108,7 +111,7 @@ class ScalarField:
         sp = jet_space(self.dim, order)
 
         def coefficients(points):
-            out = evaluate(self.expr, seed_variables(points, self.dim, order), self.params)
+            out = evaluate_entries([self.expr], seed_variables(points, self.dim, order), self.params)[0]
             return as_coefficients(out, points.shape[:-1] + (sp.size,))
 
         return Jet(sp, each_point_on_error(coefficients, point))
@@ -128,7 +131,9 @@ class MetricField:
 
     Positive definiteness is enforced at every evaluation point by a Cholesky
     factorization, which does not depend on the metric's scale; a violation
-    or a non-finite component raises instead of silently propagating.
+    or a non-finite component raises instead of silently propagating.  The
+    entries are evaluated together, forming the products they share once
+    (:func:`~skewdiv.expr.evaluate_entries`).
     """
 
     def __init__(self, dim: int, exprs: Sequence[Sequence[Expr]], params: ParamSet | None = None):
@@ -159,7 +164,7 @@ class MetricField:
     def component_jets(self, point, order: int = DEFAULT_ORDER) -> np.ndarray:
         """Coefficient array g[..., i, j, :] at a point or a batch of points.
 
-        Each distinct tree is evaluated once, on the seeds of the whole batch.
+        The entries i <= j are evaluated on the seeds of the whole batch.
         """
         return each_point_on_error(lambda points: self._component_jets(points, order), point)
 
@@ -167,13 +172,10 @@ class MetricField:
         seeds = seed_variables(points, self.dim, order)
         shape = points.shape[:-1] + (jet_space(self.dim, order).size,)
         g = np.empty(points.shape[:-1] + (self.dim, self.dim, shape[-1]))
-        coeffs: dict[int, np.ndarray] = {}
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                e = self.exprs[i][j]
-                if id(e) not in coeffs:
-                    coeffs[id(e)] = as_coefficients(evaluate(e, seeds, self.params), shape)
-                g[..., i, j, :] = g[..., j, i, :] = coeffs[id(e)]
+        upper = [(i, j) for i in range(self.dim) for j in range(i, self.dim)]
+        values = evaluate_entries([self.exprs[i][j] for i, j in upper], seeds, self.params)
+        for (i, j), value in zip(upper, values):
+            g[..., i, j, :] = g[..., j, i, :] = as_coefficients(value, shape)
         self._check_positive_definite(g[..., 0], points)
         return g
 
@@ -188,14 +190,13 @@ class MetricField:
         return vals
 
     def _check_positive_definite(self, vals: np.ndarray, point) -> None:
-        where = point_tuple(point)
         if not np.all(np.isfinite(vals)):
-            raise NonPositiveDefiniteError(f"metric has non-finite components at {where}")
+            raise NonPositiveDefiniteError(f"metric has non-finite components at {point_tuple(point)}")
         try:
             np.linalg.cholesky(vals)
         except np.linalg.LinAlgError:
             raise NonPositiveDefiniteError(
-                f"metric is not positive definite at {where}: Cholesky factorization fails"
+                f"metric is not positive definite at {point_tuple(point)}: Cholesky factorization fails"
             ) from None
 
     def sources(self) -> list[list[str]]:
@@ -277,8 +278,8 @@ class MetricJets:
         M has no constant term, so M^k starts at degree k and the series
         through k = order is exact at the truncation order.  It is summed by
         Horner's rule S <- I + M S; as M raises the degree, step t fixes the
-        degree-t coefficients and runs at order t.  Coefficients of S above
-        that order meet only M's zero constant term in the next step.
+        degree-t coefficients of S and forms only those
+        (:meth:`~skewdiv.jets.JetSpace.step_pairs`): the lower ones are final.
         """
         n = self.dim
         g0inv = np.linalg.inv(self.g_val)
@@ -288,8 +289,8 @@ class MetricJets:
         eye[..., 0] = np.eye(n)
         series = eye + m
         for t in range(2, self.order + 1):
-            sp = jet_space(n, t)
-            series[..., : sp.size] = eye[..., : sp.size] + contract("ij,jk->ik", m, series, sp)
+            step = jet_space(n, self.order).step_pairs(t)
+            series[..., step.lo : step.lo + step.size] = contract("ij,jk->ik", m, series, step)
         return np.einsum("...ij,...jkZ->...ikZ", g0inv, series)
 
     @cached_property

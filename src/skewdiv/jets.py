@@ -46,7 +46,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -106,26 +106,9 @@ class JetSpace:
         self.mul_ia = np.asarray(ia, dtype=np.intp)
         self.mul_ib = np.asarray(ib, dtype=np.intp)
         self.mul_ic = np.asarray(ic, dtype=np.intp)
-        # The same pairs laid out for :func:`contract`, which sums each target
-        # coefficient's products in a fixed order (that of ``mul_ia``), so
-        # results repeat bit for bit.  Layer r holds the r-th pair of every
-        # target that has more than r pairs, the targets ordered by
-        # descending pair count: layer r then adds onto the leading
-        # ``layer_widths[r]`` rows of the running sums, a slice, and
-        # ``sum_inverse`` puts the sums back in coefficient order.
-        by_target: list[list[int]] = [[] for _ in monos]
-        for pair, target in enumerate(ic):
-            by_target[target].append(pair)
-        by_count = sorted(range(self.size), key=lambda t: -len(by_target[t]))  # stable
-        layers = [
-            [by_target[t][r] for t in by_count if len(by_target[t]) > r]
-            for r in range(len(by_target[by_count[0]]))
-        ]
-        self.layer_widths = tuple(len(layer) for layer in layers)
-        self.sum_inverse = np.asarray(sorted(range(self.size), key=by_count.__getitem__))
-        pairs = [pair for layer in layers for pair in layer]
-        self.pair_a = self.mul_ia[pairs]
-        self.pair_b = self.mul_ib[pairs]
+        self.pair_a, self.pair_b, self.layer_widths, self.sum_inverse, _, _ = _pair_table(
+            self.mul_ia, self.mul_ib, self.mul_ic, 0, self.size
+        )
         # Product pairs of jets with degree bounds (deg_a, deg_b), at
         # ``product_pairs[deg_a][deg_b]``; see :meth:`_product_pairs`.
         self.degree = np.asarray([sum(m) for m in monos], dtype=np.intp)
@@ -134,6 +117,7 @@ class JetSpace:
             for da in range(order + 1)
         )
         self._batch_pairs: dict = {}
+        self._step_pairs: dict = {}
 
         # Partial-derivative maps into the (nvars, order-1) layout.  The
         # graded ordering makes the lower space's monomials a prefix of ours,
@@ -173,6 +157,20 @@ class JetSpace:
             min(deg_a + deg_b, self.order),
         )
 
+    def step_pairs(self, t: int) -> PairTable:
+        """The pairs with |a| >= 1 and a degree-``t`` target, for :func:`contract`.
+
+        A Horner step S <- I + M S, M without a constant term, forms only
+        these once the coefficients of S below degree t are final.
+        """
+        if t not in self._step_pairs:
+            keep = (self.degree[self.mul_ic] == t) & (self.degree[self.mul_ia] >= 1)
+            targets = np.flatnonzero(self.degree == t)
+            self._step_pairs[t] = _pair_table(
+                self.mul_ia[keep], self.mul_ib[keep], self.mul_ic[keep], int(targets[0]), targets.size
+            )
+        return self._step_pairs[t]
+
     def batch_pairs(self, deg_a: int, deg_b: int, entries: int) -> tuple[np.ndarray, ...]:
         """``product_pairs[deg_a][deg_b]`` on ``entries`` flattened batch entries.
 
@@ -191,6 +189,38 @@ class JetSpace:
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"JetSpace(nvars={self.nvars}, order={self.order})"
+
+
+class PairTable(NamedTuple):
+    """Product pairs laid out for :func:`contract`, for the targets ``lo : lo + size``."""
+
+    pair_a: np.ndarray
+    pair_b: np.ndarray
+    layer_widths: tuple
+    sum_inverse: np.ndarray
+    lo: int
+    size: int
+
+
+def _pair_table(ia, ib, ic, lo: int, size: int) -> PairTable:
+    # :func:`contract` sums each target coefficient's products in a fixed
+    # order (that of ``ia``), so results repeat bit for bit.  Layer r holds
+    # the r-th pair of every target that has more than r pairs, the targets
+    # ordered by descending pair count: layer r then adds onto the leading
+    # ``layer_widths[r]`` rows of the running sums, a slice, and
+    # ``sum_inverse`` puts the sums back in coefficient order.
+    by_target: list[list[int]] = [[] for _ in range(size)]
+    for pair, target in enumerate(ic.tolist()):
+        by_target[target - lo].append(pair)
+    by_count = sorted(range(size), key=lambda t: -len(by_target[t]))  # stable
+    layers = [
+        [by_target[t][r] for t in by_count if len(by_target[t]) > r]
+        for r in range(len(by_target[by_count[0]]))
+    ]
+    pairs = [pair for layer in layers for pair in layer]
+    widths = tuple(len(layer) for layer in layers)
+    inverse = np.asarray(sorted(range(size), key=by_count.__getitem__))
+    return PairTable(ia[pairs], ib[pairs], widths, inverse, lo, size)
 
 
 def _align(a: "Jet", b: "Jet") -> tuple["Jet", "Jet"]:
@@ -454,12 +484,12 @@ def _reciprocal_series(v: float, order: int) -> list[float]:
 
 
 def _sin_series(v: float, order: int) -> list[float]:
-    cycle = (math.sin(v), math.cos(v), -math.sin(v), -math.cos(v))
+    cycle = (math.sin(_finite_argument("sin", v)), math.cos(v), -math.sin(v), -math.cos(v))
     return [cycle[k % 4] / math.factorial(k) for k in range(order + 1)]
 
 
 def _cos_series(v: float, order: int) -> list[float]:
-    cycle = (math.cos(v), -math.sin(v), -math.cos(v), math.sin(v))
+    cycle = (math.cos(_finite_argument("cos", v)), -math.sin(v), -math.cos(v), math.sin(v))
     return [cycle[k % 4] / math.factorial(k) for k in range(order + 1)]
 
 
@@ -583,12 +613,18 @@ def value_of(x) -> float:
     return x.value if isinstance(x, Jet) else float(x)
 
 
+def _finite_argument(name: str, x: float) -> float:
+    if not math.isfinite(x):
+        raise EvalDomainError(f"{name} of non-finite value {x!r}")
+    return x
+
+
 def sin(x):
-    return x.sin() if isinstance(x, Jet) else math.sin(x)
+    return x.sin() if isinstance(x, Jet) else math.sin(_finite_argument("sin", x))
 
 
 def cos(x):
-    return x.cos() if isinstance(x, Jet) else math.cos(x)
+    return x.cos() if isinstance(x, Jet) else math.cos(_finite_argument("cos", x))
 
 
 def exp(x):
@@ -698,7 +734,7 @@ def jet_order(T: np.ndarray, nvars: int) -> int:
     return order
 
 
-def contract(subscripts: str, A: np.ndarray, B: np.ndarray, space: JetSpace) -> np.ndarray:
+def contract(subscripts: str, A: np.ndarray, B: np.ndarray, space: JetSpace | PairTable) -> np.ndarray:
     """Jet product of two coefficient-array tensors, contracted like ``einsum``.
 
     ``subscripts`` names the tensor axes only, e.g. ``"kl,lij->kij"``; each
@@ -707,7 +743,8 @@ def contract(subscripts: str, A: np.ndarray, B: np.ndarray, space: JetSpace) -> 
     have the same batch shape, and the result keeps it in front, so ``A`` of
     shape ``batch + (n, n, ncoef)`` under ``"kl,..."`` is one ``(n, n)``
     tensor per batch entry.  The product is truncated to ``space``, whose
-    order may not exceed either operand's.
+    order may not exceed either operand's; a :class:`PairTable` ``space``
+    gives only its targets' coefficients.
 
     Both operands are gathered on the space's product pairs, the tensor
     indices are contracted by one ``matmul`` batched over the pairs and the

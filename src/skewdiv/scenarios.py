@@ -25,7 +25,7 @@ import numpy as np
 
 from . import warped as warped_mod
 from .errors import ScenarioError
-from .expr import Expr, chart_variables, parse
+from .expr import Binary, Expr, Num, Unary, Var, chart_variables, parse, to_source
 from .geometry import MetricField, ScalarField
 from .ptensor import PTensorSpec
 
@@ -196,30 +196,29 @@ def warped_canonical_scenario(k: float = 4.0, c: float = 1.0) -> Scenario:
     )
 
 
-def _poly_source(rng: np.random.Generator, dim: int, scale: float, constant: float | None) -> str:
-    """Deterministic random polynomial source: constant + linear + quadratic."""
+def _poly_tree(rng: np.random.Generator, dim: int, scale: float, constant: float | None) -> Expr:
+    """The tree that :func:`parse` gives for a random polynomial's :func:`to_source` text.
+
+    Coefficients scale * (2u - 1), u uniform, go to x_i, then to x_i*x_j
+    (i <= j), after the constant; each term adds or subtracts its size.
+    """
+    new = tuple.__new__  # the node constructors, without their Python frame
     names = _axis_names(dim)
-    parts = []
-    if constant is not None:
-        parts.append(repr(float(constant)))
-    for i in range(dim):
-        coef = scale * (2.0 * rng.random() - 1.0)
-        parts.append(f"{repr(abs(coef))}*{names[i]}")
-        if coef < 0:
-            parts[-1] = "- " + parts[-1]
-        else:
-            parts[-1] = "+ " + parts[-1]
-    for i in range(dim):
-        for j in range(i, dim):
-            coef = scale * (2.0 * rng.random() - 1.0)
-            term = f"{repr(abs(coef))}*{names[i]}*{names[j]}"
-            parts.append(("- " if coef < 0 else "+ ") + term)
-    src = " ".join(parts)
-    if src.startswith("+ "):
-        src = src[2:]
-    elif src.startswith("- "):
-        src = "-" + src[2:]
-    return src
+    tree = None if constant is None else new(Num, (float(constant), 0))
+    end = 0 if tree is None else len(to_source(tree))  # the text's length so far
+    monomials = [(i,) for i in range(dim)] + [(i, j) for i in range(dim) for j in range(i, dim)]
+    for factors, u in zip(monomials, rng.random(len(monomials)).tolist()):
+        coef = scale * (2.0 * u - 1.0)
+        at = end + 3 if tree is not None else int(coef < 0)  # after " + " or "-"
+        term = new(Num, (abs(coef), at))
+        end = at + len(to_source(term))
+        if tree is None and coef < 0:
+            term = new(Unary, ("neg", term, 0))
+        for i in factors:  # " * x"
+            term = new(Binary, ("*", term, new(Var, (i, names[i], end + 3)), end + 1))
+            end += 3 + len(names[i])
+        tree = term if tree is None else new(Binary, ("-" if coef < 0 else "+", tree, term, at - 2))
+    return tree
 
 
 def random_scenario(seed: int, dim: int = 3) -> Scenario:
@@ -235,17 +234,12 @@ def random_scenario(seed: int, dim: int = 3) -> Scenario:
     rng = np.random.default_rng(seed)
     eps = 0.8 / (dim * (dim + dim * (dim + 1) / 2))
     params: dict = {}
-    rows = []
-    for i in range(dim):
-        rows.append([None] * dim)
+    rows = [[None] * dim for _ in range(dim)]
     for i in range(dim):
         for j in range(i, dim):
-            src = _poly_source(rng, dim, eps, 1.0 if i == j else 0.0)
-            rows[i][j] = src
-            rows[j][i] = src
-    metric = MetricField.parse(rows, params)
-    f_src = _poly_source(rng, dim, 1.0, None)
-    f = ScalarField.parse(f_src, dim, params)
+            rows[i][j] = rows[j][i] = _poly_tree(rng, dim, eps, 1.0 if i == j else 0.0)
+    metric = MetricField(dim, rows, params)
+    f = ScalarField(dim, _poly_tree(rng, dim, 1.0, None), params)
     lam_src = _LAMBDA_CHOICES[int(seed) % len(_LAMBDA_CHOICES)]
     grid = tuple(
         GridAxis(nm, 0.2, 0.8, 2 if idx < 2 else 1)

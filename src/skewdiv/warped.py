@@ -30,6 +30,7 @@ explores the family on Python floats and tuples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -293,6 +294,8 @@ def search_violation(
             if name not in bb:
                 raise ValueError(f"unknown search parameter {name!r}")
             lo, hi = float(pair[0]), float(pair[1])
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"non-finite bounds for {name!r}: ({lo!r}, {hi!r})")
             if not lo <= hi:
                 raise ValueError(f"empty bounds for {name!r}")
             bb[name] = (lo, hi)

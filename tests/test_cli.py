@@ -302,6 +302,14 @@ def test_expression_overflow_exits_2(f_source, tmp_path, capsys):
     assert "\n" not in err and "Traceback" not in err
 
 
+def test_sin_of_an_overflow_exits_2_naming_the_product(tmp_path, capsys):
+    path = tmp_path / "s.txt"
+    path.write_text(OVERFLOW_SCENARIO.replace("exp(300*r)*x1", "sin(r*1e300*1e300)*x1"))
+    code, err = _exit_and_message(["verify", "--scenario-file", str(path)], capsys)
+    assert code == 2
+    assert err == "error: product overflows a float (at offset 11)"
+
+
 @pytest.mark.parametrize(
     "args",
     [

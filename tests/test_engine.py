@@ -7,7 +7,10 @@
   at the value order agrees with analysis at the default order;
 * expressions walked once over a batch give each point's jets bit for bit,
   and a failing batch raises the first failing point's own error;
-* op-count gate: a verify evaluates each expression tree once.
+* op-count gate: a verify walks only lambda(f) and forms each field's
+  monomials once;
+* random polynomials are built as their sources parse, and g^-1 forms
+  only each Horner step's new coefficients.
 """
 
 import math
@@ -20,7 +23,7 @@ from hypothesis import strategies as st
 
 from skewdiv.cli import run_verify
 from skewdiv.errors import EvalDomainError, NonPositiveDefiniteError, SkewdivError
-from skewdiv.expr import Binary, Num, evaluate, parse
+from skewdiv.expr import Binary, Num, chart_variables, evaluate, parse, to_source
 from skewdiv.geometry import MetricField, MetricJets, ScalarField
 from skewdiv.identities import bochner_residual
 from skewdiv.jets import Jet, contract, jet_space, seed_variables
@@ -269,27 +272,82 @@ def test_batch_error_is_the_first_failing_point():
 
 
 def test_verify_walks_each_expression_once(monkeypatch):
-    """Op-count gate: one verify of a 4-point 4-D grid evaluates 12 trees, once each.
+    """Op-count gate: one verify of a 4-point 4-D grid walks one tree and forms 20 field products.
 
-    10 distinct metric entries, f and lambda(f); a product of two seeds
-    (degree 1 each) at (4 variables, order 4) forms 25 coefficient pairs.
+    The 10 metric entries and f are polynomials in the x_i and x_i*x_j: their
+    terms read the seeds, and each field forms its 10 monomials x_i*x_j once
+    (a product of two seeds, degree 1 each, at (4 variables, order 4) forms
+    25 coefficient pairs).  Only lambda(f) is walked; its own products
+    (f*f, or three Horner steps of exp) come on top.
     """
-    calls = []
+    calls, products = [], []
 
     def counted(e, point, params=None):
         calls.append(e)
         return evaluate(e, point, params)
 
+    def multiplied(self, other):
+        products.append(1)
+        return mul(self, other)
+
     for mod in [m for name, m in sys.modules.items() if name.startswith("skewdiv.")]:
         if getattr(mod, "evaluate", None) is evaluate:
             monkeypatch.setattr(mod, "evaluate", counted)
-    sc = random_scenario(0, 4)
-    assert len(sc.grid_points()) == 4
-    run_verify(sc)
-    assert len(calls) == 12
-    assert len({id(e) for e in calls}) == 12
+    mul = Jet.__mul__
+    monkeypatch.setattr(Jet, "__mul__", multiplied)
+    monkeypatch.setattr(Jet, "__rmul__", multiplied)
+    for seed, lam, lam_products in [(0, "1", 0), (1, "f", 0), (2, "1 + f*f", 1), (3, "exp(f/4)", 3)]:
+        calls.clear()
+        products.clear()
+        sc = random_scenario(seed, 4)
+        assert len(sc.grid_points()) == 4 and sc.lam_src == lam
+        run_verify(sc)
+        assert calls == [sc.lam]
+        assert len(products) == 20 + lam_products
 
     sp = jet_space(4, 4)
     x, y = seed_variables(sc.grid_points()[0], 4, 4)[:2]
     ia, ib, ic, deg = sp.product_pairs[x.deg][y.deg]
     assert (ia.size, deg) == (25, 2)
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_random_polynomials_are_their_parsed_sources(dim):
+    """Every tree random_scenario builds is what parse gives for its printed source, offsets included."""
+
+    def exact(e):
+        return (type(e).__name__,) + tuple(exact(x) if isinstance(x, tuple) else x for x in e)
+
+    names = chart_variables(dim)
+    for seed in range(32):
+        sc = random_scenario(seed, dim)
+        for e in [e for row in sc.metric.exprs for e in row] + [sc.f.expr]:
+            assert exact(parse(to_source(e), variables=names)) == exact(e)
+
+
+def _ginv_every_coefficient(mj: MetricJets) -> np.ndarray:
+    """The Neumann series with each Horner step run at its own order over all coefficients."""
+    n = mj.dim
+    g0inv = np.linalg.inv(mj.g_val)
+    m = -np.einsum("...ijZ,...jk->...ikZ", mj.g, g0inv)
+    m[..., 0] = 0.0
+    eye = np.zeros_like(m)
+    eye[..., 0] = np.eye(n)
+    series = eye + m
+    for t in range(2, mj.order + 1):
+        sp = jet_space(n, t)
+        series[..., : sp.size] = eye[..., : sp.size] + contract("ij,jk->ik", m, series, sp)
+    return np.einsum("...ij,...jkZ->...ikZ", g0inv, series)
+
+
+def test_ginv_forms_only_each_steps_new_coefficients():
+    """Step t forms the degree-t coefficients alone, bit for bit as the full step, per batch entry."""
+    assert [jet_space(4, 4).step_pairs(t).pair_a.size for t in (2, 3, 4)] == [26, 100, 295]
+    assert jet_space(4, 4).mul_ia.size == 495
+    for sc in BATCH_SCENARIOS:
+        points = sc.grid_points()
+        for order in (2, 3, 4):
+            batch = MetricJets(sc.metric, points, order)
+            assert batch.ginv.tobytes() == _ginv_every_coefficient(batch).tobytes()
+            for i, pt in enumerate(points):
+                assert MetricJets(sc.metric, pt, order).ginv.tobytes() == batch.ginv[i].tobytes()

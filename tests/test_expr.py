@@ -16,18 +16,27 @@ from skewdiv.errors import (
     ParseError,
     UnknownNameError,
 )
+from skewdiv import expr as expr_module
 from skewdiv.expr import (
     Binary,
     Num,
     Param,
     Unary,
     Var,
+    _terms,
     chart_variables,
     evaluate,
+    evaluate_entries,
     parse,
     to_source,
 )
-from skewdiv.jets import extract_derivative, finite_difference_oracle, seed_variables
+from skewdiv.jets import (
+    Jet,
+    as_coefficients,
+    extract_derivative,
+    finite_difference_oracle,
+    seed_variables,
+)
 
 VARS3 = chart_variables(3)
 
@@ -355,3 +364,210 @@ def test_nodes_are_immutable(node, field):
         setattr(node, field, None)
     with pytest.raises(AttributeError):
         node.extra = 1
+
+
+# -- several trees on one product table ------------------------------------------
+
+FIELD_PARAMS = {"a": 0.7, "b": -1.3}
+FIELD_FACTORS = [
+    parse(src, variables=VARS3, params=tuple(FIELD_PARAMS))
+    for src in (
+        "r", "x1", "x2", "a", "b", "sin(r + a)", "exp(x1/3)", "sqrt(2 + r*x2)",
+        "(1 + x2)^2", "r/(2 + x1)", "(x1 + 1)^1.5", "b^2",
+    )
+]
+FIELD_POINTS = [(0.3, 0.6, 0.2), (0.8, 0.1, 0.45)]
+
+
+def _chain(nodes):
+    tree = nodes[0]
+    for node in nodes[1:]:
+        tree = Binary("*", tree, node)
+    return tree
+
+
+def _term(coef, factors, place):
+    """coef times the factors; ``place`` puts the number first, last, in the middle or nowhere."""
+    nodes = [FIELD_FACTORS[i] for i in factors]
+    if place == "none" and nodes:
+        return _chain(nodes)
+    at = {"first": 0, "last": len(nodes), "middle": len(nodes) // 2}.get(place, 0)
+    return _chain(nodes[:at] + [Num(coef)] + nodes[at:])
+
+
+def _sum(terms, signs, nested):
+    """Terms joined by + and -, left to right, or with the rest nested in the right operand."""
+    if nested and len(terms) > 2:
+        return Binary(signs[1], terms[0], _sum(terms[1:], signs[1:], nested))
+    tree = terms[0]
+    for sign, term in zip(signs[1:], terms[1:]):
+        tree = Binary(sign, tree, term)
+    return tree
+
+
+_factor_lists = st.lists(st.integers(0, len(FIELD_FACTORS) - 1), max_size=3)
+_coefs = st.floats(0.125, 3.0)
+_signs = st.lists(st.sampled_from("+-"), min_size=4, max_size=4)
+
+
+@st.composite
+def _entries(draw):
+    """Trees over a shared pool of factors: terms re-associated, nested, distributed."""
+    entries = []
+    for _ in range(draw(st.integers(1, 4))):
+        terms = [
+            _term(draw(_coefs), draw(_factor_lists), draw(st.sampled_from(["first", "last", "middle", "none"])))
+            for _ in range(draw(st.integers(1, 4)))
+        ]
+        tree = _sum(terms, draw(_signs), draw(st.booleans()))
+        if draw(st.booleans()):
+            tree = Binary("*", FIELD_FACTORS[draw(st.integers(0, len(FIELD_FACTORS) - 1))], tree)
+        entries.append(Unary("neg", tree) if draw(st.booleans()) else tree)
+    return entries
+
+
+@st.composite
+def _plain_entries(draw):
+    """Trees whose lowering re-associates nothing: one number per term, last or alone."""
+    entries = []
+    for _ in range(draw(st.integers(1, 4))):
+        terms = []
+        for _ in range(draw(st.integers(1, 4))):
+            factors = draw(_factor_lists)
+            place = "last" if len(factors) > 1 else draw(st.sampled_from(["first", "last", "none"]))
+            terms.append(_term(draw(_coefs), factors, place))
+        entries.append(_sum(terms, draw(_signs), False))
+    return entries
+
+
+def _terms_scale(e, seeds, shape):
+    """Sum over e's terms of |coef| times the product of its factors' |coefficients|."""
+    def magnitude(node):
+        v = evaluate(node, seeds, FIELD_PARAMS)
+        return Jet(v.space, np.abs(v.c), v.deg) if isinstance(v, Jet) else abs(v)
+
+    total = np.zeros(shape)
+    for coef, factors in _terms(e):
+        term = abs(coef)
+        for f in factors:
+            term = term * magnitude(Var(f, "x") if isinstance(f, int) else f)
+        total = total + as_coefficients(term, shape)
+    return total
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_entries())
+def test_entries_match_the_walk_within_4_ulps_of_the_terms(entries):
+    seeds = seed_variables(FIELD_POINTS, 3, 2)
+    shape = (len(FIELD_POINTS), seeds[0].c.shape[-1])
+    for e, got in zip(entries, evaluate_entries(entries, seeds, FIELD_PARAMS)):
+        want = as_coefficients(evaluate(e, seeds, FIELD_PARAMS), shape)
+        bound = 4 * np.spacing(_terms_scale(e, seeds, shape))
+        assert np.all(np.abs(as_coefficients(got, shape) - want) <= bound), to_source(e)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_plain_entries())
+def test_entries_match_the_walk_bit_for_bit_where_nothing_is_reassociated(entries):
+    for points in (FIELD_POINTS, FIELD_POINTS[0]):
+        seeds = seed_variables(points, 3, 2)
+        shape = seeds[0].c.shape
+        got = evaluate_entries(entries, seeds, FIELD_PARAMS)
+        for e, value in zip(entries, got):
+            want = as_coefficients(evaluate(e, seeds, FIELD_PARAMS), shape)
+            assert as_coefficients(value, shape).tobytes() == want.tobytes(), to_source(e)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_entries())
+def test_entries_of_a_batch_are_its_points_alone(entries):
+    batch = evaluate_entries(entries, seed_variables(FIELD_POINTS, 3, 2), FIELD_PARAMS)
+    for i, point in enumerate(FIELD_POINTS):
+        alone = evaluate_entries(entries, seed_variables(point, 3, 2), FIELD_PARAMS)
+        for b, a in zip(batch, alone):
+            shape = seed_variables(point, 3, 2)[0].c.shape
+            assert as_coefficients(b, (2,) + shape)[i].tobytes() == as_coefficients(a, shape).tobytes()
+
+
+def test_entries_share_factors_and_products(monkeypatch):
+    """Each distinct non-variable factor is walked once, and each shared product formed once."""
+    entries = [
+        parse(src, variables=VARS3)
+        for src in ("1 + 2*r*x1 - sin(x2)", "sin(x2)*r*x1", "3*r*x1*x2 + sin(x2)^2", "sin(x2)")
+    ]
+    assert _terms(entries[0]) == [(1.0, ()), (2.0, (0, 1)), (-1.0, (entries[3],))]
+    walked, products = [], []
+
+    def walk(e, point, params=None):
+        walked.append(e)
+        with monkeypatch.context() as inner:  # products inside a walk are the walk's own
+            inner.setattr(Jet, "__mul__", real_mul)
+            return evaluate(e, point, params)
+
+    def mul(self, other):
+        products.append(1)
+        return real_mul(self, other)
+
+    real_mul = Jet.__mul__
+    monkeypatch.setattr(expr_module, "evaluate", walk)
+    monkeypatch.setattr(Jet, "__mul__", mul)
+    evaluate_entries(entries, seed_variables(FIELD_POINTS, 3, 3))
+    assert walked == [entries[3], parse("sin(x2)^2", variables=VARS3)]
+    # r*x1, sin(x2)*r, sin(x2)*r*x1 and r*x1*x2.
+    assert len(products) == 4
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_entry_that_overflows_only_in_the_table_is_the_walks_value():
+    """1e-300*r*r at r = 1e160: the walk scales first and stays finite, r*r alone overflows."""
+    e = parse("1e-300*r*r", variables=VARS3)
+    for point in ((1e160, 0.5, 0.5), seed_variables((1e160, 0.5, 0.5), 3, 2)):
+        (got,) = evaluate_entries([e], point)
+        want = evaluate(e, point)
+        assert type(got) is type(want) and np.all(np.isfinite(getattr(got, "c", got)))
+        assert np.asarray(getattr(got, "c", got)).tobytes() == np.asarray(getattr(want, "c", want)).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "source,r,message",
+    [
+        ("r*r*1e300", 1e200, "product overflows a float (at offset 1)"),
+        ("1e308 + r*1e308", 1.0, "sum overflows a float (at offset 6)"),
+        ("r*r + log(r - 2)", 1.0, "log of nonpositive value -1.0 (at offset 6)"),
+        ("2*sin(r*1e300*1e300)*x1", 1.0, "product overflows a float (at offset 13)"),
+    ],
+)
+def test_entries_raise_the_walks_located_error(source, r, message):
+    e = parse(source, variables=VARS3)
+    for point in ((r, 0.5, 0.5), seed_variables((r, 0.5, 0.5), 3, 2)):
+        with pytest.raises(EvalDomainError) as walk:
+            evaluate(e, point)
+        with pytest.raises(EvalDomainError) as table:
+            evaluate_entries([parse("r*r", variables=VARS3), e], point)
+        assert str(table.value) == str(walk.value) == message
+
+
+# -- functions of a non-finite argument ---------------------------------------------
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("fn", ["sin", "cos"])
+def test_sin_and_cos_of_an_overflow_name_the_product(fn):
+    e = parse(f"{fn}(r*1e300*1e300)", variables=VARS3)
+    for point in (
+        (1.0, 0.5, 0.5),
+        seed_variables((1.0, 0.5, 0.5), 3, 2),
+        seed_variables([(0.0, 0.5, 0.5), (1.0, 0.5, 0.5)], 3, 2),
+    ):
+        with pytest.raises(EvalDomainError, match=r"^product overflows a float \(at offset 11\)$"):
+            evaluate(e, point)
+
+
+@pytest.mark.parametrize("fn", ["sin", "cos"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_sin_and_cos_of_a_non_finite_input_are_located(fn, value):
+    e = parse(f"{fn}(r)", variables=VARS3)
+    for point in ((value, 0.5, 0.5), seed_variables((value, 0.5, 0.5), 3, 2)):
+        with pytest.raises(EvalDomainError, match=rf"^{fn} of non-finite value {value!r} \(at offset 0\)$"):
+            evaluate(e, point)

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 from skewdiv import warped
 from skewdiv.errors import EvalDomainError, OrderExceededError
 from skewdiv.jets import Jet
+from skewdiv.ptensor import analyze
 from skewdiv.warped import (
     WarpedSpec,
     build_report,
     closed_form_eval,
     cross_validate,
+    ptensor_spec,
     search_violation,
     violation_bracket,
 )
@@ -137,6 +139,15 @@ def test_search_single_iteration_is_deterministic():
     assert a.evaluations == 1
 
 
+@pytest.mark.parametrize(
+    "bounds", [{"k": (1, math.inf)}, {"c": (-math.inf, 2.0)}, {"r": (math.nan, 1.0)}]
+)
+def test_search_rejects_non_finite_bounds(bounds):
+    """A bound outside the reals is named at once, not met later as a bad exponent."""
+    with pytest.raises(ValueError, match=f"^non-finite bounds for {next(iter(bounds))!r}"):
+        search_violation(bounds, seed=0, iterations=50)
+
+
 def test_search_validates_arguments():
     with pytest.raises(ValueError):
         search_violation(iterations=0)
@@ -219,6 +230,23 @@ def test_closed_form_eval_follows_the_violation_law(k, c, r):
     assert abs(row.nabla_p_norm_sq - nabla) <= 1e-12 * nabla
     assert abs(row.div_p_norm_sq - div) <= 1e-12 * scale
     assert abs(row.violation - violation_law(k, c, r)) <= 1e-12 * scale
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.floats(1.0, 6.0),
+    st.floats(0.5, 2.0),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+)
+def test_analyze_follows_the_violation_law(k, c, rs):
+    """The generic tensor pipeline, not only the closed forms, follows the law on a batch."""
+    ev = analyze(ptensor_spec(WarpedSpec.canonical(k, c)), [(r, 0.5, 0.25) for r in rs])
+    for i, r in enumerate(rs):
+        nabla, div = norm_laws(k, c, r)
+        scale = nabla + 2.0 * div
+        assert abs(ev.nabla_p_norm_sq[i] - nabla) <= 1e-12 * nabla
+        assert abs(ev.div_p_norm_sq[i] - div) <= 1e-12 * scale
+        assert abs(ev.violation[i] - violation_law(k, c, r)) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("seed", [0, 3, 11, 42])
