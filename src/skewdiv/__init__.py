@@ -27,13 +27,9 @@ from .geometry import (
     INDEX_CONVENTION,
     CurvatureEval,
     MetricField,
+    MetricJets,
     ScalarField,
-    christoffel,
-    covariant_derivative,
-    hessian,
-    laplacian,
-    norm_sq,
-    riemann,
+    cov_derivative,
     second_bianchi_residual,
 )
 from .identities import (
@@ -54,15 +50,13 @@ from .jets import (
 from .ptensor import (
     FORM_DICTIONARY,
     FrameEval,
+    PointAnalysis,
     PTensorEval,
     PTensorSpec,
     analyze,
     build_frame,
-    build_P,
     cyclic_residual,
-    div_P,
     div_true_vs_false,
-    nabla_P,
 )
 from .scenarios import (
     BUILTIN_NAMES,

@@ -329,16 +329,7 @@ class MetricJets:
     @cached_property
     def curvature(self) -> "CurvatureEval":
         n = self.dim
-        G = self.gamma_val
-        dG = self.dgamma_val
-        quad = np.einsum("...mip,...pjs->...mijs", G, G)
-        rup = (
-            np.einsum("...imjs->...mijs", dG)  # [m,i,j,s] = d_i Gamma^m_js
-            - np.einsum("...jmis->...mijs", dG)
-            + quad
-            - np.einsum("...mjis->...mijs", quad)
-        )
-        riem = np.einsum("...km,...mijs->...ijks", self.g_val, rup)
+        riem = _riemann(self.g_val, self.gamma_val, self.dgamma_val)
         ricci = np.einsum("...ik,...ijks->...js", self.ginv_val, riem)
         scal = np.asarray(np.einsum("...js,...js->...", self.ginv_val, ricci))
         z = ricci - (scal / n)[..., None, None] * self.g_val
@@ -356,10 +347,6 @@ class MetricJets:
         else:
             weyl = np.zeros_like(riem)
         return CurvatureEval(
-            point=self.point,
-            g=self.g,
-            ginv=self.ginv,
-            gamma=self.gamma,
             riemann=riem,
             ricci=ricci,
             scalar=batch_value(scal),
@@ -370,18 +357,14 @@ class MetricJets:
 
 @dataclass(frozen=True)
 class CurvatureEval:
-    """Full local geometry at a point or over a batch of points.
+    """Curvature tensors at a point or over a batch of points.
 
-    ``g``, ``ginv`` and ``gamma`` remain coefficient arrays (so downstream
-    covariant derivatives stay exact); the curvature tensors are plain
-    arrays of values, with the batch axes of :class:`MetricJets` in front.
-    ``scalar`` is a float for one point and an array over a batch.
+    The tensors are plain arrays of values, with the batch axes of
+    :class:`MetricJets` in front; the metric, its inverse and Gamma stay on
+    the :class:`MetricJets` whose ``curvature`` this is.  ``scalar`` is a
+    float for one point and an array over a batch.
     """
 
-    point: tuple
-    g: np.ndarray
-    ginv: np.ndarray
-    gamma: np.ndarray
     riemann: np.ndarray
     ricci: np.ndarray
     scalar: float | np.ndarray
@@ -409,91 +392,42 @@ def cov_derivative(T: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     return out
 
 
-# -- public operations -----------------------------------------------------------
+def _riemann(g: np.ndarray, G: np.ndarray, dG: np.ndarray) -> np.ndarray:
+    """Fully covariant R_ijks from values of g, Gamma and dG[..., a, k, i, j] = d_a Gamma^k_ij."""
+    quad = np.einsum("...mip,...pjs->...mijs", G, G)
+    rup = (
+        np.einsum("...imjs->...mijs", dG)  # [m,i,j,s] = d_i Gamma^m_js
+        - np.einsum("...jmis->...mijs", dG)
+        + quad
+        - np.einsum("...mjis->...mijs", quad)
+    )
+    return np.einsum("...km,...mijs->...ijks", g, rup)
 
 
-def christoffel(metric: MetricField, point, order: int = DEFAULT_ORDER) -> np.ndarray:
-    """Christoffel coefficient array Gamma^k_ij at ``point`` (index order k,i,j)."""
-    return MetricJets(metric, point, order).gamma
-
-
-def riemann(metric: MetricField, point, order: int = DEFAULT_ORDER) -> CurvatureEval:
-    """All curvature tensors at ``point`` under the package conventions."""
-    return MetricJets(metric, point, order).curvature
-
-
-def hessian(f: ScalarField, metric: MetricField, point, order: int = DEFAULT_ORDER) -> np.ndarray:
-    """Covariant Hessian grad^2_ij f as a coefficient array, two orders below f."""
-    mj = MetricJets(metric, point, order)
-    return cov_derivative(partials(f.jet(point, order).c, mj.dim, mj.batch), mj.gamma)
-
-
-def laplacian(f: ScalarField, metric: MetricField, point, order: int = DEFAULT_ORDER) -> float:
-    """Laplace-Beltrami value g^ij grad^2_ij f at ``point``."""
-    mj = MetricJets(metric, point, order)
-    hess = cov_derivative(partials(f.jet(point, order).c, mj.dim), mj.gamma)[..., 0]
-    return float(np.einsum("ij,ij->", mj.ginv_val, hess))
-
-
-def covariant_derivative(T: np.ndarray, metric: MetricField, point) -> np.ndarray:
-    """Covariant derivative of a covariant coefficient-array tensor at ``point``.
-
-    ``T`` holds the tensor's coefficients at ``point``; its jet order is read
-    from the length of the trailing axis.  The result gains a leading
-    derivative slot: grad_i T_j... = d_i T_j... minus one Gamma correction
-    per slot.
-    """
-    T = np.asarray(T, dtype=float)
-    mj = MetricJets(metric, point, jet_order(T, metric.dim))
-    return cov_derivative(T, mj.gamma)
-
-
-def norm_sq(T, metric: MetricField, point) -> float:
-    """Fully metric-contracted squared norm of a covariant tensor at ``point``.
-
-    ``T`` holds component values of rank 0..3; pass ``T[..., 0]`` for a
-    coefficient array.
-    """
-    ginv = MetricJets(metric, point, order=1).ginv_val
-    return _norm_sq_val(np.asarray(T, dtype=float), ginv)
-
-
-def _norm_sq_val(vals: np.ndarray, ginv: np.ndarray) -> float:
-    rank = vals.ndim
-    if rank == 0:
-        return float(vals) ** 2
-    if rank == 1:
-        return float(np.einsum("ia,i,a->", ginv, vals, vals))
-    if rank == 2:
-        return float(np.einsum("ia,jb,ij,ab->", ginv, ginv, vals, vals))
-    if rank == 3:
-        return float(np.einsum("ia,jb,kc,ijk,abc->", ginv, ginv, ginv, vals, vals))
-    raise ValueError("norm_sq supports rank <= 3")
-
-
-def second_bianchi_residual(metric: MetricField, point, order: int = DEFAULT_ORDER) -> float:
+def second_bianchi_residual(metric: MetricField, point, order: int = DEFAULT_ORDER):
     """Max-norm residual of the contracted second Bianchi identity.
 
     div Ric = (1/2) dR holds for every Levi-Civita connection; a nonzero
     residual beyond rounding indicates a convention or implementation bug.
-    Normalized by max(1, |dR|).
+    Normalized by max(1, |dR|).  A float for one point, one residual per
+    point over a batch.
     """
     mj = MetricJets(metric, point, order)
     n = mj.dim
     sp = jet_space(n, order - 2)
     G = mj.gamma
-    dG = partials(G, n)  # [a,k,i,j] = d_a Gamma^k_ij
+    dG = partials(G, n, mj.batch)  # [..., a, k, i, j] = d_a Gamma^k_ij
     # Ricci jets by direct contraction of the curvature operator.
     ric = (
-        np.einsum("iijsZ->jsZ", dG)
-        - np.einsum("jiisZ->jsZ", dG)
-        + contract("p,pjs->js", np.einsum("iipZ->pZ", G), G, sp)
+        np.einsum("...iijsZ->...jsZ", dG)
+        - np.einsum("...jiisZ->...jsZ", dG)
+        + contract("p,pjs->js", np.einsum("...iipZ->...pZ", G), G, sp)
         - contract("ijp,pis->js", G, G, sp)
     )
-    dscal = partials(contract("js,js->", mj.ginv, ric, sp), n)[..., 0]
-    divric = np.einsum("ij,ijk->k", mj.ginv_val, cov_derivative(ric, G)[..., 0])
-    scale = max(1.0, float(np.max(np.abs(dscal))))
-    return float(np.max(np.abs(divric - 0.5 * dscal))) / scale
+    dscal = partials(contract("js,js->", mj.ginv, ric, sp), n, mj.batch)[..., 0]
+    divric = np.einsum("...ij,...ijk->...k", mj.ginv_val, cov_derivative(ric, G)[..., 0])
+    scale = np.maximum(1.0, np.max(np.abs(dscal), axis=-1))
+    return batch_value(np.max(np.abs(divric - 0.5 * dscal), axis=-1) / scale)
 
 
 # -- finite-difference oracles ----------------------------------------------------
@@ -504,90 +438,45 @@ def second_bianchi_residual(metric: MetricField, point, order: int = DEFAULT_ORD
 
 
 def christoffel_fd(metric: MetricField, point, step: float = 1e-4) -> np.ndarray:
-    n = metric.dim
-    g = metric.component_values(point)
-    ginv = np.linalg.inv(g)
-    dg = _dg_fd(metric, point, step)
-    out = np.empty((n, n, n))
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                out[k, i, j] = 0.5 * sum(
-                    ginv[k, l] * (dg[i, j, l] + dg[j, i, l] - dg[l, i, j])
-                    for l in range(n)
-                )
-    return out
+    """Christoffel symbols Gamma^k_ij from finite differences of the metric alone."""
+    return _connection_fd(metric, point, step)[1]
 
 
 def riemann_fd(metric: MetricField, point, step: float = 1e-4) -> np.ndarray:
     """Fully covariant curvature from finite differences of the metric alone."""
-    n = metric.dim
+    return _riemann(*_connection_fd(metric, point, step))
+
+
+def _connection_fd(metric: MetricField, point, step: float):
+    """Values of g, Gamma^k_ij and d_a Gamma^k_ij at ``point``."""
     g = metric.component_values(point)
     ginv = np.linalg.inv(g)
-    dg = _dg_fd(metric, point, step)  # [a,i,j]
-    d2g = _d2g_fd(metric, point, step)  # [a,b,i,j]
+    dg, d2g = _metric_fd(metric, point, step)
     dginv = -np.einsum("km,aml,ls->aks", ginv, dg, ginv)  # d_a g^ks
-    dgamma = np.empty((n, n, n, n))  # [a,k,i,j] = d_a Gamma^k_ij
-    for a in range(n):
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    total = 0.0
-                    for l in range(n):
-                        first = dginv[a, k, l] * (dg[i, j, l] + dg[j, i, l] - dg[l, i, j])
-                        second = ginv[k, l] * (
-                            d2g[a, i, j, l] + d2g[a, j, i, l] - d2g[a, l, i, j]
-                        )
-                        total += first + second
-                    dgamma[a, k, i, j] = 0.5 * total
-    gamma = christoffel_fd(metric, point, step)
-    quad = np.einsum("mip,pjs->mijs", gamma, gamma)
-    rup = (
-        dgamma.transpose(1, 0, 2, 3)
-        - dgamma.transpose(1, 2, 0, 3)
-        + quad
-        - quad.transpose(0, 2, 1, 3)
+    first, dfirst = _first_kind(dg), _first_kind(d2g)
+    gamma = 0.5 * np.einsum("kl,lij->kij", ginv, first)
+    dgamma = 0.5 * (
+        np.einsum("akl,lij->akij", dginv, first) + np.einsum("kl,alij->akij", ginv, dfirst)
     )
-    return np.einsum("km,mijs->ijks", g, rup)
+    return g, gamma, dgamma
 
 
-def _component_field(metric: MetricField, i: int, j: int):
-    expr = metric.exprs[i][j]
-    params = metric.params
-
-    def f(q):
-        return float(evaluate(expr, [float(x) for x in q], params))
-
-    return f
+def _first_kind(dg: np.ndarray) -> np.ndarray:
+    """[..., l, i, j] = d_i g_jl + d_j g_il - d_l g_ij from dg[..., l, i, j] = d_l g_ij."""
+    return np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg) - dg
 
 
-def _dg_fd(metric: MetricField, point, step: float) -> np.ndarray:
+def _metric_fd(metric: MetricField, point, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Central differences dg[a, i, j] = d_a g_ij and d2g[a, b, i, j] = d_a d_b g_ij."""
     n = metric.dim
-    dg = np.empty((n, n, n))  # [a,i,j] = d_a g_ij
-    for i in range(n):
-        for j in range(i, n):
-            f = _component_field(metric, i, j)
-            for a in range(n):
-                alpha = [0] * n
-                alpha[a] = 1
-                v = finite_difference_oracle(f, point, alpha, step)
-                dg[a, i, j] = v
-                dg[a, j, i] = v
-    return dg
-
-
-def _d2g_fd(metric: MetricField, point, step: float) -> np.ndarray:
-    n = metric.dim
-    d2g = np.empty((n, n, n, n))  # [a,b,i,j] = d_a d_b g_ij
-    for i in range(n):
-        for j in range(i, n):
-            f = _component_field(metric, i, j)
-            for a in range(n):
-                for b in range(a, n):
-                    alpha = [0] * n
-                    alpha[a] += 1
-                    alpha[b] += 1
-                    v = finite_difference_oracle(f, point, alpha, step)
-                    d2g[a, b, i, j] = d2g[b, a, i, j] = v
-                    d2g[a, b, j, i] = d2g[b, a, j, i] = v
-    return d2g
+    unit = np.eye(n, dtype=int)
+    dg = np.empty((n, n, n))
+    d2g = np.empty((n, n, n, n))
+    for i, j in zip(*np.triu_indices(n)):
+        f = ScalarField(n, metric.exprs[i][j], metric.params)
+        for a in range(n):
+            dg[a, i, j] = dg[a, j, i] = finite_difference_oracle(f, point, unit[a], step)
+            for b in range(a, n):
+                v = finite_difference_oracle(f, point, unit[a] + unit[b], step)
+                d2g[a, b, i, j] = d2g[b, a, i, j] = d2g[a, b, j, i] = d2g[b, a, j, i] = v
+    return dg, d2g

@@ -89,21 +89,11 @@ def _residual(name: str, point, lhs, rhs, terms) -> IdentityResidual:
     )
 
 
-def _curvature_terms(an: PointAnalysis):
-    curv = an.mj.curvature
-    gi = an.mj.ginv_val
-    ric_quad = batch_value(
-        np.einsum(
-            "...js,...sa,...jb,...kc,...ak,...bc->...",
-            curv.ricci,
-            gi,
-            gi,
-            gi,
-            an.P_val,
-            an.P_val,
-        )
-    )
-    return curv, ric_quad
+def _balance_terms(an: PointAnalysis):
+    """1/2 Lap |P|^2, |grad P|^2 and 2 <P, grad div P>: the sides every balance shares."""
+    lhs = 0.5 * an.laplacian_p_norm_sq
+    t_div = 2.0 * batch_value(np.einsum("...jk,...jk->...", an.P_up, an.nabla_div_P_val))
+    return lhs, an.nabla_p_norm_sq, t_div
 
 
 def bochner_residual(
@@ -130,10 +120,20 @@ def bochner_residual(
     if form == "dim3" and n != 3:
         raise ValueError("dim3 form requires a 3-dimensional chart")
 
-    lhs = 0.5 * an.laplacian_p_norm_sq
-    t_grad = an.nabla_p_norm_sq
-    t_div = 2.0 * batch_value(np.einsum("...jk,...jk->...", an.P_up, an.nabla_div_P_val))
-    curv, ric_quad = _curvature_terms(an)
+    lhs, t_grad, t_div = _balance_terms(an)
+    curv = an.mj.curvature
+    gi = an.mj.ginv_val
+    ric_quad = batch_value(
+        np.einsum(
+            "...js,...sa,...jb,...kc,...ak,...bc->...",
+            curv.ricci,
+            gi,
+            gi,
+            gi,
+            an.P_val,
+            an.P_val,
+        )
+    )
 
     if form == "dim3":
         t_scal = curv.scalar * an.p_norm_sq
@@ -167,41 +167,9 @@ def static_residual(
         raise ValueError("the static system is checked in dimension 3")
     mj, fval, hess = _hessian_values(metric, f, point, order)
     curv = mj.curvature
-    gi = mj.ginv_val
     scal = np.asarray(curv.scalar)
-
     lhs_t = fval[..., None, None] * curv.ricci
-    rhs_t = hess + (0.5 * scal * fval)[..., None, None] * mj.g_val
-    diff = lhs_t - rhs_t
-
-    def tnorm(m):
-        return np.sqrt(np.maximum(np.einsum("...ia,...jb,...ij,...ab->...", gi, gi, m, m), 0.0))
-
-    tensor = _residual(
-        "static-tensor",
-        point,
-        tnorm(diff),
-        0.0,
-        (tnorm(lhs_t), tnorm(hess), tnorm(rhs_t - hess)),
-    )
-
-    lap = np.einsum("...ij,...ij->...", gi, hess)
-    scalar = _residual(
-        "static-scalar",
-        point,
-        lap,
-        -0.5 * scal * fval,
-        (lap, 0.5 * scal * fval),
-    )
-    return tensor, scalar
-
-
-def _hessian_values(metric: MetricField, f: ScalarField, point, order: int):
-    """MetricJets, the values of f and the values of grad^2 f at ``point``."""
-    mj = MetricJets(metric, point, order)
-    fjet = f.jet(mj.points, order).c
-    hess = cov_derivative(partials(fjet, mj.dim, mj.batch), mj.gamma)[..., 0]
-    return mj, fjet[..., 0], hess
+    return _field_residuals("static", mj, hess, lhs_t, 0.5 * scal * fval, -0.5 * scal * fval)
 
 
 def cpe_residual(
@@ -213,33 +181,35 @@ def cpe_residual(
         raise ValueError("the critical-point system needs dimension >= 3")
     mj, fval, hess = _hessian_values(metric, f, point, order)
     curv = mj.curvature
-    gi = mj.ginv_val
     scal = np.asarray(curv.scalar)
-
     lhs_t = (1.0 + fval)[..., None, None] * curv.traceless_ricci
-    rhs_t = hess + (scal / (n * (n - 1)))[..., None, None] * mj.g_val
-    diff = lhs_t - rhs_t
+    return _field_residuals("cpe", mj, hess, lhs_t, scal / (n * (n - 1)), -scal / (n - 1) * fval)
+
+
+def _hessian_values(metric: MetricField, f: ScalarField, point, order: int):
+    """MetricJets, the values of f and the values of grad^2 f at ``point``."""
+    mj = MetricJets(metric, point, order)
+    fjet = f.jet(mj.points, order).c
+    hess = cov_derivative(partials(fjet, mj.dim, mj.batch), mj.gamma)[..., 0]
+    return mj, fjet[..., 0], hess
+
+
+def _field_residuals(name: str, mj: MetricJets, hess, lhs_t, g_coef, lap_rhs):
+    """Residuals of the system lhs_t = grad^2 f + g_coef g and Lap f = lap_rhs.
+
+    The tensor residual is the norm of the difference, the scalar one that
+    of Lap f - lap_rhs; ``name`` gets the suffixes "-tensor" and "-scalar".
+    """
+    gi = mj.ginv_val
 
     def tnorm(m):
         return np.sqrt(np.maximum(np.einsum("...ia,...jb,...ij,...ab->...", gi, gi, m, m), 0.0))
 
-    tensor = _residual(
-        "cpe-tensor",
-        point,
-        tnorm(diff),
-        0.0,
-        (tnorm(lhs_t), tnorm(hess), tnorm(rhs_t - hess)),
-    )
-
+    rhs_t = hess + g_coef[..., None, None] * mj.g_val
+    terms = (tnorm(lhs_t), tnorm(hess), tnorm(rhs_t - hess))
+    tensor = _residual(f"{name}-tensor", mj.points, tnorm(lhs_t - rhs_t), 0.0, terms)
     lap = np.einsum("...ij,...ij->...", gi, hess)
-    scalar = _residual(
-        "cpe-scalar",
-        point,
-        lap,
-        -scal / (n - 1) * fval,
-        (lap, scal / (n - 1) * fval),
-    )
-    return tensor, scalar
+    return tensor, _residual(f"{name}-scalar", mj.points, lap, lap_rhs, (lap, -lap_rhs))
 
 
 def static_bochner_residual(
@@ -248,29 +218,30 @@ def static_bochner_residual(
     """Residual of the balance with Ricci eliminated via the static system.
 
     Meaningful only where :func:`static_residual` vanishes; the formula
-    genuinely divides by f, so points with |f| < 1e-8 are refused.
+    genuinely divides by f, so points with |f| < 1e-8 are refused, the first
+    such point in grid order named.  ``point`` may be a batch of points.
     """
     an = PointAnalysis(spec, point, order)
     if an.dim != 3:
         raise ValueError("the static substitution is a dimension-3 identity")
-    fval = float(an.fjet[0])
-    if abs(fval) < F_GATE:
+    fval = an.fjet[..., 0]
+    refused = np.flatnonzero(np.abs(fval) < F_GATE)
+    if refused.size:
+        i = refused[0]
         raise EvalDomainError(
-            f"|f| = {abs(fval)!r} < {F_GATE}: the identity divides by f"
+            f"|f| = {float(abs(fval.flat[i]))!r} < {F_GATE} at "
+            f"{point_tuple(an.mj.points.reshape(-1, 3)[i])}: the identity divides by f"
         )
     curv = an.mj.curvature
     gi = an.mj.ginv_val
 
-    lhs = 0.5 * an.laplacian_p_norm_sq
-    t_grad = an.nabla_p_norm_sq
-    t_div = 2.0 * float(np.einsum("jk,jk->", an.P_up, an.nabla_div_P_val))
+    lhs, t_grad, t_div = _balance_terms(an)
     t_scal = 0.5 * curv.scalar * an.p_norm_sq
-    div_up = gi @ an.div_P_val
-    p_gf_div = float(np.einsum("ab,a,b->", an.P_val, an.grad_f_val, div_up))
+    div_up = np.einsum("...ab,...b->...a", gi, an.div_P_val)
+    p_gf_div = np.einsum("...ab,...a,...b->...", an.P_val, an.grad_f_val, div_up)
     t_pair = 2.0 / fval * p_gf_div
-    df_val = an.df[:, 0]
-    t_grad_pn = -0.5 / fval * float(
-        np.einsum("ab,a,b->", gi, df_val, an.grad_p_norm_sq_val)
+    t_grad_pn = -0.5 / fval * np.einsum(
+        "...ab,...a,...b->...", gi, an.df[..., 0], an.grad_p_norm_sq_val
     )
     rhs = t_grad + t_div + t_scal + t_pair + t_grad_pn
     return _residual(

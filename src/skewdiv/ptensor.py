@@ -295,21 +295,6 @@ def _skew(block: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def build_P(spec: PTensorSpec, point, order: int = DEFAULT_ORDER) -> np.ndarray:
-    """Coefficient array of P at ``point`` (skew by construction)."""
-    return PointAnalysis(spec, point, order).P
-
-
-def nabla_P(spec: PTensorSpec, point, order: int = DEFAULT_ORDER) -> np.ndarray:
-    """Coefficient array of grad_i P_jk at ``point`` (skew in j, k)."""
-    return PointAnalysis(spec, point, order).nabla_P
-
-
-def div_P(spec: PTensorSpec, point, order: int = DEFAULT_ORDER) -> np.ndarray:
-    """Coefficient array of (div P)_k at ``point``."""
-    return PointAnalysis(spec, point, order).div_P
-
-
 def analyze(spec: PTensorSpec, points, order: int = VALUE_ORDER) -> PTensorEval:
     """Value-level P report at a point or a batch of points: components, norms, both margins."""
     return PointAnalysis(spec, points, order).result()

@@ -1,16 +1,19 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from skewdiv.cli import main, run_verify
 from skewdiv.errors import ScenarioError
+from skewdiv.identities import bochner_residual
 from skewdiv.report import Verdict, report_to_json, summarize_residuals
 from skewdiv.scenarios import (
     BUILTIN_NAMES,
     builtin_scenario,
     parse_grid_spec,
     parse_scenario_file,
+    random_scenario,
 )
 
 SCENARIO_FILE = """\
@@ -345,3 +348,17 @@ def test_bad_scenario_file_exits_2_with_one_line(text, tmp_path, capsys):
     code, err = _exit_and_message(["verify", "--scenario-file", str(path)], capsys)
     assert code == 2
     assert err.startswith("error:") and "\n" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "sc",
+    [builtin_scenario(name) for name in ("euclidean", "round-sphere-static", "warped-canonical")]
+    + [random_scenario(seed, dim) for dim in (3, 4) for seed in (0, 1, 2, 3, 5, 7)],
+    ids=lambda sc: sc.name,
+)
+def test_bochner_verdict_names_the_point_of_the_largest_relative_residual(sc):
+    points = sc.grid_points()
+    rel = bochner_residual(sc.spec(), points).rel_residual
+    verdict = next(v for v in run_verify(sc).verdicts if v.name == "bochner_rel_residual")
+    assert verdict.value == float(np.max(rel))
+    assert verdict.point == tuple(points[int(np.argmax(rel))])

@@ -1,10 +1,13 @@
 import math
+import re
 
+import numpy as np
 import pytest
 
 from skewdiv.errors import EvalDomainError
-from skewdiv.geometry import MetricField, ScalarField
+from skewdiv.geometry import MetricField, ScalarField, second_bianchi_residual
 from skewdiv.identities import (
+    IdentityResidual,
     bochner_residual,
     cpe_residual,
     static_bochner_residual,
@@ -142,3 +145,43 @@ def test_residual_normalization():
         res.abs_residual / max(res.scale, 1.0), rel=1e-15
     )
     assert res.scale >= 0.0
+
+
+BATCH_CHECKS = {
+    "static": lambda sc, points: static_residual(sc.metric, sc.f, points),
+    "cpe": lambda sc, points: cpe_residual(sc.metric, sc.f, points),
+    "static-bochner": lambda sc, points: static_bochner_residual(sc.spec(), points),
+    "second-bianchi": lambda sc, points: second_bianchi_residual(sc.metric, points),
+}
+
+
+def _numbers(result) -> list:
+    """Every number a check returns: a float, or a residual's fields, or a pair's."""
+    if isinstance(result, tuple):
+        return [x for res in result for x in _numbers(res)]
+    if isinstance(result, IdentityResidual):
+        return [result.lhs, result.rhs, result.abs_residual, result.rel_residual, result.scale]
+    return [result]
+
+
+@pytest.mark.parametrize("check", sorted(BATCH_CHECKS))
+@pytest.mark.parametrize(
+    "sc, refused",
+    [(round_sphere_scenario(), (math.pi / 2, 0.8, 0.3)), (random_scenario(0, 3), (0.0, 0.0, 0.0))],
+    ids=["round-sphere-static", "random-curved-3d-seed0"],
+)
+def test_batch_equals_its_points(check, sc, refused):
+    """A batch gives each point's own result, bit for bit; f = 0 is refused by name."""
+    points = sc.grid_points()
+    batch = _numbers(BATCH_CHECKS[check](sc, points))
+    for i, pt in enumerate(points):
+        one = _numbers(BATCH_CHECKS[check](sc, pt))
+        assert len(one) == len(batch)
+        for got, want in zip(batch, one):
+            assert type(want) is float
+            got = np.broadcast_to(got, (len(points),))[i]
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    if check == "static-bochner":
+        assert sc.f(refused) == pytest.approx(0.0, abs=1e-15)
+        with pytest.raises(EvalDomainError, match=re.escape(f" at {refused}: ")):
+            BATCH_CHECKS[check](sc, points[:2] + [refused] + points[2:])

@@ -11,7 +11,6 @@ from skewdiv.ptensor import (
     PTensorSpec,
     analyze,
     build_frame,
-    build_P,
     cyclic_residual,
     div_true_vs_false,
 )
@@ -50,7 +49,7 @@ def test_warped_P_closed_form():
 
 def test_P_is_exactly_skew():
     sc = random_scenario(7, 3)
-    P = build_P(sc.spec(), sc.grid_points()[0])
+    P = PointAnalysis(sc.spec(), sc.grid_points()[0]).P
     for j in range(3):
         for k in range(3):
             assert np.array_equal(P[j, k], -P[k, j])

@@ -1,0 +1,22 @@
+"""README's library examples run and give the values they document."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_python_blocks_give_their_documented_values():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 2
+    ns: dict = {}
+    exec(blocks[0], ns)
+    ev, frame = ns["ev"], ns["frame"]
+    assert ev.nabla_p_norm_sq == 1 / 64
+    assert ev.violation == -1 / 64
+    assert ev.sharp_margin == 0.0
+    assert frame.u == 0.25
+    assert ns["bochner_residual"](ns["spec"], (0.3, 0.2, 0.5)).rel_residual < 1e-14
+    exec(blocks[1], ns)
+    assert ns["ev"].violation.shape == (2,)
+    assert ns["ev"].violation[0] == -1 / 64
