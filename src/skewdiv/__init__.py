@@ -24,7 +24,6 @@ from .errors import (
 )
 from .expr import chart_variables, evaluate, parse, to_source
 from .geometry import (
-    INDEX_CONVENTION,
     CurvatureEval,
     MetricField,
     MetricJets,

@@ -11,7 +11,7 @@ import argparse
 import dataclasses
 import math
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .report import (
     Report,
     ResidualSummary,
     Verdict,
+    extreme,
     fmt17,
     fmt_point,
     report_to_json,
@@ -41,6 +42,7 @@ from .scenarios import (
     BUILTIN_NAMES,
     Scenario,
     builtin_scenario,
+    grid_points,
     parse_grid_spec,
     parse_scenario_file,
 )
@@ -77,8 +79,8 @@ def run_verify(scenario: Scenario, tolerance: float | None = None) -> Report:
         "bochner_rel_residual": boch.rel_residual,
     }
     residuals = [
-        summarize_residuals("cyclic", zip(points, cyclic, cyclic)),
-        summarize_residuals("bochner", zip(points, boch.abs_residual, boch.rel_residual)),
+        summarize_residuals("cyclic", points, cyclic, cyclic),
+        summarize_residuals("bochner", points, boch.abs_residual, boch.rel_residual),
     ]
     if scenario.is_static:
         st_t, st_s = static_residual(scenario.metric, scenario.f, points)
@@ -86,7 +88,7 @@ def run_verify(scenario: Scenario, tolerance: float | None = None) -> Report:
         columns["static_scalar_residual"] = st_s.abs_residual
         for res in (st_t, st_s):
             residuals.append(
-                summarize_residuals(res.name, zip(points, res.abs_residual, res.rel_residual))
+                summarize_residuals(res.name, points, res.abs_residual, res.rel_residual)
             )
     rows = tuple(
         {"point": list(pt), **{name: float(col[i]) for name, col in columns.items()}}
@@ -97,9 +99,9 @@ def run_verify(scenario: Scenario, tolerance: float | None = None) -> Report:
     tol_boch = tolerance if tolerance is not None else TOLERANCES["bochner_rel"]
     tol_static = tolerance if tolerance is not None else TOLERANCES["static"]
 
-    boch_max, boch_at = _extreme(boch.rel_residual, points, np.argmax)
-    margin, margin_at = _extreme(an.sharp_margin, points, np.argmin)
-    bound, bound_at = _extreme(an.nabla_p_norm_sq - an.div_p_norm_sq / n, points, np.argmin)
+    boch_max, boch_at = extreme(boch.rel_residual, points, np.argmax)
+    margin, margin_at = extreme(an.sharp_margin, points, np.argmin)
+    bound, bound_at = extreme(an.nabla_p_norm_sq - an.div_p_norm_sq / n, points, np.argmin)
     verdicts = [
         Verdict.at_most(
             "cyclic_residual", residuals[0].max_abs, tol_cyc, residuals[0].worst_point
@@ -114,10 +116,10 @@ def run_verify(scenario: Scenario, tolerance: float | None = None) -> Report:
                 Verdict.at_most(name, summary.max_abs, tol_static, summary.worst_point)
             )
     if scenario.expect_zero_p:
-        p_max, p_at = _extreme(np.sqrt(np.maximum(an.p_norm_sq, 0.0)), points, np.argmax)
+        p_max, p_at = extreme(np.sqrt(np.maximum(an.p_norm_sq, 0.0)), points, np.argmax)
         verdicts.append(Verdict.at_most("p_vanishes", p_max, TOLERANCES["p_zero"], p_at))
     if scenario.expect_violation:
-        v_max, v_at = _extreme(an.violation, points, np.argmax)
+        v_max, v_at = extreme(an.violation, points, np.argmax)
         verdicts.append(Verdict.below("violation_negative", v_max, 0.0, v_at))
 
     return Report(
@@ -128,39 +130,11 @@ def run_verify(scenario: Scenario, tolerance: float | None = None) -> Report:
     )
 
 
-def _extreme(values, points, pick) -> tuple[float, tuple]:
-    """``pick`` (argmin or argmax) of per-point values, with its point.
-
-    A non-finite value is never folded away: the first one wins.
-    """
-    values = np.asarray(values, dtype=float)
-    bad = np.flatnonzero(~np.isfinite(values))
-    i = int(bad[0]) if bad.size else int(pick(values))
-    return float(values[i]), tuple(points[i])
-
-
 def verify_csv(report: Report, dim: int) -> str:
-    base_cols = [f"x{i}" for i in range(dim)]
-    value_cols = [
-        "p_norm_sq",
-        "nabla_p_norm_sq",
-        "div_p_norm_sq",
-        "violation",
-        "sharp_margin",
-        "cyclic_residual",
-        "bochner_rel_residual",
-    ]
-    extra = (
-        ["static_tensor_residual", "static_scalar_residual"]
-        if report.violations and "static_tensor_residual" in report.violations[0]
-        else []
-    )
-    cols = base_cols + value_cols + extra
-    out_rows = []
-    for row in report.violations:
-        cells = list(row["point"]) + [row[c] for c in value_cols + extra]
-        out_rows.append(cells)
-    return rows_to_csv(cols, out_rows)
+    """One row per grid point: its coordinates, then the value columns of its report row."""
+    value_cols = [name for name in report.violations[0] if name != "point"]
+    rows = [list(row["point"]) + [row[c] for c in value_cols] for row in report.violations]
+    return rows_to_csv([f"x{i}" for i in range(dim)] + value_cols, rows)
 
 
 # -- subcommand implementations ---------------------------------------------------
@@ -187,11 +161,21 @@ def _parse_params(items: Sequence[str]) -> dict:
     return out
 
 
+def _check_params(params: dict, declared: dict) -> None:
+    """Reject a ``--param`` name that the scenario or family does not declare."""
+    for name in params:
+        if name not in declared:
+            raise SkewdivError(
+                f"unknown --param {name!r}; valid names: {', '.join(declared) or 'none'}"
+            )
+
+
 def _load_scenario(args) -> Scenario:
     params = _parse_params(getattr(args, "param", None))
     if getattr(args, "scenario_file", None):
         with open(args.scenario_file) as fh:
             scenario = parse_scenario_file(fh.read())
+        _check_params(params, scenario.params)
         if params:
             scenario = scenario.with_params(**params)
     else:
@@ -199,18 +183,19 @@ def _load_scenario(args) -> Scenario:
         scenario = builtin_scenario(
             name, seed=getattr(args, "seed", 0) or 0, dim=getattr(args, "dim", 3), **params
         )
+        _check_params(params, scenario.params)
     if getattr(args, "grid", None):
         grid = parse_grid_spec(",".join(args.grid), scenario.dim)
         scenario = dataclasses.replace(scenario, grid=grid)
     return scenario
 
 
-def _emit(report: Report, out: str | None, fmt: str, dim: int) -> None:
+def _emit(
+    report: Report, out: str | None, fmt: str = "json", csv: Callable[[], str] | None = None
+) -> None:
+    """Write ``report`` to ``out``, if given: as JSON, or as ``csv()`` for ``--format csv``."""
     if out:
-        if fmt == "csv":
-            write_text(out, verify_csv(report, dim))
-        else:
-            write_text(out, report_to_json(report))
+        write_text(out, csv() if fmt == "csv" else report_to_json(report))
 
 
 def _print_verdicts(report: Report) -> None:
@@ -232,7 +217,7 @@ def cmd_verify(args) -> int:
             f"residual {r.name}: max_abs={fmt17(r.max_abs)} max_rel={fmt17(r.max_rel)}"
         )
     _print_verdicts(report)
-    _emit(report, args.out, args.format, scenario.dim)
+    _emit(report, args.out, args.format, lambda: verify_csv(report, scenario.dim))
     return 0 if report.all_passed else 1
 
 
@@ -241,14 +226,9 @@ def cmd_counterexample(args) -> int:
     k = params.get("k", 4.0)
     c = params.get("c", 1.0)
     wspec = warped_mod.WarpedSpec.canonical(k, c, lam=args.lam, psi=args.psi)
-    grid = parse_grid_spec(",".join(args.grid or ["r:0:1:5"]), 3)
-    points = []
-    for r in grid[0].values():
-        for x1 in grid[1].values():
-            for x2 in grid[2].values():
-                points.append((float(r), float(x1), float(x2)))
+    _check_params(params, wspec.params)
+    points = grid_points(parse_grid_spec(",".join(args.grid or ["r:0:1:5"]), 3))
     vreport = warped_mod.build_report(wspec, points)
-    exhibited = vreport.min_violation < TOLERANCES["violation_zero"]
 
     rows = [
         {
@@ -270,8 +250,8 @@ def cmd_counterexample(args) -> int:
         residuals=(
             ResidualSummary(
                 "engine_vs_closed_form",
-                vreport.max_engine_discrepancy or 0.0,
-                vreport.max_engine_discrepancy or 0.0,
+                vreport.max_engine_discrepancy,
+                vreport.max_engine_discrepancy,
                 (),
             ),
         ),
@@ -289,15 +269,13 @@ def cmd_counterexample(args) -> int:
         f"{vreport.positive_points} positive points)"
     )
     _print_verdicts(report)
-    if args.out:
-        if args.format == "csv":
-            write_text(args.out, violation_csv(vreport.rows, vreport.params))
-        else:
-            write_text(args.out, report_to_json(report))
-    return 0 if exhibited else 1
+    _emit(report, args.out, args.format, lambda: violation_csv(vreport.rows, vreport.params))
+    return 0 if report.all_passed else 1
 
 
 def cmd_search(args) -> int:
+    if args.iterations < 1:
+        raise SkewdivError(f"bad --iterations: {args.iterations} is below 1")
     bounds = {}
     for spec in args.bounds or ():
         bits = spec.split(":")
@@ -334,9 +312,8 @@ def cmd_search(args) -> int:
         ),
         verdicts=(Verdict.below("violation_negative", result.violation, 0.0),),
     )
-    if args.out:
-        write_text(args.out, report_to_json(report))
-    return 0 if result.violation < 0.0 else 1
+    _emit(report, args.out)
+    return 0 if report.all_passed else 1
 
 
 def cmd_frame(args) -> int:

@@ -70,22 +70,6 @@ from .jets import (
 )
 
 
-@dataclass(frozen=True)
-class IndexConvention:
-    """Documentation-level record of the sign and contraction choices."""
-
-    riemann: str = (
-        "R_ijks = g_km (d_i Gamma^m_js - d_j Gamma^m_is"
-        " + Gamma^m_ip Gamma^p_js - Gamma^m_jp Gamma^p_is)"
-    )
-    ricci: str = "R_js = g^ik R_ijks (round unit sphere: Ric = (n-1) g)"
-    divergence: str = "(div P)_k = g^ij grad_i P_jk (first-slot contraction)"
-    norms: str = "squared norms fully contracted with the inverse metric"
-
-
-INDEX_CONVENTION = IndexConvention()
-
-
 # -- expression-defined fields -------------------------------------------------
 
 

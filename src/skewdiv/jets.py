@@ -119,27 +119,17 @@ class JetSpace:
         self._batch_pairs: dict = {}
         self._step_pairs: dict = {}
 
-        # Partial-derivative maps into the (nvars, order-1) layout.  The
-        # graded ordering makes the lower space's monomials a prefix of ours,
-        # so only source indices and factors are needed.
-        self.diff_src: tuple[np.ndarray, ...] = ()
-        self.diff_fac: tuple[np.ndarray, ...] = ()
+        # Partial-derivative maps into the (nvars, order-1) layout, one row
+        # per variable.  The graded ordering makes the lower space's monomials
+        # a prefix of ours, so only source indices and factors are needed.
         if order >= 1:
             lower = [m for m in monos if sum(m) <= order - 1]
-            srcs, facs = [], []
-            for v in range(nvars):
-                src = []
-                fac = []
-                for m in lower:
-                    up = tuple(k + 1 if j == v else k for j, k in enumerate(m))
-                    src.append(self.index[up])
-                    fac.append(float(m[v] + 1))
-                srcs.append(np.asarray(src, dtype=np.intp))
-                facs.append(np.asarray(fac))
-            self.diff_src = tuple(srcs)
-            self.diff_fac = tuple(facs)
-            self.diff_src_all = np.stack(srcs)
-            self.diff_fac_all = np.stack(facs)
+            self.diff_src = np.asarray(
+                [[self.index[tuple(k + (j == v) for j, k in enumerate(m))] for m in lower]
+                 for v in range(nvars)],
+                dtype=np.intp,
+            )
+            self.diff_fac = np.asarray([[float(m[v] + 1) for m in lower] for v in range(nvars)])
 
     def _product_pairs(self, deg_a: int, deg_b: int) -> tuple:
         """``mul_ia, mul_ib, mul_ic`` where |a| <= deg_a and |b| <= deg_b, and the product's ``deg``.
@@ -808,7 +798,7 @@ def partials(T: np.ndarray, nvars: int, batch: int = 0) -> np.ndarray:
     sp = jet_space(nvars, jet_order(T, nvars))
     if sp.order < 1:
         raise OrderExceededError("cannot differentiate an order-0 jet")
-    return np.moveaxis(T[..., sp.diff_src_all] * sp.diff_fac_all, -2, batch)
+    return np.moveaxis(T[..., sp.diff_src] * sp.diff_fac, -2, batch)
 
 
 def finite_difference_oracle(

@@ -327,9 +327,8 @@ def cyclic_residual(
 class FrameEval:
     """Adapted orthonormal frame and the two frame divergence formulas.
 
-    ``vectors[i]`` holds the chart components of E_i (rows) and
-    ``vector_jets`` their order-1 coefficient array; ``u_jet`` is P(E_1, E_2)
-    as an order-1 coefficient array.  ``div_true``
+    ``vectors[i]`` holds the chart components of E_i (rows), and ``u`` is
+    P(E_1, E_2).  ``div_true``
     uses the connection-coefficient formula; ``div_false`` is the
     bracket-free shortcut -E_2(u) theta^1 + E_1(u) theta^2.  Frame covector
     components convert to chart components through :meth:`covector_to_chart`.
@@ -337,19 +336,13 @@ class FrameEval:
 
     point: tuple
     vectors: np.ndarray
-    vector_jets: np.ndarray
     u: float
-    u_jet: np.ndarray
-    frame_derivatives_of_u: np.ndarray
-    connection: np.ndarray  # connection[i,j,k] = <nabla_{E_i} E_j, E_k>
-    brackets: np.ndarray  # brackets[i,j] = chart components of [E_i, E_j]
     bracket_frame: np.ndarray  # bracket_frame[i,j,k] = <E_k, [E_i, E_j]>
     gram_residual: float
     p_frame: np.ndarray
     div_true: np.ndarray
     div_false: np.ndarray
     discrepancy: np.ndarray
-    div_coord: np.ndarray
     div_coord_in_frame: np.ndarray
     metric_values: np.ndarray
 
@@ -415,17 +408,17 @@ def build_frame(spec: PTensorSpec, point, order: int = DEFAULT_ORDER) -> FrameEv
             raise FrameConsistencyError("Gram-Schmidt completion degenerated")
         E.append(scaled(inv_sqrt(norm2), r))
 
-    vector_jets = np.stack(E)
-    vectors = vector_jets[..., 0]
-    dE = partials(vector_jets, n)[..., 0]  # [a, i, c] = d_a E_i^c
+    frame_jets = np.stack(E)
+    vectors = frame_jets[..., 0]
+    dE = partials(frame_jets, n)[..., 0]  # [a, i, c] = d_a E_i^c
 
     g_val = an.mj.g_val
     gram = np.einsum("ab,ia,jb->ij", g_val, vectors, vectors)
     gram_residual = float(np.max(np.abs(gram - np.eye(n))))
 
-    u_jet = contract("a,a->", E[0], contract("ab,b->a", an.P, E[1], sp), sp)
-    u = float(u_jet[0])
-    du = partials(u_jet, n)[..., 0]
+    u_coef = contract("a,a->", E[0], contract("ab,b->a", an.P, E[1], sp), sp)
+    u = float(u_coef[0])
+    du = partials(u_coef, n)[..., 0]
     eu = vectors @ du
 
     gamma_val = an.mj.gamma_val
@@ -452,25 +445,18 @@ def build_frame(spec: PTensorSpec, point, order: int = DEFAULT_ORDER) -> FrameEv
     div_false[0] = -eu[1]
     div_false[1] = eu[0]
 
-    div_coord = an.div_P_val
-    div_coord_in_frame = vectors @ div_coord
+    div_coord_in_frame = vectors @ an.div_P_val
 
     return FrameEval(
         point=an.point,
         vectors=vectors,
-        vector_jets=vector_jets,
         u=u,
-        u_jet=u_jet,
-        frame_derivatives_of_u=eu,
-        connection=connection,
-        brackets=brackets,
         bracket_frame=bracket_frame,
         gram_residual=gram_residual,
         p_frame=p_frame,
         div_true=div_true,
         div_false=div_false,
         discrepancy=div_true - div_false,
-        div_coord=div_coord,
         div_coord_in_frame=div_coord_in_frame,
         metric_values=g_val,
     )

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from . import __version__ as VERSION
 
 
@@ -85,33 +87,26 @@ class Report:
         return all(v.passed for v in self.verdicts)
 
 
-def _exceeds(value: float, current: float) -> bool:
-    """Whether ``value`` replaces ``current`` as a running maximum.
+def extreme(values, points, pick) -> tuple[float, tuple]:
+    """``pick`` (``np.argmax`` or ``np.argmin``) of per-point values, with its point.
 
-    A non-finite value (NaN included) exceeds every finite one, and the
-    first one is kept.
+    Ties go to the first point.  A non-finite value is never folded away:
+    the first one wins.
     """
-    return math.isfinite(current) and (value >= current or not math.isfinite(value))
+    values = np.asarray(values, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(values))
+    i = int(bad[0]) if bad.size else int(pick(values))
+    return float(values[i]), tuple(points[i])
 
 
-def summarize_residuals(
-    name: str, rows: Iterable[tuple[tuple, float, float]]
-) -> ResidualSummary:
-    """Fold per-point (point, abs, rel) rows into a summary.
+def summarize_residuals(name: str, points, abs_residual, rel_residual) -> ResidualSummary:
+    """Largest absolute and relative residual over ``points``.
 
-    The worst point is the last with the largest absolute residual, or the
-    first whose residual is not finite.
+    The worst point is that of the largest absolute residual (see :func:`extreme`).
     """
-    worst = None
-    max_abs = 0.0
-    max_rel = 0.0
-    for point, absr, relr in rows:
-        if _exceeds(absr, max_abs):
-            max_abs = float(absr)
-            worst = point
-        if _exceeds(relr, max_rel):
-            max_rel = float(relr)
-    return ResidualSummary(name, max_abs, max_rel, worst if worst is not None else ())
+    max_abs, worst = extreme(abs_residual, points, np.argmax)
+    max_rel, _ = extreme(rel_residual, points, np.argmax)
+    return ResidualSummary(name, max_abs, max_rel, worst)
 
 
 def _json_safe(x):
@@ -150,7 +145,7 @@ def rows_to_csv(columns: Sequence[str], rows: Iterable[Sequence]) -> str:
 
 
 def violation_csv(rows: Iterable, params: dict) -> str:
-    """Fixed-column CSV for warped-family reports."""
+    """Fixed-column CSV for warped-family reports; a missing k or c leaves its cells empty."""
     k = params.get("k", "")
     c = params.get("c", "")
     columns = (
@@ -169,8 +164,8 @@ def violation_csv(rows: Iterable, params: dict) -> str:
             (
                 row.r,
                 row.x1,
-                fmt17(k) if k != "" else "",
-                fmt17(c) if c != "" else "",
+                k,
+                c,
                 row.nabla_p_norm_sq,
                 row.div_p_norm_sq,
                 row.violation,

@@ -91,13 +91,7 @@ class Scenario:
         )
 
     def grid_points(self) -> list[tuple[float, ...]]:
-        axes = [axis.values() for axis in self.grid]
-        pts = []
-        for combo in np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(
-            -1, self.dim
-        ):
-            pts.append(tuple(float(x) for x in combo))
-        return pts
+        return grid_points(self.grid)
 
     def echo(self) -> dict:
         """Deterministic description for reports."""
@@ -113,6 +107,12 @@ class Scenario:
                 for a in self.grid
             ],
         }
+
+
+def grid_points(grid: tuple[GridAxis, ...]) -> list[tuple[float, ...]]:
+    """Every point of ``grid`` as a tuple of Python floats, the last axis varying fastest."""
+    axes = np.meshgrid(*(axis.values() for axis in grid), indexing="ij")
+    return [tuple(pt) for pt in np.stack(axes, axis=-1).reshape(-1, len(grid)).tolist()]
 
 
 def _axis_names(dim: int) -> list[str]:

@@ -44,6 +44,9 @@ from .ptensor import PTensorSpec, analyze
 
 CROSS_VALIDATION_TOLERANCE = 1e-10
 
+# A violation within this band of zero counts as neither negative nor positive.
+ZERO_BAND = 1e-12
+
 CANONICAL_PHI = "(r+c)^(-1/k)"
 
 # The closed forms read phi, phi_dot, phi_dd, G and G': jets of order 2.
@@ -130,7 +133,7 @@ class ViolationReport:
     negative_points: int
     positive_points: int
     zero_points: int
-    max_engine_discrepancy: float | None
+    max_engine_discrepancy: float
 
 
 def closed_form_eval(
@@ -233,17 +236,12 @@ def cross_validate(
     return float(np.max(rel)), rows
 
 
-def build_report(
-    spec: WarpedSpec,
-    points: Sequence[Sequence[float]],
-    tolerance: float = CROSS_VALIDATION_TOLERANCE,
-    zero_band: float = 1e-12,
-) -> ViolationReport:
+def build_report(spec: WarpedSpec, points: Sequence[Sequence[float]]) -> ViolationReport:
     """Cross-validated violation report; raises if the two paths disagree."""
     worst, rows = cross_validate(spec, points)
-    if not worst <= tolerance:
+    if not worst <= CROSS_VALIDATION_TOLERANCE:
         raise EvalDomainError(
-            f"closed form and engine disagree: {worst!r} > {tolerance!r}"
+            f"closed form and engine disagree: {worst!r} > {CROSS_VALIDATION_TOLERANCE!r}"
         )
     violations = [row.violation for row in rows]
     return ViolationReport(
@@ -255,9 +253,9 @@ def build_report(
         rows=tuple(rows),
         min_violation=float(np.min(violations)),
         max_violation=float(np.max(violations)),
-        negative_points=sum(1 for v in violations if v < -zero_band),
-        positive_points=sum(1 for v in violations if v > zero_band),
-        zero_points=sum(1 for v in violations if abs(v) <= zero_band),
+        negative_points=sum(1 for v in violations if v < -ZERO_BAND),
+        positive_points=sum(1 for v in violations if v > ZERO_BAND),
+        zero_points=sum(1 for v in violations if abs(v) <= ZERO_BAND),
         max_engine_discrepancy=worst,
     )
 

@@ -6,11 +6,13 @@ import pytest
 
 from skewdiv.cli import main, run_verify
 from skewdiv.errors import ScenarioError
-from skewdiv.identities import bochner_residual
-from skewdiv.report import Verdict, report_to_json, summarize_residuals
+from skewdiv.identities import bochner_residual, static_residual
+from skewdiv.ptensor import cyclic_residual
+from skewdiv.report import Verdict, fmt17, report_to_json, summarize_residuals
 from skewdiv.scenarios import (
     BUILTIN_NAMES,
     builtin_scenario,
+    grid_points,
     parse_grid_spec,
     parse_scenario_file,
     random_scenario,
@@ -276,8 +278,10 @@ def test_non_finite_values_fail_and_name_the_point(tmp_path, capsys):
 
 
 def test_non_finite_residual_is_never_folded_away():
-    rows = [((0.0,), 1e-3, 1e-3), ((1.0,), float("nan"), float("nan")), ((2.0,), 5.0, 0.5)]
-    summary = summarize_residuals("r", rows)
+    points = [(0.0,), (1.0,), (2.0,)]
+    summary = summarize_residuals(
+        "r", points, [1e-3, float("nan"), 5.0], [1e-3, float("nan"), 0.5]
+    )
     assert math.isnan(summary.max_abs) and math.isnan(summary.max_rel)
     assert summary.worst_point == (1.0,)
     for make in (Verdict.at_most, Verdict.at_least, Verdict.below):
@@ -362,3 +366,95 @@ def test_bochner_verdict_names_the_point_of_the_largest_relative_residual(sc):
     verdict = next(v for v in run_verify(sc).verdicts if v.name == "bochner_rel_residual")
     assert verdict.value == float(np.max(rel))
     assert verdict.point == tuple(points[int(np.argmax(rel))])
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["counterexample", "--param", "kk=2"], "unknown --param 'kk'; valid names: k, c"),
+        (["verify", "--scenario", "warped-canonical", "--param", "z=1"], "valid names: k, c"),
+        (["verify", "--scenario", "euclidean", "--param", "k=2"], "valid names: none"),
+        (["verify", "--scenario", "random-curved", "--param", "c=1"], "valid names: none"),
+        (["frame", "--scenario", "round-sphere-static", "--param", "k=2"], "valid names: none"),
+        (["verify", "--scenario-file", "FILE", "--param", "zz=3"], "valid names: k, c"),
+        (["search", "--iterations", "0"], "bad --iterations"),
+    ],
+)
+def test_undeclared_param_and_bad_iterations_exit_2(args, message, tmp_path, capsys):
+    path = tmp_path / "s.txt"
+    path.write_text(SCENARIO_FILE)
+    code, err = _exit_and_message([str(path) if a == "FILE" else a for a in args], capsys)
+    assert code == 2
+    assert err.startswith("error:") and message in err and "\n" not in err
+    assert "--bounds" not in err
+
+
+def test_tolerance_option_overrides_the_residual_tolerances(capsys):
+    assert main(["verify", "--scenario", "round-sphere-static", "--tolerance", "-1"]) == 1
+    status = {
+        line.split("]")[1].split(":")[0].strip(): line[1:5]
+        for line in capsys.readouterr().out.splitlines()
+        if line.startswith("[")
+    }
+    assert status == {
+        "cyclic_residual": "FAIL",
+        "bochner_rel_residual": "FAIL",
+        "sharp_margin": "PASS",
+        "one_over_n_bound": "PASS",
+        "static_tensor": "FAIL",
+        "static_scalar": "FAIL",
+        "p_vanishes": "PASS",
+    }
+
+
+def _abs_residuals(sc, points):
+    """Per-point absolute residuals of ``sc``, keyed by report residual name."""
+    out = {
+        "cyclic": cyclic_residual(sc.spec(), points),
+        "bochner": bochner_residual(sc.spec(), points).abs_residual,
+    }
+    if sc.is_static:
+        out.update((r.name, r.abs_residual) for r in static_residual(sc.metric, sc.f, points))
+    return out
+
+
+@pytest.mark.parametrize(
+    "sc",
+    [builtin_scenario(name) for name in ("euclidean", "round-sphere-static", "warped-canonical")]
+    + [random_scenario(seed, dim) for dim in (3, 4) for seed in range(4)],
+    ids=lambda sc: sc.name,
+)
+def test_worst_point_is_the_first_point_of_the_largest_absolute_residual(sc):
+    points = sc.grid_points()
+    doc = json.loads(report_to_json(run_verify(sc)))
+    residuals = _abs_residuals(sc, points)
+    assert [r["name"] for r in doc["residuals"]] == list(residuals)
+    for entry in doc["residuals"]:
+        values = [float(v) for v in residuals[entry["name"]]]
+        first = next(i for i, v in enumerate(values) if v == max(values))
+        assert entry["worst_point"] == list(points[first]), entry["name"]
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [["round-sphere-static"], ["random-curved", "--dim", "4"]],
+    ids=["static", "non-static"],
+)
+def test_verify_csv_header_is_the_point_then_the_json_row_keys(scenario, tmp_path):
+    args = ["verify", "--scenario", *scenario, "--out"]
+    assert main(args + [str(tmp_path / "r.json")]) == 0
+    assert main(args + [str(tmp_path / "r.csv"), "--format", "csv"]) == 0
+    row = json.loads((tmp_path / "r.json").read_text())["violations"][0]
+    header = (tmp_path / "r.csv").read_text().splitlines()[0].split(",")
+    dim = len(row["point"])
+    assert header == [f"x{i}" for i in range(dim)] + [k for k in row if k != "point"]
+
+
+def test_counterexample_rows_follow_the_grid_order(tmp_path):
+    spec = ["r:0:1:3", "x1:0.1:0.9:2", "x2:0:1:2"]
+    out = tmp_path / "rows.csv"
+    argv = ["counterexample", "--out", str(out), "--format", "csv"]
+    assert main(argv + [a for g in spec for a in ("--grid", g)]) == 0
+    cells = [line.split(",")[:2] for line in out.read_text().splitlines()[1:]]
+    points = grid_points(parse_grid_spec(",".join(spec), 3))
+    assert cells == [[fmt17(r), fmt17(x1)] for r, x1, _ in points]
