@@ -60,15 +60,14 @@ TOLERANCES = {
 
 def run_verify(scenario: Scenario, tolerance: float | None = None) -> Report:
     """Evaluate every identity over the scenario grid, in one batch, and emit verdicts."""
-    spec = scenario.spec()
     points = scenario.grid_points()
     n = scenario.dim
     if n < 3:
         raise ScenarioError(f"verify needs a chart of dimension >= 3, not {n}")
 
-    an = PointAnalysis(spec, points)
-    cyclic = cyclic_residual(spec, points, analysis=an)
-    boch = bochner_residual(spec, points, analysis=an)
+    an = PointAnalysis(scenario.spec(), points)
+    cyclic = cyclic_residual(an)
+    boch = bochner_residual(an)
     columns = {
         "p_norm_sq": an.p_norm_sq,
         "nabla_p_norm_sq": an.nabla_p_norm_sq,
@@ -83,7 +82,7 @@ def run_verify(scenario: Scenario, tolerance: float | None = None) -> Report:
         summarize_residuals("bochner", points, boch.abs_residual, boch.rel_residual),
     ]
     if scenario.is_static:
-        st_t, st_s = static_residual(scenario.metric, scenario.f, points)
+        st_t, st_s = static_residual(an)
         columns["static_tensor_residual"] = st_t.abs_residual
         columns["static_scalar_residual"] = st_s.abs_residual
         for res in (st_t, st_s):
@@ -231,13 +230,7 @@ def cmd_counterexample(args) -> int:
     vreport = warped_mod.build_report(wspec, points)
 
     rows = [
-        {
-            "point": [row.r, row.x1],
-            "nabla_p_norm_sq": row.nabla_p_norm_sq,
-            "div_p_norm_sq": row.div_p_norm_sq,
-            "violation": row.violation,
-            "sharp_margin": row.sharp_margin,
-        }
+        {"point": [row.r, row.x1], **{nm: getattr(row, nm) for nm in warped_mod.VALUE_COLUMNS}}
         for row in vreport.rows
     ]
     report = Report(
@@ -325,7 +318,7 @@ def cmd_frame(args) -> int:
     else:
         point = scenario.grid_points()[0]
     try:
-        frame = build_frame(scenario.spec(), point)
+        frame = build_frame(PointAnalysis(scenario.spec(), point))
         true_div, false_div, disc = div_true_vs_false(frame)
     except DegeneratePError as err:
         print(f"degenerate P: {err}", file=sys.stderr)

@@ -55,7 +55,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NonPositiveDefiniteError, SkewdivError
+from .errors import NonPositiveDefiniteError, OrderExceededError, SkewdivError
 from .expr import Expr, ParamSet, chart_variables, evaluate, evaluate_entries, parse, to_source
 from .jets import (
     DEFAULT_ORDER,
@@ -255,6 +255,11 @@ class MetricJets:
         self.dim = metric.dim
         self.g = metric.component_jets(self.points, order)
 
+    def require_order(self, need: int, check: str) -> None:
+        """Raise :class:`OrderExceededError` unless these jets reach order ``need``."""
+        if self.order < need:
+            raise OrderExceededError(f"{check} needs jet order >= {need}, not {self.order}")
+
     @cached_property
     def ginv(self) -> np.ndarray:
         """g^-1 by the truncated Neumann series g0^-1 sum_k M^k, M = -(g - g0) g0^-1.
@@ -388,17 +393,17 @@ def _riemann(g: np.ndarray, G: np.ndarray, dG: np.ndarray) -> np.ndarray:
     return np.einsum("...km,...mijs->...ijks", g, rup)
 
 
-def second_bianchi_residual(metric: MetricField, point, order: int = DEFAULT_ORDER):
-    """Max-norm residual of the contracted second Bianchi identity.
+def second_bianchi_residual(mj: MetricJets):
+    """Max-norm residual of the contracted second Bianchi identity (jet order >= 3).
 
     div Ric = (1/2) dR holds for every Levi-Civita connection; a nonzero
     residual beyond rounding indicates a convention or implementation bug.
     Normalized by max(1, |dR|).  A float for one point, one residual per
     point over a batch.
     """
-    mj = MetricJets(metric, point, order)
+    mj.require_order(3, "the second Bianchi identity")
     n = mj.dim
-    sp = jet_space(n, order - 2)
+    sp = jet_space(n, mj.order - 2)
     G = mj.gamma
     dG = partials(G, n, mj.batch)  # [..., a, k, i, j] = d_a Gamma^k_ij
     # Ricci jets by direct contraction of the curvature operator.

@@ -43,16 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvalDomainError
-from .geometry import (
-    MetricField,
-    MetricJets,
-    ScalarField,
-    batch_value,
-    cov_derivative,
-    point_tuple,
-)
-from .jets import DEFAULT_ORDER, partials
-from .ptensor import PointAnalysis, PTensorSpec
+from .geometry import batch_value, cov_derivative, point_tuple
+from .ptensor import PointAnalysis
 
 F_GATE = 1e-8
 
@@ -96,22 +88,15 @@ def _balance_terms(an: PointAnalysis):
     return lhs, an.nabla_p_norm_sq, t_div
 
 
-def bochner_residual(
-    spec: PTensorSpec,
-    point,
-    order: int = DEFAULT_ORDER,
-    form: str = "auto",
-    analysis: PointAnalysis | None = None,
-) -> IdentityResidual:
-    """Residual of the curvature balance for 1/2 Lap |P|^2.
+def bochner_residual(an: PointAnalysis, form: str = "auto") -> IdentityResidual:
+    """Residual of the curvature balance for 1/2 Lap |P|^2 (jet order >= 4).
 
     ``form`` selects the right-hand side: "general" keeps the Weyl term (any
     n >= 3), "dim3" uses the reduced dimension-3 expression, "auto" picks
-    "dim3" when n == 3.  ``point`` may be a batch of points (see
-    :class:`PointAnalysis`).  Pass a precomputed ``analysis`` for the same
-    spec and points to reuse its jet pipeline.
+    "dim3" when n == 3.  ``an`` may analyse a batch of points (see
+    :class:`PointAnalysis`).
     """
-    an = analysis if analysis is not None else PointAnalysis(spec, point, order)
+    an.mj.require_order(4, "the curvature balance")
     n = an.dim
     if n < 3:
         raise ValueError("the curvature balance needs dimension >= 3")
@@ -156,50 +141,42 @@ def bochner_residual(
     return _residual(name, an.point, lhs, rhs, terms)
 
 
-def static_residual(
-    metric: MetricField, f: ScalarField, point, order: int = DEFAULT_ORDER
-) -> tuple[IdentityResidual, IdentityResidual]:
-    """Tensor and scalar residuals of the vacuum static system (n = 3).
+def static_residual(an: PointAnalysis) -> tuple[IdentityResidual, IdentityResidual]:
+    """Tensor and scalar residuals of the vacuum static system (n = 3, jet order >= 2).
 
-    ``point`` may be a batch of points, as for :class:`MetricJets`.
+    ``an`` may analyse a batch of points, as for :class:`PointAnalysis`.
     """
-    if metric.dim != 3:
+    if an.dim != 3:
         raise ValueError("the static system is checked in dimension 3")
-    mj, fval, hess = _hessian_values(metric, f, point, order)
-    curv = mj.curvature
+    an.mj.require_order(2, "the static system")
+    fval = an.fjet[..., 0]
+    curv = an.mj.curvature
     scal = np.asarray(curv.scalar)
     lhs_t = fval[..., None, None] * curv.ricci
-    return _field_residuals("static", mj, hess, lhs_t, 0.5 * scal * fval, -0.5 * scal * fval)
+    return _field_residuals("static", an, lhs_t, 0.5 * scal * fval, -0.5 * scal * fval)
 
 
-def cpe_residual(
-    metric: MetricField, f: ScalarField, point, order: int = DEFAULT_ORDER
-) -> tuple[IdentityResidual, IdentityResidual]:
-    """Tensor and scalar residuals of the critical-point system (diagnostic)."""
-    n = metric.dim
+def cpe_residual(an: PointAnalysis) -> tuple[IdentityResidual, IdentityResidual]:
+    """Tensor and scalar residuals of the critical-point system (diagnostic, jet order >= 2)."""
+    n = an.dim
     if n < 3:
         raise ValueError("the critical-point system needs dimension >= 3")
-    mj, fval, hess = _hessian_values(metric, f, point, order)
-    curv = mj.curvature
+    an.mj.require_order(2, "the critical-point system")
+    fval = an.fjet[..., 0]
+    curv = an.mj.curvature
     scal = np.asarray(curv.scalar)
     lhs_t = (1.0 + fval)[..., None, None] * curv.traceless_ricci
-    return _field_residuals("cpe", mj, hess, lhs_t, scal / (n * (n - 1)), -scal / (n - 1) * fval)
+    return _field_residuals("cpe", an, lhs_t, scal / (n * (n - 1)), -scal / (n - 1) * fval)
 
 
-def _hessian_values(metric: MetricField, f: ScalarField, point, order: int):
-    """MetricJets, the values of f and the values of grad^2 f at ``point``."""
-    mj = MetricJets(metric, point, order)
-    fjet = f.jet(mj.points, order).c
-    hess = cov_derivative(partials(fjet, mj.dim, mj.batch), mj.gamma)[..., 0]
-    return mj, fjet[..., 0], hess
-
-
-def _field_residuals(name: str, mj: MetricJets, hess, lhs_t, g_coef, lap_rhs):
+def _field_residuals(name: str, an: PointAnalysis, lhs_t, g_coef, lap_rhs):
     """Residuals of the system lhs_t = grad^2 f + g_coef g and Lap f = lap_rhs.
 
     The tensor residual is the norm of the difference, the scalar one that
     of Lap f - lap_rhs; ``name`` gets the suffixes "-tensor" and "-scalar".
     """
+    mj = an.mj
+    hess = cov_derivative(an.df, mj.gamma)[..., 0]
     gi = mj.ginv_val
 
     def tnorm(m):
@@ -212,18 +189,16 @@ def _field_residuals(name: str, mj: MetricJets, hess, lhs_t, g_coef, lap_rhs):
     return tensor, _residual(f"{name}-scalar", mj.points, lap, lap_rhs, (lap, -lap_rhs))
 
 
-def static_bochner_residual(
-    spec: PTensorSpec, point, order: int = DEFAULT_ORDER
-) -> IdentityResidual:
-    """Residual of the balance with Ricci eliminated via the static system.
+def static_bochner_residual(an: PointAnalysis) -> IdentityResidual:
+    """Residual of the balance with Ricci eliminated via the static system (jet order >= 4).
 
     Meaningful only where :func:`static_residual` vanishes; the formula
     genuinely divides by f, so points with |f| < 1e-8 are refused, the first
-    such point in grid order named.  ``point`` may be a batch of points.
+    such point in grid order named.  ``an`` may analyse a batch of points.
     """
-    an = PointAnalysis(spec, point, order)
     if an.dim != 3:
         raise ValueError("the static substitution is a dimension-3 identity")
+    an.mj.require_order(4, "the static substitution")
     fval = an.fjet[..., 0]
     refused = np.flatnonzero(np.abs(fval) < F_GATE)
     if refused.size:

@@ -300,21 +300,15 @@ def analyze(spec: PTensorSpec, points, order: int = VALUE_ORDER) -> PTensorEval:
     return PointAnalysis(spec, points, order).result()
 
 
-def cyclic_residual(
-    spec: PTensorSpec,
-    points,
-    order: int = VALUE_ORDER,
-    analysis: PointAnalysis | None = None,
-) -> float | np.ndarray:
-    """Max over index triples of |grad_i P_jk + grad_j P_ki + grad_k P_ij|.
+def cyclic_residual(an: PointAnalysis) -> float | np.ndarray:
+    """Max over index triples of |grad_i P_jk + grad_j P_ki + grad_k P_ij| (jet order >= 3).
 
     Vanishes identically for every P of this module's form, whatever the
     metric: the underlying 2-form is closed because the profile depends on f
     alone.  Over a batch of points it is an array with one maximum per
-    point.  Pass a precomputed ``analysis`` of the same spec and points to
-    reuse its jet pipeline.
+    point.
     """
-    an = analysis if analysis is not None else PointAnalysis(spec, points, order)
+    an.mj.require_order(3, "the cyclic identity")
     T = an.nabla_P_val
     cyc = T + np.einsum("...jki->...ijk", T) + np.einsum("...kij->...ijk", T)
     return batch_value(np.max(np.abs(cyc), axis=(-3, -2, -1)))
@@ -352,15 +346,16 @@ class FrameEval:
         return np.einsum("i,ik->k", np.asarray(frame_components), theta)
 
 
-def build_frame(spec: PTensorSpec, point, order: int = DEFAULT_ORDER) -> FrameEval:
-    """Construct the adapted orthonormal frame at a point with |P| != 0.
+def build_frame(an: PointAnalysis) -> FrameEval:
+    """Construct the adapted orthonormal frame at a point with |P| != 0 (jet order >= 3).
 
-    E_1 = grad f / |grad f| and E_2 = A E_1 / |A E_1| with A^j_i = g^jm P_im;
-    the remaining vectors come from Gram-Schmidt over the coordinate basis,
-    always absorbing the candidate with the largest residual norm (ties broken
-    by lowest coordinate index), which makes the completion deterministic.
+    ``an`` analyses one point.  E_1 = grad f / |grad f| and E_2 = A E_1 /
+    |A E_1| with A^j_i = g^jm P_im; the remaining vectors come from
+    Gram-Schmidt over the coordinate basis, always absorbing the candidate
+    with the largest residual norm (ties broken by lowest coordinate index),
+    which makes the completion deterministic.
     """
-    an = PointAnalysis(spec, point, order)
+    an.mj.require_order(3, "the adapted frame")
     n = an.dim
     p_norm = float(np.sqrt(max(an.p_norm_sq, 0.0)))
     if p_norm < DEGENERATE_P_TOLERANCE:

@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import __version__ as VERSION
+from .warped import VALUE_COLUMNS
 
 
 def fmt17(x: float) -> str:
@@ -158,20 +159,9 @@ def violation_csv(rows: Iterable, params: dict) -> str:
         "violation",
         "sharp_margin",
     )
-    out_rows = []
-    for row in rows:
-        out_rows.append(
-            (
-                row.r,
-                row.x1,
-                k,
-                c,
-                row.nabla_p_norm_sq,
-                row.div_p_norm_sq,
-                row.violation,
-                row.sharp_margin,
-            )
-        )
+    out_rows = [
+        (row.r, row.x1, k, c, *(getattr(row, nm) for nm in VALUE_COLUMNS)) for row in rows
+    ]
     return rows_to_csv(columns, out_rows)
 
 

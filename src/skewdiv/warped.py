@@ -121,6 +121,10 @@ class ViolationRow:
     div_false_dx1: float
 
 
+#: The :class:`ViolationRow` values that reports show and the engine cross-checks.
+VALUE_COLUMNS = ("nabla_p_norm_sq", "div_p_norm_sq", "violation", "sharp_margin")
+
+
 @dataclass(frozen=True)
 class ViolationReport:
     """Cross-validated grid report for one warped family member."""
@@ -229,9 +233,8 @@ def cross_validate(
     if not rows:
         return 0.0, rows
     ev = analyze(ptensor_spec(spec), points)
-    names = ("nabla_p_norm_sq", "div_p_norm_sq", "violation", "sharp_margin")
-    a = np.array([[getattr(row, nm) for row in rows] for nm in names])
-    b = np.array([getattr(ev, nm) for nm in names])
+    a = np.array([[getattr(row, nm) for row in rows] for nm in VALUE_COLUMNS])
+    b = np.array([getattr(ev, nm) for nm in VALUE_COLUMNS])
     rel = np.abs(a - b) / np.maximum(np.maximum(1.0, np.abs(a)), np.abs(b))
     return float(np.max(rel)), rows
 

@@ -135,15 +135,15 @@ def test_criterion_5_bochner(random_pool):
     worst = 0.0
     for batch in batches:
         an = batch.analyses[0]
-        res = bochner_residual(batch.spec, batch.points[0], analysis=an)
+        res = bochner_residual(an)
         worst = max(worst, res.rel_residual)
     worst_gap = 0.0
     for batch in batches[:20]:
         if batch.scenario.dim != 3:
             continue
-        pt = batch.points[0]
-        gen = bochner_residual(batch.spec, pt, form="general")
-        d3 = bochner_residual(batch.spec, pt, form="dim3")
+        an = batch.analyses[0]
+        gen = bochner_residual(an, form="general")
+        d3 = bochner_residual(an, form="dim3")
         worst_gap = max(worst_gap, abs(gen.rhs - d3.rhs) / max(1.0, abs(d3.rhs)))
     _report(
         "criterion 5: curvature balance residual <= 1e-8, dim-3 forms agree to 1e-12",
@@ -154,7 +154,7 @@ def test_criterion_5_bochner(random_pool):
 
 def test_criterion_6_frame_analysis():
     spec = ptensor_spec(WarpedSpec.canonical(4.0, 1.0))
-    frame = build_frame(spec, (0.0, 0.0, 0.0))
+    frame = build_frame(PointAnalysis(spec, (0.0, 0.0, 0.0)))
     true_div, _, disc = div_true_vs_false(frame)  # raises beyond 1e-10
     coord_gap = float(np.max(np.abs(true_div - frame.div_coord_in_frame)))
     dx1 = float(frame.covector_to_chart(disc)[1])
@@ -171,7 +171,7 @@ def test_criterion_7_static_round_sphere(shipped):
     worst_res = 0.0
     worst_p = 0.0
     for an in analyses:
-        tensor, scalar = static_residual(sphere.metric, sphere.f, an.point)
+        tensor, scalar = static_residual(an)
         worst_res = max(worst_res, tensor.abs_residual, scalar.abs_residual)
         worst_p = max(worst_p, math.sqrt(max(an.p_norm_sq, 0.0)))
     _report(
@@ -209,7 +209,7 @@ def test_criterion_8_oracle_cross_checks(random_pool):
     for seed in range(10):
         sc = random_scenario(2100 + seed, 3)
         worst_bianchi = max(
-            worst_bianchi, second_bianchi_residual(sc.metric, sc.grid_points()[0])
+            worst_bianchi, second_bianchi_residual(MetricJets(sc.metric, sc.grid_points()[0]))
         )
     _report(
         "criterion 8: FD oracles within 1e-6, Weyl = 0 in 3d, div Ric = dR/2",

@@ -6,8 +6,9 @@ import pytest
 
 from skewdiv.cli import main, run_verify
 from skewdiv.errors import ScenarioError
+from skewdiv.geometry import MetricJets
 from skewdiv.identities import bochner_residual, static_residual
-from skewdiv.ptensor import cyclic_residual
+from skewdiv.ptensor import VALUE_ORDER, PointAnalysis, cyclic_residual
 from skewdiv.report import Verdict, fmt17, report_to_json, summarize_residuals
 from skewdiv.scenarios import (
     BUILTIN_NAMES,
@@ -16,6 +17,7 @@ from skewdiv.scenarios import (
     parse_grid_spec,
     parse_scenario_file,
     random_scenario,
+    round_sphere_scenario,
 )
 
 SCENARIO_FILE = """\
@@ -362,7 +364,7 @@ def test_bad_scenario_file_exits_2_with_one_line(text, tmp_path, capsys):
 )
 def test_bochner_verdict_names_the_point_of_the_largest_relative_residual(sc):
     points = sc.grid_points()
-    rel = bochner_residual(sc.spec(), points).rel_residual
+    rel = bochner_residual(PointAnalysis(sc.spec(), points)).rel_residual
     verdict = next(v for v in run_verify(sc).verdicts if v.name == "bochner_rel_residual")
     assert verdict.value == float(np.max(rel))
     assert verdict.point == tuple(points[int(np.argmax(rel))])
@@ -409,12 +411,13 @@ def test_tolerance_option_overrides_the_residual_tolerances(capsys):
 
 def _abs_residuals(sc, points):
     """Per-point absolute residuals of ``sc``, keyed by report residual name."""
+    an = PointAnalysis(sc.spec(), points)
     out = {
-        "cyclic": cyclic_residual(sc.spec(), points),
-        "bochner": bochner_residual(sc.spec(), points).abs_residual,
+        "cyclic": cyclic_residual(PointAnalysis(sc.spec(), points, VALUE_ORDER)),
+        "bochner": bochner_residual(an).abs_residual,
     }
     if sc.is_static:
-        out.update((r.name, r.abs_residual) for r in static_residual(sc.metric, sc.f, points))
+        out.update((r.name, r.abs_residual) for r in static_residual(an))
     return out
 
 
@@ -458,3 +461,21 @@ def test_counterexample_rows_follow_the_grid_order(tmp_path):
     cells = [line.split(",")[:2] for line in out.read_text().splitlines()[1:]]
     points = grid_points(parse_grid_spec(",".join(spec), 3))
     assert cells == [[fmt17(r), fmt17(x1)] for r, x1, _ in points]
+
+
+def test_static_verify_builds_one_metric_pipeline(monkeypatch):
+    """Every check of a static verify reads the one analysis of the grid."""
+    built = []
+    init = MetricJets.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MetricJets, "__init__", counted)
+    report = run_verify(round_sphere_scenario())
+    assert [v.name for v in report.verdicts if v.name.startswith("static")] == [
+        "static_tensor",
+        "static_scalar",
+    ]
+    assert len(built) == 1

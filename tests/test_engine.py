@@ -118,7 +118,7 @@ def test_tensor_pipeline_makes_no_scalar_jet_products(dim, monkeypatch):
     calls.clear()
     an = PointAnalysis(spec, pt)
     an.violation
-    bochner_residual(spec, pt, analysis=an)
+    bochner_residual(an)
     assert len(calls) == expression_products
 
 
@@ -138,11 +138,11 @@ def test_batched_analysis_equals_single_points(sc):
     spec = sc.spec()
     points = sc.grid_points()
     batch = PointAnalysis(spec, points)
-    boch = bochner_residual(spec, points, analysis=batch)
+    boch = bochner_residual(batch)
     worst = {}
     for i, pt in enumerate(points):
         one = PointAnalysis(spec, pt)
-        one_boch = bochner_residual(spec, pt, analysis=one)
+        one_boch = bochner_residual(one)
         for name in ("P", "nabla_P", "div_P", "nabla_p_norm_sq", "div_p_norm_sq"):
             got = np.asarray(getattr(batch, name))[i]
             assert got.shape == np.shape(getattr(one, name))
@@ -162,7 +162,7 @@ def test_single_point_keeps_unbatched_shapes():
     assert an.nabla_P_val.shape == (4, 4, 4)
     for value in (an.p_norm_sq, an.violation, an.mj.curvature.scalar):
         assert type(value) is float
-    assert type(bochner_residual(sc.spec(), an.point, analysis=an).rel_residual) is float
+    assert type(bochner_residual(an).rel_residual) is float
 
 
 def test_batch_names_the_first_non_positive_definite_point():

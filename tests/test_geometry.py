@@ -132,7 +132,7 @@ def test_metric_compatibility():
 def test_contracted_second_bianchi():
     for seed in range(8):
         sc = random_scenario(seed, 3)
-        res = second_bianchi_residual(sc.metric, sc.grid_points()[0])
+        res = second_bianchi_residual(MetricJets(sc.metric, sc.grid_points()[0]))
         assert res < 1e-8
 
 

@@ -4,8 +4,9 @@ import re
 import numpy as np
 import pytest
 
-from skewdiv.errors import EvalDomainError
-from skewdiv.geometry import MetricField, ScalarField, second_bianchi_residual
+from skewdiv.errors import EvalDomainError, OrderExceededError
+from skewdiv.expr import parse
+from skewdiv.geometry import MetricField, MetricJets, ScalarField, second_bianchi_residual
 from skewdiv.identities import (
     IdentityResidual,
     bochner_residual,
@@ -18,7 +19,13 @@ from skewdiv.scenarios import (
     random_scenario,
     round_sphere_scenario,
 )
+from skewdiv.ptensor import PointAnalysis, PTensorSpec, build_frame, cyclic_residual
 from skewdiv.warped import WarpedSpec, ptensor_spec
+
+
+def field_analysis(metric, f, points):
+    """Analysis of the potential ``f`` on ``metric``: what the static and cpe checks read."""
+    return PointAnalysis(PTensorSpec(parse("1", variables=("f",)), f, metric), points)
 
 
 def test_bochner_on_warped_grid():
@@ -30,13 +37,13 @@ def test_bochner_on_warped_grid():
         for y in (0.0, 0.5, 1.0)
     ]
     for pt in grid:
-        res = bochner_residual(spec, pt)
+        res = bochner_residual(PointAnalysis(spec, pt))
         assert res.rel_residual < 1e-8
 
 
 def test_bochner_trivial_for_flat_zero_P():
     sc = builtin_scenario("euclidean")
-    res = bochner_residual(sc.spec(), (0.2, 0.4, 0.6))
+    res = bochner_residual(PointAnalysis(sc.spec(), (0.2, 0.4, 0.6)))
     assert res.lhs == 0.0 and res.rhs == 0.0
 
 
@@ -46,7 +53,7 @@ def test_bochner_random_scenarios_both_dimensions():
         worst = 0.0
         for seed in range(100):
             sc = random_scenario(300 + seed, dim)
-            res = bochner_residual(sc.spec(), sc.grid_points()[0])
+            res = bochner_residual(PointAnalysis(sc.spec(), sc.grid_points()[0]))
             worst = max(worst, res.rel_residual)
         assert worst < 1e-8, f"dim {dim}: worst {worst}"
 
@@ -57,8 +64,9 @@ def test_general_form_matches_dim3_form():
         sc = random_scenario(seed, 3)
         cases.append((sc.spec(), sc.grid_points()[0]))
     for spec, pt in cases:
-        general = bochner_residual(spec, pt, form="general")
-        dim3 = bochner_residual(spec, pt, form="dim3")
+        an = PointAnalysis(spec, pt)
+        general = bochner_residual(an, form="general")
+        dim3 = bochner_residual(an, form="dim3")
         scale = max(1.0, abs(dim3.rhs))
         assert abs(general.rhs - dim3.rhs) < 1e-12 * scale
 
@@ -66,13 +74,13 @@ def test_general_form_matches_dim3_form():
 def test_general_form_required_above_dim3():
     sc = random_scenario(5, 4)
     with pytest.raises(ValueError):
-        bochner_residual(sc.spec(), sc.grid_points()[0], form="dim3")
+        bochner_residual(PointAnalysis(sc.spec(), sc.grid_points()[0]), form="dim3")
 
 
 def test_static_system_on_round_sphere():
     sc = round_sphere_scenario()
     for pt in sc.grid_points():
-        tensor, scalar = static_residual(sc.metric, sc.f, pt)
+        tensor, scalar = static_residual(PointAnalysis(sc.spec(), pt))
         assert tensor.abs_residual < 1e-10
         assert scalar.abs_residual < 1e-10
 
@@ -80,14 +88,14 @@ def test_static_system_on_round_sphere():
 def test_static_trivial_flat_constant():
     m = MetricField.parse([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
     f = ScalarField.parse("1", 3)
-    tensor, scalar = static_residual(m, f, (0.1, 0.2, 0.3))
+    tensor, scalar = static_residual(field_analysis(m, f, (0.1, 0.2, 0.3)))
     assert tensor.abs_residual == 0.0
     assert scalar.abs_residual == 0.0
 
 
 def test_static_fails_on_warped_counterexample():
     sc = builtin_scenario("warped-canonical")
-    tensor, scalar = static_residual(sc.metric, sc.f, (0.3, 0.4, 0.5))
+    tensor, scalar = static_residual(PointAnalysis(sc.spec(), (0.3, 0.4, 0.5)))
     assert tensor.abs_residual > 1e-3 or scalar.abs_residual > 1e-3
 
 
@@ -96,7 +104,7 @@ def test_cpe_sphere_with_zero_potential():
     sc = round_sphere_scenario()
     f0 = ScalarField.parse("0", 3)
     pt = sc.grid_points()[4]
-    tensor, scalar = cpe_residual(sc.metric, f0, pt)
+    tensor, scalar = cpe_residual(field_analysis(sc.metric, f0, pt))
     # R = 6, n = 3: R/(n(n-1)) = 1, and |g| = sqrt(3).
     assert tensor.abs_residual == pytest.approx(math.sqrt(3.0), rel=1e-10)
     assert scalar.abs_residual < 1e-12
@@ -105,14 +113,14 @@ def test_cpe_sphere_with_zero_potential():
 def test_cpe_flat_zero_potential():
     m = MetricField.parse([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
     f0 = ScalarField.parse("0", 3)
-    tensor, scalar = cpe_residual(m, f0, (0.5, 0.5, 0.5))
+    tensor, scalar = cpe_residual(field_analysis(m, f0, (0.5, 0.5, 0.5)))
     assert tensor.abs_residual == 0.0
     assert scalar.abs_residual == 0.0
 
 
 def test_cpe_diagnostic_on_random_scenario():
     sc = random_scenario(17, 3)
-    tensor, scalar = cpe_residual(sc.metric, sc.f, sc.grid_points()[0])
+    tensor, scalar = cpe_residual(PointAnalysis(sc.spec(), sc.grid_points()[0]))
     assert math.isfinite(tensor.abs_residual)
     assert math.isfinite(scalar.abs_residual)
 
@@ -121,7 +129,7 @@ def test_static_bochner_on_round_sphere():
     sc = round_sphere_scenario()
     spec = sc.spec()
     for pt in sc.grid_points()[::9]:
-        res = static_bochner_residual(spec, pt)
+        res = static_bochner_residual(PointAnalysis(spec, pt))
         assert res.abs_residual < 1e-8
 
 
@@ -129,18 +137,18 @@ def test_static_bochner_refuses_small_f():
     sc = round_sphere_scenario()
     spec = sc.spec()
     with pytest.raises(EvalDomainError):
-        static_bochner_residual(spec, (math.pi / 2, 0.8, 0.3))
+        static_bochner_residual(PointAnalysis(spec, (math.pi / 2, 0.8, 0.3)))
 
 
 def test_static_bochner_diagnostic_on_non_static():
     spec = ptensor_spec(WarpedSpec.canonical(4.0, 1.0))
-    res = static_bochner_residual(spec, (0.2, 0.5, 0.1))
+    res = static_bochner_residual(PointAnalysis(spec, (0.2, 0.5, 0.1)))
     assert math.isfinite(res.abs_residual)
 
 
 def test_residual_normalization():
     spec = ptensor_spec(WarpedSpec.canonical(4.0, 1.0))
-    res = bochner_residual(spec, (0.4, 0.7, 0.2))
+    res = bochner_residual(PointAnalysis(spec, (0.4, 0.7, 0.2)))
     assert res.rel_residual == pytest.approx(
         res.abs_residual / max(res.scale, 1.0), rel=1e-15
     )
@@ -148,10 +156,10 @@ def test_residual_normalization():
 
 
 BATCH_CHECKS = {
-    "static": lambda sc, points: static_residual(sc.metric, sc.f, points),
-    "cpe": lambda sc, points: cpe_residual(sc.metric, sc.f, points),
-    "static-bochner": lambda sc, points: static_bochner_residual(sc.spec(), points),
-    "second-bianchi": lambda sc, points: second_bianchi_residual(sc.metric, points),
+    "static": lambda sc, points: static_residual(PointAnalysis(sc.spec(), points)),
+    "cpe": lambda sc, points: cpe_residual(PointAnalysis(sc.spec(), points)),
+    "static-bochner": lambda sc, points: static_bochner_residual(PointAnalysis(sc.spec(), points)),
+    "second-bianchi": lambda sc, points: second_bianchi_residual(MetricJets(sc.metric, points)),
 }
 
 
@@ -185,3 +193,29 @@ def test_batch_equals_its_points(check, sc, refused):
         assert sc.f(refused) == pytest.approx(0.0, abs=1e-15)
         with pytest.raises(EvalDomainError, match=re.escape(f" at {refused}: ")):
             BATCH_CHECKS[check](sc, points[:2] + [refused] + points[2:])
+
+
+
+def metric_jets(spec, points, order):
+    return MetricJets(spec.metric, points, order)
+
+
+@pytest.mark.parametrize(
+    "check, analysis, need",
+    [
+        (bochner_residual, PointAnalysis, 4),
+        (static_bochner_residual, PointAnalysis, 4),
+        (cyclic_residual, PointAnalysis, 3),
+        (build_frame, PointAnalysis, 3),
+        (second_bianchi_residual, metric_jets, 3),
+        (static_residual, PointAnalysis, 2),
+        (cpe_residual, PointAnalysis, 2),
+    ],
+    ids=lambda v: v.__name__ if callable(v) else None,
+)
+def test_too_low_a_jet_order_is_named(check, analysis, need):
+    """Below its lowest jet order a check raises OrderExceededError naming both orders."""
+    spec, pt = ptensor_spec(WarpedSpec.canonical(4.0, 1.0)), (0.3, 0.2, 0.6)
+    check(analysis(spec, pt, need))
+    with pytest.raises(OrderExceededError, match=f"needs jet order >= {need}, not {need - 1}$"):
+        check(analysis(spec, pt, need - 1))

@@ -7,6 +7,7 @@ from skewdiv.errors import DegeneratePError
 from skewdiv.expr import parse
 from skewdiv.geometry import MetricField, ScalarField
 from skewdiv.ptensor import (
+    VALUE_ORDER,
     PointAnalysis,
     PTensorSpec,
     analyze,
@@ -99,13 +100,13 @@ def test_cyclic_residual_everywhere():
     spec = warped_spec()
     grid = [(r, x, y) for r in (0.0, 0.5, 1.0) for x in (0.0, 0.5, 1.0) for y in (0.0, 0.5, 1.0)]
     for pt in grid:
-        assert cyclic_residual(spec, pt) < 1e-10
+        assert cyclic_residual(PointAnalysis(spec, pt, VALUE_ORDER)) < 1e-10
     for seed in range(6):
         for dim in (3, 4):
             sc = random_scenario(40 + seed, dim)
-            assert cyclic_residual(sc.spec(), sc.grid_points()[0]) < 1e-10
+            assert cyclic_residual(PointAnalysis(sc.spec(), sc.grid_points()[0], VALUE_ORDER)) < 1e-10
     euc = builtin_scenario("euclidean")
-    assert cyclic_residual(euc.spec(), (0.3, 0.4, 0.5)) == 0.0
+    assert cyclic_residual(PointAnalysis(euc.spec(), (0.3, 0.4, 0.5), VALUE_ORDER)) == 0.0
 
 
 def test_bounds_on_random_scenarios():
@@ -133,7 +134,7 @@ def test_violation_sign_family():
 
 def test_frame_at_canonical_point():
     spec = warped_spec()
-    fr = build_frame(spec, (0.0, 0.0, 0.0))
+    fr = build_frame(PointAnalysis(spec, (0.0, 0.0, 0.0)))
     assert fr.gram_residual < 1e-10
     # E_1 = (1/phi) d/dx1 with phi(0) = 1; E_2 = +/- d/dr.
     assert np.allclose(fr.vectors[0], [0.0, 1.0, 0.0], atol=1e-12)
@@ -147,7 +148,7 @@ def test_frame_at_canonical_point():
 
 def test_frame_p_structure():
     spec = warped_spec()
-    fr = build_frame(spec, (0.3, 0.4, 0.5))
+    fr = build_frame(PointAnalysis(spec, (0.3, 0.4, 0.5)))
     pf = fr.p_frame
     assert pf[0, 1] == pytest.approx(fr.u, abs=1e-12)
     assert pf[1, 0] == pytest.approx(-fr.u, abs=1e-12)
@@ -158,7 +159,7 @@ def test_frame_p_structure():
 
 def test_div_true_matches_coordinates_and_false_misses():
     spec = warped_spec()
-    fr = build_frame(spec, (0.0, 0.0, 0.0))
+    fr = build_frame(PointAnalysis(spec, (0.0, 0.0, 0.0)))
     true_div, false_div, disc = div_true_vs_false(fr)
     assert np.allclose(true_div, fr.div_coord_in_frame, atol=1e-12)
     chart = fr.covector_to_chart(disc)
@@ -182,7 +183,7 @@ def test_discrepancy_equals_bracket_terms():
         cases.append((sc.spec(), sc.grid_points()[0]))
     for spec, pt in cases:
         try:
-            fr = build_frame(spec, pt)
+            fr = build_frame(PointAnalysis(spec, pt))
         except DegeneratePError:
             continue
         _, _, disc = div_true_vs_false(fr)
@@ -199,13 +200,13 @@ def test_discrepancy_equals_bracket_terms():
 def test_frame_requires_nonzero_P():
     sc = builtin_scenario("euclidean")
     with pytest.raises(DegeneratePError):
-        build_frame(sc.spec(), (0.3, 0.4, 0.5))
+        build_frame(PointAnalysis(sc.spec(), (0.3, 0.4, 0.5)))
 
 
 def test_frame_is_deterministic():
     spec = warped_spec()
-    a = build_frame(spec, (0.25, 0.5, 0.75))
-    b = build_frame(spec, (0.25, 0.5, 0.75))
+    a = build_frame(PointAnalysis(spec, (0.25, 0.5, 0.75)))
+    b = build_frame(PointAnalysis(spec, (0.25, 0.5, 0.75)))
     assert np.array_equal(a.vectors, b.vectors)
     assert a.u == b.u
 
@@ -215,7 +216,7 @@ def test_coordinate_vs_frame_divergence_random():
         sc = random_scenario(seed, 3)
         pt = sc.grid_points()[0]
         try:
-            fr = build_frame(sc.spec(), pt)
+            fr = build_frame(PointAnalysis(sc.spec(), pt))
         except DegeneratePError:
             continue
         true_div, _, _ = div_true_vs_false(fr)

@@ -16,7 +16,8 @@ def test_readme_python_blocks_give_their_documented_values():
     assert ev.violation == -1 / 64
     assert ev.sharp_margin == 0.0
     assert frame.u == 0.25
-    assert ns["bochner_residual"](ns["spec"], (0.3, 0.2, 0.5)).rel_residual < 1e-14
+    an = ns["PointAnalysis"](ns["spec"], (0.3, 0.2, 0.5))
+    assert ns["bochner_residual"](an).rel_residual < 1e-14
     exec(blocks[1], ns)
     assert ns["ev"].violation.shape == (2,)
     assert ns["ev"].violation[0] == -1 / 64
