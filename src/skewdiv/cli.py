@@ -226,8 +226,9 @@ def cmd_counterexample(args) -> int:
     c = params.get("c", 1.0)
     wspec = warped_mod.WarpedSpec.canonical(k, c, lam=args.lam, psi=args.psi)
     _check_params(params, wspec.params)
-    points = grid_points(parse_grid_spec(",".join(args.grid or ["r:0:1:5"]), 3))
-    vreport = warped_mod.build_report(wspec, points)
+    r, x1, x2 = parse_grid_spec(",".join(args.grid or ["r:0:1:5"]), 3)
+    # Nothing depends on x2: each (r, x1) is evaluated once, at x2's first value.
+    vreport = warped_mod.build_report(wspec, grid_points((r, x1, dataclasses.replace(x2, count=1))))
 
     rows = [
         {"point": [row.r, row.x1], **{nm: getattr(row, nm) for nm in warped_mod.VALUE_COLUMNS}}

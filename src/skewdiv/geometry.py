@@ -292,7 +292,7 @@ class MetricJets:
         # first is exactly symmetric in i, j, so only its i <= j block is
         # contracted and the result mirrored.
         i, j = np.triu_indices(self.dim)
-        block = contract("kl,lp->kp", self.ginv, first[..., i, j, :], sp)
+        block = contract("kl,lp->kp", self.ginv, first[..., i, j, :], sp.pairs)
         gamma = np.empty(block.shape[:-2] + (self.dim, self.dim, sp.size))
         gamma[..., i, j, :] = block
         gamma[..., j, i, :] = block
@@ -377,7 +377,7 @@ def cov_derivative(T: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     slots = "abcdefgh"[: T.ndim - 1 - batch]
     for s, name in enumerate(slots):
         t_sub = slots[:s] + "l" + slots[s + 1 :]
-        out = out - contract(f"li{name},{t_sub}->i{slots}", gamma, T, sp)
+        out = out - contract(f"li{name},{t_sub}->i{slots}", gamma, T, sp.pairs)
     return out
 
 
@@ -403,17 +403,17 @@ def second_bianchi_residual(mj: MetricJets):
     """
     mj.require_order(3, "the second Bianchi identity")
     n = mj.dim
-    sp = jet_space(n, mj.order - 2)
+    pairs = jet_space(n, mj.order - 2).pairs
     G = mj.gamma
     dG = partials(G, n, mj.batch)  # [..., a, k, i, j] = d_a Gamma^k_ij
     # Ricci jets by direct contraction of the curvature operator.
     ric = (
         np.einsum("...iijsZ->...jsZ", dG)
         - np.einsum("...jiisZ->...jsZ", dG)
-        + contract("p,pjs->js", np.einsum("...iipZ->...pZ", G), G, sp)
-        - contract("ijp,pis->js", G, G, sp)
+        + contract("p,pjs->js", np.einsum("...iipZ->...pZ", G), G, pairs)
+        - contract("ijp,pis->js", G, G, pairs)
     )
-    dscal = partials(contract("js,js->", mj.ginv, ric, sp), n, mj.batch)[..., 0]
+    dscal = partials(contract("js,js->", mj.ginv, ric, pairs), n, mj.batch)[..., 0]
     divric = np.einsum("...ij,...ijk->...k", mj.ginv_val, cov_derivative(ric, G)[..., 0])
     scale = np.maximum(1.0, np.max(np.abs(dscal), axis=-1))
     return batch_value(np.max(np.abs(divric - 0.5 * dscal), axis=-1) / scale)

@@ -39,14 +39,20 @@ tensor_shape + (ncoef,)``, so a whole grid is one array.
 indices in one call, batch axes included; :func:`partials` stacks their
 first partials, with the derivative slot directly after the batch axes.
 :class:`Jet` serves expression evaluation.
+
+Every product, of jets, of batches of jets or through :func:`contract`, sums
+its pairs from one :class:`PairTable` type with one ``np.bincount``: each
+target adds its products in the table's order starting from +0.0, so an
+exact -0.0 sum comes out +0.0 (:func:`_sum_pairs`).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -95,28 +101,25 @@ class JetSpace:
         else:
             self.var_pos = ()
 
-        ia, ib, ic = [], [], []
-        for i, ma in enumerate(monos):
-            da = sum(ma)
-            for j, mb in enumerate(monos):
-                if da + sum(mb) <= order:
-                    ia.append(i)
-                    ib.append(j)
-                    ic.append(self.index[tuple(a + b for a, b in zip(ma, mb))])
-        self.mul_ia = np.asarray(ia, dtype=np.intp)
-        self.mul_ib = np.asarray(ib, dtype=np.intp)
-        self.mul_ic = np.asarray(ic, dtype=np.intp)
-        self.pair_a, self.pair_b, self.layer_widths, self.sum_inverse, _, _ = _pair_table(
-            self.mul_ia, self.mul_ib, self.mul_ic, 0, self.size
-        )
-        # Product pairs of jets with degree bounds (deg_a, deg_b), at
-        # ``product_pairs[deg_a][deg_b]``; see :meth:`_product_pairs`.
+        pairs = [
+            (i, j, self.index[tuple(a + b for a, b in zip(ma, mb))])
+            for i, ma in enumerate(monos)
+            for j, mb in enumerate(monos)
+            if sum(ma) + sum(mb) <= order
+        ]
+        self.pairs = PairTable(*np.asarray(pairs, dtype=np.intp).T.copy(), order, 0, self.size)
+        # The pairs of jets with degree bounds (deg_a, deg_b), at
+        # ``product_pairs[deg_a][deg_b]``.  Coefficients above a jet's bound
+        # are zero, so the dropped pairs would only add exact zeros.
         self.degree = np.asarray([sum(m) for m in monos], dtype=np.intp)
+        deg_a, deg_b = self.degree[self.pairs.ia], self.degree[self.pairs.ib]
         self.product_pairs = tuple(
-            tuple(self._product_pairs(da, db) for db in range(order + 1))
-            for da in range(order + 1)
+            tuple(
+                self.pairs.where((deg_a <= i) & (deg_b <= j), min(i + j, order), 0, self.size)
+                for j in range(order + 1)
+            )
+            for i in range(order + 1)
         )
-        self._batch_pairs: dict = {}
         self._step_pairs: dict = {}
 
         # Partial-derivative maps into the (nvars, order-1) layout, one row
@@ -131,22 +134,6 @@ class JetSpace:
             )
             self.diff_fac = np.asarray([[float(m[v] + 1) for m in lower] for v in range(nvars)])
 
-    def _product_pairs(self, deg_a: int, deg_b: int) -> tuple:
-        """``mul_ia, mul_ib, mul_ic`` where |a| <= deg_a and |b| <= deg_b, and the product's ``deg``.
-
-        Coefficients above a jet's degree bound are zero, so the dropped
-        pairs only add exact zeros.  The kept pairs stay in ``mul_ia`` order:
-        each target coefficient sums the same nonzero products in the same
-        order as over the full table.
-        """
-        keep = (self.degree[self.mul_ia] <= deg_a) & (self.degree[self.mul_ib] <= deg_b)
-        return (
-            self.mul_ia[keep],
-            self.mul_ib[keep],
-            self.mul_ic[keep],
-            min(deg_a + deg_b, self.order),
-        )
-
     def step_pairs(self, t: int) -> PairTable:
         """The pairs with |a| >= 1 and a degree-``t`` target, for :func:`contract`.
 
@@ -154,63 +141,60 @@ class JetSpace:
         these once the coefficients of S below degree t are final.
         """
         if t not in self._step_pairs:
-            keep = (self.degree[self.mul_ic] == t) & (self.degree[self.mul_ia] >= 1)
+            p = self.pairs
             targets = np.flatnonzero(self.degree == t)
-            self._step_pairs[t] = _pair_table(
-                self.mul_ia[keep], self.mul_ib[keep], self.mul_ic[keep], int(targets[0]), targets.size
-            )
+            keep = (self.degree[p.ic] == t) & (self.degree[p.ia] >= 1)
+            self._step_pairs[t] = p.where(keep, t, int(targets[0]), targets.size)
         return self._step_pairs[t]
-
-    def batch_pairs(self, deg_a: int, deg_b: int, entries: int) -> tuple[np.ndarray, ...]:
-        """``product_pairs[deg_a][deg_b]`` on ``entries`` flattened batch entries.
-
-        Entry e's pairs index its coefficients at ``e * size``, so one
-        ``bincount`` sums every entry's products, each in its single-point
-        order.
-        """
-        tables = self._batch_pairs.get((deg_a, deg_b, entries))
-        if tables is None:
-            offsets = np.arange(entries)[:, None] * self.size
-            tables = tuple(
-                (offsets + t).ravel() for t in self.product_pairs[deg_a][deg_b][:3]
-            )
-            self._batch_pairs[deg_a, deg_b, entries] = tables
-        return tables
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"JetSpace(nvars={self.nvars}, order={self.order})"
 
 
-class PairTable(NamedTuple):
-    """Product pairs laid out for :func:`contract`, for the targets ``lo : lo + size``."""
+@dataclass(frozen=True, eq=False)
+class PairTable:
+    """Coefficient pairs of a jet product: ``a[ia[k]] * b[ib[k]]`` adds to target ``ic[k]``.
 
-    pair_a: np.ndarray
-    pair_b: np.ndarray
-    layer_widths: tuple
-    sum_inverse: np.ndarray
+    The targets are the coefficients ``lo : lo + size`` of the space, ``ic``
+    counted from ``lo``; ``deg`` bounds the product's degree.  Every table
+    keeps the pairs of its space's full table (``JetSpace.pairs``) in their
+    order, so a target adds its products in one order whatever table forms
+    it.  Tables compare by identity, to key :func:`_sum_pairs`'s cache.
+    """
+
+    ia: np.ndarray
+    ib: np.ndarray
+    ic: np.ndarray
+    deg: int
     lo: int
     size: int
 
+    def where(self, keep: np.ndarray, deg: int, lo: int, size: int) -> PairTable:
+        """The pairs where ``keep`` holds, for the targets ``lo : lo + size``."""
+        return PairTable(self.ia[keep], self.ib[keep], self.ic[keep] - lo, deg, lo, size)
 
-def _pair_table(ia, ib, ic, lo: int, size: int) -> PairTable:
-    # :func:`contract` sums each target coefficient's products in a fixed
-    # order (that of ``ia``), so results repeat bit for bit.  Layer r holds
-    # the r-th pair of every target that has more than r pairs, the targets
-    # ordered by descending pair count: layer r then adds onto the leading
-    # ``layer_widths[r]`` rows of the running sums, a slice, and
-    # ``sum_inverse`` puts the sums back in coefficient order.
-    by_target: list[list[int]] = [[] for _ in range(size)]
-    for pair, target in enumerate(ic.tolist()):
-        by_target[target - lo].append(pair)
-    by_count = sorted(range(size), key=lambda t: -len(by_target[t]))  # stable
-    layers = [
-        [by_target[t][r] for t in by_count if len(by_target[t]) > r]
-        for r in range(len(by_target[by_count[0]]))
-    ]
-    pairs = [pair for layer in layers for pair in layer]
-    widths = tuple(len(layer) for layer in layers)
-    inverse = np.asarray(sorted(range(size), key=by_count.__getitem__))
-    return PairTable(ia[pairs], ib[pairs], widths, inverse, lo, size)
+
+# Flat bincount targets per (table, entries before the pair axis, entries
+# after it), emptied by a miss that would take it past _FLAT_INDEX_BYTES
+# (a 4-D verify of 4 points needs 0.5 MiB, a 3-D one of 27 points 0.9 MiB).
+_FLAT_INDEX: dict[tuple[PairTable, int, int], np.ndarray] = {}
+_FLAT_INDEX_BYTES = 2**20
+
+
+def _sum_pairs(pairs: PairTable, prod: np.ndarray, before: int, after: int) -> np.ndarray:
+    """Sum products laid out ``(before, pair, after)`` into ``(before, pairs.size, after)``, flat.
+
+    One ``bincount`` adds each target's products in pair order from +0.0, as
+    each entry before or after the pair axis would alone.
+    """
+    index = _FLAT_INDEX.get((pairs, before, after))
+    if index is None:
+        index = (np.arange(before)[:, None, None] * pairs.size + pairs.ic[:, None]) * after
+        index = (index + np.arange(after)).ravel()
+        if sum(i.nbytes for i in list(_FLAT_INDEX.values())) + index.nbytes > _FLAT_INDEX_BYTES:
+            _FLAT_INDEX.clear()
+        _FLAT_INDEX[pairs, before, after] = index
+    return np.bincount(index, weights=prod.ravel(), minlength=before * pairs.size * after)
 
 
 def _align(a: "Jet", b: "Jet") -> tuple["Jet", "Jet"]:
@@ -344,21 +328,15 @@ class Jet:
             a, b = (self, other) if self.space is other.space else _align(self, other)
             sp = a.space
             ac, bc = a.c, b.c
-            ia, ib, ic, deg = sp.product_pairs[a.deg][b.deg]
+            pairs = sp.product_pairs[a.deg][b.deg]
             if ac.ndim == 1 and bc.ndim == 1:
-                prod = ac[ia] * bc[ib]
-                return Jet(sp, np.bincount(ic, weights=prod, minlength=sp.size), deg)
-            if ac.ndim == 1:
-                ac = np.broadcast_to(ac, bc.shape)
-            elif bc.ndim == 1:
-                bc = np.broadcast_to(bc, ac.shape)
-            elif ac.shape != bc.shape:
+                prod = ac[pairs.ia] * bc[pairs.ib]
+                return Jet(sp, np.bincount(pairs.ic, weights=prod, minlength=sp.size), pairs.deg)
+            if ac.ndim > 1 and bc.ndim > 1 and ac.shape != bc.shape:
                 raise ValueError(f"jet batch shapes {ac.shape[:-1]} and {bc.shape[:-1]} differ")
-            entries = ac.size // sp.size
-            fa, fb, fc = sp.batch_pairs(a.deg, b.deg, entries)
-            prod = ac.ravel()[fa] * bc.ravel()[fb]
-            c = np.bincount(fc, weights=prod, minlength=entries * sp.size)
-            return Jet(sp, c.reshape(ac.shape), deg)
+            prod = np.take(ac, pairs.ia, axis=-1) * np.take(bc, pairs.ib, axis=-1)  # entry-major
+            c = _sum_pairs(pairs, prod, prod.size // pairs.ia.size, 1)
+            return Jet(sp, c.reshape(prod.shape[:-1] + (sp.size,)), pairs.deg)
         if isinstance(other, _SCALARS):
             return Jet(self.space, self.c * other, self.deg)
         return NotImplemented
@@ -724,7 +702,7 @@ def jet_order(T: np.ndarray, nvars: int) -> int:
     return order
 
 
-def contract(subscripts: str, A: np.ndarray, B: np.ndarray, space: JetSpace | PairTable) -> np.ndarray:
+def contract(subscripts: str, A: np.ndarray, B: np.ndarray, pairs: PairTable) -> np.ndarray:
     """Jet product of two coefficient-array tensors, contracted like ``einsum``.
 
     ``subscripts`` names the tensor axes only, e.g. ``"kl,lij->kij"``; each
@@ -732,16 +710,17 @@ def contract(subscripts: str, A: np.ndarray, B: np.ndarray, space: JetSpace | Pa
     named ones are batch axes (one per grid point, say): both operands must
     have the same batch shape, and the result keeps it in front, so ``A`` of
     shape ``batch + (n, n, ncoef)`` under ``"kl,..."`` is one ``(n, n)``
-    tensor per batch entry.  The product is truncated to ``space``, whose
-    order may not exceed either operand's; a :class:`PairTable` ``space``
-    gives only its targets' coefficients.
+    tensor per batch entry.  ``pairs`` is the full table of the space to
+    truncate to (``JetSpace.pairs``, of an order no higher than either
+    operand's), or a part of it such as ``JetSpace.step_pairs(t)``; the
+    result holds the coefficients of its targets.
 
-    Both operands are gathered on the space's product pairs, the tensor
-    indices are contracted by one ``matmul`` batched over the pairs and the
-    batch axes, and each output coefficient sums its pairs in the space's
-    fixed order, so a batch entry's result does not depend on the others.
-    Every index must appear in the other operand or in the output, once per
-    operand.
+    Both operands are gathered on the pairs, the tensor indices are
+    contracted by one ``matmul`` batched over the pairs and the batch axes,
+    and each output coefficient sums its pairs with the one ``bincount``
+    that :class:`Jet` products use, so a batch entry's result does not
+    depend on the others.  Every index must appear in the other operand or
+    in the output, once per operand.
     """
     ins, out = subscripts.split("->")
     a, b = ins.split(",")
@@ -757,7 +736,7 @@ def contract(subscripts: str, A: np.ndarray, B: np.ndarray, space: JetSpace | Pa
     free_b = [c for c in b if c not in a]
     dims = {**dict(zip(a, A.shape[nb:])), **dict(zip(b, B.shape[nb:]))}
 
-    def gathered(T, subs, pairs, rows, cols):
+    def gathered(T, subs, index, rows, cols):
         # Pairs on the leading axis, then the batch axes and the shared
         # tensor axes, then the tensor axes in matmul order.
         G = T.transpose(
@@ -766,27 +745,21 @@ def contract(subscripts: str, A: np.ndarray, B: np.ndarray, space: JetSpace | Pa
         # ``take`` returns C order whatever the layout of T.  matmul's
         # summation order depends on its operands' strides, and must not
         # differ between a batch entry and the same point analysed alone.
-        G = np.take(G, pairs, axis=0)
+        G = np.take(G, index, axis=0)
         return G.reshape(
             G.shape[: 1 + nb + len(shared)]
             + (math.prod(dims[c] for c in rows), math.prod(dims[c] for c in cols))
         )
 
     prod = np.matmul(
-        gathered(A, a, space.pair_a, free_a, summed),
-        gathered(B, b, space.pair_b, summed, free_b),
+        gathered(A, a, pairs.ia, free_a, summed),
+        gathered(B, b, pairs.ib, summed, free_b),
     )
-    prod = prod.reshape(prod.shape[:-2] + tuple(dims[c] for c in free_a + free_b))
-    sums = prod[: space.size]
-    at = space.size
-    for width in space.layer_widths[1:]:
-        sums[:width] += prod[at : at + width]
-        at += width
-    coef = sums[space.sum_inverse]
+    coef = _sum_pairs(pairs, prod, 1, prod[0].size).reshape(
+        (pairs.size,) + prod.shape[1:-2] + tuple(dims[c] for c in free_a + free_b)
+    )
     axes = shared + free_a + free_b
-    return coef.transpose(
-        list(range(1, 1 + nb)) + [1 + nb + axes.index(c) for c in out] + [0]
-    )
+    return coef.transpose(list(range(1, 1 + nb)) + [1 + nb + axes.index(c) for c in out] + [0])
 
 
 def partials(T: np.ndarray, nvars: int, batch: int = 0) -> np.ndarray:

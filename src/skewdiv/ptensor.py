@@ -130,9 +130,9 @@ class PointAnalysis:
     def dim(self) -> int:
         return self.mj.dim
 
-    def _space(self, drop: int):
-        """Jet space ``drop`` orders below the analysis order."""
-        return jet_space(self.dim, max(self.order - drop, 0))
+    def _pairs(self, drop: int):
+        """Product pairs of the jet space ``drop`` orders below the analysis order."""
+        return jet_space(self.dim, max(self.order - drop, 0)).pairs
 
     @cached_property
     def fjet(self) -> np.ndarray:
@@ -147,14 +147,14 @@ class PointAnalysis:
     @cached_property
     def w(self) -> np.ndarray:
         """|grad f|^2 = g^ab d_a f d_b f."""
-        sp = self._space(1)
-        grad_f = contract("ab,b->a", self.mj.ginv, self.df, sp)
-        return contract("a,a->", grad_f, self.df, sp)
+        pairs = self._pairs(1)
+        grad_f = contract("ab,b->a", self.mj.ginv, self.df, pairs)
+        return contract("a,a->", grad_f, self.df, pairs)
 
     @cached_property
     def lam_f(self) -> np.ndarray:
         """Coefficient array of lambda(f)."""
-        sp = self._space(0)
+        sp = jet_space(self.dim, self.order)
 
         def at(fc):
             out = evaluate(self.spec.lam, [Jet(sp, fc)], self.spec.lam_params)
@@ -165,15 +165,15 @@ class PointAnalysis:
     @cached_property
     def P(self) -> np.ndarray:
         n = self.dim
-        sp = self._space(2)
+        pairs = self._pairs(2)
         # h_k = grad^2 f(grad f, .)_k = (1/2) d_k |grad f|^2.  The Hessian
         # pairing fixes the normalization: d|grad f|^2 itself is twice this,
         # and the factor would otherwise just be absorbed into lambda.
         h = 0.5 * partials(self.w, n, self.mj.batch)
-        dfh = contract("j,k->jk", self.df, h, sp)  # d_j f h_k
+        dfh = contract("j,k->jk", self.df, h, pairs)  # d_j f h_k
         j, k = _upper(n)
         block = dfh[..., j, k, :] - dfh[..., k, j, :]
-        return _skew(contract(",p->p", self.lam_f, block, sp), n)
+        return _skew(contract(",p->p", self.lam_f, block, pairs), n)
 
     @cached_property
     def nabla_P(self) -> np.ndarray:
@@ -182,7 +182,7 @@ class PointAnalysis:
 
     @cached_property
     def div_P(self) -> np.ndarray:
-        return contract("ij,ijk->k", self.mj.ginv, self.nabla_P, self._space(3))
+        return contract("ij,ijk->k", self.mj.ginv, self.nabla_P, self._pairs(3))
 
     # -- value-level pieces ------------------------------------------------
 
@@ -232,11 +232,11 @@ class PointAnalysis:
     @cached_property
     def p_norm_sq_jet(self) -> np.ndarray:
         """|P|^2 as a jet (order-2 data; enough for its Laplacian)."""
-        sp = self._space(2)
+        pairs = self._pairs(2)
         ginv = self.mj.ginv
         # N_jk = (g^-1 P g^-1)_jk so that |P|^2 = sum P_jk N_jk.
-        N = contract("jb,bk->jk", contract("ja,ab->jb", ginv, self.P, sp), ginv, sp)
-        return contract("jk,jk->", self.P, N, sp)
+        N = contract("jb,bk->jk", contract("ja,ab->jb", ginv, self.P, pairs), ginv, pairs)
+        return contract("jk,jk->", self.P, N, pairs)
 
     @cached_property
     def laplacian_p_norm_sq(self) -> float | np.ndarray:
@@ -356,6 +356,8 @@ def build_frame(an: PointAnalysis) -> FrameEval:
     which makes the completion deterministic.
     """
     an.mj.require_order(3, "the adapted frame")
+    if an.mj.batch:
+        raise ValueError(f"the adapted frame is one-point; the analysis has {len(an.point)} points")
     n = an.dim
     p_norm = float(np.sqrt(max(an.p_norm_sq, 0.0)))
     if p_norm < DEGENERATE_P_TOLERANCE:
@@ -371,20 +373,20 @@ def build_frame(an: PointAnalysis) -> FrameEval:
     ginv = an.mj.ginv
 
     def scaled(c, v):
-        return contract(",a->a", c, v, sp)
+        return contract(",a->a", c, v, sp.pairs)
 
     def dot(u_vec, v_vec):
-        return contract("a,a->", u_vec, contract("ab,b->a", g, v_vec, sp), sp)
+        return contract("a,a->", u_vec, contract("ab,b->a", g, v_vec, sp.pairs), sp.pairs)
 
     def inv_sqrt(x):
         return (1.0 / Jet(sp, x[: sp.size]).sqrt()).c
 
     # E_1 along grad f.
-    grad_f = contract("ab,b->a", ginv, an.df, sp)
+    grad_f = contract("ab,b->a", ginv, an.df, sp.pairs)
     E = [scaled(inv_sqrt(an.w), grad_f)]
 
     # E_2 along A E_1.
-    ae1 = contract("jm,m->j", ginv, contract("im,i->m", an.P, E[0], sp), sp)
+    ae1 = contract("jm,m->j", ginv, contract("im,i->m", an.P, E[0], sp.pairs), sp.pairs)
     E.append(scaled(inv_sqrt(dot(ae1, ae1)), ae1))
 
     # Deterministic Gram-Schmidt completion over coordinate vectors.
@@ -411,7 +413,7 @@ def build_frame(an: PointAnalysis) -> FrameEval:
     gram = np.einsum("ab,ia,jb->ij", g_val, vectors, vectors)
     gram_residual = float(np.max(np.abs(gram - np.eye(n))))
 
-    u_coef = contract("a,a->", E[0], contract("ab,b->a", an.P, E[1], sp), sp)
+    u_coef = contract("a,a->", E[0], contract("ab,b->a", an.P, E[1], sp.pairs), sp.pairs)
     u = float(u_coef[0])
     du = partials(u_coef, n)[..., 0]
     eu = vectors @ du

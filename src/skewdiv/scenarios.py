@@ -19,7 +19,7 @@ the exact grammar.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -74,6 +74,7 @@ class Scenario:
     expect_zero_p: bool = False
     expect_violation: bool = False
     description: str = ""
+    _sources: tuple | None = field(default=None, repr=False, compare=False)  # echo's text, if known
 
     def spec(self) -> PTensorSpec:
         return PTensorSpec(
@@ -95,11 +96,12 @@ class Scenario:
 
     def echo(self) -> dict:
         """Deterministic description for reports."""
+        metric, f = self._sources or (self.metric.sources(), self.f.source())
         return {
             "name": self.name,
             "dimension": self.dim,
-            "metric": self.metric.sources(),
-            "f": self.f.source(),
+            "metric": metric,
+            "f": f,
             "lambda": self.lam_src,
             "params": {k: self.params[k] for k in sorted(self.params)},
             "grid": [
@@ -196,8 +198,8 @@ def warped_canonical_scenario(k: float = 4.0, c: float = 1.0) -> Scenario:
     )
 
 
-def _poly_tree(rng: np.random.Generator, dim: int, scale: float, constant: float | None) -> Expr:
-    """The tree that :func:`parse` gives for a random polynomial's :func:`to_source` text.
+def _poly_tree(rng: np.random.Generator, dim: int, scale: float, constant: float | None):
+    """A random polynomial: the tree :func:`parse` gives for its :func:`to_source` text, and that text.
 
     Coefficients scale * (2u - 1), u uniform, go to x_i, then to x_i*x_j
     (i <= j), after the constant; each term adds or subtracts its size.
@@ -205,20 +207,21 @@ def _poly_tree(rng: np.random.Generator, dim: int, scale: float, constant: float
     new = tuple.__new__  # the node constructors, without their Python frame
     names = _axis_names(dim)
     tree = None if constant is None else new(Num, (float(constant), 0))
-    end = 0 if tree is None else len(to_source(tree))  # the text's length so far
+    text = "" if tree is None else to_source(tree)
     monomials = [(i,) for i in range(dim)] + [(i, j) for i in range(dim) for j in range(i, dim)]
     for factors, u in zip(monomials, rng.random(len(monomials)).tolist()):
         coef = scale * (2.0 * u - 1.0)
-        at = end + 3 if tree is not None else int(coef < 0)  # after " + " or "-"
+        text += ("-" if coef < 0 else "") if tree is None else (" - " if coef < 0 else " + ")
+        at = len(text)
         term = new(Num, (abs(coef), at))
-        end = at + len(to_source(term))
+        text += to_source(term)
         if tree is None and coef < 0:
             term = new(Unary, ("neg", term, 0))
-        for i in factors:  # " * x"
-            term = new(Binary, ("*", term, new(Var, (i, names[i], end + 3)), end + 1))
-            end += 3 + len(names[i])
+        for i in factors:
+            term = new(Binary, ("*", term, new(Var, (i, names[i], len(text) + 3)), len(text) + 1))
+            text += " * " + names[i]
         tree = term if tree is None else new(Binary, ("-" if coef < 0 else "+", tree, term, at - 2))
-    return tree
+    return tree, text
 
 
 def random_scenario(seed: int, dim: int = 3) -> Scenario:
@@ -238,8 +241,7 @@ def random_scenario(seed: int, dim: int = 3) -> Scenario:
     for i in range(dim):
         for j in range(i, dim):
             rows[i][j] = rows[j][i] = _poly_tree(rng, dim, eps, 1.0 if i == j else 0.0)
-    metric = MetricField(dim, rows, params)
-    f = ScalarField(dim, _poly_tree(rng, dim, 1.0, None), params)
+    f, f_src = _poly_tree(rng, dim, 1.0, None)
     lam_src = _LAMBDA_CHOICES[int(seed) % len(_LAMBDA_CHOICES)]
     grid = tuple(
         GridAxis(nm, 0.2, 0.8, 2 if idx < 2 else 1)
@@ -248,13 +250,14 @@ def random_scenario(seed: int, dim: int = 3) -> Scenario:
     return Scenario(
         name=f"random-curved-{dim}d-seed{seed}",
         dim=dim,
-        metric=metric,
-        f=f,
+        metric=MetricField(dim, [[e for e, _ in row] for row in rows], params),
+        f=ScalarField(dim, f, params),
         lam=_parse_lambda(lam_src, params),
         lam_src=lam_src,
         params=params,
         grid=grid,
         description=f"seeded polynomial perturbation of the flat {dim}-metric",
+        _sources=([[src for _, src in row] for row in rows], f_src),
     )
 
 

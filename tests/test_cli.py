@@ -454,12 +454,14 @@ def test_verify_csv_header_is_the_point_then_the_json_row_keys(scenario, tmp_pat
 
 
 def test_counterexample_rows_follow_the_grid_order(tmp_path):
-    spec = ["r:0:1:3", "x1:0.1:0.9:2", "x2:0:1:2"]
+    """One row per (r, x1) in grid order, however many x2 values the grid has."""
+    spec = ["r:0:1:3", "x1:0.1:0.9:2", "x2:0:1:4"]
     out = tmp_path / "rows.csv"
     argv = ["counterexample", "--out", str(out), "--format", "csv"]
     assert main(argv + [a for g in spec for a in ("--grid", g)]) == 0
     cells = [line.split(",")[:2] for line in out.read_text().splitlines()[1:]]
-    points = grid_points(parse_grid_spec(",".join(spec), 3))
+    points = grid_points(parse_grid_spec(",".join(spec[:2]), 3))
+    assert len(cells) == 6
     assert cells == [[fmt17(r), fmt17(x1)] for r, x1, _ in points]
 
 

@@ -62,7 +62,7 @@ def test_norms_scale_as_inverse_fifth_power(seed, dim, s):
 def test_metric_times_inverse_is_identity(dim, seed, s):
     sc = random_scenario(seed, dim)
     mj = MetricJets(scaled_metric(sc.metric, s), sc.grid_points()[-1])
-    ident = contract("il,lj->ij", mj.g, mj.ginv, jet_space(dim, mj.order))
+    ident = contract("il,lj->ij", mj.g, mj.ginv, jet_space(dim, mj.order).pairs)
     ident[..., 0] -= np.eye(dim)
     assert np.max(np.abs(ident)) < 1e-12
 
@@ -307,8 +307,8 @@ def test_verify_walks_each_expression_once(monkeypatch):
 
     sp = jet_space(4, 4)
     x, y = seed_variables(sc.grid_points()[0], 4, 4)[:2]
-    ia, ib, ic, deg = sp.product_pairs[x.deg][y.deg]
-    assert (ia.size, deg) == (25, 2)
+    pairs = sp.product_pairs[x.deg][y.deg]
+    assert (pairs.ia.size, pairs.deg) == (25, 2)
 
 
 @pytest.mark.parametrize("dim", [3, 4])
@@ -323,6 +323,9 @@ def test_random_polynomials_are_their_parsed_sources(dim):
         sc = random_scenario(seed, dim)
         for e in [e for row in sc.metric.exprs for e in row] + [sc.f.expr]:
             assert exact(parse(to_source(e), variables=names)) == exact(e)
+        # The echo keeps the text the builder wrote: the same as rendering the trees.
+        echo = sc.echo()
+        assert (echo["metric"], echo["f"]) == (sc.metric.sources(), sc.f.source())
 
 
 def _ginv_every_coefficient(mj: MetricJets) -> np.ndarray:
@@ -336,14 +339,14 @@ def _ginv_every_coefficient(mj: MetricJets) -> np.ndarray:
     series = eye + m
     for t in range(2, mj.order + 1):
         sp = jet_space(n, t)
-        series[..., : sp.size] = eye[..., : sp.size] + contract("ij,jk->ik", m, series, sp)
+        series[..., : sp.size] = eye[..., : sp.size] + contract("ij,jk->ik", m, series, sp.pairs)
     return np.einsum("...ij,...jkZ->...ikZ", g0inv, series)
 
 
 def test_ginv_forms_only_each_steps_new_coefficients():
     """Step t forms the degree-t coefficients alone, bit for bit as the full step, per batch entry."""
-    assert [jet_space(4, 4).step_pairs(t).pair_a.size for t in (2, 3, 4)] == [26, 100, 295]
-    assert jet_space(4, 4).mul_ia.size == 495
+    assert [jet_space(4, 4).step_pairs(t).ia.size for t in (2, 3, 4)] == [26, 100, 295]
+    assert jet_space(4, 4).pairs.ia.size == 495
     for sc in BATCH_SCENARIOS:
         points = sc.grid_points()
         for order in (2, 3, 4):

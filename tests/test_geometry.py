@@ -198,7 +198,7 @@ def test_jet_matrix_inverse_exact():
     sc = random_scenario(2, 4)
     pt = sc.grid_points()[0]
     mj = MetricJets(sc.metric, pt)
-    ident = contract("il,lj->ij", mj.g, mj.ginv, jet_space(4, mj.order))
+    ident = contract("il,lj->ij", mj.g, mj.ginv, jet_space(4, mj.order).pairs)
     for i in range(4):
         for j in range(4):
             expected = 1.0 if i == j else 0.0

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from skewdiv import jets
 from skewdiv.cli import main
 from skewdiv.warped import search_violation
 
@@ -105,6 +106,25 @@ def test_golden_report(name, tmp_path):
         got, want = json.loads(first), json.loads(want)
         _drop_noise_worst_points(got, want)
         _assert_close(got, want, name)
+
+
+def test_the_flat_product_index_cache_stays_small(tmp_path, monkeypatch):
+    """Every golden command run in one process leaves at most 1 MiB of product indices.
+
+    A 4-D verify, the heaviest benchmark op, still finds all its indices
+    cached when it runs again.
+    """
+    monkeypatch.setattr(jets, "_FLAT_INDEX", {})
+    for name, args in CASES.items():
+        _run(args, tmp_path / name)
+    held = sum(index.nbytes for index in jets._FLAT_INDEX.values())
+    assert 0 < held <= 2**20, held
+    verify_4d = CASES["verify-random-curved-4d-seed0.json"]
+    _run(verify_4d, tmp_path / "first")
+    cached = dict(jets._FLAT_INDEX)
+    _run(verify_4d, tmp_path / "second")
+    assert jets._FLAT_INDEX.keys() == cached.keys()
+    assert all(jets._FLAT_INDEX[key] is index for key, index in cached.items())
 
 
 SEARCH_BOUNDS = {"default": None, "k:5:6": {"k": (5.0, 6.0)}, "k:1:2.5": {"k": (1.0, 2.5)}}

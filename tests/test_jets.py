@@ -12,6 +12,7 @@ from skewdiv.jets import (
     _exp_series,
     _reciprocal_series,
     _sin_series,
+    contract,
     extract_derivative,
     finite_difference_oracle,
     jet_space,
@@ -277,9 +278,62 @@ def test_degree_bounds_restrict_the_product_pairs():
     assert [(x * y).deg, (x * y * x).deg, (x * y * x * y * x).deg] == [2, 3, 4]
     assert ((x * y).truncate(1).deg, partial_derivative(x * y, 0).deg) == (1, 1)
     assert (x + 1.0).deg == 1 and (x * y + x).deg == 2 and x.exp().deg == 4
-    assert sp.product_pairs[4][4][0].size == sp.mul_ia.size == 495
+    assert sp.product_pairs[4][4].ia.size == sp.pairs.ia.size == 495
     full = Jet(sp, x.c) * Jet(sp, y.c)  # no degree bound: every pair
     assert full.c.tobytes() == (x * y).c.tobytes()
+
+
+def _reference_product(sp, a, b, keep=lambda ma, mb: True):
+    """Each target's products a_i b_j summed from 0.0, ordered by a's monomial, then b's."""
+    out = [0.0] * sp.size
+    for i, ma in enumerate(sp.monomials):
+        for j, mb in enumerate(sp.monomials):
+            if sum(ma) + sum(mb) <= sp.order and keep(ma, mb):
+                out[sp.index[tuple(x + y for x, y in zip(ma, mb))]] += a[i] * b[j]
+    return np.array(out)
+
+
+def _same_bits(got, want):
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=4), st.data())
+def test_every_product_sums_its_pairs_like_the_plain_reference(nvars, order, data):
+    """Scalar, batched and contracted products all equal one plain sum per target, bit for bit.
+
+    The sums start from +0.0, so a target whose products are all -0.0 comes
+    out +0.0.  A third of the inputs are zeros of either sign, and every
+    input is zero above its degree bound.
+    """
+    sp = jet_space(nvars, order)
+    degs = [data.draw(st.integers(min_value=0, max_value=order)) for _ in range(2)]
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32)))
+    a, b = rng.uniform(-3.0, 3.0, (2, 3, sp.size))
+    for c, deg in zip((a, b), degs):
+        c[(rng.random(c.shape) < 0.3) | (sp.degree > deg)] *= 0.0
+    outer = np.array([[_reference_product(sp, x.tolist(), y.tolist()) for y in b] for x in a])
+    pointwise = np.array([outer[e, e] for e in range(3)])
+    ja, jb = Jet(sp, a, degs[0]), Jet(sp, b, degs[1])
+    for e in range(3):
+        _same_bits((Jet(sp, a[e], degs[0]) * Jet(sp, b[e], degs[1])).c, pointwise[e])
+    _same_bits((ja * jb).c, pointwise)
+    _same_bits((ja * Jet(sp, b[0], degs[1])).c, outer[:, 0])
+    _same_bits(contract("i,j->ij", a, b, sp.pairs), outer)
+    _same_bits(contract("i,i->i", a[:, None], b[:, None], sp.pairs)[:, 0], pointwise)
+    for t in range(1, order + 1):
+
+        def in_step(ma, mb):  # |a| >= 1 and a degree-t target
+            return sum(ma) > 0 and sum(ma) + sum(mb) == t
+
+        step = sp.step_pairs(t)
+        targets = slice(step.lo, step.lo + step.size)
+        assert np.all(sp.degree[targets] == t)
+        want = [[_reference_product(sp, x.tolist(), y.tolist(), in_step) for y in b] for x in a]
+        _same_bits(contract("i,j->ij", a, b, step), np.array(want)[..., targets])
+    minus_zero = Jet(sp, np.full(sp.size, -0.0), 0) * Jet(sp, np.ones(sp.size), 0)
+    assert not np.signbit(minus_zero.c[0])
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -203,6 +203,12 @@ def test_frame_requires_nonzero_P():
         build_frame(PointAnalysis(sc.spec(), (0.3, 0.4, 0.5)))
 
 
+def test_frame_refuses_a_batch_of_points():
+    an = PointAnalysis(warped_spec(), [(0.3, 0.2, 0.6), (0.1, 0.2, 0.3)])
+    with pytest.raises(ValueError, match="one-point; the analysis has 2 points"):
+        build_frame(an)
+
+
 def test_frame_is_deterministic():
     spec = warped_spec()
     a = build_frame(PointAnalysis(spec, (0.25, 0.5, 0.75)))
