@@ -40,7 +40,8 @@ product of each prefix of factors is formed once for all the trees.
 from __future__ import annotations
 
 import re
-from operator import itemgetter
+from functools import reduce
+from operator import add, itemgetter
 from typing import Mapping, Sequence, Union
 
 from . import jets
@@ -474,6 +475,8 @@ def evaluate_entries(exprs: Sequence[Expr], point: Sequence, params: ParamSet | 
     A tree sums its terms (:func:`_terms`) with the walk's arithmetic, so it
     is the walk's value up to the products and sums that the lowering
     re-associates; one whose terms fail or are not finite is walked instead.
+    Trees with jet terms are summed together, one vector add per term, their
+    scaled terms padded with -0.0, which adds exactly nothing.
     """
     params = params if params is not None else {}
     table: dict[tuple, object] = {}  # factors -> their product, each formed once
@@ -487,18 +490,26 @@ def evaluate_entries(exprs: Sequence[Expr], point: Sequence, params: ParamSet | 
             )
         return table[factors]
 
-    def value(e: Expr):
+    out: list = []  # each tree's terms (coef, product), then its value
+    for e in exprs:
         try:
-            acc = None
-            for coef, factors in _terms(e):
-                term = product(factors) if factors else coef
-                if factors and coef != 1.0:  # a number times a jet, as in the walk
-                    term = jets.Jet(term.space, term.c * coef, term.deg) if isinstance(term, jets.Jet) else coef * term
-                acc = term if acc is None else acc + term
-            if jets.finite(acc):
-                return acc
+            out.append([(coef, product(factors) if factors else 1.0) for coef, factors in _terms(e)])
         except (EvalDomainError, MissingParameterError, ArithmeticError, LookupError):
-            pass
-        return evaluate(e, point, params)
-
-    return [value(e) for e in exprs]
+            out.append(None)
+    summed = [i for i, t in enumerate(out) if t and any(isinstance(p, jets.Jet) for _, p in t)]
+    for i in [i for i, t in enumerate(out) if t and i not in summed]:  # numbers only
+        out[i] = reduce(add, [coef * p for coef, p in out[i]])
+    if summed:
+        import numpy as np  # here: imported ahead of jets, it raises the import's peak memory
+        like = next(p for i in summed for _, p in out[i] if isinstance(p, jets.Jet))
+        stacked = np.full((len(summed), max(len(out[i]) for i in summed)) + like.c.shape, -0.0)
+        for row, i in zip(stacked, summed):
+            for slot, (coef, p) in zip(row, out[i]):
+                if isinstance(p, jets.Jet):
+                    np.multiply(p.c, coef, out=slot)  # a number times a jet, as in the walk
+                else:
+                    slot[..., 0] = coef * p  # a number adds to the value alone
+        sums = reduce(np.add, stacked.swapaxes(0, 1))  # term by term, as the walk adds
+        for i, c in zip(summed, sums):
+            out[i] = jets.Jet(like.space, c, max(p.deg for _, p in out[i] if isinstance(p, jets.Jet)))
+    return [v if v is not None and jets.finite(v) else evaluate(e, point, params) for e, v in zip(exprs, out)]

@@ -269,6 +269,7 @@ class MetricJets:
         Horner's rule S <- I + M S; as M raises the degree, step t fixes the
         degree-t coefficients of S and forms only those
         (:meth:`~skewdiv.jets.JetSpace.step_pairs`): the lower ones are final.
+        A PointAnalysis builds g one order below f, where |grad f|^2 reads g^-1.
         """
         n = self.dim
         g0inv = np.linalg.inv(self.g_val)

@@ -96,7 +96,7 @@ def bochner_residual(an: PointAnalysis, form: str = "auto") -> IdentityResidual:
     "dim3" when n == 3.  ``an`` may analyse a batch of points (see
     :class:`PointAnalysis`).
     """
-    an.mj.require_order(4, "the curvature balance")
+    an.require_order(4, "the curvature balance")
     n = an.dim
     if n < 3:
         raise ValueError("the curvature balance needs dimension >= 3")
@@ -148,7 +148,7 @@ def static_residual(an: PointAnalysis) -> tuple[IdentityResidual, IdentityResidu
     """
     if an.dim != 3:
         raise ValueError("the static system is checked in dimension 3")
-    an.mj.require_order(2, "the static system")
+    an.require_order(2, "the static system")
     fval = an.fjet[..., 0]
     curv = an.mj.curvature
     scal = np.asarray(curv.scalar)
@@ -161,7 +161,7 @@ def cpe_residual(an: PointAnalysis) -> tuple[IdentityResidual, IdentityResidual]
     n = an.dim
     if n < 3:
         raise ValueError("the critical-point system needs dimension >= 3")
-    an.mj.require_order(2, "the critical-point system")
+    an.require_order(2, "the critical-point system")
     fval = an.fjet[..., 0]
     curv = an.mj.curvature
     scal = np.asarray(curv.scalar)
@@ -198,7 +198,7 @@ def static_bochner_residual(an: PointAnalysis) -> IdentityResidual:
     """
     if an.dim != 3:
         raise ValueError("the static substitution is a dimension-3 identity")
-    an.mj.require_order(4, "the static substitution")
+    an.require_order(4, "the static substitution")
     fval = an.fjet[..., 0]
     refused = np.flatnonzero(np.abs(fval) < F_GATE)
     if refused.size:

@@ -118,13 +118,20 @@ class PointAnalysis:
     lambda(f) included: each of those two expressions is evaluated once, on
     jets batched over the points.  Instances are read-only after
     construction and safe to share.
+
+    ``order`` is f's; every other jet stops where its readers do.  P reads g
+    one order above itself and f two, so ``mj`` holds g one order below f (2
+    at least, for the curvature's dGamma) and lambda(f) is two below, at P's
+    order.  Each value read is that of order-``order`` jets, bit for bit.
     """
 
     def __init__(self, spec: PTensorSpec, points, order: int = DEFAULT_ORDER):
         self.spec = spec
         self.order = order
-        self.mj = MetricJets(spec.metric, points, order)
+        self.mj = MetricJets(spec.metric, points, max(order - 1, 2))
         self.point = self.mj.point
+
+    require_order = MetricJets.require_order  # a check's lowest order is an order of f
 
     @property
     def dim(self) -> int:
@@ -153,14 +160,14 @@ class PointAnalysis:
 
     @cached_property
     def lam_f(self) -> np.ndarray:
-        """Coefficient array of lambda(f)."""
-        sp = jet_space(self.dim, self.order)
+        """Coefficient array of lambda(f), two orders below f, the order of P that reads it."""
+        sp = jet_space(self.dim, max(self.order - 2, 0))
 
         def at(fc):
             out = evaluate(self.spec.lam, [Jet(sp, fc)], self.spec.lam_params)
             return as_coefficients(out, fc.shape)
 
-        return each_point_on_error(at, self.fjet)
+        return each_point_on_error(at, self.fjet[..., : sp.size])
 
     @cached_property
     def P(self) -> np.ndarray:
@@ -308,7 +315,7 @@ def cyclic_residual(an: PointAnalysis) -> float | np.ndarray:
     alone.  Over a batch of points it is an array with one maximum per
     point.
     """
-    an.mj.require_order(3, "the cyclic identity")
+    an.require_order(3, "the cyclic identity")
     T = an.nabla_P_val
     cyc = T + np.einsum("...jki->...ijk", T) + np.einsum("...kij->...ijk", T)
     return batch_value(np.max(np.abs(cyc), axis=(-3, -2, -1)))
@@ -355,7 +362,7 @@ def build_frame(an: PointAnalysis) -> FrameEval:
     with the largest residual norm (ties broken by lowest coordinate index),
     which makes the completion deterministic.
     """
-    an.mj.require_order(3, "the adapted frame")
+    an.require_order(3, "the adapted frame")
     if an.mj.batch:
         raise ValueError(f"the adapted frame is one-point; the analysis has {len(an.point)} points")
     n = an.dim

@@ -9,6 +9,9 @@
   and a failing batch raises the first failing point's own error;
 * op-count gate: a verify walks only lambda(f) and forms each field's
   monomials once;
+* work gate: a verify-4d op forms a pinned number of ``contract`` pairs and
+  builds g no higher than the order its readers use, and the cut jets give
+  every value a check reads bit for bit as jets at f's order;
 * random polynomials are built as their sources parse, and g^-1 forms
   only each Horner step's new coefficients.
 """
@@ -22,12 +25,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewdiv.cli import run_verify
+from skewdiv.identities import cpe_residual, static_residual
 from skewdiv.errors import EvalDomainError, NonPositiveDefiniteError, SkewdivError
 from skewdiv.expr import Binary, Num, chart_variables, evaluate, parse, to_source
 from skewdiv.geometry import MetricField, MetricJets, ScalarField
 from skewdiv.identities import bochner_residual
-from skewdiv.jets import Jet, contract, jet_space, seed_variables
-from skewdiv.ptensor import VALUE_ORDER, PointAnalysis, PTensorSpec, analyze
+from skewdiv.jets import (
+    DEFAULT_ORDER,
+    Jet,
+    as_coefficients,
+    contract,
+    jet_order,
+    jet_space,
+    seed_variables,
+)
+from skewdiv.ptensor import VALUE_ORDER, PointAnalysis, PTensorSpec, analyze, cyclic_residual
+from skewdiv.report import report_to_json
 from skewdiv.scenarios import BUILTIN_NAMES, builtin_scenario, random_scenario
 from skewdiv.warped import WarpedSpec, ptensor_spec
 
@@ -110,8 +123,9 @@ def test_tensor_pipeline_makes_no_scalar_jet_products(dim, monkeypatch):
     monkeypatch.setattr(Jet, "__mul__", counted)
     monkeypatch.setattr(Jet, "__rmul__", counted)
 
-    spec.metric.component_jets(pt)
-    evaluate(spec.lam, [spec.f.jet(pt)], spec.lam_params)
+    # The analysis's orders: g one below f, lambda(f) two below.
+    spec.metric.component_jets(pt, DEFAULT_ORDER - 1)
+    evaluate(spec.lam, [spec.f.jet(pt).truncate(DEFAULT_ORDER - 2)], spec.lam_params)
     expression_products = len(calls)
     assert expression_products > 0
 
@@ -120,6 +134,7 @@ def test_tensor_pipeline_makes_no_scalar_jet_products(dim, monkeypatch):
     an.violation
     bochner_residual(an)
     assert len(calls) == expression_products
+    assert (an.order, an.mj.order, jet_order(an.lam_f, dim)) == (4, 3, 2)
 
 
 BATCH_SCENARIOS = [
@@ -215,12 +230,12 @@ def test_batched_expressions_equal_single_points(spec, points):
     one = [PointAnalysis(spec, pt) for pt in points]
     batch = PointAnalysis(spec, points)
     single = {
-        "g": np.stack([spec.metric.component_jets(pt) for pt in points]),
+        "g": np.stack([spec.metric.component_jets(pt, batch.mj.order) for pt in points]),
         "f": np.stack([spec.f.jet(pt).c for pt in points]),
         "lam_f": np.stack([an.lam_f for an in one]),
     }
     batched = {
-        "g": spec.metric.component_jets(points),
+        "g": spec.metric.component_jets(points, batch.mj.order),
         "f": spec.f.jet(points).c,
         "lam_f": batch.lam_f,
     }
@@ -277,8 +292,8 @@ def test_verify_walks_each_expression_once(monkeypatch):
     The 10 metric entries and f are polynomials in the x_i and x_i*x_j: their
     terms read the seeds, and each field forms its 10 monomials x_i*x_j once
     (a product of two seeds, degree 1 each, at (4 variables, order 4) forms
-    25 coefficient pairs).  Only lambda(f) is walked; its own products
-    (f*f, or three Horner steps of exp) come on top.
+    25 coefficient pairs).  Only lambda(f) is walked, at order 2; its own
+    products (f*f, or the one Horner step of exp there) come on top.
     """
     calls, products = [], []
 
@@ -296,7 +311,7 @@ def test_verify_walks_each_expression_once(monkeypatch):
     mul = Jet.__mul__
     monkeypatch.setattr(Jet, "__mul__", multiplied)
     monkeypatch.setattr(Jet, "__rmul__", multiplied)
-    for seed, lam, lam_products in [(0, "1", 0), (1, "f", 0), (2, "1 + f*f", 1), (3, "exp(f/4)", 3)]:
+    for seed, lam, lam_products in [(0, "1", 0), (1, "f", 0), (2, "1 + f*f", 1), (3, "exp(f/4)", 1)]:
         calls.clear()
         products.clear()
         sc = random_scenario(seed, 4)
@@ -354,3 +369,78 @@ def test_ginv_forms_only_each_steps_new_coefficients():
             assert batch.ginv.tobytes() == _ginv_every_coefficient(batch).tobytes()
             for i, pt in enumerate(points):
                 assert MetricJets(sc.metric, pt, order).ginv.tobytes() == batch.ginv[i].tobytes()
+
+
+def test_verify_forms_a_pinned_number_of_contract_pairs(monkeypatch):
+    """Work gate: a verify-4d op forms 755 contract pairs in 15 calls and builds g at order 3 at most.
+
+    Built at f's order 4, g^-1 and Gamma carried a top layer that no check
+    reads: the same op formed 1,170 pairs in 16 calls.  A reader that brings
+    that layer back fails here.
+    """
+    pairs, orders = [], []
+
+    def counted(subscripts, A, B, table):
+        pairs.append(table.ia.size)
+        return contract(subscripts, A, B, table)
+
+    def built(self, metric, points, order=DEFAULT_ORDER):
+        orders.append(order)
+        init(self, metric, points, order)
+
+    for mod in [m for name, m in sys.modules.items() if name.startswith("skewdiv.")]:
+        if getattr(mod, "contract", None) is contract:
+            monkeypatch.setattr(mod, "contract", counted)
+    init = MetricJets.__init__
+    monkeypatch.setattr(MetricJets, "__init__", built)
+    per_op = []
+    for seed in range(8):
+        pairs.clear()
+        report_to_json(run_verify(builtin_scenario("random-curved", seed=seed, dim=4)))
+        per_op.append((sum(pairs), len(pairs)))
+    assert np.mean(per_op, axis=0).tolist() == [755, 15]
+    assert max(orders) == 3
+
+
+def _at_full_order(spec, points, order: int) -> PointAnalysis:
+    """The analysis with g and lambda(f) built at f's order, as they were before the cut."""
+    an = PointAnalysis(spec, points, order)
+    an.mj = MetricJets(spec.metric, points, order)
+    f = Jet(jet_space(spec.dim, order), an.fjet)
+    an.lam_f = as_coefficients(evaluate(spec.lam, [f], spec.lam_params), an.fjet.shape)
+    return an
+
+
+def _read_values(an: PointAnalysis) -> dict:
+    """Every value a check or a report reads from ``an``."""
+    names = ["P_val", "nabla_P_val", "div_P_val", "P_up", "grad_f_val", "p_norm_sq"]
+    names += ["nabla_p_norm_sq", "div_p_norm_sq", "violation", "sharp_margin"]
+    if an.order >= 4:
+        names += ["laplacian_p_norm_sq", "grad_p_norm_sq_val", "nabla_div_P_val"]
+    values = {name: getattr(an, name) for name in names}
+    for name in ("g_val", "ginv_val", "gamma_val", "dgamma_val"):
+        values[name] = getattr(an.mj, name)
+    curv = an.mj.curvature
+    for name in ("riemann", "ricci", "scalar", "traceless_ricci", "weyl"):
+        values[f"curvature.{name}"] = getattr(curv, name)
+    values["cyclic"] = cyclic_residual(an)
+    residuals = [bochner_residual(an)] if an.order >= 4 else []
+    residuals += [*static_residual(an)] if an.dim == 3 else []
+    for res in residuals + [*cpe_residual(an)]:
+        for field in ("lhs", "rhs", "abs_residual", "rel_residual", "scale"):
+            values[f"{res.name}.{field}"] = getattr(res, field)
+    return values
+
+
+@pytest.mark.parametrize("order", [3, 4])
+@pytest.mark.parametrize("sc", BATCH_SCENARIOS, ids=lambda sc: sc.name)
+def test_cut_jets_read_as_jets_at_full_order(sc, order):
+    """g one order below f and lambda(f) two below give every read value bit for bit."""
+    spec, points = sc.spec(), sc.grid_points()
+    an = PointAnalysis(spec, points, order)
+    assert (an.mj.order, jet_order(an.lam_f, sc.dim)) == (max(order - 1, 2), order - 2)
+    want = _read_values(_at_full_order(spec, points, order))
+    got = _read_values(an)
+    assert got.keys() == want.keys()
+    for name, value in want.items():
+        assert np.asarray(got[name]).tobytes() == np.asarray(value).tobytes(), name
