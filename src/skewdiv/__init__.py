@@ -25,6 +25,7 @@ from .errors import (
 from .expr import chart_variables, evaluate, parse, to_source
 from .geometry import (
     CurvatureEval,
+    IdentityResidual,
     MetricField,
     MetricJets,
     ScalarField,
@@ -32,7 +33,6 @@ from .geometry import (
     second_bianchi_residual,
 )
 from .identities import (
-    IdentityResidual,
     bochner_residual,
     cpe_residual,
     static_bochner_residual,
@@ -50,12 +50,10 @@ from .ptensor import (
     FORM_DICTIONARY,
     FrameEval,
     PointAnalysis,
-    PTensorEval,
     PTensorSpec,
     analyze,
     build_frame,
     cyclic_residual,
-    div_true_vs_false,
 )
 from .scenarios import (
     BUILTIN_NAMES,

@@ -18,13 +18,7 @@ import numpy as np
 from . import warped as warped_mod
 from .errors import DegeneratePError, ScenarioError, SkewdivError
 from .identities import bochner_residual, static_residual
-from .ptensor import (
-    FORM_DICTIONARY,
-    PointAnalysis,
-    build_frame,
-    cyclic_residual,
-    div_true_vs_false,
-)
+from .ptensor import FORM_DICTIONARY, PointAnalysis, build_frame, cyclic_residual
 from .report import (
     Report,
     ResidualSummary,
@@ -74,11 +68,11 @@ def run_verify(scenario: Scenario, tolerance: float | None = None) -> Report:
         "div_p_norm_sq": an.div_p_norm_sq,
         "violation": an.violation,
         "sharp_margin": an.sharp_margin,
-        "cyclic_residual": cyclic,
+        "cyclic_residual": cyclic.abs_residual,
         "bochner_rel_residual": boch.rel_residual,
     }
     residuals = [
-        summarize_residuals("cyclic", points, cyclic, cyclic),
+        summarize_residuals("cyclic", points, cyclic.abs_residual, cyclic.rel_residual),
         summarize_residuals("bochner", points, boch.abs_residual, boch.rel_residual),
     ]
     if scenario.is_static:
@@ -320,7 +314,6 @@ def cmd_frame(args) -> int:
         point = scenario.grid_points()[0]
     try:
         frame = build_frame(PointAnalysis(scenario.spec(), point))
-        true_div, false_div, disc = div_true_vs_false(frame)
     except DegeneratePError as err:
         print(f"degenerate P: {err}", file=sys.stderr)
         return 1
@@ -332,10 +325,10 @@ def cmd_frame(args) -> int:
     print(f"  u = P(E_1, E_2) = {fmt17(frame.u)}")
     print(f"  gram residual = {fmt17(frame.gram_residual)}")
     print("frame divergence (theta components):")
-    print("  connection formula: " + " ".join(fmt17(x) for x in true_div))
-    print("  bracket-free form : " + " ".join(fmt17(x) for x in false_div))
-    print("  discrepancy       : " + " ".join(fmt17(x) for x in disc))
-    disc_chart = frame.covector_to_chart(disc)
+    print("  connection formula: " + " ".join(fmt17(x) for x in frame.div_true))
+    print("  bracket-free form : " + " ".join(fmt17(x) for x in frame.div_false))
+    print("  discrepancy       : " + " ".join(fmt17(x) for x in frame.discrepancy))
+    disc_chart = frame.covector_to_chart(frame.discrepancy)
     print("discrepancy in chart components (dx^k):")
     print("  " + " ".join(fmt17(x) for x in disc_chart))
     print("bracket terms <E_k,[E_i,E_j]>: nonzero entries")
@@ -410,11 +403,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         # fail, so numpy's floating-point warnings would only repeat them.
         with np.errstate(all="ignore"):
             return args.func(args)
-    except SkewdivError as err:
+    except (SkewdivError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
+    except RecursionError:  # parsing, evaluating or echoing a deep expression
+        print("error: expression nests too deeply", file=sys.stderr)
         return 2
 
 

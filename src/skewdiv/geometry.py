@@ -234,6 +234,47 @@ def batch_value(x):
     return float(x) if x.ndim == 0 else x
 
 
+# -- the residual builder ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class IdentityResidual:
+    """Residual of one identity at one point, or over a batch of points.
+
+    Over a batch, ``point`` is a tuple of points and every number is an
+    array with one entry per point.
+    """
+
+    name: str
+    point: tuple
+    lhs: float | np.ndarray
+    rhs: float | np.ndarray
+    abs_residual: float | np.ndarray
+    rel_residual: float | np.ndarray
+    scale: float | np.ndarray
+
+
+def residual(name: str, point, lhs, rhs, terms) -> IdentityResidual:
+    """The one tolerance rule of every check: |lhs - rhs| / max(scale, 1).
+
+    ``scale`` is the largest of |lhs| and the |terms| that make up rhs: checks
+    mixing fourth derivatives magnify rounding, so a bare absolute tolerance
+    would be scale-fragile.  A vector-valued check passes max-norms.  A
+    non-finite term or side propagates into scale and residual.
+    """
+    scale = np.max(np.abs([*terms, lhs]), axis=0)
+    absr = np.abs(np.subtract(lhs, rhs))
+    return IdentityResidual(
+        name=name,
+        point=point_tuple(point),
+        lhs=batch_value(lhs),
+        rhs=batch_value(rhs),
+        abs_residual=batch_value(absr),
+        rel_residual=batch_value(absr / np.maximum(scale, 1.0)),
+        scale=batch_value(scale),
+    )
+
+
 # -- per-point geometry bundle ---------------------------------------------------
 
 
@@ -394,13 +435,13 @@ def _riemann(g: np.ndarray, G: np.ndarray, dG: np.ndarray) -> np.ndarray:
     return np.einsum("...km,...mijs->...ijks", g, rup)
 
 
-def second_bianchi_residual(mj: MetricJets):
-    """Max-norm residual of the contracted second Bianchi identity (jet order >= 3).
+def second_bianchi_residual(mj: MetricJets) -> IdentityResidual:
+    """Residual of the contracted second Bianchi identity (jet order >= 3).
 
     div Ric = (1/2) dR holds for every Levi-Civita connection; a nonzero
     residual beyond rounding indicates a convention or implementation bug.
-    Normalized by max(1, |dR|).  A float for one point, one residual per
-    point over a batch.
+    Its lhs is max_k |div Ric - 1/2 dR|_k and its one term max_k |dR|_k;
+    over a batch, one of each per point.
     """
     mj.require_order(3, "the second Bianchi identity")
     n = mj.dim
@@ -416,8 +457,8 @@ def second_bianchi_residual(mj: MetricJets):
     )
     dscal = partials(contract("js,js->", mj.ginv, ric, pairs), n, mj.batch)[..., 0]
     divric = np.einsum("...ij,...ijk->...k", mj.ginv_val, cov_derivative(ric, G)[..., 0])
-    scale = np.maximum(1.0, np.max(np.abs(dscal), axis=-1))
-    return batch_value(np.max(np.abs(divric - 0.5 * dscal), axis=-1) / scale)
+    gap = np.max(np.abs(divric - 0.5 * dscal), axis=-1)
+    return residual("second-bianchi", mj.points, gap, 0.0, (np.max(np.abs(dscal), axis=-1),))
 
 
 # -- finite-difference oracles ----------------------------------------------------

@@ -1,10 +1,8 @@
 """Residual checkers for the pointwise differential identities.
 
 Each checker evaluates both sides of an identity at a point and reports the
-absolute and relative residual.  Relative residuals are normalized by the
-largest participating term, floored at 1: identities mixing fourth
-derivatives magnify rounding, so a bare absolute tolerance would be
-scale-fragile.
+absolute and relative residual through :func:`skewdiv.geometry.residual`,
+the rule every check shares.
 
 Identities covered:
 
@@ -38,47 +36,13 @@ Identities covered:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import EvalDomainError
-from .geometry import batch_value, cov_derivative, point_tuple
+from .geometry import IdentityResidual, batch_value, cov_derivative, point_tuple, residual
 from .ptensor import PointAnalysis
 
 F_GATE = 1e-8
-
-
-@dataclass(frozen=True)
-class IdentityResidual:
-    """Residual of one identity at one point, or over a batch of points.
-
-    Over a batch, ``point`` is a tuple of points and every number is an
-    array with one entry per point.
-    """
-
-    name: str
-    point: tuple
-    lhs: float | np.ndarray
-    rhs: float | np.ndarray
-    abs_residual: float | np.ndarray
-    rel_residual: float | np.ndarray
-    scale: float | np.ndarray
-
-
-def _residual(name: str, point, lhs, rhs, terms) -> IdentityResidual:
-    # A non-finite term or side propagates into scale and residual.
-    scale = np.max(np.abs([*terms, lhs]), axis=0)
-    absr = np.abs(np.subtract(lhs, rhs))
-    return IdentityResidual(
-        name=name,
-        point=point_tuple(point),
-        lhs=batch_value(lhs),
-        rhs=batch_value(rhs),
-        abs_residual=batch_value(absr),
-        rel_residual=batch_value(absr / np.maximum(scale, 1.0)),
-        scale=batch_value(scale),
-    )
 
 
 def _balance_terms(an: PointAnalysis):
@@ -124,7 +88,6 @@ def bochner_residual(an: PointAnalysis, form: str = "auto") -> IdentityResidual:
         t_scal = curv.scalar * an.p_norm_sq
         t_ric = -2.0 * ric_quad
         terms = (t_grad, t_div, t_scal, t_ric)
-        rhs = t_grad + t_div + t_scal + t_ric
         name = "bochner-dim3"
     elif form == "general":
         p_up = an.P_up
@@ -134,11 +97,10 @@ def bochner_residual(an: PointAnalysis, form: str = "auto") -> IdentityResidual:
             np.einsum("...ijks,...is,...jk->...", curv.weyl, p_up, p_up)
         )
         terms = (t_grad, t_div, t_scal, t_ric, t_weyl)
-        rhs = t_grad + t_div + t_scal + t_ric + t_weyl
         name = "bochner-general"
     else:
         raise ValueError(f"unknown form {form!r}")
-    return _residual(name, an.point, lhs, rhs, terms)
+    return residual(name, an.point, lhs, sum(terms), terms)
 
 
 def static_residual(an: PointAnalysis) -> tuple[IdentityResidual, IdentityResidual]:
@@ -157,7 +119,11 @@ def static_residual(an: PointAnalysis) -> tuple[IdentityResidual, IdentityResidu
 
 
 def cpe_residual(an: PointAnalysis) -> tuple[IdentityResidual, IdentityResidual]:
-    """Tensor and scalar residuals of the critical-point system (diagnostic, jet order >= 2)."""
+    """Tensor and scalar residuals of the critical-point system (diagnostic, jet order >= 2).
+
+    Kept although no command calls it: the critical point equation is where
+    the Besse conjecture applies the divergence estimate for P.
+    """
     n = an.dim
     if n < 3:
         raise ValueError("the critical-point system needs dimension >= 3")
@@ -184,9 +150,9 @@ def _field_residuals(name: str, an: PointAnalysis, lhs_t, g_coef, lap_rhs):
 
     rhs_t = hess + g_coef[..., None, None] * mj.g_val
     terms = (tnorm(lhs_t), tnorm(hess), tnorm(rhs_t - hess))
-    tensor = _residual(f"{name}-tensor", mj.points, tnorm(lhs_t - rhs_t), 0.0, terms)
+    tensor = residual(f"{name}-tensor", mj.points, tnorm(lhs_t - rhs_t), 0.0, terms)
     lap = np.einsum("...ij,...ij->...", gi, hess)
-    return tensor, _residual(f"{name}-scalar", mj.points, lap, lap_rhs, (lap, -lap_rhs))
+    return tensor, residual(f"{name}-scalar", mj.points, lap, lap_rhs, (lap, -lap_rhs))
 
 
 def static_bochner_residual(an: PointAnalysis) -> IdentityResidual:
@@ -195,6 +161,8 @@ def static_bochner_residual(an: PointAnalysis) -> IdentityResidual:
     Meaningful only where :func:`static_residual` vanishes; the formula
     genuinely divides by f, so points with |f| < 1e-8 are refused, the first
     such point in grid order named.  ``an`` may analyse a batch of points.
+    Kept although no command calls it: the uniqueness argument for static
+    triples relies on exactly this substitution.
     """
     if an.dim != 3:
         raise ValueError("the static substitution is a dimension-3 identity")
@@ -218,11 +186,5 @@ def static_bochner_residual(an: PointAnalysis) -> IdentityResidual:
     t_grad_pn = -0.5 / fval * np.einsum(
         "...ab,...a,...b->...", gi, an.df[..., 0], an.grad_p_norm_sq_val
     )
-    rhs = t_grad + t_div + t_scal + t_pair + t_grad_pn
-    return _residual(
-        "static-bochner",
-        an.point,
-        lhs,
-        rhs,
-        (t_grad, t_div, t_scal, t_pair, t_grad_pn),
-    )
+    terms = (t_grad, t_div, t_scal, t_pair, t_grad_pn)
+    return residual("static-bochner", an.point, lhs, sum(terms), terms)

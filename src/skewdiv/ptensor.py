@@ -37,12 +37,14 @@ import numpy as np
 from .errors import DegeneratePError, FrameConsistencyError
 from .expr import Expr, ParamSet, evaluate
 from .geometry import (
+    IdentityResidual,
     MetricField,
     MetricJets,
     ScalarField,
     batch_value,
     cov_derivative,
     each_point_on_error,
+    residual,
 )
 from .jets import DEFAULT_ORDER, Jet, as_coefficients, contract, jet_space, partials
 
@@ -79,25 +81,6 @@ class PTensorSpec:
     @property
     def dim(self) -> int:
         return self.metric.dim
-
-
-@dataclass(frozen=True)
-class PTensorEval:
-    """Value-level analysis of P at one point or over a batch of points.
-
-    Over a batch, every field has the batch axes in front and the norms and
-    margins are arrays of shape ``batch_shape``.
-    """
-
-    point: tuple
-    P: np.ndarray
-    nabla_P: np.ndarray
-    div_P: np.ndarray
-    p_norm_sq: float | np.ndarray
-    nabla_p_norm_sq: float | np.ndarray
-    div_p_norm_sq: float | np.ndarray
-    violation: float | np.ndarray
-    sharp_margin: float | np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -272,19 +255,6 @@ class PointAnalysis:
     def sharp_margin(self) -> float | np.ndarray:
         return self.nabla_p_norm_sq - (2.0 / (self.dim - 1)) * self.div_p_norm_sq
 
-    def result(self) -> PTensorEval:
-        return PTensorEval(
-            point=self.point,
-            P=self.P_val,
-            nabla_P=self.nabla_P_val,
-            div_P=self.div_P_val,
-            p_norm_sq=self.p_norm_sq,
-            nabla_p_norm_sq=self.nabla_p_norm_sq,
-            div_p_norm_sq=self.div_p_norm_sq,
-            violation=self.violation,
-            sharp_margin=self.sharp_margin,
-        )
-
 
 # -- module operations ---------------------------------------------------------
 
@@ -302,23 +272,24 @@ def _skew(block: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def analyze(spec: PTensorSpec, points, order: int = VALUE_ORDER) -> PTensorEval:
-    """Value-level P report at a point or a batch of points: components, norms, both margins."""
-    return PointAnalysis(spec, points, order).result()
+def analyze(spec: PTensorSpec, points, order: int = VALUE_ORDER) -> PointAnalysis:
+    """The analysis at the lowest order that yields P, grad P and div P, their norms and margins."""
+    return PointAnalysis(spec, points, order)
 
 
-def cyclic_residual(an: PointAnalysis) -> float | np.ndarray:
-    """Max over index triples of |grad_i P_jk + grad_j P_ki + grad_k P_ij| (jet order >= 3).
+def cyclic_residual(an: PointAnalysis) -> IdentityResidual:
+    """Residual of grad_i P_jk + grad_j P_ki + grad_k P_ij = 0 (jet order >= 3).
 
     Vanishes identically for every P of this module's form, whatever the
     metric: the underlying 2-form is closed because the profile depends on f
-    alone.  Over a batch of points it is an array with one maximum per
-    point.
+    alone.  Its lhs is the max over index triples of |cyclic sum| and its
+    one term max |grad P|; over a batch, one of each per point.
     """
     an.require_order(3, "the cyclic identity")
     T = an.nabla_P_val
     cyc = T + np.einsum("...jki->...ijk", T) + np.einsum("...kij->...ijk", T)
-    return batch_value(np.max(np.abs(cyc), axis=(-3, -2, -1)))
+    worst = np.max(np.abs(cyc), axis=(-3, -2, -1))
+    return residual("cyclic", an.point, worst, 0.0, (np.max(np.abs(T), axis=(-3, -2, -1)),))
 
 
 # -- adapted orthonormal frame ---------------------------------------------------
@@ -360,7 +331,8 @@ def build_frame(an: PointAnalysis) -> FrameEval:
     |A E_1| with A^j_i = g^jm P_im; the remaining vectors come from
     Gram-Schmidt over the coordinate basis, always absorbing the candidate
     with the largest residual norm (ties broken by lowest coordinate index),
-    which makes the completion deterministic.
+    which makes the completion deterministic.  Raises FrameConsistencyError
+    unless the connection formula gives the coordinate div P in the frame.
     """
     an.require_order(3, "the adapted frame")
     if an.mj.batch:
@@ -450,6 +422,12 @@ def build_frame(an: PointAnalysis) -> FrameEval:
     div_false[1] = eu[0]
 
     div_coord_in_frame = vectors @ an.div_P_val
+    gap = np.max(np.abs(div_true - div_coord_in_frame))
+    check = residual("frame-divergence", an.point, gap, 0.0, (np.max(np.abs(div_coord_in_frame)),))
+    if not check.rel_residual <= FRAME_MATCH_TOLERANCE:
+        raise FrameConsistencyError(
+            f"frame divergence deviates from coordinate divergence by {check.abs_residual!r}"
+        )
 
     return FrameEval(
         point=an.point,
@@ -465,18 +443,3 @@ def build_frame(an: PointAnalysis) -> FrameEval:
         metric_values=g_val,
     )
 
-
-def div_true_vs_false(frame: FrameEval) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Both frame divergence formulas and their gap.
-
-    Verifies that the connection-coefficient formula reproduces the
-    coordinate-level div P expressed in the frame; a mismatch beyond
-    tolerance means the frame data is inconsistent and raises.
-    """
-    scale = max(1.0, float(np.max(np.abs(frame.div_coord_in_frame))))
-    err = float(np.max(np.abs(frame.div_true - frame.div_coord_in_frame)))
-    if err > FRAME_MATCH_TOLERANCE * scale:
-        raise FrameConsistencyError(
-            f"frame divergence deviates from coordinate divergence by {err!r}"
-        )
-    return frame.div_true, frame.div_false, frame.discrepancy

@@ -183,15 +183,15 @@ def round_sphere_scenario() -> Scenario:
 
 def warped_canonical_scenario(k: float = 4.0, c: float = 1.0) -> Scenario:
     wspec = warped_mod.WarpedSpec.canonical(k, c)
-    params = dict(wspec.params)
+    spec = warped_mod.ptensor_spec(wspec)
     return Scenario(
         name="warped-canonical",
         dim=3,
-        metric=warped_mod.metric_field(wspec),
-        f=warped_mod.scalar_field(wspec),
-        lam=wspec._lam,
+        metric=spec.metric,
+        f=spec.f,
+        lam=spec.lam,
         lam_src=wspec.lam_src,
-        params=params,
+        params=dict(wspec.params),
         grid=_default_grid(3, 0.0, 1.0, 3),
         expect_violation=(k > 3.0),
         description=f"warped product with phi = (r+c)^(-1/k), k={k}, c={c}",
@@ -262,6 +262,8 @@ def random_scenario(seed: int, dim: int = 3) -> Scenario:
 
 
 def builtin_scenario(name: str, seed: int = 0, dim: int = 3, **overrides) -> Scenario:
+    if name in ("euclidean", "round-sphere-static", "warped-canonical") and dim != 3:
+        raise ScenarioError(f"scenario {name!r} has dimension 3, not {dim}")
     if name == "euclidean":
         return euclidean_scenario()
     if name == "round-sphere-static":
@@ -280,7 +282,7 @@ def builtin_scenario(name: str, seed: int = 0, dim: int = 3, **overrides) -> Sce
 # -- scenario files -------------------------------------------------------------
 
 
-def parse_scenario_file(text: str, fallback_name: str = "scenario") -> Scenario:
+def parse_scenario_file(text: str) -> Scenario:
     """Parse the plain-text scenario format (see module docstring)."""
     lines = text.splitlines()
     fields: dict[str, str] = {}
@@ -355,7 +357,7 @@ def parse_scenario_file(text: str, fallback_name: str = "scenario") -> Scenario:
     else:
         grid = _default_grid(dim, 0.2, 0.8, 2)
     return Scenario(
-        name=fields.get("name", fallback_name),
+        name=fields.get("name", "scenario"),
         dim=dim,
         metric=metric,
         f=f,

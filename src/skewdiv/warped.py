@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import EvalDomainError, OrderExceededError
 from .expr import ParamSet, evaluate, parse
-from .geometry import MetricField, ScalarField
+from .geometry import MetricField, ScalarField, residual
 from .jets import Jet, partial_derivative
 from .ptensor import PTensorSpec, analyze
 
@@ -82,28 +82,25 @@ class WarpedSpec:
         """The (r+c)^(-1/k) family; the bound is violated precisely for k > 3."""
         return cls(CANONICAL_PHI, psi, lam, {"k": float(k), "c": float(c)})
 
-    def phi_jet(self, r: float, order: int = 4, params: ParamSet | None = None) -> Jet:
-        """Warp jet at r; ``params`` overrides the stored set without re-parsing."""
-        seed = Jet.variable(r, 0, 1, order)
+    def phi_jet(self, r: float, params: ParamSet | None = None) -> Jet:
+        """Warp jet at r to CLOSED_FORM_ORDER; ``params`` overrides the stored set."""
+        seed = Jet.variable(r, 0, 1, CLOSED_FORM_ORDER)
         out = evaluate(self._phi, [seed], params if params is not None else self.params)
         if not isinstance(out, Jet):
-            out = Jet.constant(float(out), 1, order)
+            out = Jet.constant(float(out), 1, CLOSED_FORM_ORDER)
         if out.value <= 0.0:
             raise EvalDomainError(f"warp factor must be positive; phi({r}) = {out.value!r}")
         return out
 
-    def profile_jet(
-        self, x1: float, order: int = 4, params: ParamSet | None = None
-    ) -> tuple[Jet, Jet]:
-        """Jets of psi and of G = lambda(psi) psi'^3 in the x1 variable."""
+    def profile_jet(self, x1: float, params: ParamSet | None = None) -> Jet:
+        """Jet of G = lambda(psi) psi'^3 in the x1 variable, to CLOSED_FORM_ORDER."""
         pm = params if params is not None else self.params
-        psi = evaluate(self._psi, [Jet.variable(x1, 0, 1, order)], pm)
+        psi = evaluate(self._psi, [Jet.variable(x1, 0, 1, CLOSED_FORM_ORDER)], pm)
         if not isinstance(psi, Jet):
-            psi = Jet.constant(float(psi), 1, order)
+            psi = Jet.constant(float(psi), 1, CLOSED_FORM_ORDER)
         lam = evaluate(self._lam, [psi], pm)
         dpsi = partial_derivative(psi, 0)
-        G = lam * dpsi * dpsi * dpsi
-        return psi, G
+        return lam * dpsi * dpsi * dpsi
 
 
 @dataclass(frozen=True)
@@ -150,14 +147,13 @@ def closed_form_eval(
 ) -> ViolationRow:
     """All displayed quantities from univariate derivatives only.
 
-    ``profile`` is the jet of G at ``x1``, ``spec.profile_jet(x1,
-    CLOSED_FORM_ORDER, params)[1]``; pass it to reuse it across calls where
-    it does not change.
+    ``profile`` is the jet of G at ``x1``, ``spec.profile_jet(x1, params)``;
+    pass it to reuse it across calls where it does not change.
     """
     # A univariate jet's coefficient k is the k-th derivative over k!.
-    p0, p1, p2 = spec.phi_jet(r, CLOSED_FORM_ORDER, params).c[:3].tolist()
+    p0, p1, p2 = spec.phi_jet(r, params).c[:3].tolist()
     p2 *= 2.0
-    G = profile if profile is not None else spec.profile_jet(x1, CLOSED_FORM_ORDER, params)[1]
+    G = profile if profile is not None else spec.profile_jet(x1, params)
     if G.order < 1:
         raise OrderExceededError(f"derivative order 1 exceeds jet order {G.order}")
     g0, g1 = G.c[:2].tolist()
@@ -187,8 +183,11 @@ def closed_form_eval(
 
 
 def violation_bracket(spec: WarpedSpec, r: float) -> float:
-    """The sign-determining factor 4 phi_dot^2/phi^2 - phi_dd/phi."""
-    p0, p1, p2 = spec.phi_jet(r, CLOSED_FORM_ORDER).c[:3].tolist()
+    """The sign-determining factor 4 phi_dot^2/phi^2 - phi_dd/phi.
+
+    No command calls it; it is kept as the sign law that the tests pin.
+    """
+    p0, p1, p2 = spec.phi_jet(r).c[:3].tolist()
     p2 *= 2.0
     return 4.0 * p1**2 / p0**2 - p2 / p0
 
@@ -196,25 +195,14 @@ def violation_bracket(spec: WarpedSpec, r: float) -> float:
 # -- embedding into the generic engine ------------------------------------------
 
 
-def metric_field(spec: WarpedSpec) -> MetricField:
-    phi_sq = f"({spec.phi_src})^2"
-    rows = [
-        ["1", "0", "0"],
-        ["0", phi_sq, "0"],
-        ["0", "0", phi_sq],
-    ]
-    return MetricField.parse(rows, spec.params)
-
-
-def scalar_field(spec: WarpedSpec) -> ScalarField:
-    return ScalarField.parse(spec.psi_src, 3, spec.params)
-
-
 def ptensor_spec(spec: WarpedSpec) -> PTensorSpec:
+    """The warped metric, f = psi(x1) and lambda as ingredients of the generic engine."""
+    phi_sq = f"({spec.phi_src})^2"
+    rows = [["1", "0", "0"], ["0", phi_sq, "0"], ["0", "0", phi_sq]]
     return PTensorSpec(
         lam=spec._lam,
-        f=scalar_field(spec),
-        metric=metric_field(spec),
+        f=ScalarField.parse(spec.psi_src, 3, spec.params),
+        metric=MetricField.parse(rows, spec.params),
         lam_params=spec.params,
     )
 
@@ -232,11 +220,11 @@ def cross_validate(
     rows = [closed_form_eval(spec, float(pt[0]), float(pt[1])) for pt in points]
     if not rows:
         return 0.0, rows
-    ev = analyze(ptensor_spec(spec), points)
+    an = analyze(ptensor_spec(spec), points)
     a = np.array([[getattr(row, nm) for row in rows] for nm in VALUE_COLUMNS])
-    b = np.array([getattr(ev, nm) for nm in VALUE_COLUMNS])
-    rel = np.abs(a - b) / np.maximum(np.maximum(1.0, np.abs(a)), np.abs(b))
-    return float(np.max(rel)), rows
+    b = np.array([getattr(an, nm) for nm in VALUE_COLUMNS])
+    worst = residual("engine_vs_closed_form", points, a, b, (b,)).rel_residual
+    return float(np.max(worst)), rows
 
 
 def build_report(spec: WarpedSpec, points: Sequence[Sequence[float]]) -> ViolationReport:
@@ -308,7 +296,7 @@ def search_violation(
     base = WarpedSpec.canonical(1.0, 1.0)
     # The canonical psi = x1 and lambda = 1 use neither k nor c, so G at the
     # fixed x1 is the same for every evaluation.
-    _, profile = base.profile_jet(0.5, CLOSED_FORM_ORDER)
+    profile = base.profile_jet(0.5)
     evals = 0
 
     def objective(x: tuple[float, ...]) -> float:
@@ -322,8 +310,6 @@ def search_violation(
     n_starts = max(1, min(16, budget // 20))
     candidates: list[tuple[float, tuple[float, ...]]] = []
     for _ in range(n_starts):
-        if budget <= 0:
-            break
         x = tuple(l + u * s for l, u, s in zip(lo, rng.random(3).tolist(), span))
         budget -= 1
         candidates.append((objective(x), x))

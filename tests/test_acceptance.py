@@ -12,7 +12,7 @@ import pytest
 
 from skewdiv.geometry import MetricJets, christoffel_fd, riemann_fd, second_bianchi_residual
 from skewdiv.identities import bochner_residual, static_residual
-from skewdiv.ptensor import PointAnalysis, build_frame, div_true_vs_false
+from skewdiv.ptensor import PointAnalysis, build_frame
 from skewdiv.scenarios import builtin_scenario, random_scenario
 from skewdiv.warped import WarpedSpec, closed_form_eval, cross_validate, ptensor_spec, search_violation
 
@@ -154,10 +154,9 @@ def test_criterion_5_bochner(random_pool):
 
 def test_criterion_6_frame_analysis():
     spec = ptensor_spec(WarpedSpec.canonical(4.0, 1.0))
-    frame = build_frame(PointAnalysis(spec, (0.0, 0.0, 0.0)))
-    true_div, _, disc = div_true_vs_false(frame)  # raises beyond 1e-10
-    coord_gap = float(np.max(np.abs(true_div - frame.div_coord_in_frame)))
-    dx1 = float(frame.covector_to_chart(disc)[1])
+    frame = build_frame(PointAnalysis(spec, (0.0, 0.0, 0.0)))  # raises beyond 1e-10
+    coord_gap = float(np.max(np.abs(frame.div_true - frame.div_coord_in_frame)))
+    dx1 = float(frame.covector_to_chart(frame.discrepancy)[1])
     _report(
         "criterion 6: frame divergence matches coordinates; bracket-free gap = 0.0625",
         coord_gap <= 1e-10 and abs(dx1 - 0.0625) <= 1e-12,
@@ -209,7 +208,8 @@ def test_criterion_8_oracle_cross_checks(random_pool):
     for seed in range(10):
         sc = random_scenario(2100 + seed, 3)
         worst_bianchi = max(
-            worst_bianchi, second_bianchi_residual(MetricJets(sc.metric, sc.grid_points()[0]))
+            worst_bianchi,
+            second_bianchi_residual(MetricJets(sc.metric, sc.grid_points()[0])).rel_residual,
         )
     _report(
         "criterion 8: FD oracles within 1e-6, Weyl = 0 in 3d, div Ric = dR/2",

@@ -356,6 +356,55 @@ def test_bad_scenario_file_exits_2_with_one_line(text, tmp_path, capsys):
     assert err.startswith("error:") and "\n" not in err and "Traceback" not in err
 
 
+FLAT_FILE = "dim = 3\nf = x1\nmetric:\n1 | 0 | 0\n0 | 1 | 0\n0 | 0 | 1\n"
+
+
+@pytest.mark.parametrize(
+    "args, text, message",
+    [
+        ([], "metric:\n1|0|0\n0|1|0\n0|0|1\ndim = 3\nf = x1\n", "'dim' must precede 'metric:'"),
+        ([], FLAT_FILE.replace("0 | 0 | 1\n", ""), "expected 3 metric rows, got 2"),
+        ([], "dim = 3\nf x1\n", "line 2: expected key = value"),
+        ([], "param k = abc\n" + FLAT_FILE, "line 1: bad parameter value 'abc'"),
+        ([], FLAT_FILE + "grid = r:0:1:x\n", "bad grid numbers in 'r:0:1:x'"),
+        ([], None, "No such file or directory"),
+        (["frame", "--scenario", "warped-canonical", "--point", "0,0"], None, "--point needs 3"),
+        (["verify", "--scenario", "euclidean", "--dim", "4"], None, "dimension 3, not 4"),
+        (["frame", "--scenario", "warped-canonical", "--dim", "4"], None, "dimension 3, not 4"),
+        (
+            [],
+            FLAT_FILE.replace("f = x1", "f = " + " + ".join(["0.001*r*x1"] * 2000)),
+            "expression nests too deeply",
+        ),
+        (["counterexample", "--lam", " + ".join(["f"] * 2000)], None, "nests too deeply"),
+        (["counterexample", "--psi", "(" * 3000 + "x1" + ")" * 3000], None, "nests too deeply"),
+    ],
+    ids=[
+        "dim-after-metric",
+        "too-few-rows",
+        "no-equals",
+        "param-not-a-number",
+        "grid-count-not-a-number",
+        "missing-file",
+        "point-coordinates",
+        "verify-dim",
+        "frame-dim",
+        "deep-f",
+        "deep-lambda",
+        "deep-psi",
+    ],
+)
+def test_input_errors_exit_2_with_their_message(args, text, message, tmp_path, capsys):
+    """Bad input exits 2 with one line naming the problem; no argument list means a scenario file."""
+    path = tmp_path / "s.txt"
+    if text is not None:
+        path.write_text(text)
+    code, err = _exit_and_message(args or ["verify", "--scenario-file", str(path)], capsys)
+    assert code == 2
+    assert err.startswith("error:") and message in err
+    assert "\n" not in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "sc",
     [builtin_scenario(name) for name in ("euclidean", "round-sphere-static", "warped-canonical")]
@@ -413,7 +462,7 @@ def _abs_residuals(sc, points):
     """Per-point absolute residuals of ``sc``, keyed by report residual name."""
     an = PointAnalysis(sc.spec(), points)
     out = {
-        "cyclic": cyclic_residual(PointAnalysis(sc.spec(), points, VALUE_ORDER)),
+        "cyclic": cyclic_residual(PointAnalysis(sc.spec(), points, VALUE_ORDER)).abs_residual,
         "bochner": bochner_residual(an).abs_residual,
     }
     if sc.is_static:

@@ -133,7 +133,7 @@ def test_contracted_second_bianchi():
     for seed in range(8):
         sc = random_scenario(seed, 3)
         res = second_bianchi_residual(MetricJets(sc.metric, sc.grid_points()[0]))
-        assert res < 1e-8
+        assert res.rel_residual < 1e-8
 
 
 def test_hessian_warped_closed_form():

@@ -146,13 +146,31 @@ def test_static_bochner_diagnostic_on_non_static():
     assert math.isfinite(res.abs_residual)
 
 
-def test_residual_normalization():
-    spec = ptensor_spec(WarpedSpec.canonical(4.0, 1.0))
-    res = bochner_residual(PointAnalysis(spec, (0.4, 0.7, 0.2)))
-    assert res.rel_residual == pytest.approx(
-        res.abs_residual / max(res.scale, 1.0), rel=1e-15
-    )
-    assert res.scale >= 0.0
+@pytest.mark.parametrize(
+    "spec, points",
+    [
+        (ptensor_spec(WarpedSpec.canonical(4.0, 1.0)), (0.4, 0.7, 0.2)),
+        (random_scenario(0, 3).spec(), random_scenario(0, 3).grid_points()),
+    ],
+    ids=["warped-point", "random-curved-3d-seed0-batch"],
+)
+def test_residual_normalization(spec, points):
+    """Every check that returns an IdentityResidual follows the one rule, bit for bit."""
+    an = PointAnalysis(spec, points)
+    checks = [
+        cyclic_residual(an),
+        bochner_residual(an),
+        *static_residual(an),
+        *cpe_residual(an),
+        static_bochner_residual(an),
+        second_bianchi_residual(an.mj),
+    ]
+    for res in checks:
+        absr = np.abs(np.subtract(res.lhs, res.rhs))
+        assert np.array_equal(res.abs_residual, absr), res.name
+        assert np.all(res.scale >= np.abs(res.lhs)), res.name
+        assert np.array_equal(res.rel_residual, absr / np.maximum(res.scale, 1.0)), res.name
+    assert any(np.any(np.asarray(res.scale) > 1.0) for res in checks)  # not only the floor
 
 
 BATCH_CHECKS = {

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from skewdiv.errors import DegeneratePError
+from skewdiv.errors import DegeneratePError, FrameConsistencyError
 from skewdiv.expr import parse
 from skewdiv.geometry import MetricField, ScalarField
 from skewdiv.ptensor import (
@@ -13,7 +13,6 @@ from skewdiv.ptensor import (
     analyze,
     build_frame,
     cyclic_residual,
-    div_true_vs_false,
 )
 from skewdiv.scenarios import (
     builtin_scenario,
@@ -39,7 +38,7 @@ def test_warped_P_closed_form():
     for r in (0.0, 0.5):
         pt = (r, 0.3, 0.1)
         phi, dphi, _ = canonical_derivs(r)
-        pv = analyze(spec, pt).P
+        pv = analyze(spec, pt).P_val
         expected = dphi / phi**3  # lambda = 1, psi' = 1
         assert pv[0, 1] == pytest.approx(expected, rel=1e-13)
         assert pv[1, 0] == pytest.approx(-expected, rel=1e-13)
@@ -71,7 +70,7 @@ def test_euclidean_radial_potential_gives_zero_P():
     sc = builtin_scenario("euclidean")
     for pt in sc.grid_points()[:5]:
         ev = analyze(sc.spec(), pt)
-        assert np.max(np.abs(ev.P)) == 0.0
+        assert np.max(np.abs(ev.P_val)) == 0.0
         assert ev.nabla_p_norm_sq == 0.0
         assert ev.violation == 0.0
 
@@ -86,10 +85,10 @@ def test_sphere_cos_r_gives_zero_P():
 def test_warped_nabla_P_at_origin():
     spec = warped_spec()
     ev = analyze(spec, (0.0, 0.0, 0.0))
-    assert ev.nabla_P[0, 1, 0] == pytest.approx(-1.0 / 16.0, abs=1e-15)
-    assert ev.nabla_P[1, 1, 0] == pytest.approx(0.0, abs=1e-15)
-    assert ev.nabla_P[2, 1, 2] == pytest.approx(-1.0 / 16.0, abs=1e-15)
-    assert np.allclose(ev.div_P, [0.0, 0.125, 0.0], atol=1e-15)
+    assert ev.nabla_P_val[0, 1, 0] == pytest.approx(-1.0 / 16.0, abs=1e-15)
+    assert ev.nabla_P_val[1, 1, 0] == pytest.approx(0.0, abs=1e-15)
+    assert ev.nabla_P_val[2, 1, 2] == pytest.approx(-1.0 / 16.0, abs=1e-15)
+    assert np.allclose(ev.div_P_val, [0.0, 0.125, 0.0], atol=1e-15)
     assert ev.nabla_p_norm_sq == pytest.approx(1.0 / 64.0, abs=1e-15)
     assert ev.div_p_norm_sq == pytest.approx(1.0 / 64.0, abs=1e-15)
     assert ev.violation == pytest.approx(-1.0 / 64.0, abs=1e-15)
@@ -100,13 +99,13 @@ def test_cyclic_residual_everywhere():
     spec = warped_spec()
     grid = [(r, x, y) for r in (0.0, 0.5, 1.0) for x in (0.0, 0.5, 1.0) for y in (0.0, 0.5, 1.0)]
     for pt in grid:
-        assert cyclic_residual(PointAnalysis(spec, pt, VALUE_ORDER)) < 1e-10
+        assert cyclic_residual(PointAnalysis(spec, pt, VALUE_ORDER)).abs_residual < 1e-10
     for seed in range(6):
         for dim in (3, 4):
             sc = random_scenario(40 + seed, dim)
-            assert cyclic_residual(PointAnalysis(sc.spec(), sc.grid_points()[0], VALUE_ORDER)) < 1e-10
+            assert cyclic_residual(PointAnalysis(sc.spec(), sc.grid_points()[0], VALUE_ORDER)).abs_residual < 1e-10
     euc = builtin_scenario("euclidean")
-    assert cyclic_residual(PointAnalysis(euc.spec(), (0.3, 0.4, 0.5), VALUE_ORDER)) == 0.0
+    assert cyclic_residual(PointAnalysis(euc.spec(), (0.3, 0.4, 0.5), VALUE_ORDER)).abs_residual == 0.0
 
 
 def test_bounds_on_random_scenarios():
@@ -142,7 +141,7 @@ def test_frame_at_canonical_point():
     assert abs(fr.u) == pytest.approx(0.25, abs=1e-13)
     # u's sign is tied to E_2 through the normalization E_2 = A E_1 / |A E_1|:
     # recompute P(E_1, E_2) from values.
-    u_direct = float(np.einsum("ab,a,b->", analyze(spec, (0.0, 0.0, 0.0)).P, fr.vectors[0], fr.vectors[1]))
+    u_direct = float(np.einsum("ab,a,b->", analyze(spec, (0.0, 0.0, 0.0)).P_val, fr.vectors[0], fr.vectors[1]))
     assert u_direct == pytest.approx(fr.u, abs=1e-14)
 
 
@@ -160,9 +159,8 @@ def test_frame_p_structure():
 def test_div_true_matches_coordinates_and_false_misses():
     spec = warped_spec()
     fr = build_frame(PointAnalysis(spec, (0.0, 0.0, 0.0)))
-    true_div, false_div, disc = div_true_vs_false(fr)
-    assert np.allclose(true_div, fr.div_coord_in_frame, atol=1e-12)
-    chart = fr.covector_to_chart(disc)
+    assert np.allclose(fr.div_true, fr.div_coord_in_frame, atol=1e-12)
+    chart = fr.covector_to_chart(fr.discrepancy)
     assert chart[1] == pytest.approx(1.0 / 16.0, abs=1e-13)
     assert abs(chart[0]) < 1e-13 and abs(chart[2]) < 1e-13
 
@@ -186,7 +184,7 @@ def test_discrepancy_equals_bracket_terms():
             fr = build_frame(PointAnalysis(spec, pt))
         except DegeneratePError:
             continue
-        _, _, disc = div_true_vs_false(fr)
+        disc = fr.discrepancy
         n = len(fr.vectors)
         b = fr.bracket_frame
         expected = np.zeros(n)
@@ -209,6 +207,18 @@ def test_frame_refuses_a_batch_of_points():
         build_frame(an)
 
 
+@pytest.mark.parametrize("shift, raises", [(1e-12, False), (1e-6, True)])
+def test_frame_checks_the_coordinate_divergence(shift, raises):
+    """build_frame raises when the connection formula misses the analysis's div P."""
+    an = PointAnalysis(warped_spec(), (0.0, 0.0, 0.0))
+    an.div_P_val = an.div_P_val + shift
+    if raises:
+        with pytest.raises(FrameConsistencyError, match="deviates from coordinate divergence"):
+            build_frame(an)
+    else:
+        build_frame(an)
+
+
 def test_frame_is_deterministic():
     spec = warped_spec()
     a = build_frame(PointAnalysis(spec, (0.25, 0.5, 0.75)))
@@ -225,20 +235,19 @@ def test_coordinate_vs_frame_divergence_random():
             fr = build_frame(PointAnalysis(sc.spec(), pt))
         except DegeneratePError:
             continue
-        true_div, _, _ = div_true_vs_false(fr)
         assert np.allclose(
-            true_div,
+            fr.div_true,
             fr.div_coord_in_frame,
             atol=1e-10 * max(1.0, np.max(np.abs(fr.div_coord_in_frame))),
         )
 
 
 def test_lambda_profile_enters_P():
-    base = analyze(warped_spec(lam="1"), (0.2, 0.3, 0.0)).P[0, 1]
-    doubled = analyze(warped_spec(lam="2"), (0.2, 0.3, 0.0)).P[0, 1]
+    base = analyze(warped_spec(lam="1"), (0.2, 0.3, 0.0)).P_val[0, 1]
+    doubled = analyze(warped_spec(lam="2"), (0.2, 0.3, 0.0)).P_val[0, 1]
     assert doubled == pytest.approx(2.0 * base, rel=1e-14)
     # lambda = f at psi = x1: multiplies by f = 0.3
-    scaled = analyze(warped_spec(lam="f"), (0.2, 0.3, 0.0)).P[0, 1]
+    scaled = analyze(warped_spec(lam="f"), (0.2, 0.3, 0.0)).P_val[0, 1]
     assert scaled == pytest.approx(0.3 * base, rel=1e-13)
 
 
