@@ -144,6 +144,13 @@ def _finite(text: str, what: str) -> float:
     return value
 
 
+def _at_least(value: int, low: int, what: str) -> int:
+    """``value`` if it is at least ``low``; a usage error names ``what`` otherwise."""
+    if value < low:
+        raise SkewdivError(f"bad {what}: {value} is below {low}")
+    return value
+
+
 def _parse_params(items: Sequence[str]) -> dict:
     out = {}
     for item in items or ():
@@ -165,6 +172,7 @@ def _check_params(params: dict, declared: dict) -> None:
 
 def _load_scenario(args) -> Scenario:
     params = _parse_params(getattr(args, "param", None))
+    seed = _at_least(args.seed, 0, "--seed")
     if getattr(args, "scenario_file", None):
         with open(args.scenario_file) as fh:
             scenario = parse_scenario_file(fh.read())
@@ -173,9 +181,7 @@ def _load_scenario(args) -> Scenario:
             scenario = scenario.with_params(**params)
     else:
         name = args.scenario or "euclidean"
-        scenario = builtin_scenario(
-            name, seed=getattr(args, "seed", 0) or 0, dim=getattr(args, "dim", 3), **params
-        )
+        scenario = builtin_scenario(name, seed=seed, dim=getattr(args, "dim", 3), **params)
         _check_params(params, scenario.params)
     if getattr(args, "grid", None):
         grid = parse_grid_spec(",".join(args.grid), scenario.dim)
@@ -202,8 +208,9 @@ def _print_verdicts(report: Report) -> None:
 
 
 def cmd_verify(args) -> int:
+    tolerance = None if args.tolerance is None else _finite(args.tolerance, "--tolerance")
     scenario = _load_scenario(args)
-    report = run_verify(scenario, tolerance=args.tolerance)
+    report = run_verify(scenario, tolerance=tolerance)
     print(f"scenario: {scenario.name} ({len(report.violations)} grid points)")
     for r in report.residuals:
         print(
@@ -262,8 +269,8 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_search(args) -> int:
-    if args.iterations < 1:
-        raise SkewdivError(f"bad --iterations: {args.iterations} is below 1")
+    _at_least(args.iterations, 1, "--iterations")
+    _at_least(args.seed, 0, "--seed")
     bounds = {}
     for spec in args.bounds or ():
         bits = spec.split(":")
@@ -364,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_scenario_flags(p_verify)
     p_verify.add_argument("--out", help="write report to this path")
     p_verify.add_argument("--format", choices=("csv", "json"), default="json")
-    p_verify.add_argument("--tolerance", type=float, default=None)
+    p_verify.add_argument("--tolerance", default=None)
     p_verify.set_defaults(func=cmd_verify)
 
     p_ce = sub.add_parser(

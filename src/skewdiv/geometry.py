@@ -41,7 +41,8 @@ Index conventions, fixed once for the whole package:
 * Ricci contracts slots 1 and 3:  R_js = g^ik R_ijks;  scalar R = g^js R_js.
 * Divergences contract the derivative slot first:  (div T)_k = g^ij grad_i T_jk.
 * Squared norms contract every slot with the inverse metric, e.g.
-  |grad P|^2 = g^ia g^jb g^kc grad_i P_jk grad_a P_bc.
+  |grad P|^2 = g^ia g^jb g^kc grad_i P_jk grad_a P_bc, computed one slot at
+  a time through :func:`norm_sq`, two operands per contraction.
 
 All evaluation objects here are immutable after construction and safe to use
 concurrently over point grids.
@@ -232,6 +233,20 @@ def batch_value(x):
     """A value-level result: a Python float for one point, else an array."""
     x = np.asarray(x)
     return float(x) if x.ndim == 0 else x
+
+
+def norm_sq(T: np.ndarray, ginv_val: np.ndarray) -> float | np.ndarray:
+    """|T|^2 with every slot contracted by g^-1, from values (a point or a batch).
+
+    Each slot is raised by its own two-operand einsum, then T is summed against
+    the result: no sum runs over more than two operands, and a batch entry
+    sums in the order of its point alone.
+    """
+    idx = "ijkl"[: T.ndim - ginv_val.ndim + 2]
+    up = T
+    for s, i in enumerate(idx):
+        up = np.einsum(f"...z{i},...{idx}->...{idx[:s]}z{idx[s + 1:]}", ginv_val, up)
+    return batch_value(np.einsum(f"...{idx},...{idx}->...", T, up))
 
 
 # -- the residual builder ----------------------------------------------------------

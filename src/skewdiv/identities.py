@@ -18,6 +18,9 @@ Identities covered:
 
       1/2 Lap |P|^2 = |grad P|^2 + 2 <P, grad div P> + R |P|^2 - 2 R_js P_sk P_jk.
 
+  The Ricci term is summed as R_js P^sc (g^-1 P)^j_c, from the raised P^sc
+  and three operands at most; the norms come from :func:`~skewdiv.geometry.norm_sq`.
+
 * The vacuum static system:  f Ric = grad^2 f + (R/2) f g  and
   Lap f = -(R/2) f  (dimension 3).
 
@@ -39,7 +42,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EvalDomainError
-from .geometry import IdentityResidual, batch_value, cov_derivative, point_tuple, residual
+from .geometry import IdentityResidual, batch_value, cov_derivative, norm_sq, point_tuple, residual
 from .ptensor import PointAnalysis
 
 F_GATE = 1e-8
@@ -71,18 +74,8 @@ def bochner_residual(an: PointAnalysis, form: str = "auto") -> IdentityResidual:
 
     lhs, t_grad, t_div = _balance_terms(an)
     curv = an.mj.curvature
-    gi = an.mj.ginv_val
-    ric_quad = batch_value(
-        np.einsum(
-            "...js,...sa,...jb,...kc,...ak,...bc->...",
-            curv.ricci,
-            gi,
-            gi,
-            gi,
-            an.P_val,
-            an.P_val,
-        )
-    )
+    p_mixed = np.einsum("...jb,...bc->...jc", an.mj.ginv_val, an.P_val)
+    ric_quad = batch_value(np.einsum("...js,...sc,...jc->...", curv.ricci, an.P_up, p_mixed))
 
     if form == "dim3":
         t_scal = curv.scalar * an.p_norm_sq
@@ -93,9 +86,7 @@ def bochner_residual(an: PointAnalysis, form: str = "auto") -> IdentityResidual:
         p_up = an.P_up
         t_scal = 2.0 * curv.scalar / ((n - 1) * (n - 2)) * an.p_norm_sq
         t_ric = 2.0 * (n - 4) / (n - 2) * ric_quad
-        t_weyl = 2.0 * batch_value(
-            np.einsum("...ijks,...is,...jk->...", curv.weyl, p_up, p_up)
-        )
+        t_weyl = 2.0 * batch_value(np.einsum("...ijks,...is,...jk->...", curv.weyl, p_up, p_up))
         terms = (t_grad, t_div, t_scal, t_ric, t_weyl)
         name = "bochner-general"
     else:
@@ -146,7 +137,7 @@ def _field_residuals(name: str, an: PointAnalysis, lhs_t, g_coef, lap_rhs):
     gi = mj.ginv_val
 
     def tnorm(m):
-        return np.sqrt(np.maximum(np.einsum("...ia,...jb,...ij,...ab->...", gi, gi, m, m), 0.0))
+        return np.sqrt(np.maximum(norm_sq(m, gi), 0.0))
 
     rhs_t = hess + g_coef[..., None, None] * mj.g_val
     terms = (tnorm(lhs_t), tnorm(hess), tnorm(rhs_t - hess))
@@ -183,8 +174,6 @@ def static_bochner_residual(an: PointAnalysis) -> IdentityResidual:
     div_up = np.einsum("...ab,...b->...a", gi, an.div_P_val)
     p_gf_div = np.einsum("...ab,...a,...b->...", an.P_val, an.grad_f_val, div_up)
     t_pair = 2.0 / fval * p_gf_div
-    t_grad_pn = -0.5 / fval * np.einsum(
-        "...ab,...a,...b->...", gi, an.df[..., 0], an.grad_p_norm_sq_val
-    )
+    t_grad_pn = -0.5 / fval * np.einsum("...a,...a->...", an.grad_f_val, an.grad_p_norm_sq_val)
     terms = (t_grad, t_div, t_scal, t_pair, t_grad_pn)
     return residual("static-bochner", an.point, lhs, sum(terms), terms)

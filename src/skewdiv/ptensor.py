@@ -44,6 +44,7 @@ from .geometry import (
     batch_value,
     cov_derivative,
     each_point_on_error,
+    norm_sq,
     residual,
 )
 from .jets import DEFAULT_ORDER, Jet, as_coefficients, contract, jet_space, partials
@@ -196,28 +197,15 @@ class PointAnalysis:
 
     @cached_property
     def p_norm_sq(self) -> float | np.ndarray:
-        return batch_value(np.einsum("...ab,...ab->...", self.P_up, self.P_val))
+        return norm_sq(self.P_val, self.mj.ginv_val)
 
     @cached_property
     def nabla_p_norm_sq(self) -> float | np.ndarray:
-        gi = self.mj.ginv_val
-        return batch_value(
-            np.einsum(
-                "...ia,...jb,...kc,...ijk,...abc->...",
-                gi,
-                gi,
-                gi,
-                self.nabla_P_val,
-                self.nabla_P_val,
-            )
-        )
+        return norm_sq(self.nabla_P_val, self.mj.ginv_val)
 
     @cached_property
     def div_p_norm_sq(self) -> float | np.ndarray:
-        gi = self.mj.ginv_val
-        return batch_value(
-            np.einsum("...ka,...k,...a->...", gi, self.div_P_val, self.div_P_val)
-        )
+        return norm_sq(self.div_P_val, self.mj.ginv_val)
 
     @cached_property
     def p_norm_sq_jet(self) -> np.ndarray:

@@ -429,6 +429,11 @@ def test_bochner_verdict_names_the_point_of_the_largest_relative_residual(sc):
         (["frame", "--scenario", "round-sphere-static", "--param", "k=2"], "valid names: none"),
         (["verify", "--scenario-file", "FILE", "--param", "zz=3"], "valid names: k, c"),
         (["search", "--iterations", "0"], "bad --iterations"),
+        (["verify", "--scenario", "random-curved", "--seed", "-1"], "bad --seed: -1 is below 0"),
+        (["frame", "--scenario", "random-curved", "--seed", "-1"], "bad --seed: -1 is below 0"),
+        (["search", "--seed", "-1"], "bad --seed: -1 is below 0"),
+        (["verify", "--scenario", "euclidean", "--tolerance", "nan"], "bad --tolerance: nan"),
+        (["verify", "--scenario", "euclidean", "--tolerance", "inf"], "bad --tolerance: inf"),
     ],
 )
 def test_undeclared_param_and_bad_iterations_exit_2(args, message, tmp_path, capsys):

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from skewdiv.errors import NonPositiveDefiniteError
 from skewdiv.geometry import (
@@ -10,6 +13,7 @@ from skewdiv.geometry import (
     ScalarField,
     christoffel_fd,
     cov_derivative,
+    norm_sq,
     riemann_fd,
     second_bianchi_residual,
 )
@@ -273,3 +277,50 @@ def test_commutation_rule_pins_curvature_sign():
             expected = np.einsum("ijas,s->ija", cv.riemann, sigma_up)
             scale = max(1.0, float(np.max(np.abs(expected))))
             assert np.max(np.abs(comm - expected)) < 1e-10 * scale
+
+
+
+#: |T|^2 as one multi-operand einsum per rank: the textbook contraction.
+TEXTBOOK_NORM_SQ = {
+    0: "...,...->...",
+    1: "...ia,...i,...a->...",
+    2: "...ia,...jb,...ij,...ab->...",
+    3: "...ia,...jb,...kc,...ijk,...abc->...",
+}
+
+
+@st.composite
+def tensors_and_inverse_metrics(draw):
+    """A batch of rank-0..3 tensors and SPD inverse metrics, n = 1..4."""
+    n, rank, batch = draw(st.integers(1, 4)), draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    # Bounded away from 0 (or 0 itself), so that no product underflows.
+    entries = st.one_of(st.just(0.0), st.floats(1e-3, 2.0), st.floats(-2.0, -1e-3))
+    a = draw(arrays(np.float64, (batch, n, n), elements=entries))
+    ginv = a @ np.swapaxes(a, -1, -2) + 0.1 * np.eye(n)
+    return draw(arrays(np.float64, (batch,) + (n,) * rank, elements=entries)), ginv
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="no extended precision"
+)
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(tensors_and_inverse_metrics())
+def test_norm_sq_is_within_a_few_ulps_of_the_textbook_contraction(case):
+    """The reference sums in extended precision: in doubles, the one long
+    multi-operand sum is itself off by up to ~300 ulps of sum |terms|."""
+    T, ginv = case
+    operands = [ginv] * (T.ndim - 1) + [T, T]
+    spec = TEXTBOOK_NORM_SQ[T.ndim - 1]
+    ref = np.einsum(spec, *(x.astype(np.longdouble) for x in operands))
+    abs_terms = np.einsum(spec, *map(np.abs, operands))
+    assert np.all(np.abs(norm_sq(T, ginv) - ref) <= 8 * np.finfo(float).eps * abs_terms)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(tensors_and_inverse_metrics())
+def test_norm_sq_of_a_batch_entry_is_that_of_its_point_alone(case):
+    T, ginv = case
+    batch = norm_sq(T, ginv)
+    for i in range(len(T)):
+        alone = norm_sq(T[i], ginv[i])
+        assert isinstance(alone, float) and alone == batch[i]
