@@ -343,8 +343,7 @@ class MetricJets:
     def gamma(self) -> np.ndarray:
         """Gamma[..., k, i, j] = Gamma^k_ij, one order below g."""
         dg = partials(self.g, self.dim, self.batch)  # dg[..., l, i, j] = d_l g_ij
-        # first[..., l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
-        first = np.einsum("...ijlZ->...lijZ", dg) + np.einsum("...jilZ->...lijZ", dg) - dg
+        first = _first_kind(dg, "Z")
         sp = jet_space(self.dim, self.order - 1)
         # first is exactly symmetric in i, j, so only its i <= j block is
         # contracted and the result mirrored.
@@ -507,9 +506,12 @@ def _connection_fd(metric: MetricField, point, step: float):
     return g, gamma, dgamma
 
 
-def _first_kind(dg: np.ndarray) -> np.ndarray:
-    """[..., l, i, j] = d_i g_jl + d_j g_il - d_l g_ij from dg[..., l, i, j] = d_l g_ij."""
-    return np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg) - dg
+def _first_kind(dg: np.ndarray, z: str = "") -> np.ndarray:
+    """[..., l, i, j] = d_i g_jl + d_j g_il - d_l g_ij from dg[..., l, i, j] = d_l g_ij.
+
+    ``z`` names the axes after l, i, j: ``"Z"`` for the coefficient axis of jets.
+    """
+    return np.einsum(f"...ijl{z}->...lij{z}", dg) + np.einsum(f"...jil{z}->...lij{z}", dg) - dg
 
 
 def _metric_fd(metric: MetricField, point, step: float) -> tuple[np.ndarray, np.ndarray]:

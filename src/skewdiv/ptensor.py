@@ -47,7 +47,7 @@ from .geometry import (
     norm_sq,
     residual,
 )
-from .jets import DEFAULT_ORDER, Jet, as_coefficients, contract, jet_space, partials
+from .jets import DEFAULT_ORDER, Jet, as_coefficients, contract, jet_space, partials, sqrt
 
 DEGENERATE_P_TOLERANCE = 1e-10
 FRAME_MATCH_TOLERANCE = 1e-10
@@ -346,7 +346,7 @@ def build_frame(an: PointAnalysis) -> FrameEval:
         return contract("a,a->", u_vec, contract("ab,b->a", g, v_vec, sp.pairs), sp.pairs)
 
     def inv_sqrt(x):
-        return (1.0 / Jet(sp, x[: sp.size]).sqrt()).c
+        return (1.0 / sqrt(Jet(sp, x[: sp.size]))).c
 
     # E_1 along grad f.
     grad_f = contract("ab,b->a", ginv, an.df, sp.pairs)

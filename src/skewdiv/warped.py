@@ -158,17 +158,21 @@ def closed_form_eval(
         raise OrderExceededError(f"derivative order 1 exceeds jet order {G.order}")
     g0, g1 = G.c[:2].tolist()
 
-    p_coef = g0 * p1 / p0**3
-    nab_r = -(p2 / p0**3 - 4.0 * p1**2 / p0**4) * g0
-    nab_1 = -(p1 / p0**3) * g1
-    nab_2 = -(p1**2 / p0**2) * g0
-    nabla_sq = (
-        2.0 * nab_r**2 / p0**2 + 2.0 * nab_1**2 / p0**4 + 2.0 * nab_2**2 / p0**6
-    )
-    div_r = -(p1 / p0**5) * g1
-    div_1 = g0 * (p2 / p0**3 - 3.0 * p1**2 / p0**4)
-    div_sq = div_r**2 + div_1**2 / p0**2
-    false_1 = g0 * (p2 / p0**3 - 4.0 * p1**2 / p0**4)
+    try:
+        p_coef = g0 * p1 / p0**3
+        nab_r = -(p2 / p0**3 - 4.0 * p1**2 / p0**4) * g0
+        nab_1 = -(p1 / p0**3) * g1
+        nab_2 = -(p1**2 / p0**2) * g0
+        nabla_sq = 2.0 * nab_r**2 / p0**2 + 2.0 * nab_1**2 / p0**4 + 2.0 * nab_2**2 / p0**6
+        div_r = -(p1 / p0**5) * g1
+        div_1 = g0 * (p2 / p0**3 - 3.0 * p1**2 / p0**4)
+        div_sq = div_r**2 + div_1**2 / p0**2
+        false_1 = g0 * (p2 / p0**3 - 4.0 * p1**2 / p0**4)
+    except (ZeroDivisionError, OverflowError):
+        pm = spec.params if params is None else params
+        raise EvalDomainError(
+            f"closed form leaves the float range at r={r!r}, x1={x1!r}, params {pm}"
+        ) from None
     return ViolationRow(
         r=float(r),
         x1=float(x1),

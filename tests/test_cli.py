@@ -378,6 +378,9 @@ FLAT_FILE = "dim = 3\nf = x1\nmetric:\n1 | 0 | 0\n0 | 1 | 0\n0 | 0 | 1\n"
         ),
         (["counterexample", "--lam", " + ".join(["f"] * 2000)], None, "nests too deeply"),
         (["counterexample", "--psi", "(" * 3000 + "x1" + ")" * 3000], None, "nests too deeply"),
+        (["counterexample", "--param", "k=0"], None, "division by zero"),
+        (["counterexample", "--param", "k=0.005"], None, "leaves the float range at r=1.0"),
+        (["search", "--bounds", "k:1e-3:1e-2"], None, "leaves the float range at r="),
     ],
     ids=[
         "dim-after-metric",
@@ -392,6 +395,9 @@ FLAT_FILE = "dim = 3\nf = x1\nmetric:\n1 | 0 | 0\n0 | 1 | 0\n0 | 0 | 1\n"
         "deep-f",
         "deep-lambda",
         "deep-psi",
+        "warp-k-zero",
+        "warp-power-out-of-range",
+        "search-power-out-of-range",
     ],
 )
 def test_input_errors_exit_2_with_their_message(args, text, message, tmp_path, capsys):

@@ -119,6 +119,16 @@ def test_positive_warp_required():
         closed_form_eval(spec, 0.5, 0.0)
 
 
+@pytest.mark.parametrize("r, k", [(1.0, 0.005), (-0.2, 0.001)], ids=["underflow", "overflow"])
+def test_a_power_of_phi_beyond_the_float_range_is_a_domain_error(r, k):
+    """phi = (r+1)^(-1/k) is in range, but phi^6 underflows to 0 or phi^4 overflows."""
+    spec = WarpedSpec.canonical(k, 1.0)
+    message = f"closed form leaves the float range at r={r!r}, x1=0.5, params {{'k': {k!r}, 'c': 1.0}}"
+    with pytest.raises(EvalDomainError) as exc:
+        closed_form_eval(spec, r, 0.5)
+    assert str(exc.value) == message
+
+
 def test_search_finds_counterexample_region():
     res = search_violation({"k": (1, 6), "c": (0.5, 2), "r": (0, 1)}, seed=42, iterations=1000)
     assert res.violation < -1e-3
