@@ -50,8 +50,8 @@ concurrently over point grids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -60,7 +60,6 @@ from .errors import NonPositiveDefiniteError, OrderExceededError, SkewdivError
 from .expr import Expr, ParamSet, chart_variables, evaluate, evaluate_entries, parse, to_source
 from .jets import (
     DEFAULT_ORDER,
-    Jet,
     as_coefficients,
     contract,
     finite_difference_oracle,
@@ -74,51 +73,36 @@ from .jets import (
 # -- expression-defined fields -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScalarField:
-    """A scalar chart function given by an expression plus parameter values.
+@lru_cache(maxsize=None)
+def upper_indices(n: int, k: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of an n x n tensor's entries j >= i + k (``np.triu_indices``)."""
+    return np.triu_indices(n, k)
 
-    Its jets are sums of terms (:func:`~skewdiv.expr.evaluate_entries`).
+
+def expression_jets(exprs: Sequence[Expr], points, order: int, params: ParamSet) -> np.ndarray:
+    """Coefficient array [..., e, :] of each tree ``exprs[e]`` at a point or a batch of points.
+
+    The trees are evaluated together on the seeds of the whole batch, forming
+    the products they share once (:func:`~skewdiv.expr.evaluate_entries`).
     """
-
-    dim: int
-    expr: Expr
-    params: ParamSet = field(default_factory=dict)
-
-    @classmethod
-    def parse(cls, source: str, dim: int, params: ParamSet | None = None) -> "ScalarField":
-        params = dict(params or {})
-        e = parse(source, variables=chart_variables(dim), params=tuple(params))
-        return cls(dim, e, params)
-
-    def jet(self, point, order: int = DEFAULT_ORDER) -> Jet:
-        """Jet of the field at ``point``, or at each point of a batch of points."""
-        sp = jet_space(self.dim, order)
-
-        def coefficients(points):
-            out = evaluate_entries([self.expr], seed_variables(points, self.dim, order), self.params)[0]
-            return as_coefficients(out, points.shape[:-1] + (sp.size,))
-
-        return Jet(sp, each_point_on_error(coefficients, point))
-
-    def __call__(self, point: Sequence[float]) -> float:
-        pt = [float(x) for x in point]
-        if len(pt) != self.dim:
-            raise ValueError(f"point has {len(pt)} coordinates, field has {self.dim}")
-        return float(evaluate(self.expr, pt, self.params))
-
-    def source(self) -> str:
-        return to_source(self.expr)
+    points = np.asarray(points, dtype=float)
+    n = points.shape[-1]
+    shape = points.shape[:-1] + (jet_space(n, order).size,)
+    out = np.empty(shape[:-1] + (len(exprs),) + shape[-1:])
+    for e, value in enumerate(evaluate_entries(exprs, seed_variables(points, n, order), params)):
+        out[..., e, :] = as_coefficients(value, shape)
+    return out
 
 
 class MetricField:
     """Symmetric matrix of expressions defining g_ij on a chart.
 
-    Positive definiteness is enforced at every evaluation point by a Cholesky
-    factorization, which does not depend on the metric's scale; a violation
-    or a non-finite component raises instead of silently propagating.  The
-    entries are evaluated together, forming the products they share once
-    (:func:`~skewdiv.expr.evaluate_entries`).
+    Its parameter set is the spec's one set: it binds f and lambda too.
+    Positive definiteness is enforced at every evaluation point by a
+    Cholesky factorization, which does not depend on the metric's scale; a
+    violation or a non-finite component raises instead of silently
+    propagating.  The entries i <= j are evaluated together
+    (:func:`expression_jets`).
     """
 
     def __init__(self, dim: int, exprs: Sequence[Sequence[Expr]], params: ParamSet | None = None):
@@ -147,20 +131,15 @@ class MetricField:
         return cls(dim, [[trees[src] for src in row] for row in rows], params)
 
     def component_jets(self, point, order: int = DEFAULT_ORDER) -> np.ndarray:
-        """Coefficient array g[..., i, j, :] at a point or a batch of points.
-
-        The entries i <= j are evaluated on the seeds of the whole batch.
-        """
+        """Coefficient array g[..., i, j, :] at a point or a batch of points."""
         return each_point_on_error(lambda points: self._component_jets(points, order), point)
 
     def _component_jets(self, points: np.ndarray, order: int) -> np.ndarray:
-        seeds = seed_variables(points, self.dim, order)
-        shape = points.shape[:-1] + (jet_space(self.dim, order).size,)
-        g = np.empty(points.shape[:-1] + (self.dim, self.dim, shape[-1]))
-        upper = [(i, j) for i in range(self.dim) for j in range(i, self.dim)]
-        values = evaluate_entries([self.exprs[i][j] for i, j in upper], seeds, self.params)
-        for (i, j), value in zip(upper, values):
-            g[..., i, j, :] = g[..., j, i, :] = as_coefficients(value, shape)
+        i, j = upper_indices(self.dim)
+        upper = expression_jets([self.exprs[a][b] for a, b in zip(i, j)], points, order, self.params)
+        g = np.empty(upper.shape[:-2] + (self.dim, self.dim, upper.shape[-1]))
+        g[..., i, j, :] = upper
+        g[..., j, i, :] = upper
         self._check_positive_definite(g[..., 0], points)
         return g
 
@@ -347,7 +326,7 @@ class MetricJets:
         sp = jet_space(self.dim, self.order - 1)
         # first is exactly symmetric in i, j, so only its i <= j block is
         # contracted and the result mirrored.
-        i, j = np.triu_indices(self.dim)
+        i, j = upper_indices(self.dim)
         block = contract("kl,lp->kp", self.ginv, first[..., i, j, :], sp.pairs)
         gamma = np.empty(block.shape[:-2] + (self.dim, self.dim, sp.size))
         gamma[..., i, j, :] = block
@@ -521,7 +500,9 @@ def _metric_fd(metric: MetricField, point, step: float) -> tuple[np.ndarray, np.
     dg = np.empty((n, n, n))
     d2g = np.empty((n, n, n, n))
     for i, j in zip(*np.triu_indices(n)):
-        f = ScalarField(n, metric.exprs[i][j], metric.params)
+        def f(q, e=metric.exprs[i][j]):
+            return evaluate(e, q.tolist(), metric.params)
+
         for a in range(n):
             dg[a, i, j] = dg[a, j, i] = finite_difference_oracle(f, point, unit[a], step)
             for b in range(a, n):

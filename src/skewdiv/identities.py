@@ -16,7 +16,10 @@ Identities covered:
 
   In dimension 3 the Weyl tensor vanishes and the balance collapses to
 
-      1/2 Lap |P|^2 = |grad P|^2 + 2 <P, grad div P> + R |P|^2 - 2 R_js P_sk P_jk.
+      1/2 Lap |P|^2 = |grad P|^2 + 2 <P, grad div P> + R |P|^2 - 2 R_js P_sk P_jk,
+
+  which the tests check against the general formula; the checker sums the
+  general one in every dimension.
 
   The Ricci term is summed as R_js P^sc (g^-1 P)^j_c, from the raised P^sc
   and three operands at most; the norms come from :func:`~skewdiv.geometry.norm_sq`.
@@ -24,7 +27,7 @@ Identities covered:
 * The vacuum static system:  f Ric = grad^2 f + (R/2) f g  and
   Lap f = -(R/2) f  (dimension 3).
 
-* The critical-point system:  (1+f)(Ric - (R/n) g) = grad^2 f + R/(n(n-1)) g
+* The critical-point system:  (1+f)(Ric - (R/n) g) = grad^2 f + R f/(n(n-1)) g
   and  Lap f = -R/(n-1) f.  Diagnostic: residuals are reported, not asserted,
   since no chart-form solution with P != 0 ships.
 
@@ -55,43 +58,27 @@ def _balance_terms(an: PointAnalysis):
     return lhs, an.nabla_p_norm_sq, t_div
 
 
-def bochner_residual(an: PointAnalysis, form: str = "auto") -> IdentityResidual:
-    """Residual of the curvature balance for 1/2 Lap |P|^2 (jet order >= 4).
+def bochner_residual(an: PointAnalysis) -> IdentityResidual:
+    """Residual of the curvature balance for 1/2 Lap |P|^2 (jet order >= 4, n >= 3).
 
-    ``form`` selects the right-hand side: "general" keeps the Weyl term (any
-    n >= 3), "dim3" uses the reduced dimension-3 expression, "auto" picks
-    "dim3" when n == 3.  ``an`` may analyse a batch of points (see
-    :class:`PointAnalysis`).
+    One formula for every dimension: at n = 3 its Weyl term is rounding
+    noise and it reduces to the dimension-3 form.  ``an`` may analyse a
+    batch of points (see :class:`PointAnalysis`).
     """
     an.require_order(4, "the curvature balance")
     n = an.dim
     if n < 3:
         raise ValueError("the curvature balance needs dimension >= 3")
-    if form == "auto":
-        form = "dim3" if n == 3 else "general"
-    if form == "dim3" and n != 3:
-        raise ValueError("dim3 form requires a 3-dimensional chart")
-
     lhs, t_grad, t_div = _balance_terms(an)
     curv = an.mj.curvature
+    p_up = an.P_up
     p_mixed = np.einsum("...jb,...bc->...jc", an.mj.ginv_val, an.P_val)
-    ric_quad = batch_value(np.einsum("...js,...sc,...jc->...", curv.ricci, an.P_up, p_mixed))
-
-    if form == "dim3":
-        t_scal = curv.scalar * an.p_norm_sq
-        t_ric = -2.0 * ric_quad
-        terms = (t_grad, t_div, t_scal, t_ric)
-        name = "bochner-dim3"
-    elif form == "general":
-        p_up = an.P_up
-        t_scal = 2.0 * curv.scalar / ((n - 1) * (n - 2)) * an.p_norm_sq
-        t_ric = 2.0 * (n - 4) / (n - 2) * ric_quad
-        t_weyl = 2.0 * batch_value(np.einsum("...ijks,...is,...jk->...", curv.weyl, p_up, p_up))
-        terms = (t_grad, t_div, t_scal, t_ric, t_weyl)
-        name = "bochner-general"
-    else:
-        raise ValueError(f"unknown form {form!r}")
-    return residual(name, an.point, lhs, sum(terms), terms)
+    ric_quad = batch_value(np.einsum("...js,...sc,...jc->...", curv.ricci, p_up, p_mixed))
+    t_scal = 2.0 * curv.scalar / ((n - 1) * (n - 2)) * an.p_norm_sq
+    t_ric = 2.0 * (n - 4) / (n - 2) * ric_quad
+    t_weyl = 2.0 * batch_value(np.einsum("...ijks,...is,...jk->...", curv.weyl, p_up, p_up))
+    terms = (t_grad, t_div, t_scal, t_ric, t_weyl)
+    return residual("bochner", an.point, lhs, sum(terms), terms)
 
 
 def static_residual(an: PointAnalysis) -> tuple[IdentityResidual, IdentityResidual]:
@@ -112,8 +99,10 @@ def static_residual(an: PointAnalysis) -> tuple[IdentityResidual, IdentityResidu
 def cpe_residual(an: PointAnalysis) -> tuple[IdentityResidual, IdentityResidual]:
     """Tensor and scalar residuals of the critical-point system (diagnostic, jet order >= 2).
 
-    Kept although no command calls it: the critical point equation is where
-    the Besse conjecture applies the divergence estimate for P.
+    The tensor equation is (1+f) z = grad^2 f + R f/(n(n-1)) g, z the
+    trace-free Ricci tensor: its trace is Lap f = -R f/(n-1).  Kept although
+    no command calls it: the critical point equation is where the Besse
+    conjecture applies the divergence estimate for P.
     """
     n = an.dim
     if n < 3:
@@ -123,7 +112,7 @@ def cpe_residual(an: PointAnalysis) -> tuple[IdentityResidual, IdentityResidual]
     curv = an.mj.curvature
     scal = np.asarray(curv.scalar)
     lhs_t = (1.0 + fval)[..., None, None] * curv.traceless_ricci
-    return _field_residuals("cpe", an, lhs_t, scal / (n * (n - 1)), -scal / (n - 1) * fval)
+    return _field_residuals("cpe", an, lhs_t, scal * fval / (n * (n - 1)), -scal / (n - 1) * fval)
 
 
 def _field_residuals(name: str, an: PointAnalysis, lhs_t, g_coef, lap_rhs):

@@ -29,8 +29,8 @@ and the factor-1 statement for the form are the same inequality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,12 +40,13 @@ from .geometry import (
     IdentityResidual,
     MetricField,
     MetricJets,
-    ScalarField,
     batch_value,
     cov_derivative,
     each_point_on_error,
+    expression_jets,
     norm_sq,
     residual,
+    upper_indices,
 )
 from .jets import DEFAULT_ORDER, Jet, as_coefficients, contract, jet_space, partials, sqrt
 
@@ -66,28 +67,22 @@ FORM_DICTIONARY = {
 
 @dataclass(frozen=True)
 class PTensorSpec:
-    """Ingredients of P: profile lambda (univariate, applied to f), f, and g."""
+    """Ingredients of P: profile lambda (univariate, applied to f), f on g's chart, and g.
+
+    The metric's parameter set binds all three.
+    """
 
     lam: Expr
-    f: ScalarField
+    f: Expr
     metric: MetricField
-    lam_params: ParamSet = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.f.dim != self.metric.dim:
-            raise ValueError(
-                f"f is defined on a {self.f.dim}-chart, metric on {self.metric.dim}"
-            )
 
     @property
     def dim(self) -> int:
         return self.metric.dim
 
-
-@lru_cache(maxsize=None)
-def _upper(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the j < k block of an n x n tensor."""
-    return np.triu_indices(n, 1)
+    @property
+    def params(self) -> ParamSet:
+        return self.metric.params
 
 
 class PointAnalysis:
@@ -128,7 +123,10 @@ class PointAnalysis:
     @cached_property
     def fjet(self) -> np.ndarray:
         """Coefficient array of f."""
-        return self.spec.f.jet(self.mj.points, self.order).c
+        def at(points):
+            return expression_jets([self.spec.f], points, self.order, self.spec.params)[..., 0, :]
+
+        return each_point_on_error(at, self.mj.points)
 
     @cached_property
     def df(self) -> np.ndarray:
@@ -148,7 +146,7 @@ class PointAnalysis:
         sp = jet_space(self.dim, max(self.order - 2, 0))
 
         def at(fc):
-            out = evaluate(self.spec.lam, [Jet(sp, fc)], self.spec.lam_params)
+            out = evaluate(self.spec.lam, [Jet(sp, fc)], self.spec.params)
             return as_coefficients(out, fc.shape)
 
         return each_point_on_error(at, self.fjet[..., : sp.size])
@@ -162,13 +160,13 @@ class PointAnalysis:
         # and the factor would otherwise just be absorbed into lambda.
         h = 0.5 * partials(self.w, n, self.mj.batch)
         dfh = contract("j,k->jk", self.df, h, pairs)  # d_j f h_k
-        j, k = _upper(n)
+        j, k = upper_indices(n, 1)
         block = dfh[..., j, k, :] - dfh[..., k, j, :]
         return _skew(contract(",p->p", self.lam_f, block, pairs), n)
 
     @cached_property
     def nabla_P(self) -> np.ndarray:
-        j, k = _upper(self.dim)
+        j, k = upper_indices(self.dim, 1)
         return _skew(cov_derivative(self.P, self.mj.gamma)[..., j, k, :], self.dim)
 
     @cached_property
@@ -253,7 +251,7 @@ def _skew(block: np.ndarray, n: int) -> np.ndarray:
     Entries below the diagonal are the exact negatives and the diagonal is
     exactly zero, whatever the rounding of the block.
     """
-    j, k = _upper(n)
+    j, k = upper_indices(n, 1)
     out = np.zeros(block.shape[:-2] + (n, n, block.shape[-1]))
     out[..., j, k, :] = block
     out[..., k, j, :] = -block

@@ -1,7 +1,8 @@
 """Scenario registry: built-in charts, seeded random metrics, scenario files.
 
-A scenario bundles a metric, a potential f, a profile lambda, parameter
-values and an evaluation grid.  Built-ins:
+A scenario bundles a metric, a potential f, a profile lambda and an
+evaluation grid; the metric's parameter values bind f and lambda too.
+Built-ins:
 
 * ``euclidean``            flat 3-space with f = |x|^2/2 (P vanishes).
 * ``round-sphere-static``  unit round 3-sphere chart with f = cos r; the
@@ -26,7 +27,7 @@ import numpy as np
 from . import warped as warped_mod
 from .errors import ScenarioError
 from .expr import Binary, Expr, Num, Unary, Var, chart_variables, parse, to_source
-from .geometry import MetricField, ScalarField
+from .geometry import MetricField
 from .ptensor import PTensorSpec
 
 BUILTIN_NAMES = (
@@ -65,10 +66,9 @@ class Scenario:
     name: str
     dim: int
     metric: MetricField
-    f: ScalarField
+    f: Expr
     lam: Expr
     lam_src: str
-    params: dict
     grid: tuple[GridAxis, ...]
     is_static: bool = False
     expect_zero_p: bool = False
@@ -76,27 +76,25 @@ class Scenario:
     description: str = ""
     _sources: tuple | None = field(default=None, repr=False, compare=False)  # echo's text, if known
 
+    @property
+    def params(self) -> dict:
+        """The metric's parameter set, which binds f and lambda too."""
+        return self.metric.params
+
     def spec(self) -> PTensorSpec:
-        return PTensorSpec(
-            lam=self.lam, f=self.f, metric=self.metric, lam_params=self.params
-        )
+        return PTensorSpec(lam=self.lam, f=self.f, metric=self.metric)
 
     def with_params(self, **overrides) -> "Scenario":
         """Rebind parameter values without re-parsing any expression."""
         params = {**self.params, **{k: float(v) for k, v in overrides.items()}}
-        return replace(
-            self,
-            metric=MetricField(self.dim, self.metric.exprs, params),
-            f=ScalarField(self.dim, self.f.expr, params),
-            params=params,
-        )
+        return replace(self, metric=MetricField(self.dim, self.metric.exprs, params))
 
     def grid_points(self) -> list[tuple[float, ...]]:
         return grid_points(self.grid)
 
     def echo(self) -> dict:
         """Deterministic description for reports."""
-        metric, f = self._sources or (self.metric.sources(), self.f.source())
+        metric, f = self._sources or (self.metric.sources(), to_source(self.f))
         return {
             "name": self.name,
             "dimension": self.dim,
@@ -126,24 +124,18 @@ def _default_grid(dim: int, lo: float, hi: float, count: int) -> tuple[GridAxis,
     return tuple(GridAxis(nm, lo, hi, count) for nm in _axis_names(dim))
 
 
-def _parse_lambda(src: str, params: dict) -> Expr:
+def _parse_lambda(src: str, params=()) -> Expr:
     return parse(src, variables=("f",), params=tuple(params))
 
 
 def euclidean_scenario() -> Scenario:
-    params: dict = {}
-    metric = MetricField.parse(
-        [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], params
-    )
-    f = ScalarField.parse("(x0^2 + x1^2 + x2^2)/2", 3, params)
     return Scenario(
         name="euclidean",
         dim=3,
-        metric=metric,
-        f=f,
-        lam=_parse_lambda("1", params),
+        metric=MetricField.parse([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]),
+        f=parse("(x0^2 + x1^2 + x2^2)/2", variables=chart_variables(3)),
+        lam=_parse_lambda("1"),
         lam_src="1",
-        params=params,
         grid=_default_grid(3, 0.1, 0.9, 3),
         expect_zero_p=True,
         description="flat chart; d|grad f|^2 is parallel to df, so P = 0",
@@ -151,16 +143,13 @@ def euclidean_scenario() -> Scenario:
 
 
 def round_sphere_scenario() -> Scenario:
-    params: dict = {}
     metric = MetricField.parse(
         [
             ["1", "0", "0"],
             ["0", "sin(r)^2", "0"],
             ["0", "0", "sin(r)^2*sin(x1)^2"],
-        ],
-        params,
+        ]
     )
-    f = ScalarField.parse("cos(r)", 3, params)
     grid = (
         GridAxis("r", 0.7, 1.1, 3),
         GridAxis("x1", 0.7, 1.1, 3),
@@ -170,10 +159,9 @@ def round_sphere_scenario() -> Scenario:
         name="round-sphere-static",
         dim=3,
         metric=metric,
-        f=f,
-        lam=_parse_lambda("1", params),
+        f=parse("cos(r)", variables=chart_variables(3)),
+        lam=_parse_lambda("1"),
         lam_src="1",
-        params=params,
         grid=grid,
         is_static=True,
         expect_zero_p=True,
@@ -191,7 +179,6 @@ def warped_canonical_scenario(k: float = 4.0, c: float = 1.0) -> Scenario:
         f=spec.f,
         lam=spec.lam,
         lam_src=wspec.lam_src,
-        params=dict(wspec.params),
         grid=_default_grid(3, 0.0, 1.0, 3),
         expect_violation=(k > 3.0),
         description=f"warped product with phi = (r+c)^(-1/k), k={k}, c={c}",
@@ -236,7 +223,6 @@ def random_scenario(seed: int, dim: int = 3) -> Scenario:
         raise ScenarioError("random scenarios support dimension 3 or 4")
     rng = np.random.default_rng(seed)
     eps = 0.8 / (dim * (dim + dim * (dim + 1) / 2))
-    params: dict = {}
     rows = [[None] * dim for _ in range(dim)]
     for i in range(dim):
         for j in range(i, dim):
@@ -250,11 +236,10 @@ def random_scenario(seed: int, dim: int = 3) -> Scenario:
     return Scenario(
         name=f"random-curved-{dim}d-seed{seed}",
         dim=dim,
-        metric=MetricField(dim, [[e for e, _ in row] for row in rows], params),
-        f=ScalarField(dim, f, params),
-        lam=_parse_lambda(lam_src, params),
+        metric=MetricField(dim, [[e for e, _ in row] for row in rows]),
+        f=f,
+        lam=_parse_lambda(lam_src),
         lam_src=lam_src,
-        params=params,
         grid=grid,
         description=f"seeded polynomial perturbation of the flat {dim}-metric",
         _sources=([[src for _, src in row] for row in rows], f_src),
@@ -345,7 +330,7 @@ def parse_scenario_file(text: str) -> Scenario:
         rows.append(cells)
     try:
         metric = MetricField.parse(rows, params)
-        f = ScalarField.parse(fields["f"], dim, params)
+        f = parse(fields["f"], variables=chart_variables(dim), params=tuple(params))
         lam_src = fields.get("lambda", "1")
         lam = _parse_lambda(lam_src, params)
     except Exception as err:
@@ -363,7 +348,6 @@ def parse_scenario_file(text: str) -> Scenario:
         f=f,
         lam=lam,
         lam_src=lam_src,
-        params=params,
         grid=grid,
         is_static=fields.get("static", "false").lower() == "true",
         description=fields.get("description", ""),

@@ -37,8 +37,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import EvalDomainError, OrderExceededError
-from .expr import ParamSet, evaluate, parse
-from .geometry import MetricField, ScalarField, residual
+from .expr import ParamSet, chart_variables, evaluate, parse
+from .geometry import MetricField, residual
 from .jets import Jet, partial_derivative
 from .ptensor import PTensorSpec, analyze
 
@@ -168,22 +168,14 @@ def closed_form_eval(
         div_1 = g0 * (p2 / p0**3 - 3.0 * p1**2 / p0**4)
         div_sq = div_r**2 + div_1**2 / p0**2
         false_1 = g0 * (p2 / p0**3 - 4.0 * p1**2 / p0**4)
-    except (ZeroDivisionError, OverflowError):
+        # ViolationRow's fields after r and x1, in their order.
+        values = (p_coef, nabla_sq, div_sq, nabla_sq - 2.0 * div_sq, nabla_sq - div_sq, div_1, false_1)
+    except (ZeroDivisionError, OverflowError):  # ** raises where float * and / give inf
+        values = (math.inf,)
+    if not all(map(math.isfinite, values)):
         pm = spec.params if params is None else params
-        raise EvalDomainError(
-            f"closed form leaves the float range at r={r!r}, x1={x1!r}, params {pm}"
-        ) from None
-    return ViolationRow(
-        r=float(r),
-        x1=float(x1),
-        p_coefficient=p_coef,
-        nabla_p_norm_sq=nabla_sq,
-        div_p_norm_sq=div_sq,
-        violation=nabla_sq - 2.0 * div_sq,
-        sharp_margin=nabla_sq - div_sq,
-        div_true_dx1=div_1,
-        div_false_dx1=false_1,
-    )
+        raise EvalDomainError(f"closed form leaves the float range at r={r!r}, x1={x1!r}, params {pm}")
+    return ViolationRow(float(r), float(x1), *values)
 
 
 def violation_bracket(spec: WarpedSpec, r: float) -> float:
@@ -205,9 +197,8 @@ def ptensor_spec(spec: WarpedSpec) -> PTensorSpec:
     rows = [["1", "0", "0"], ["0", phi_sq, "0"], ["0", "0", phi_sq]]
     return PTensorSpec(
         lam=spec._lam,
-        f=ScalarField.parse(spec.psi_src, 3, spec.params),
+        f=parse(spec.psi_src, variables=chart_variables(3), params=tuple(spec.params)),
         metric=MetricField.parse(rows, spec.params),
-        lam_params=spec.params,
     )
 
 
@@ -275,8 +266,10 @@ def search_violation(
     Seeded random multistart followed by coordinate-wise pattern search on
     the best sample; the total number of objective evaluations is capped by
     ``iterations`` and the outcome is deterministic for a fixed seed (best
-    candidates ordered by violation, then lexicographic parameters).
-    Always returns the best point seen.
+    candidates ordered by violation, then lexicographic parameters).  An
+    evaluation that raises :class:`EvalDomainError` (the closed form leaves
+    the float range, say) ranks last, as +inf.  Always returns the best
+    point seen.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -307,7 +300,10 @@ def search_violation(
         nonlocal evals
         evals += 1
         pm = {"k": x[0], "c": x[1]}
-        return closed_form_eval(base, x[2], 0.5, params=pm, profile=profile).violation
+        try:
+            return closed_form_eval(base, x[2], 0.5, params=pm, profile=profile).violation
+        except EvalDomainError:
+            return math.inf
 
     rng = np.random.default_rng(seed)
     budget = iterations

@@ -1,5 +1,6 @@
 import time
 
+import numpy as np
 import pytest
 
 from skewdiv.ptensor import PointAnalysis
@@ -10,6 +11,18 @@ SESSION_T0 = time.perf_counter()
 
 def session_elapsed() -> float:
     return time.perf_counter() - SESSION_T0
+
+
+def bochner_dim3_rhs(an: PointAnalysis):
+    """The dimension-3 right side of the Bochner balance, which ``bochner_residual`` reduces to:
+
+    |grad P|^2 + 2 <P, grad div P> + R |P|^2 - 2 R_js P_sk P_jk.
+    """
+    curv = an.mj.curvature
+    p_mixed = np.einsum("...jb,...bc->...jc", an.mj.ginv_val, an.P_val)
+    ric_quad = np.einsum("...js,...sc,...jc->...", curv.ricci, an.P_up, p_mixed)
+    t_div = 2.0 * np.einsum("...jk,...jk->...", an.P_up, an.nabla_div_P_val)
+    return an.nabla_p_norm_sq + t_div + curv.scalar * an.p_norm_sq - 2.0 * ric_quad
 
 
 def pytest_collection_modifyitems(session, config, items):

@@ -16,7 +16,7 @@ from skewdiv.ptensor import PointAnalysis, build_frame
 from skewdiv.scenarios import builtin_scenario, random_scenario
 from skewdiv.warped import WarpedSpec, closed_form_eval, cross_validate, ptensor_spec, search_violation
 
-from conftest import session_elapsed
+from conftest import bochner_dim3_rhs, session_elapsed
 
 
 def _report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -142,9 +142,8 @@ def test_criterion_5_bochner(random_pool):
         if batch.scenario.dim != 3:
             continue
         an = batch.analyses[0]
-        gen = bochner_residual(an, form="general")
-        d3 = bochner_residual(an, form="dim3")
-        worst_gap = max(worst_gap, abs(gen.rhs - d3.rhs) / max(1.0, abs(d3.rhs)))
+        d3 = bochner_dim3_rhs(an)
+        worst_gap = max(worst_gap, abs(bochner_residual(an).rhs - d3) / max(1.0, abs(d3)))
     _report(
         "criterion 5: curvature balance residual <= 1e-8, dim-3 forms agree to 1e-12",
         worst <= 1e-8 and worst_gap <= 1e-12,

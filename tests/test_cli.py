@@ -53,6 +53,31 @@ def test_scenario_file_roundtrip(tmp_path):
     assert sc.lam_src == "f"
 
 
+ONE_PARAM_SCENARIO = """\
+dim = 3
+param a = {a}
+f = a*x1 + r*x2
+lambda = 1 + a*f
+grid = r:0.2:0.8:2, x1:0.2:0.8:2, x2:0.5:0.5:1
+metric:
+1 + a*r^2 | 0 | 0
+0 | 1 | 0
+0 | 0 | 1 + x1^2
+"""
+
+
+def test_one_param_reaches_metric_f_and_lambda():
+    """After with_params, g, f and lambda(f) all read the new value: the file written with it, bit for bit."""
+    rebound = parse_scenario_file(ONE_PARAM_SCENARIO.format(a=0.5)).with_params(a=2.0)
+    written = parse_scenario_file(ONE_PARAM_SCENARIO.format(a=2.0))
+    assert rebound.params == written.params == {"a": 2.0}
+    assert rebound.echo() == written.echo()
+    got, want = (PointAnalysis(sc.spec(), sc.grid_points(), 4) for sc in (rebound, written))
+    for name in ("fjet", "lam_f", "P", "nabla_P", "laplacian_p_norm_sq", "violation"):
+        assert np.asarray(getattr(got, name)).tobytes() == np.asarray(getattr(want, name)).tobytes(), name
+    assert got.mj.g.tobytes() == want.mj.g.tobytes()
+
+
 def test_scenario_file_errors():
     with pytest.raises(ScenarioError):
         parse_scenario_file("name = x\nf = x1\n")  # no dim
@@ -380,7 +405,7 @@ FLAT_FILE = "dim = 3\nf = x1\nmetric:\n1 | 0 | 0\n0 | 1 | 0\n0 | 0 | 1\n"
         (["counterexample", "--psi", "(" * 3000 + "x1" + ")" * 3000], None, "nests too deeply"),
         (["counterexample", "--param", "k=0"], None, "division by zero"),
         (["counterexample", "--param", "k=0.005"], None, "leaves the float range at r=1.0"),
-        (["search", "--bounds", "k:1e-3:1e-2"], None, "leaves the float range at r="),
+        (["counterexample", "--param", "k=0.006"], None, "leaves the float range at r=1.0"),
     ],
     ids=[
         "dim-after-metric",
@@ -397,7 +422,7 @@ FLAT_FILE = "dim = 3\nf = x1\nmetric:\n1 | 0 | 0\n0 | 1 | 0\n0 | 0 | 1\n"
         "deep-psi",
         "warp-k-zero",
         "warp-power-out-of-range",
-        "search-power-out-of-range",
+        "warp-product-out-of-range",
     ],
 )
 def test_input_errors_exit_2_with_their_message(args, text, message, tmp_path, capsys):
@@ -409,6 +434,14 @@ def test_input_errors_exit_2_with_their_message(args, text, message, tmp_path, c
     assert code == 2
     assert err.startswith("error:") and message in err
     assert "\n" not in err and "Traceback" not in err
+
+
+def test_search_ranks_points_beyond_the_float_range_last(capsys):
+    """Where the closed form leaves the float range the search goes on; k < 3 finds no violation."""
+    code = main(["search", "--bounds", "k:1e-3:1e-2"])
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    assert out.startswith("best violation ") and "k=0.00" in out
 
 
 @pytest.mark.parametrize(

@@ -28,7 +28,7 @@ from skewdiv.cli import run_verify
 from skewdiv.identities import cpe_residual, static_residual
 from skewdiv.errors import EvalDomainError, NonPositiveDefiniteError, SkewdivError
 from skewdiv.expr import Binary, Num, chart_variables, evaluate, parse, to_source
-from skewdiv.geometry import MetricField, MetricJets, ScalarField
+from skewdiv.geometry import MetricField, MetricJets, expression_jets
 from skewdiv.identities import bochner_residual
 from skewdiv.jets import (
     DEFAULT_ORDER,
@@ -62,9 +62,7 @@ def test_norms_scale_as_inverse_fifth_power(seed, dim, s):
     sc = random_scenario(seed, dim)
     pt = sc.grid_points()[0]
     base = PointAnalysis(sc.spec(), pt)
-    spec = PTensorSpec(
-        lam=sc.lam, f=sc.f, metric=scaled_metric(sc.metric, s), lam_params=sc.params
-    )
+    spec = PTensorSpec(lam=sc.lam, f=sc.f, metric=scaled_metric(sc.metric, s))
     scaled = PointAnalysis(spec, pt)
     factor = s**-5
     assert scaled.nabla_p_norm_sq == pytest.approx(factor * base.nabla_p_norm_sq, rel=1e-12)
@@ -125,7 +123,8 @@ def test_tensor_pipeline_makes_no_scalar_jet_products(dim, monkeypatch):
 
     # The analysis's orders: g one below f, lambda(f) two below.
     spec.metric.component_jets(pt, DEFAULT_ORDER - 1)
-    evaluate(spec.lam, [spec.f.jet(pt).truncate(DEFAULT_ORDER - 2)], spec.lam_params)
+    f = Jet(jet_space(dim, DEFAULT_ORDER), expression_jets([spec.f], pt, DEFAULT_ORDER, spec.params)[0])
+    evaluate(spec.lam, [f.truncate(DEFAULT_ORDER - 2)], spec.params)
     expression_products = len(calls)
     assert expression_products > 0
 
@@ -209,7 +208,7 @@ def test_value_order_matches_default_order(spec, points):
 FUNCTIONS_SPEC = PTensorSpec(
     lam=parse("exp(f/4) + f^2 / (1 + f*f)", variables=("f",)),
     # At r = 0.2 the exponent's jet is the constant 2.5, at r = 0.8 it is not.
-    f=ScalarField.parse("r^2.5 + x1*x2^3 - log(1 + r*x2) + x1^((r - 0.2)^5 + 2.5)", 3),
+    f=parse("r^2.5 + x1*x2^3 - log(1 + r*x2) + x1^((r - 0.2)^5 + 2.5)", variables=chart_variables(3)),
     metric=MetricField.parse(
         [
             ["2 + sin(r)*x1", "0.1*cos(x2)", "0"],
@@ -231,18 +230,25 @@ def test_batched_expressions_equal_single_points(spec, points):
     batch = PointAnalysis(spec, points)
     single = {
         "g": np.stack([spec.metric.component_jets(pt, batch.mj.order) for pt in points]),
-        "f": np.stack([spec.f.jet(pt).c for pt in points]),
+        "f": np.stack([an.fjet for an in one]),
         "lam_f": np.stack([an.lam_f for an in one]),
     }
     batched = {
         "g": spec.metric.component_jets(points, batch.mj.order),
-        "f": spec.f.jet(points).c,
+        "f": batch.fjet,
         "lam_f": batch.lam_f,
     }
     for name, want in single.items():
         got = batched[name]
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
     assert batch.mj.g.tobytes() == single["g"].tobytes()
+
+
+def f_jets(f_src: str):
+    """The analysis's jets of f = ``f_src`` on the flat 3-chart, at a point or a batch of points."""
+    flat = MetricField.parse([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
+    spec = PTensorSpec(parse("1", variables=("f",)), parse(f_src, variables=chart_variables(3)), flat)
+    return lambda points: PointAnalysis(spec, points).fjet
 
 
 def test_batch_error_is_the_first_failing_point():
@@ -253,11 +259,11 @@ def test_batch_error_is_the_first_failing_point():
             fn(*args)
         return type(exc.value), str(exc.value), getattr(exc.value, "offset", None)
 
-    f = ScalarField.parse("log(r - 0.5)", 3)
+    f = f_jets("log(r - 0.5)")
     points = [(r, 0.0, 0.0) for r in (0.0, 0.5, 1.0)]  # r:0:1:3
-    want = error(f.jet, points[0])
+    want = error(f, points[0])
     assert want == (EvalDomainError, "log of nonpositive value -0.5 (at offset 0)", 0)
-    assert error(f.jet, points) == want
+    assert error(f, points) == want
 
     # Entry (0,1) fails only at point 2, entry (1,1) only at point 1.
     m = MetricField.parse(
@@ -269,12 +275,12 @@ def test_batch_error_is_the_first_failing_point():
     assert error(m.component_jets, points) == want
     assert error(MetricJets, m, points) == want
 
-    f = ScalarField.parse("sqrt(r + 1e-300)", 3)
+    f = f_jets("sqrt(r + 1e-300)")
     points = [(1.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.5, 0.0, 0.0)]
     with np.errstate(all="ignore"):
-        want = error(f.jet, points[1])
+        want = error(f, points[1])
         assert want == (EvalDomainError, "sqrt overflows a float (at offset 0)", 0)
-        assert error(f.jet, points) == want
+        assert error(f, points) == want
 
     m = MetricField.parse([["1", "0", "0"], ["0", "1 - r", "0"], ["0", "0", "1"]])
     points = [(0.5, 0.0, 0.0), (0.25, 0.0, 0.0), (2.5, 0.0, 0.5)]
@@ -336,11 +342,11 @@ def test_random_polynomials_are_their_parsed_sources(dim):
     names = chart_variables(dim)
     for seed in range(32):
         sc = random_scenario(seed, dim)
-        for e in [e for row in sc.metric.exprs for e in row] + [sc.f.expr]:
+        for e in [e for row in sc.metric.exprs for e in row] + [sc.f]:
             assert exact(parse(to_source(e), variables=names)) == exact(e)
         # The echo keeps the text the builder wrote: the same as rendering the trees.
         echo = sc.echo()
-        assert (echo["metric"], echo["f"]) == (sc.metric.sources(), sc.f.source())
+        assert (echo["metric"], echo["f"]) == (sc.metric.sources(), to_source(sc.f))
 
 
 def _ginv_every_coefficient(mj: MetricJets) -> np.ndarray:
@@ -407,7 +413,7 @@ def _at_full_order(spec, points, order: int) -> PointAnalysis:
     an = PointAnalysis(spec, points, order)
     an.mj = MetricJets(spec.metric, points, order)
     f = Jet(jet_space(spec.dim, order), an.fjet)
-    an.lam_f = as_coefficients(evaluate(spec.lam, [f], spec.lam_params), an.fjet.shape)
+    an.lam_f = as_coefficients(evaluate(spec.lam, [f], spec.params), an.fjet.shape)
     return an
 
 

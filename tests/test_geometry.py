@@ -10,14 +10,15 @@ from skewdiv.errors import NonPositiveDefiniteError
 from skewdiv.geometry import (
     MetricField,
     MetricJets,
-    ScalarField,
     christoffel_fd,
     cov_derivative,
+    expression_jets,
     norm_sq,
     riemann_fd,
     second_bianchi_residual,
 )
-from skewdiv.jets import contract, jet_space, partials
+from skewdiv.expr import chart_variables, parse
+from skewdiv.jets import DEFAULT_ORDER, contract, jet_space, partials
 from skewdiv.scenarios import random_scenario
 
 
@@ -38,10 +39,11 @@ def sphere_metric():
     )
 
 
-def hessian_values(f, m, pt):
+def hessian_values(f_src, m, pt):
     """MetricJets at ``pt`` and the values of grad^2 f there."""
     mj = MetricJets(m, pt)
-    return mj, cov_derivative(partials(f.jet(pt).c, mj.dim), mj.gamma)[..., 0]
+    f = expression_jets([parse(f_src, variables=chart_variables(3))], pt, DEFAULT_ORDER, m.params)[0]
+    return mj, cov_derivative(partials(f, mj.dim), mj.gamma)[..., 0]
 
 
 def laplacian_value(f, m, pt):
@@ -143,7 +145,7 @@ def test_contracted_second_bianchi():
 def test_hessian_warped_closed_form():
     k, c = 4.0, 1.0
     m = warped_metric(k, c)
-    f = ScalarField.parse("x1", 3)
+    f = "x1"
     r = 0.4
     _, h = hessian_values(f, m, (r, 0.2, 0.3))
     phi = (r + c) ** (-1 / k)
@@ -155,14 +157,14 @@ def test_hessian_warped_closed_form():
 
 def test_hessian_euclidean_quadratic():
     m = euclidean_metric()
-    f = ScalarField.parse("x0^2/2", 3)
+    f = "x0^2/2"
     _, h = hessian_values(f, m, (0.2, 0.3, 0.4))
     assert np.allclose(h, np.diag([1.0, 0.0, 0.0]), atol=1e-14)
 
 
 def test_hessian_sphere_cos_r():
     m = sphere_metric()
-    f = ScalarField.parse("cos(r)", 3)
+    f = "cos(r)"
     for pt in ((0.8, 0.7, 0.2), (1.1, 0.9, 0.4)):
         mj, h = hessian_values(f, m, pt)
         g = mj.g_val
@@ -178,10 +180,10 @@ def test_hessian_sphere_cos_r():
 
 def test_laplacians():
     m = euclidean_metric()
-    f = ScalarField.parse("x0^2 + x1^2 + x2^2", 3)
+    f = "x0^2 + x1^2 + x2^2"
     assert laplacian_value(f, m, (0.1, 0.2, 0.3)) == pytest.approx(6.0, abs=1e-12)
     sph = sphere_metric()
-    fc = ScalarField.parse("cos(r)", 3)
+    fc = "cos(r)"
     for pt in ((0.8, 0.7, 0.2), (1.0, 1.0, 0.4)):
         assert laplacian_value(fc, sph, pt) == pytest.approx(
             -3.0 * math.cos(pt[0]), abs=1e-11
@@ -247,9 +249,9 @@ def test_fd_oracle_cross_check_20_scenarios():
 def test_covariant_derivative_of_scalar_is_gradient():
     sc = random_scenario(3, 3)
     pt = sc.grid_points()[0]
-    fjet = sc.f.jet(pt)
-    grad = cov_derivative(fjet.c, MetricJets(sc.metric, pt).gamma)
-    expected = partials(fjet.c, 3)[..., 0]
+    fjet = expression_jets([sc.f], pt, DEFAULT_ORDER, sc.params)[0]
+    grad = cov_derivative(fjet, MetricJets(sc.metric, pt).gamma)
+    expected = partials(fjet, 3)[..., 0]
     got = grad[..., 0]
     assert np.allclose(got, expected, atol=1e-14)
 
@@ -266,8 +268,8 @@ def test_commutation_rule_pins_curvature_sign():
             sc = random_scenario(seed, dim)
             pt = sc.grid_points()[0]
             mj = MetricJets(sc.metric, pt)
-            fjet = sc.f.jet(pt)
-            sigma = cov_derivative(fjet.c, mj.gamma)  # (a,)
+            fjet = expression_jets([sc.f], pt, DEFAULT_ORDER, sc.params)[0]
+            sigma = cov_derivative(fjet, mj.gamma)  # (a,)
             first = cov_derivative(sigma, mj.gamma)  # (j, a)
             second = cov_derivative(first, mj.gamma)  # (i, j, a)
             vals = second[..., 0]

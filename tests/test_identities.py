@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from skewdiv.errors import EvalDomainError, OrderExceededError
-from skewdiv.expr import parse
-from skewdiv.geometry import MetricField, MetricJets, ScalarField, second_bianchi_residual
+from skewdiv.expr import chart_variables, evaluate, parse
+from skewdiv.geometry import MetricField, MetricJets, second_bianchi_residual
 from skewdiv.identities import (
     IdentityResidual,
     bochner_residual,
@@ -16,15 +16,19 @@ from skewdiv.identities import (
 )
 from skewdiv.scenarios import (
     builtin_scenario,
+    parse_scenario_file,
     random_scenario,
     round_sphere_scenario,
 )
 from skewdiv.ptensor import PointAnalysis, PTensorSpec, build_frame, cyclic_residual
 from skewdiv.warped import WarpedSpec, ptensor_spec
 
+from conftest import bochner_dim3_rhs
 
-def field_analysis(metric, f, points):
-    """Analysis of the potential ``f`` on ``metric``: what the static and cpe checks read."""
+
+def field_analysis(metric, f_src, points):
+    """Analysis of the potential ``f_src`` on ``metric``: what the static and cpe checks read."""
+    f = parse(f_src, variables=chart_variables(metric.dim))
     return PointAnalysis(PTensorSpec(parse("1", variables=("f",)), f, metric), points)
 
 
@@ -73,22 +77,21 @@ def test_bochner_balance_is_within_a_few_ulps_on_random_scenarios(dim):
 
 
 def test_general_form_matches_dim3_form():
+    """In dimension 3 the general balance is R|P|^2 - 2 R_js P_sk P_jk plus a rounding-level Weyl term."""
     cases = [(ptensor_spec(WarpedSpec.canonical(4.0, 1.0)), (0.3, 0.2, 0.6))]
     for seed in (400, 401, 402):
         sc = random_scenario(seed, 3)
         cases.append((sc.spec(), sc.grid_points()[0]))
     for spec, pt in cases:
         an = PointAnalysis(spec, pt)
-        general = bochner_residual(an, form="general")
-        dim3 = bochner_residual(an, form="dim3")
-        scale = max(1.0, abs(dim3.rhs))
-        assert abs(general.rhs - dim3.rhs) < 1e-12 * scale
+        dim3 = bochner_dim3_rhs(an)
+        assert abs(bochner_residual(an).rhs - dim3) < 1e-12 * max(1.0, abs(dim3))
 
 
-def test_general_form_required_above_dim3():
-    sc = random_scenario(5, 4)
-    with pytest.raises(ValueError):
-        bochner_residual(PointAnalysis(sc.spec(), sc.grid_points()[0]), form="dim3")
+def test_bochner_balance_needs_dimension_3():
+    sc = parse_scenario_file("dim = 2\nf = x0*x1\nmetric:\n1 | 0\n0 | 1\n")
+    with pytest.raises(ValueError, match="dimension >= 3"):
+        bochner_residual(PointAnalysis(sc.spec(), sc.grid_points()[0]))
 
 
 def test_static_system_on_round_sphere():
@@ -101,8 +104,7 @@ def test_static_system_on_round_sphere():
 
 def test_static_trivial_flat_constant():
     m = MetricField.parse([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
-    f = ScalarField.parse("1", 3)
-    tensor, scalar = static_residual(field_analysis(m, f, (0.1, 0.2, 0.3)))
+    tensor, scalar = static_residual(field_analysis(m, "1", (0.1, 0.2, 0.3)))
     assert tensor.abs_residual == 0.0
     assert scalar.abs_residual == 0.0
 
@@ -114,20 +116,25 @@ def test_static_fails_on_warped_counterexample():
 
 
 def test_cpe_sphere_with_zero_potential():
-    """f = 0 on the round sphere: first equation misses by |R/(n(n-1)) g|."""
+    """f = 0 solves the critical-point system on an Einstein metric: z = 0 and R f = 0."""
     sc = round_sphere_scenario()
-    f0 = ScalarField.parse("0", 3)
     pt = sc.grid_points()[4]
-    tensor, scalar = cpe_residual(field_analysis(sc.metric, f0, pt))
-    # R = 6, n = 3: R/(n(n-1)) = 1, and |g| = sqrt(3).
-    assert tensor.abs_residual == pytest.approx(math.sqrt(3.0), rel=1e-10)
+    tensor, scalar = cpe_residual(field_analysis(sc.metric, "0", pt))
+    assert tensor.abs_residual <= 1e-14  # the rounding of z = Ric - (R/n) g
     assert scalar.abs_residual < 1e-12
+
+
+def test_cpe_sphere_with_cos_r():
+    """f = cos r on the unit sphere: z = 0 and grad^2 f = -f g = -R f/(n(n-1)) g, on the whole grid."""
+    sc = round_sphere_scenario()
+    tensor, scalar = cpe_residual(PointAnalysis(sc.spec(), sc.grid_points()))
+    assert np.max(tensor.abs_residual) <= 1e-14
+    assert np.max(scalar.abs_residual) <= 1e-14
 
 
 def test_cpe_flat_zero_potential():
     m = MetricField.parse([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
-    f0 = ScalarField.parse("0", 3)
-    tensor, scalar = cpe_residual(field_analysis(m, f0, (0.5, 0.5, 0.5)))
+    tensor, scalar = cpe_residual(field_analysis(m, "0", (0.5, 0.5, 0.5)))
     assert tensor.abs_residual == 0.0
     assert scalar.abs_residual == 0.0
 
@@ -222,7 +229,7 @@ def test_batch_equals_its_points(check, sc, refused):
             got = np.broadcast_to(got, (len(points),))[i]
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
     if check == "static-bochner":
-        assert sc.f(refused) == pytest.approx(0.0, abs=1e-15)
+        assert evaluate(sc.f, refused, sc.params) == pytest.approx(0.0, abs=1e-15)
         with pytest.raises(EvalDomainError, match=re.escape(f" at {refused}: ")):
             BATCH_CHECKS[check](sc, points[:2] + [refused] + points[2:])
 

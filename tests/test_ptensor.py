@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 
 from skewdiv.errors import DegeneratePError, FrameConsistencyError
-from skewdiv.expr import parse
-from skewdiv.geometry import MetricField, ScalarField
 from skewdiv.ptensor import (
     VALUE_ORDER,
     PointAnalysis,
-    PTensorSpec,
     analyze,
     build_frame,
     cyclic_residual,
@@ -249,11 +246,3 @@ def test_lambda_profile_enters_P():
     # lambda = f at psi = x1: multiplies by f = 0.3
     scaled = analyze(warped_spec(lam="f"), (0.2, 0.3, 0.0)).P_val[0, 1]
     assert scaled == pytest.approx(0.3 * base, rel=1e-13)
-
-
-def test_mismatched_dimensions_rejected():
-    m = MetricField.parse([["1", "0"], ["0", "1"]])
-    f = ScalarField.parse("x0", 3)
-    lam = parse("1", variables=("f",))
-    with pytest.raises(ValueError):
-        PTensorSpec(lam=lam, f=f, metric=m)

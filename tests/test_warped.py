@@ -119,9 +119,11 @@ def test_positive_warp_required():
         closed_form_eval(spec, 0.5, 0.0)
 
 
-@pytest.mark.parametrize("r, k", [(1.0, 0.005), (-0.2, 0.001)], ids=["underflow", "overflow"])
+@pytest.mark.parametrize(
+    "r, k", [(1.0, 0.005), (-0.2, 0.001), (1.0, 0.006)], ids=["underflow", "overflow", "product"]
+)
 def test_a_power_of_phi_beyond_the_float_range_is_a_domain_error(r, k):
-    """phi = (r+1)^(-1/k) is in range, but phi^6 underflows to 0 or phi^4 overflows."""
+    """phi = (r+1)^(-1/k) is in range, but phi^6 underflows to 0, phi^4 overflows or a product of powers does."""
     spec = WarpedSpec.canonical(k, 1.0)
     message = f"closed form leaves the float range at r={r!r}, x1=0.5, params {{'k': {k!r}, 'c': 1.0}}"
     with pytest.raises(EvalDomainError) as exc:
