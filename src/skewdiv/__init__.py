@@ -42,7 +42,6 @@ from .jets import (
     DEFAULT_ORDER,
     Jet,
     extract_derivative,
-    finite_difference_oracle,
     partial_derivative,
     seed_variables,
 )

@@ -62,12 +62,14 @@ from .jets import (
     DEFAULT_ORDER,
     as_coefficients,
     contract,
-    finite_difference_oracle,
     jet_order,
     jet_space,
     partials,
     seed_variables,
 )
+
+#: Re-exported: the benchmark's tracing tests read ``geometry.evaluate``.
+evaluate = evaluate
 
 
 # -- expression-defined fields -------------------------------------------------
@@ -142,16 +144,6 @@ class MetricField:
         g[..., j, i, :] = upper
         self._check_positive_definite(g[..., 0], points)
         return g
-
-    def component_values(self, point: Sequence[float]) -> np.ndarray:
-        pt = [float(x) for x in point]
-        vals = np.empty((self.dim, self.dim))
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                v = float(evaluate(self.exprs[i][j], pt, self.params))
-                vals[i, j] = vals[j, i] = v
-        self._check_positive_definite(vals, point)
-        return vals
 
     def _check_positive_definite(self, vals: np.ndarray, point) -> None:
         if not np.all(np.isfinite(vals)):
@@ -322,7 +314,8 @@ class MetricJets:
     def gamma(self) -> np.ndarray:
         """Gamma[..., k, i, j] = Gamma^k_ij, one order below g."""
         dg = partials(self.g, self.dim, self.batch)  # dg[..., l, i, j] = d_l g_ij
-        first = _first_kind(dg, "Z")
+        # first[..., l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
+        first = np.einsum("...ijlZ->...lijZ", dg) + np.einsum("...jilZ->...lijZ", dg) - dg
         sp = jet_space(self.dim, self.order - 1)
         # first is exactly symmetric in i, j, so only its i <= j block is
         # contracted and the result mirrored.
@@ -452,60 +445,3 @@ def second_bianchi_residual(mj: MetricJets) -> IdentityResidual:
     divric = np.einsum("...ij,...ijk->...k", mj.ginv_val, cov_derivative(ric, G)[..., 0])
     gap = np.max(np.abs(divric - 0.5 * dscal), axis=-1)
     return residual("second-bianchi", mj.points, gap, 0.0, (np.max(np.abs(dscal), axis=-1),))
-
-
-# -- finite-difference oracles ----------------------------------------------------
-#
-# The same algebraic assembly as the jet path, but every metric derivative is
-# a central difference of plain component evaluations.  These are the
-# independent cross-checks for the differentiation engine.
-
-
-def christoffel_fd(metric: MetricField, point, step: float = 1e-4) -> np.ndarray:
-    """Christoffel symbols Gamma^k_ij from finite differences of the metric alone."""
-    return _connection_fd(metric, point, step)[1]
-
-
-def riemann_fd(metric: MetricField, point, step: float = 1e-4) -> np.ndarray:
-    """Fully covariant curvature from finite differences of the metric alone."""
-    return _riemann(*_connection_fd(metric, point, step))
-
-
-def _connection_fd(metric: MetricField, point, step: float):
-    """Values of g, Gamma^k_ij and d_a Gamma^k_ij at ``point``."""
-    g = metric.component_values(point)
-    ginv = np.linalg.inv(g)
-    dg, d2g = _metric_fd(metric, point, step)
-    dginv = -np.einsum("km,aml,ls->aks", ginv, dg, ginv)  # d_a g^ks
-    first, dfirst = _first_kind(dg), _first_kind(d2g)
-    gamma = 0.5 * np.einsum("kl,lij->kij", ginv, first)
-    dgamma = 0.5 * (
-        np.einsum("akl,lij->akij", dginv, first) + np.einsum("kl,alij->akij", ginv, dfirst)
-    )
-    return g, gamma, dgamma
-
-
-def _first_kind(dg: np.ndarray, z: str = "") -> np.ndarray:
-    """[..., l, i, j] = d_i g_jl + d_j g_il - d_l g_ij from dg[..., l, i, j] = d_l g_ij.
-
-    ``z`` names the axes after l, i, j: ``"Z"`` for the coefficient axis of jets.
-    """
-    return np.einsum(f"...ijl{z}->...lij{z}", dg) + np.einsum(f"...jil{z}->...lij{z}", dg) - dg
-
-
-def _metric_fd(metric: MetricField, point, step: float) -> tuple[np.ndarray, np.ndarray]:
-    """Central differences dg[a, i, j] = d_a g_ij and d2g[a, b, i, j] = d_a d_b g_ij."""
-    n = metric.dim
-    unit = np.eye(n, dtype=int)
-    dg = np.empty((n, n, n))
-    d2g = np.empty((n, n, n, n))
-    for i, j in zip(*np.triu_indices(n)):
-        def f(q, e=metric.exprs[i][j]):
-            return evaluate(e, q.tolist(), metric.params)
-
-        for a in range(n):
-            dg[a, i, j] = dg[a, j, i] = finite_difference_oracle(f, point, unit[a], step)
-            for b in range(a, n):
-                v = finite_difference_oracle(f, point, unit[a] + unit[b], step)
-                d2g[a, b, i, j] = d2g[b, a, i, j] = d2g[a, b, j, i] = d2g[b, a, j, i] = v
-    return dg, d2g

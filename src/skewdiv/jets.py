@@ -738,48 +738,3 @@ def partials(T: np.ndarray, nvars: int, batch: int = 0) -> np.ndarray:
     if sp.order < 1:
         raise OrderExceededError("cannot differentiate an order-0 jet")
     return np.moveaxis(T[..., sp.diff_src] * sp.diff_fac, -2, batch)
-
-
-def finite_difference_oracle(
-    field: Callable[[Sequence[float]], float],
-    point: Sequence[float],
-    alpha: Sequence[int],
-    step: float = 1e-4,
-) -> float:
-    """Central-difference derivative estimate, independent of jet arithmetic.
-
-    Supports multi-indices up to total order 2; the truncation error is
-    O(step**2) for every stencil used.  Domain errors raised by ``field`` on
-    a stencil point propagate unchanged.
-    """
-    alpha = tuple(int(a) for a in alpha)
-    total = sum(alpha)
-    if any(a < 0 for a in alpha):
-        raise ValueError("multi-index entries must be nonnegative")
-    if total > 2:
-        raise OrderExceededError("finite-difference oracle supports order <= 2")
-    p = np.asarray([float(x) for x in point])
-    if len(alpha) != p.size:
-        raise ValueError("multi-index length does not match point dimension")
-
-    def f(q: np.ndarray) -> float:
-        return float(field(q))
-
-    if total == 0:
-        return f(p)
-    if total == 1:
-        i = alpha.index(1)
-        e = np.zeros_like(p)
-        e[i] = step
-        return (f(p + e) - f(p - e)) / (2.0 * step)
-    if 2 in alpha:
-        i = alpha.index(2)
-        e = np.zeros_like(p)
-        e[i] = step
-        return (f(p + e) - 2.0 * f(p) + f(p - e)) / step**2
-    i, j = (k for k, a in enumerate(alpha) if a == 1)
-    ei, ej = np.zeros_like(p), np.zeros_like(p)
-    ei[i] = ej[j] = step
-    return (
-        f(p + ei + ej) - f(p + ei - ej) - f(p - ei + ej) + f(p - ei - ej)
-    ) / (4.0 * step**2)

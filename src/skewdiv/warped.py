@@ -268,8 +268,9 @@ def search_violation(
     ``iterations`` and the outcome is deterministic for a fixed seed (best
     candidates ordered by violation, then lexicographic parameters).  An
     evaluation that raises :class:`EvalDomainError` (the closed form leaves
-    the float range, say) ranks last, as +inf.  Always returns the best
-    point seen.
+    the float range, say) ranks last, as +inf; numpy's floating-point
+    warnings are off for the whole search.  Returns the best point seen, and
+    raises :class:`EvalDomainError` if no evaluation was finite.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -305,43 +306,49 @@ def search_violation(
         except EvalDomainError:
             return math.inf
 
-    rng = np.random.default_rng(seed)
-    budget = iterations
-    n_starts = max(1, min(16, budget // 20))
-    candidates: list[tuple[float, tuple[float, ...]]] = []
-    for _ in range(n_starts):
-        x = tuple(l + u * s for l, u, s in zip(lo, rng.random(3).tolist(), span))
-        budget -= 1
-        candidates.append((objective(x), x))
-    candidates.sort(key=lambda t: (t[0], t[1]))
-    best_f, best_x = candidates[0]
+    # An overflow inside an evaluation is found by the finiteness checks of
+    # evaluate and closed_form_eval, which raise; numpy's warning would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        rng = np.random.default_rng(seed)
+        budget = iterations
+        n_starts = max(1, min(16, budget // 20))
+        candidates: list[tuple[float, tuple[float, ...]]] = []
+        for _ in range(n_starts):
+            x = tuple(l + u * s for l, u, s in zip(lo, rng.random(3).tolist(), span))
+            budget -= 1
+            candidates.append((objective(x), x))
+        candidates.sort(key=lambda t: (t[0], t[1]))
+        best_f, best_x = candidates[0]
 
-    step = [s / 4.0 for s in span]
-    x = best_x
-    fx = best_f
-    while budget > 0 and max(step) > 1e-9:
-        improved = False
-        for d in range(3):
-            if step[d] == 0.0:
-                continue
-            for sgn in (1.0, -1.0):
-                if budget <= 0:
-                    break
-                moved = min(max(x[d] + sgn * step[d], lo[d]), hi[d])
-                if moved == x[d]:
+        step = [s / 4.0 for s in span]
+        x = best_x
+        fx = best_f
+        while budget > 0 and max(step) > 1e-9:
+            improved = False
+            for d in range(3):
+                if step[d] == 0.0:
                     continue
-                trial = x[:d] + (moved,) + x[d + 1 :]
-                budget -= 1
-                ft = objective(trial)
-                candidates.append((ft, trial))
-                if ft < fx:
-                    x, fx = trial, ft
-                    improved = True
-                    break
-        if not improved:
-            step = [s * 0.5 for s in step]
+                for sgn in (1.0, -1.0):
+                    if budget <= 0:
+                        break
+                    moved = min(max(x[d] + sgn * step[d], lo[d]), hi[d])
+                    if moved == x[d]:
+                        continue
+                    trial = x[:d] + (moved,) + x[d + 1 :]
+                    budget -= 1
+                    ft = objective(trial)
+                    candidates.append((ft, trial))
+                    if ft < fx:
+                        x, fx = trial, ft
+                        improved = True
+                        break
+            if not improved:
+                step = [s * 0.5 for s in step]
     candidates.sort(key=lambda t: (t[0], t[1]))
     best_f, best_x = candidates[0]
+    if best_f == math.inf:
+        ranges = ", ".join(f"{nm} in [{l!r}, {h!r}]" for nm, l, h in zip(names, lo, hi))
+        raise EvalDomainError(f"all {evals} evaluations leave the float range for {ranges}")
     return SearchResult(
         params={nm: float(v) for nm, v in zip(names, best_x)},
         violation=float(best_f),

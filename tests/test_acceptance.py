@@ -10,13 +10,14 @@ import time
 import numpy as np
 import pytest
 
-from skewdiv.geometry import MetricJets, christoffel_fd, riemann_fd, second_bianchi_residual
+from skewdiv.geometry import MetricJets, second_bianchi_residual
 from skewdiv.identities import bochner_residual, static_residual
 from skewdiv.ptensor import PointAnalysis, build_frame
 from skewdiv.scenarios import builtin_scenario, random_scenario
 from skewdiv.warped import WarpedSpec, closed_form_eval, cross_validate, ptensor_spec, search_violation
 
 from conftest import bochner_dim3_rhs, session_elapsed
+from exact_oracle import exact_point, rel_error
 
 
 def _report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -180,20 +181,17 @@ def test_criterion_7_static_round_sphere(shipped):
 
 
 def test_criterion_8_oracle_cross_checks(random_pool):
-    worst_fd = 0.0
+    worst_oracle = 0.0
     for seed in range(20):
         sc = random_scenario(2000 + seed, 3)
         pt = sc.grid_points()[0]
         mj = MetricJets(sc.metric, pt)
-        gfd = christoffel_fd(sc.metric, pt)
-        rel = np.max(np.abs(gfd - mj.gamma_val) / np.maximum(1.0, np.abs(mj.gamma_val)))
-        worst_fd = max(worst_fd, float(rel))
-        rfd = riemann_fd(sc.metric, pt)
-        rel = np.max(
-            np.abs(rfd - mj.curvature.riemann)
-            / np.maximum(1.0, np.abs(mj.curvature.riemann))
+        exact = exact_point(sc.metric, pt)
+        worst_oracle = max(
+            worst_oracle,
+            rel_error(mj.gamma_val, exact.gamma),
+            rel_error(mj.curvature.riemann, exact.riemann),
         )
-        worst_fd = max(worst_fd, float(rel))
 
     batches, _ = random_pool
     worst_weyl = 0.0
@@ -211,9 +209,9 @@ def test_criterion_8_oracle_cross_checks(random_pool):
             second_bianchi_residual(MetricJets(sc.metric, sc.grid_points()[0])).rel_residual,
         )
     _report(
-        "criterion 8: FD oracles within 1e-6, Weyl = 0 in 3d, div Ric = dR/2",
-        worst_fd <= 1e-6 and worst_weyl <= 1e-10 and worst_bianchi <= 1e-8,
-        f"fd={worst_fd:.2e}, weyl={worst_weyl:.2e}, bianchi={worst_bianchi:.2e}",
+        "criterion 8: Gamma and Riemann within 1e-12 of the exact oracle, Weyl = 0 in 3d, div Ric = dR/2",
+        worst_oracle <= 1e-12 and worst_weyl <= 1e-10 and worst_bianchi <= 1e-8,
+        f"oracle={worst_oracle:.2e}, weyl={worst_weyl:.2e}, bianchi={worst_bianchi:.2e}",
     )
 
 

@@ -406,6 +406,11 @@ FLAT_FILE = "dim = 3\nf = x1\nmetric:\n1 | 0 | 0\n0 | 1 | 0\n0 | 0 | 1\n"
         (["counterexample", "--param", "k=0"], None, "division by zero"),
         (["counterexample", "--param", "k=0.005"], None, "leaves the float range at r=1.0"),
         (["counterexample", "--param", "k=0.006"], None, "leaves the float range at r=1.0"),
+        (
+            ["search", "--bounds", "k:0.001:0.001", "--bounds", "c:2:2", "--iterations", "20"],
+            None,
+            "all 20 evaluations leave the float range for k in [0.001, 0.001], c in [2.0, 2.0]",
+        ),
     ],
     ids=[
         "dim-after-metric",
@@ -423,6 +428,7 @@ FLAT_FILE = "dim = 3\nf = x1\nmetric:\n1 | 0 | 0\n0 | 1 | 0\n0 | 0 | 1\n"
         "warp-k-zero",
         "warp-power-out-of-range",
         "warp-product-out-of-range",
+        "search-every-point-out-of-range",
     ],
 )
 def test_input_errors_exit_2_with_their_message(args, text, message, tmp_path, capsys):

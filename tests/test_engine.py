@@ -92,9 +92,8 @@ def test_non_finite_metric_fails_and_names_the_point(value):
     m = MetricField.parse(
         [["a*(1 + r)", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], {"a": value}
     )
-    for evaluate_at in (m.component_jets, m.component_values):
-        with pytest.raises(NonPositiveDefiniteError, match=r"\(0\.5, 0\.25, 0\.125\)"):
-            evaluate_at((0.5, 0.25, 0.125))
+    with pytest.raises(NonPositiveDefiniteError, match=r"\(0\.5, 0\.25, 0\.125\)"):
+        m.component_jets((0.5, 0.25, 0.125))
 
 
 def test_metric_parse_shares_symmetric_entries():

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,13 +31,9 @@ from skewdiv.expr import (
     parse,
     to_source,
 )
-from skewdiv.jets import (
-    Jet,
-    as_coefficients,
-    extract_derivative,
-    finite_difference_oracle,
-    seed_variables,
-)
+from skewdiv.jets import Jet, as_coefficients, extract_derivative, seed_variables
+
+from exact_oracle import derivatives, to_sympy
 
 VARS3 = chart_variables(3)
 
@@ -185,9 +182,9 @@ def test_print_parse_roundtrip(tree):
     assert parse(to_source(reparsed), variables=VARS3, params=("k", "c")) == reparsed
 
 
-# -- jet derivatives vs finite differences ------------------------------------------
+# -- jet derivatives vs sympy's -------------------------------------------------------
 
-FD_SOURCES = [
+SMOOTH_SOURCES = [
     "r*x1 + x2^2",
     "sin(r)*cos(x1)",
     "exp(r/4) + x1*x2",
@@ -203,25 +200,19 @@ FD_SOURCES = [
 ]
 
 
-def test_jet_gradient_matches_finite_differences():
-    """20+ randomized expression/point pairs, 1e-6 relative agreement."""
+def test_jet_derivatives_match_sympy_through_order_4():
+    """24 randomized expression/point pairs, every derivative through order 4, 1e-12 relative."""
     rng = np.random.default_rng(3)
+    xs = sympy.symbols("x0:3")
     pairs = 0
-    for src in FD_SOURCES:
+    for src in SMOOTH_SOURCES:
         e = parse(src, variables=VARS3)
         for _ in range(2):
             pt = tuple(rng.uniform(-0.7, 0.7, 3))
-            j = evaluate(e, seed_variables(pt, 3, 2))
-
-            def field(q, _e=e):
-                return evaluate(_e, tuple(float(v) for v in q))
-
-            for axis in range(3):
-                alpha = [0, 0, 0]
-                alpha[axis] = 1
-                fd = finite_difference_oracle(field, pt, alpha, step=1e-4)
-                exact = extract_derivative(j, alpha)
-                assert abs(fd - exact) <= 1e-6 * max(1.0, abs(exact))
+            j = evaluate(e, seed_variables(pt, 3, 4))
+            for alpha, d in derivatives(to_sympy(e, xs), xs, pt, 4).items():
+                exact = float(d.evalf(30))
+                assert abs(extract_derivative(j, alpha) - exact) <= 1e-12 * max(1.0, abs(exact))
             pairs += 1
     assert pairs >= 20
 

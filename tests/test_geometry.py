@@ -10,16 +10,16 @@ from skewdiv.errors import NonPositiveDefiniteError
 from skewdiv.geometry import (
     MetricField,
     MetricJets,
-    christoffel_fd,
     cov_derivative,
     expression_jets,
     norm_sq,
-    riemann_fd,
     second_bianchi_residual,
 )
 from skewdiv.expr import chart_variables, parse
 from skewdiv.jets import DEFAULT_ORDER, contract, jet_space, partials
 from skewdiv.scenarios import random_scenario
+
+from exact_oracle import exact_point, rel_error
 
 
 def euclidean_metric():
@@ -81,10 +81,12 @@ def test_warped_christoffel_closed_form():
 def test_sphere_christoffel_component():
     m = sphere_metric()
     r = 0.8
-    gv = MetricJets(m, (r, 0.9, 0.2)).gamma_val
+    mj = MetricJets(m, (r, 0.9, 0.2))
+    gv = mj.gamma_val
     assert gv[0, 1, 1] == pytest.approx(-math.sin(r) * math.cos(r), rel=1e-12)
-    fd = christoffel_fd(m, (r, 0.9, 0.2))
-    assert np.allclose(fd, gv, atol=1e-7)
+    exact = exact_point(m, (r, 0.9, 0.2))
+    assert rel_error(gv, exact.gamma) <= 1e-12
+    assert rel_error(mj.curvature.riemann, exact.riemann) <= 1e-12
 
 
 def test_sphere_curvature():
@@ -170,13 +172,6 @@ def test_hessian_sphere_cos_r():
         g = mj.g_val
         assert np.max(np.abs(h + math.cos(pt[0]) * g)) < 1e-10
 
-    # cross-check the rr component by finite differences of f along r
-    pt = (0.8, 0.7, 0.2)
-    from skewdiv.jets import finite_difference_oracle
-
-    d2 = finite_difference_oracle(lambda q: math.cos(q[0]), pt, (2, 0, 0))
-    assert d2 == pytest.approx(-math.cos(0.8), abs=1e-6)
-
 
 def test_laplacians():
     m = euclidean_metric()
@@ -226,24 +221,18 @@ def test_metric_expressions_must_be_symmetric():
         MetricField.parse([["1", "r", "0"], ["0", "1", "0"], ["0", "0", "1"]])
 
 
-def test_fd_oracle_cross_check_20_scenarios():
+def test_christoffel_and_riemann_match_the_exact_oracle():
     worst_gamma = 0.0
     worst_riemann = 0.0
     for seed in range(20):
         sc = random_scenario(200 + seed, 3)
         pt = sc.grid_points()[0]
         mj = MetricJets(sc.metric, pt)
-        gfd = christoffel_fd(sc.metric, pt)
-        rel_g = np.max(
-            np.abs(gfd - mj.gamma_val) / np.maximum(1.0, np.abs(mj.gamma_val))
-        )
-        cv = mj.curvature
-        rfd = riemann_fd(sc.metric, pt)
-        rel_r = np.max(np.abs(rfd - cv.riemann) / np.maximum(1.0, np.abs(cv.riemann)))
-        worst_gamma = max(worst_gamma, float(rel_g))
-        worst_riemann = max(worst_riemann, float(rel_r))
-    assert worst_gamma < 1e-6
-    assert worst_riemann < 1e-6
+        exact = exact_point(sc.metric, pt)
+        worst_gamma = max(worst_gamma, rel_error(mj.gamma_val, exact.gamma))
+        worst_riemann = max(worst_riemann, rel_error(mj.curvature.riemann, exact.riemann))
+    assert worst_gamma <= 1e-12
+    assert worst_riemann <= 1e-12
 
 
 def test_covariant_derivative_of_scalar_is_gradient():

@@ -1,4 +1,4 @@
-"""Lint: no module of the package imports a name it never uses."""
+"""Lint: no module of the package imports a name it never uses, or sympy or mpmath."""
 
 import ast
 from pathlib import Path
@@ -38,3 +38,27 @@ def test_unused_imports_are_caught():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the modules that ``source`` imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_imported_modules_are_found():
+    assert imported_modules("import sympy.polys\nfrom mpmath import mpf\nfrom . import jets\n") == {
+        "sympy",
+        "mpmath",
+    }
+
+
+@pytest.mark.parametrize("path", MODULES + [Path(skewdiv.__file__)], ids=lambda p: p.name)
+def test_the_package_imports_no_symbolic_algebra(path):
+    """sympy and mpmath serve the test oracle only; the package needs numpy alone."""
+    assert not imported_modules(path.read_text()) & {"sympy", "mpmath"}

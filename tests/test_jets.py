@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,13 +16,14 @@ from skewdiv.jets import (
     _sin_series,
     contract,
     extract_derivative,
-    finite_difference_oracle,
     jet_space,
     partial_derivative,
     partials,
     powop,
     seed_variables,
 )
+
+from exact_oracle import derivatives
 
 coef = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
@@ -203,58 +205,21 @@ def test_power_results_are_finite():
         assert np.all(np.isfinite(j.c))
 
 
-# -- finite-difference oracle -----------------------------------------------------
-
-
-def test_fd_oracle_quadratic():
-    f = lambda q: q[0] ** 2
-    assert finite_difference_oracle(f, (3.0,), (2,)) == pytest.approx(2.0, abs=1e-6)
-
-
-def test_fd_oracle_sine_gradient():
-    f = lambda q: math.sin(q[0])
-    assert finite_difference_oracle(f, (0.0,), (1,), step=1e-4) == pytest.approx(
-        1.0, abs=1e-8
-    )
-
-
-def test_fd_oracle_warped_component():
-    k, c = 4.0, 1.0
-    g11 = lambda q: (q[0] + c) ** (-2.0 / k)
-    got = finite_difference_oracle(g11, (0.0,), (1,))
-    assert got == pytest.approx(-0.5, abs=1e-6)
-
-
-def test_fd_oracle_rejects_high_order():
-    with pytest.raises(OrderExceededError):
-        finite_difference_oracle(lambda q: q[0], (0.0,), (3,))
-
-
-def test_fd_matches_jets_on_smooth_fields():
+def test_jets_match_sympy_on_smooth_fields():
+    """Every derivative through order 4, against sympy's at the same points."""
     rng = np.random.default_rng(11)
+    X, Y = sympy.symbols("x y")
     fields = [
-        lambda q: math.sin(q[0]) * math.exp(0.3 * q[1]),
-        lambda q: (q[0] + 2.0) ** 1.7 + q[1] * q[0],
-        lambda q: 1.0 / (2.0 + q[0] * q[0] + q[1] * q[1]),
+        (sympy.sin(X) * sympy.exp(sympy.Rational(0.3) * Y), lambda x, y: jets.sin(x) * jets.exp(0.3 * y)),
+        ((X + 2) ** sympy.Rational(1.7) + Y * X, lambda x, y: powop(x + 2.0, 1.7) + y * x),
+        (1 / (2 + X * X + Y * Y), lambda x, y: 1.0 / (2.0 + x * x + y * y)),
     ]
-
-    def jet_field(fn, pt):
-        x, y = seed_variables(pt, 2, 2)
-        # mirror each closure with jet inputs
-        if fn is fields[0]:
-            return jets.sin(x) * jets.exp(0.3 * y)
-        if fn is fields[1]:
-            return powop(x + 2.0, 1.7) + y * x
-        return 1.0 / (2.0 + x * x + y * y)
-
-    for fn in fields:
+    for field, jet_field in fields:
         for _ in range(8):
             pt = tuple(rng.uniform(-0.8, 0.8, 2))
-            j = jet_field(fn, pt)
-            for alpha in ((1, 0), (0, 1), (2, 0), (1, 1)):
-                fd = finite_difference_oracle(fn, pt, alpha)
-                exact = extract_derivative(j, alpha)
-                assert fd == pytest.approx(exact, rel=1e-6, abs=1e-6)
+            j = jet_field(*seed_variables(pt, 2, 4))
+            for alpha, exact in derivatives(field, (X, Y), pt, 4).items():
+                assert extract_derivative(j, alpha) == pytest.approx(float(exact.evalf(30)), rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf and nan in the second case

@@ -169,6 +169,21 @@ def test_search_validates_arguments():
         search_violation({"k": (5, 1)})
 
 
+def test_search_ranks_overflowing_points_last_with_warnings_as_errors():
+    """Some points overflow inside the jets before the located error; this suite makes warnings errors."""
+    res = search_violation({"k": (1e-3, 1e-3)}, seed=0, iterations=50)
+    assert math.isfinite(res.violation) and res.params["k"] == 1e-3 and res.evaluations == 50
+
+
+def test_search_where_no_evaluation_is_finite_is_a_domain_error():
+    with pytest.raises(
+        EvalDomainError,
+        match=r"^all 50 evaluations leave the float range for "
+        r"k in \[0\.001, 0\.002\], c in \[2\.0, 2\.0\], r in \[0\.0, 1\.0\]$",
+    ):
+        search_violation({"k": (1e-3, 2e-3), "c": (2.0, 2.0)}, seed=0, iterations=50)
+
+
 @pytest.mark.parametrize("seed", [3, 11, 42])
 def test_search_with_the_profile_computed_once_is_exact(seed, monkeypatch):
     """Reusing G across evaluations changes no bit of the search result."""
