@@ -47,6 +47,16 @@ Every product, of jets, of batches of jets or through :func:`contract`, sums
 its pairs from one :class:`PairTable` type with one ``np.bincount``: each
 target adds its products in the table's order starting from +0.0, so an
 exact -0.0 sum comes out +0.0 (:func:`_sum_pairs`).
+
+An analytic function f of a jet is composed from f's Taylor coefficients
+f^(k)(v)/k! at the jet's value v, by Horner's rule in jet products
+(``Jet._horner``).  Where the argument is a seed plus a constant, x_i + v,
+the composed jet is f's series itself, placed at the monomials x_i^k with
+no product at all (Griewank & Walther, *Evaluating Derivatives*, 2nd ed.,
+ch. 13); ``Jet._compose`` chooses by inspecting the argument.  Each placed
+coefficient is ``f^(k)(v)/k! + 0.0``, what Horner's sums give, so both
+paths agree bit for bit, signed zeros included; a test pins the placement
+to ``Jet._horner`` on sin, cos, exp, log, sqrt, powers and reciprocals.
 """
 
 from __future__ import annotations
@@ -103,6 +113,10 @@ class JetSpace:
             )
         else:
             self.var_pos = ()
+        # power_pos[p][k]: the index of m^k, m the p-th degree-1 monomial (Jet._compose).
+        self.power_pos = tuple(
+            tuple(self.index[tuple(k * e for e in m)] for k in range(order + 1)) for m in monos[1 : nvars + 1]
+        )
 
         pairs = [
             (i, j, self.index[tuple(a + b for a, b in zip(ma, mb))])
@@ -370,6 +384,33 @@ class Jet:
         return stacked.T.reshape((-1,) + values.shape)
 
     def _compose(self, coefs) -> "Jet":
+        """f(self), from f's Taylor coefficients ``coefs`` at the value (:meth:`_series`).
+
+        For a seed plus a constant, x_i + v, f's series is placed at the x_i^k;
+        ``+ 0.0`` gives the +0.0 Horner's sums start from, so both agree bit for bit.
+        """
+        pos = self._seed_position()
+        if pos is None:
+            acc = self._horner(coefs)
+        else:
+            acc = Jet(self.space, np.zeros(self.c.shape), self.space.order)
+            for i, coef in zip(self.space.power_pos[pos], coefs):
+                acc.c[..., i] = coef + 0.0
+        if not finite(acc):
+            raise OverflowError("composed series overflows a float")
+        return acc
+
+    def _seed_position(self) -> int | None:
+        """p where deg is 1 and the degree-1 block is the unit vector e_p at every batch entry."""
+        n = self.space.nvars
+        block = self.c[..., 1 : n + 1].reshape(-1, n)
+        first = block[0].tolist() if self.deg == 1 else []
+        if first.count(1.0) != 1 or first.count(0.0) != n - 1:
+            return None
+        return first.index(1.0) if self.c.ndim == 1 or (block == block[0]).all() else None
+
+    def _horner(self, coefs) -> "Jet":
+        """sum_k coefs[k] t^k with t = self - value, by Horner's rule in jet products."""
         sp = self.space
         value = 0 if self.c.ndim == 1 else (..., 0)  # ``(..., 0)`` on a point too cost search 13%
         tilde_c = self.c.copy()
@@ -383,8 +424,6 @@ class Jet:
             # turns its -0.0s into the +0.0s that a product's sums start from.
             acc = acc * tilde if acc.deg else Jet(sp, acc.c[..., :1] * tilde_c + 0.0, tilde.deg)
             acc.c[value] += coefs[k]  # a product's coefficients are its own
-        if not finite(acc):
-            raise OverflowError("composed series overflows a float")
         return acc
 
     def _compose_in_ratio(self, series: Callable[..., list[float]]) -> "Jet":

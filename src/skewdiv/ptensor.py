@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegeneratePError, FrameConsistencyError
+from .errors import DegeneratePError, EvalDomainError, FrameConsistencyError
 from .expr import Expr, ParamSet, evaluate
 from .geometry import (
     IdentityResidual,
@@ -45,6 +45,7 @@ from .geometry import (
     each_point_on_error,
     expression_jets,
     norm_sq,
+    point_tuple,
     residual,
     upper_indices,
 )
@@ -116,6 +117,20 @@ class PointAnalysis:
     def dim(self) -> int:
         return self.mj.dim
 
+    def _finite(self, stage: str, value):
+        """``value``, as the stage named ``stage`` formed it, if it is finite at every point.
+
+        Otherwise raises :class:`EvalDomainError` naming the stage and the
+        first point in grid order where it is not.  A batch entry is its
+        point analysed alone, bit for bit, so that point raises the same
+        error alone, as :func:`each_point_on_error` would find it.
+        """
+        if np.isfinite(value).all():
+            return value
+        points = self.mj.points.reshape(-1, self.dim)
+        point = points[np.argmin(np.isfinite(np.reshape(value, (len(points), -1))).all(axis=1))]
+        raise EvalDomainError(f"{stage} leaves the float range at {point_tuple(point)}")
+
     def _pairs(self, drop: int):
         """Product pairs of the jet space ``drop`` orders below the analysis order."""
         return jet_space(self.dim, max(self.order - drop, 0)).pairs
@@ -149,7 +164,7 @@ class PointAnalysis:
             out = evaluate(self.spec.lam, [Jet(sp, fc)], self.spec.params)
             return as_coefficients(out, fc.shape)
 
-        return each_point_on_error(at, self.fjet[..., : sp.size])
+        return self._finite("lambda(f)", each_point_on_error(at, self.fjet[..., : sp.size]))
 
     @cached_property
     def P(self) -> np.ndarray:
@@ -162,12 +177,12 @@ class PointAnalysis:
         dfh = contract("j,k->jk", self.df, h, pairs)  # d_j f h_k
         j, k = upper_indices(n, 1)
         block = dfh[..., j, k, :] - dfh[..., k, j, :]
-        return _skew(contract(",p->p", self.lam_f, block, pairs), n)
+        return self._finite("P", _skew(contract(",p->p", self.lam_f, block, pairs), n))
 
     @cached_property
     def nabla_P(self) -> np.ndarray:
         j, k = upper_indices(self.dim, 1)
-        return _skew(cov_derivative(self.P, self.mj.gamma)[..., j, k, :], self.dim)
+        return self._finite("grad P", _skew(cov_derivative(self.P, self.mj.gamma)[..., j, k, :], self.dim))
 
     @cached_property
     def div_P(self) -> np.ndarray:
@@ -195,15 +210,15 @@ class PointAnalysis:
 
     @cached_property
     def p_norm_sq(self) -> float | np.ndarray:
-        return norm_sq(self.P_val, self.mj.ginv_val)
+        return self._finite("|P|^2", norm_sq(self.P_val, self.mj.ginv_val))
 
     @cached_property
     def nabla_p_norm_sq(self) -> float | np.ndarray:
-        return norm_sq(self.nabla_P_val, self.mj.ginv_val)
+        return self._finite("|grad P|^2", norm_sq(self.nabla_P_val, self.mj.ginv_val))
 
     @cached_property
     def div_p_norm_sq(self) -> float | np.ndarray:
-        return norm_sq(self.div_P_val, self.mj.ginv_val)
+        return self._finite("|div P|^2", norm_sq(self.div_P_val, self.mj.ginv_val))
 
     @cached_property
     def p_norm_sq_jet(self) -> np.ndarray:

@@ -24,7 +24,8 @@ the generic tensor pipeline, which is exercised by :func:`cross_validate`.
 The closed forms read phi, phi_dot, phi_dd, G and G' straight from the
 jets' coefficients (coefficient k of a univariate jet times k!), so one
 evaluation costs the warp's expression walk and little else: on the
-canonical warp that walk makes a single jet product.  :func:`search_violation`
+canonical warp that walk makes no jet product, since a power of r + c is
+placed from its series (see :mod:`skewdiv.jets`).  :func:`search_violation`
 explores the family on Python floats and tuples.
 """
 

@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from skewdiv.cli import main, run_verify
+from skewdiv.cli import _print_verdicts, main, run_verify
 from skewdiv.errors import ScenarioError
 from skewdiv.geometry import MetricJets
 from skewdiv.identities import bochner_residual, static_residual
 from skewdiv.ptensor import VALUE_ORDER, PointAnalysis, cyclic_residual
-from skewdiv.report import Verdict, fmt17, report_to_json, summarize_residuals
+from skewdiv.report import Report, Verdict, extreme, fmt17, report_to_json, summarize_residuals
 from skewdiv.scenarios import (
     BUILTIN_NAMES,
     builtin_scenario,
@@ -290,18 +290,56 @@ def _reject_constant(token):
     raise AssertionError(f"invalid JSON token {token}")
 
 
-def test_non_finite_values_fail_and_name_the_point(tmp_path, capsys):
+LAMBDA_OVERFLOW_SCENARIO = """\
+name = lambda-overflow
+dim = 3
+f = 300*r + x1*x1
+lambda = exp(f)
+grid = r:2.3:2.3:1, x1:0.5:0.5:1, x2:0:0:1
+metric:
+1 | 0 | 0
+0 | 1 | 0
+0 | 0 | 1
+"""
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (OVERFLOW_SCENARIO, "error: P leaves the float range at (1.0, 0.2, 0.5)"),
+        (LAMBDA_OVERFLOW_SCENARIO, "error: |grad P|^2 leaves the float range at (2.3, 0.5, 0.0)"),
+    ],
+    ids=["P", "norm"],
+)
+def test_a_non_finite_stage_exits_2_naming_the_stage_and_the_point(text, message, tmp_path, capsys):
     path = tmp_path / "overflow.txt"
-    path.write_text(OVERFLOW_SCENARIO)
+    path.write_text(text)
     out = tmp_path / "report.json"
-    assert main(["verify", "--scenario-file", str(path), "--out", str(out)]) == 1
-    verdict_lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("[")]
-    assert len(verdict_lines) == 4
-    for line in verdict_lines:
-        assert line.startswith("[FAIL]") and "non-finite at (" in line, line
-    doc = json.loads(out.read_text(), parse_constant=_reject_constant)
-    assert not any(v["pass"] for v in doc["verdicts"])
-    assert all(r["max_abs"] == "nan" and r["worst_point"] for r in doc["residuals"])
+    code, err = _exit_and_message(["verify", "--scenario-file", str(path), "--out", str(out)], capsys)
+    assert (code, err) == (2, message)
+    assert not out.exists()
+
+
+def test_non_finite_values_fail_and_name_the_point(capsys):
+    """A non-finite value fails its verdict, whose line names the value's first point; JSON spells it."""
+    points = [(0.0, 0.2, 0.5), (1.0, 0.2, 0.5), (1.0, 0.8, 0.5)]
+    values = [0.5, math.nan, math.inf]
+    value, at = extreme(values, points, np.argmax)
+    report = Report(
+        scenario={"name": "overflow"},
+        residuals=(summarize_residuals("bochner", points, values, values),),
+        violations=tuple({"point": list(pt), "violation": v} for pt, v in zip(points, values)),
+        verdicts=(Verdict.at_most("bochner_rel_residual", value, 1e-8, at),),
+    )
+    _print_verdicts(report)
+    line = capsys.readouterr().out
+    assert line == "[FAIL] bochner_rel_residual: value=nan (max<= 1e-08) non-finite at (1, 0.20000000000000001, 0.5)\n"
+    doc = json.loads(report_to_json(report), parse_constant=_reject_constant)
+    assert not doc["verdicts"][0]["pass"]
+    assert doc["residuals"][0] == {"name": "bochner", "max_abs": "nan", "max_rel": "nan", "worst_point": [1.0, 0.2, 0.5]}
+    assert [row["violation"] for row in doc["violations"]] == [0.5, "nan", "inf"]
 
 
 def test_non_finite_residual_is_never_folded_away():

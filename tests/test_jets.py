@@ -383,6 +383,111 @@ def _bits(j: Jet) -> tuple:
     return j.order, j.deg, j.c.tobytes()
 
 
+# f(x_i + a) for functions composed by their series; ``positive`` ones need x_i + a > 0.
+SEED_FUNCTIONS = {
+    "sin": (jets.sin, False),
+    "cos": (jets.cos, False),
+    "exp": (jets.exp, False),
+    "log": (jets.log, True),
+    "sqrt": (jets.sqrt, True),
+    "x^1.7": (lambda x: powop(x, 1.7), True),
+    "x^-0.25": (lambda x: powop(x, -0.25), True),
+    "x^-2": (lambda x: powop(x, -2), False),
+    "1/x": (lambda x: 1.0 / x, False),
+}
+
+
+def _with_horner_only(fn, *args):
+    """``fn(*args)`` with every composition by Horner's rule (``Jet._horner``), none by placement."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Jet, "_seed_position", lambda self: None)
+        return fn(*args)
+
+
+def _counting_products(fn, *args) -> tuple:
+    """``fn(*args)`` and the number of jet products it made."""
+    products = []
+    mul = Jet.__mul__
+
+    def counted(self, other):
+        if isinstance(other, Jet):
+            products.append(1)
+        return mul(self, other)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Jet, "__mul__", counted)
+        mp.setattr(Jet, "__rmul__", counted)
+        return fn(*args), len(products)
+
+
+def _outcome(fn, *args) -> tuple:
+    """The bits of ``fn(*args)``, or the type and text of the error it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            return _bits(fn(*args))
+    except (OverflowError, EvalDomainError) as err:
+        return "error", type(err).__name__, str(err)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_a_function_of_a_seed_plus_a_constant_equals_horner_bit_for_bit(data):
+    """f(x_i + a) placed from f's series is Horner's jet, every bit, in 1-4 variables at orders 1-4."""
+    nvars = data.draw(st.integers(min_value=1, max_value=4), label="nvars")
+    order = data.draw(st.integers(min_value=1, max_value=4), label="order")
+    batch = data.draw(st.sampled_from([(), (3,)]), label="batch")
+    i = data.draw(st.integers(min_value=0, max_value=nvars - 1), label="i")
+    name = data.draw(st.sampled_from(sorted(SEED_FUNCTIONS)), label="f")
+    fn, positive = SEED_FUNCTIONS[name]
+    n = math.prod(batch) * nvars
+    point = np.array(data.draw(st.lists(signed, min_size=n, max_size=n))).reshape(batch + (nvars,))
+    a = data.draw(st.floats(min_value=3.25, max_value=6.0) if positive else signed, label="a")
+    x = seed_variables(point, nvars, order)[i] + a
+    got = _outcome(fn, x)
+    assert got == _outcome(_with_horner_only, fn, x)
+    if name not in ("log", "x^-2", "1/x") and got[0] != "error":  # those compose a ratio, not x
+        assert _counting_products(fn, x)[1] == 0
+
+
+def test_sine_and_cosine_at_zero_place_positive_zeros_as_horner_does():
+    """The series of sin and cos at 0 holds -0.0s; placed with ``+ 0.0`` they read +0.0."""
+    for batch in ((0.0,), [(0.0,), (0.0,)]):
+        (x,) = seed_variables(batch, 1, 4)
+        for fn, series in ((jets.sin, _sin_series), (jets.cos, jets._cos_series)):
+            assert any(math.copysign(1.0, v) < 0 and v == 0.0 for v in series(0.0, 4))
+            got = fn(x)
+            assert not np.signbit(got.c[got.c == 0.0]).any()
+            assert _bits(got) == _bits(_with_horner_only(fn, x))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_a_seed_composition_out_of_range_raises_as_horner_does():
+    (x,) = seed_variables((710.0,), 1, 4)
+    for compose in (lambda fn, *args: fn(*args), _with_horner_only):
+        with pytest.raises(OverflowError, match="^math range error$"):
+            compose(jets.exp, x)
+        with pytest.raises(EvalDomainError, match=r"^exp overflows a float \(at offset 0\)$"):
+            compose(evaluate, parse("exp(r)", variables=("r",)), [x])
+        with pytest.raises(OverflowError, match="^composed series overflows a float$"):
+            compose(powop, seed_variables((0.0,), 1, 4)[0] + 1e-300, -0.5)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_other_arguments_compose_by_horner_products(order):
+    """Only a seed plus a constant is placed: Horner makes order - 1 products for anything else."""
+    x0, x1 = seed_variables((0.5, 0.25), 2, order)
+    for arg in (2 * x0, x0 + x1, x0 * x0 + 1):
+        assert _counting_products(jets.exp, arg)[1] == order - 1
+    # 1/(x0 + 2) composes 1/(1 + u) in the ratio u = (x0 - 0.5)/2.5, not in a seed.
+    assert _counting_products(lambda x: x._reciprocal(), x0 + 2.0)[1] == order - 1
+    assert _counting_products(jets.exp, x0 + 2.0)[1] == 0
+    # A batch of x0 + 2 and x1 + 2 is a seed at each entry, but not the same one.
+    mixed = Jet(x0.space, np.stack([(x0 + 2.0).c, (x1 + 2.0).c]), 1)
+    got, products = _counting_products(jets.exp, mixed)
+    assert products == order - 1
+    assert [got.c[0].tobytes(), got.c[1].tobytes()] == [jets.exp(x0 + 2.0).c.tobytes(), jets.exp(x1 + 2.0).c.tobytes()]
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.data())
 def test_subtraction_equals_the_difference_formulas_bit_for_bit(data):

@@ -1,12 +1,16 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from skewdiv.errors import DegeneratePError, FrameConsistencyError
+from skewdiv.errors import DegeneratePError, EvalDomainError, FrameConsistencyError
+from skewdiv.expr import chart_variables, parse
+from skewdiv.geometry import MetricField
 from skewdiv.ptensor import (
     VALUE_ORDER,
     PointAnalysis,
+    PTensorSpec,
     analyze,
     build_frame,
     cyclic_residual,
@@ -246,3 +250,33 @@ def test_lambda_profile_enters_P():
     # lambda = f at psi = x1: multiplies by f = 0.3
     scaled = analyze(warped_spec(lam="f"), (0.2, 0.3, 0.0)).P_val[0, 1]
     assert scaled == pytest.approx(0.3 * base, rel=1e-13)
+
+
+def flat_spec(f: str, lam: str) -> PTensorSpec:
+    rows = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+    return PTensorSpec(
+        lam=parse(lam, variables=("f",)),
+        f=parse(f, variables=chart_variables(3)),
+        metric=MetricField.parse(rows, {}),
+    )
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "f,lam,stage,failing",
+    [
+        ("300*r + x1*x1", "exp(f)", "p_norm_sq", "|P|^2"),
+        ("300*r + x1*x1", "exp(f)", "violation", "|grad P|^2"),
+        ("exp(300*r)*x1", "1", "P", "P"),
+    ],
+)
+def test_a_non_finite_stage_names_itself_and_its_first_point_in_grid_order(f, lam, stage, failing):
+    """P, grad P and the norms overflow here while f and lambda(f) are finite: never inf or nan."""
+    spec = flat_spec(f, lam)
+    points = [(0.0, 0.5, 0.0), (2.3, 0.5, 0.0), (2.2, 0.5, 0.0)]
+    assert np.isfinite(getattr(PointAnalysis(spec, points[0], VALUE_ORDER), stage)).all()
+    for pts, named in ((points, points[1]), (points[1], points[1]), (points[2], points[2])):
+        with pytest.raises(EvalDomainError, match=rf"^{re.escape(failing)} leaves the float range at ") as err:
+            getattr(PointAnalysis(spec, pts, VALUE_ORDER), stage)
+        assert str(err.value).endswith(f" at {named}")

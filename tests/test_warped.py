@@ -298,8 +298,9 @@ def test_search_optimum_on_the_k_bound(seed):
     assert abs(res.violation - want) <= 1e-12 * abs(want)
 
 
-def test_each_search_evaluation_makes_one_jet_product(monkeypatch):
-    """The warp (r+c)^(-1/k) at order 2 is the only jet work of an evaluation: one product."""
+def test_search_evaluations_make_no_jet_product(monkeypatch):
+    """The warp (r+c)^(-1/k) at order 2 is the only jet work of an evaluation, and it makes no
+    product: a power of a seed plus a constant places the power's series (``Jet._compose``)."""
     products = []
     mul = Jet.__mul__
 
@@ -320,7 +321,7 @@ def test_each_search_evaluation_makes_one_jet_product(monkeypatch):
 
     monkeypatch.setattr(warped, "closed_form_eval", traced)
     res = search_violation(seed=3, iterations=300)
-    assert per_call == [1] * res.evaluations
+    assert per_call == [0] * res.evaluations
 
 
 def test_closed_form_rejects_a_profile_without_derivatives():
