@@ -38,7 +38,9 @@ Index conventions, fixed once for the whole package:
   defines the Weyl tensor.  The Bochner residual test pins this choice: the
   commutator rule it encodes is d_i d_j T - d_j d_i T acting through
   +R_ij.s contractions.
-* Ricci contracts slots 1 and 3:  R_js = g^ik R_ijks;  scalar R = g^js R_js.
+* Ricci traces R^m_ijs = g^mk R_ijks:  R_js = R^i_ijs (= g^ik R_ijks);
+  scalar R = g^js R_js.  :meth:`MetricJets.riemann_up` writes R^m_ijs once,
+  for the values and for jets.
 * Divergences contract the derivative slot first:  (div T)_k = g^ij grad_i T_jk.
 * Squared norms contract every slot with the inverse metric, e.g.
   |grad P|^2 = g^ia g^jb g^kc grad_i P_jk grad_a P_bc, computed one slot at
@@ -334,20 +336,31 @@ class MetricJets:
     def ginv_val(self) -> np.ndarray:
         return self.ginv[..., 0]
 
-    @cached_property
-    def gamma_val(self) -> np.ndarray:
-        return self.gamma[..., 0]
+    def riemann_up(self, order: int) -> np.ndarray:
+        """R[..., m, i, j, s, :] = R^m_ijs, at jet order ``order``, two below g's at most.
 
-    @cached_property
-    def dgamma_val(self) -> np.ndarray:
-        # [..., a, k, i, j] = d_a Gamma^k_ij
-        return partials(self.gamma, self.dim, self.batch)[..., 0]
+        R^m_ijs = d_i Gamma^m_js - d_j Gamma^m_is + Gamma^m_ip Gamma^p_js
+        - Gamma^m_jp Gamma^p_is; lowered by g_km it is R_ijks, and its trace
+        R^i_ijs is Ric_js.  The derivatives come from Gamma cut to ``order + 1``.
+        """
+        self.require_order(order + 2, f"the Riemann tensor at jet order {order}")
+        sp = jet_space(self.dim, order)
+        cut = self.gamma[..., : jet_space(self.dim, order + 1).size]
+        dG = partials(cut, self.dim, self.batch)  # [..., a, k, i, j] = d_a Gamma^k_ij
+        quad = contract("mip,pjs->mijs", self.gamma, self.gamma, sp.pairs)
+        return (
+            np.einsum("...imjsZ->...mijsZ", dG)
+            - np.einsum("...jmisZ->...mijsZ", dG)
+            + quad
+            - np.einsum("...mjisZ->...mijsZ", quad)
+        )
 
     @cached_property
     def curvature(self) -> "CurvatureEval":
         n = self.dim
-        riem = _riemann(self.g_val, self.gamma_val, self.dgamma_val)
-        ricci = np.einsum("...ik,...ijks->...js", self.ginv_val, riem)
+        rup = self.riemann_up(0)[..., 0]
+        riem = np.einsum("...km,...mijs->...ijks", self.g_val, rup)
+        ricci = np.einsum("...iijs->...js", rup)
         scal = np.asarray(np.einsum("...js,...js->...", self.ginv_val, ricci))
         z = ricci - (scal / n)[..., None, None] * self.g_val
         if n >= 3:
@@ -409,18 +422,6 @@ def cov_derivative(T: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     return out
 
 
-def _riemann(g: np.ndarray, G: np.ndarray, dG: np.ndarray) -> np.ndarray:
-    """Fully covariant R_ijks from values of g, Gamma and dG[..., a, k, i, j] = d_a Gamma^k_ij."""
-    quad = np.einsum("...mip,...pjs->...mijs", G, G)
-    rup = (
-        np.einsum("...imjs->...mijs", dG)  # [m,i,j,s] = d_i Gamma^m_js
-        - np.einsum("...jmis->...mijs", dG)
-        + quad
-        - np.einsum("...mjis->...mijs", quad)
-    )
-    return np.einsum("...km,...mijs->...ijks", g, rup)
-
-
 def second_bianchi_residual(mj: MetricJets) -> IdentityResidual:
     """Residual of the contracted second Bianchi identity (jet order >= 3).
 
@@ -432,16 +433,8 @@ def second_bianchi_residual(mj: MetricJets) -> IdentityResidual:
     mj.require_order(3, "the second Bianchi identity")
     n = mj.dim
     pairs = jet_space(n, mj.order - 2).pairs
-    G = mj.gamma
-    dG = partials(G, n, mj.batch)  # [..., a, k, i, j] = d_a Gamma^k_ij
-    # Ricci jets by direct contraction of the curvature operator.
-    ric = (
-        np.einsum("...iijsZ->...jsZ", dG)
-        - np.einsum("...jiisZ->...jsZ", dG)
-        + contract("p,pjs->js", np.einsum("...iipZ->...pZ", G), G, pairs)
-        - contract("ijp,pis->js", G, G, pairs)
-    )
+    ric = np.einsum("...iijsZ->...jsZ", mj.riemann_up(mj.order - 2))
     dscal = partials(contract("js,js->", mj.ginv, ric, pairs), n, mj.batch)[..., 0]
-    divric = np.einsum("...ij,...ijk->...k", mj.ginv_val, cov_derivative(ric, G)[..., 0])
+    divric = np.einsum("...ij,...ijk->...k", mj.ginv_val, cov_derivative(ric, mj.gamma)[..., 0])
     gap = np.max(np.abs(divric - 0.5 * dscal), axis=-1)
     return residual("second-bianchi", mj.points, gap, 0.0, (np.max(np.abs(dscal), axis=-1),))

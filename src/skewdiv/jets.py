@@ -412,18 +412,17 @@ class Jet:
     def _horner(self, coefs) -> "Jet":
         """sum_k coefs[k] t^k with t = self - value, by Horner's rule in jet products."""
         sp = self.space
-        value = 0 if self.c.ndim == 1 else (..., 0)  # ``(..., 0)`` on a point too cost search 13%
         tilde_c = self.c.copy()
-        tilde_c[value] = 0.0
+        tilde_c[..., 0] = 0.0
         acc_c = np.zeros(tilde_c.shape)
-        acc_c[value] = coefs[-1]
+        acc_c[..., 0] = coefs[-1]
         tilde = Jet(sp, tilde_c, self.deg)
         acc = Jet(sp, acc_c, 0)
         for k in range(len(coefs) - 2, -1, -1):
             # A constant (the first step) times tilde is a scaling; ``+ 0.0``
             # turns its -0.0s into the +0.0s that a product's sums start from.
             acc = acc * tilde if acc.deg else Jet(sp, acc.c[..., :1] * tilde_c + 0.0, tilde.deg)
-            acc.c[value] += coefs[k]  # a product's coefficients are its own
+            acc.c[..., 0] += coefs[k]  # a product's coefficients are its own
         return acc
 
     def _compose_in_ratio(self, series: Callable[..., list[float]]) -> "Jet":
@@ -648,13 +647,16 @@ def seed_variables(
     ``point`` has shape ``(n,)`` or ``batch_shape + (n,)``.  Jet ``i`` has
     value ``point[..., i]``, a unit first-order coefficient in slot ``i`` and
     zeros elsewhere, so evaluating any expression on the seeds yields the
-    expression's full derivative data at each point.
+    expression's full derivative data at each point.  An empty batch raises
+    ValueError.
     """
     pts = np.asarray(point, dtype=float)
     if nvars is None:
         nvars = pts.shape[-1]
     if pts.shape[-1] != nvars:
         raise ValueError(f"point has {pts.shape[-1]} coordinates, expected {nvars}")
+    if 0 in pts.shape[:-1]:
+        raise ValueError(f"cannot seed an empty batch of points (shape {pts.shape})")
     if order < 1:
         raise ValueError("seed order must be at least 1")
     sp = jet_space(nvars, order)

@@ -398,12 +398,12 @@ def build_frame(an: PointAnalysis) -> FrameEval:
     du = partials(u_coef, n)[..., 0]
     eu = vectors @ du
 
-    gamma_val = an.mj.gamma_val
-    # nabla_{E_i} E_j chart components, then frame projections.
-    nab = np.einsum("ia,ajc->ijc", vectors, dE) + np.einsum(
-        "ia,cab,jb->ijc", vectors, gamma_val, vectors
-    )
-    connection = np.einsum("ijc,cd,kd->ijk", nab, g_val, vectors)
+    # <nabla_{E_i} E_j, E_k> = -E_i^a E_j^b nabla_a theta^k_b for the
+    # coframe theta^k = g(E_k, .); the frame index k is a batch axis.
+    theta = contract("bc,kc->kb", g, frame_jets, sp.pairs)
+    gamma = np.broadcast_to(an.mj.gamma, (n,) + an.mj.gamma.shape)
+    nabla_theta = cov_derivative(theta, gamma)[..., 0]  # [k, a, b]
+    connection = -np.einsum("ia,jb,kab->ijk", vectors, vectors, nabla_theta)
 
     brackets = np.einsum("ia,ajc->ijc", vectors, dE) - np.einsum(
         "ja,aic->ijc", vectors, dE

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from skewdiv.errors import NonPositiveDefiniteError
+from skewdiv.errors import NonPositiveDefiniteError, OrderExceededError
 from skewdiv.geometry import (
     MetricField,
     MetricJets,
@@ -55,7 +55,7 @@ def test_euclidean_is_flat():
     m = euclidean_metric()
     pt = (0.3, 0.4, 0.5)
     mj = MetricJets(m, pt)
-    assert np.max(np.abs(mj.gamma_val)) == 0.0
+    assert np.max(np.abs(mj.gamma[..., 0])) == 0.0
     cv = mj.curvature
     assert np.max(np.abs(cv.riemann)) == 0.0
     assert cv.scalar == 0.0
@@ -68,7 +68,7 @@ def test_warped_christoffel_closed_form():
     m = warped_metric(k, c)
     for r in (0.0, 0.35, 0.9):
         pt = (r, 0.1, 0.7)
-        gv = MetricJets(m, pt).gamma_val
+        gv = MetricJets(m, pt).gamma[..., 0]
         phi = (r + c) ** (-1 / k)
         dphi = -(1 / k) * (r + c) ** (-1 / k - 1)
         expected = np.zeros((3, 3, 3))
@@ -82,7 +82,7 @@ def test_sphere_christoffel_component():
     m = sphere_metric()
     r = 0.8
     mj = MetricJets(m, (r, 0.9, 0.2))
-    gv = mj.gamma_val
+    gv = mj.gamma[..., 0]
     assert gv[0, 1, 1] == pytest.approx(-math.sin(r) * math.cos(r), rel=1e-12)
     exact = exact_point(m, (r, 0.9, 0.2))
     assert rel_error(gv, exact.gamma) <= 1e-12
@@ -142,6 +142,17 @@ def test_contracted_second_bianchi():
         sc = random_scenario(seed, 3)
         res = second_bianchi_residual(MetricJets(sc.metric, sc.grid_points()[0]))
         assert res.rel_residual < 1e-8
+
+
+def test_riemann_jets_start_with_the_curvature_values_and_stop_two_orders_below_g():
+    sc = random_scenario(3, 4)
+    mj = MetricJets(sc.metric, sc.grid_points()[0], 3)
+    jets = mj.riemann_up(1)
+    assert jets.shape == (4, 4, 4, 4, jet_space(4, 1).size)
+    riemann = np.einsum("km,mijs->ijks", mj.g_val, jets[..., 0])
+    assert rel_error(riemann, mj.curvature.riemann) <= 1e-15
+    with pytest.raises(OrderExceededError, match="needs jet order >= 4"):
+        mj.riemann_up(2)
 
 
 def test_hessian_warped_closed_form():
@@ -229,7 +240,7 @@ def test_christoffel_and_riemann_match_the_exact_oracle():
         pt = sc.grid_points()[0]
         mj = MetricJets(sc.metric, pt)
         exact = exact_point(sc.metric, pt)
-        worst_gamma = max(worst_gamma, rel_error(mj.gamma_val, exact.gamma))
+        worst_gamma = max(worst_gamma, rel_error(mj.gamma[..., 0], exact.gamma))
         worst_riemann = max(worst_riemann, rel_error(mj.curvature.riemann, exact.riemann))
     assert worst_gamma <= 1e-12
     assert worst_riemann <= 1e-12

@@ -10,6 +10,12 @@ intended behaviour change, with
 
     PYTHONPATH=src python -m skewdiv <args> --out tests/golden/<file>
 
+The ``frame`` subcommand prints text and has no ``--out``: its goldens are
+its stdout, compared by the same rule (each number within the tolerance,
+the text around the numbers exactly); regenerate one with
+
+    PYTHONPATH=src python -m skewdiv <args> > tests/golden/<file>
+
 ``search_runs.json`` holds ``search_violation`` results over seeds and bounds
 as ``repr`` strings and is compared exactly; regenerate it with
 
@@ -19,6 +25,7 @@ as ``repr`` strings and is compared exactly; regenerate it with
 import csv
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -58,6 +65,23 @@ CASES = {
     ],
     "search.json": ["search", "--iterations", "1000"],
 }
+
+
+FRAME_CASES = {
+    "frame-warped-canonical.txt": ["frame", "--scenario", "warped-canonical", "--point", "0,0,0"],
+    "frame-random-curved-4d-seed1.txt": [
+        "frame",
+        "--scenario",
+        "random-curved",
+        "--dim",
+        "4",
+        "--seed",
+        "1",
+    ],
+}
+
+# A number not glued to a name: the 1 of ``E_1`` is part of a label.
+NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|inf|nan)")
 
 
 def _run(args, path):
@@ -106,6 +130,29 @@ def test_golden_report(name, tmp_path):
         got, want = json.loads(first), json.loads(want)
         _drop_noise_worst_points(got, want)
         _assert_close(got, want, name)
+
+
+def _text_and_numbers(text):
+    return NUMBER.sub("#", text), [float(x) for x in NUMBER.findall(text)]
+
+
+@pytest.mark.parametrize("name", sorted(FRAME_CASES))
+def test_golden_frame(name, capsys):
+    outputs = []
+    for _ in range(2):
+        assert main(FRAME_CASES[name]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1], "two runs of the same command differ"
+    got_text, got = _text_and_numbers(outputs[0])
+    want_text, want = _text_and_numbers((GOLDEN / name).read_text())
+    assert got_text == want_text
+    _assert_close(got, want, name)
+
+
+def test_frame_numbers_are_found_apart_from_labels():
+    text, numbers = _text_and_numbers("  <E_1,[E_2,E_3]> = -2.5e-17\n  E_4 = (0, 1.25, -3)\n")
+    assert text == "  <E_1,[E_2,E_3]> = #\n  E_4 = (#, #, #)\n"
+    assert numbers == [-2.5e-17, 0.0, 1.25, -3.0]
 
 
 def test_the_flat_product_index_cache_stays_small(tmp_path, monkeypatch):

@@ -49,6 +49,11 @@ def test_seed_order_must_be_positive():
         seed_variables((0.0,), 1, 0)
 
 
+def test_an_empty_batch_is_refused_at_seeding():
+    with pytest.raises(ValueError, match="cannot seed an empty batch of points"):
+        jets.exp(seed_variables(np.zeros((0, 1)), 1, 3)[0] + 1)
+
+
 def test_product_of_seeds():
     x, y = seed_variables((2.0, 3.0), 2, 2)
     p = x * y

@@ -208,6 +208,11 @@ def test_frame_refuses_a_batch_of_points():
         build_frame(an)
 
 
+def test_an_analysis_refuses_an_empty_batch_of_points():
+    with pytest.raises(ValueError, match="cannot seed an empty batch of points"):
+        PointAnalysis(warped_spec(), np.zeros((0, 3)))
+
+
 @pytest.mark.parametrize("shift, raises", [(1e-12, False), (1e-6, True)])
 def test_frame_checks_the_coordinate_divergence(shift, raises):
     """build_frame raises when the connection formula misses the analysis's div P."""
