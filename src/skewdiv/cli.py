@@ -21,9 +21,7 @@ from .identities import bochner_residual, static_residual
 from .ptensor import FORM_DICTIONARY, PointAnalysis, build_frame, cyclic_residual
 from .report import (
     Report,
-    ResidualSummary,
     Verdict,
-    extreme,
     fmt17,
     fmt_point,
     report_to_json,
@@ -48,7 +46,7 @@ TOLERANCES = {
     "one_over_n": -1e-12,
     "static": 1e-10,
     "p_zero": 1e-12,
-    "violation_zero": -1e-12,
+    "violation_zero": -warped_mod.ZERO_BAND,
 }
 
 
@@ -61,7 +59,8 @@ def run_verify(scenario: Scenario, tolerance: float | None = None) -> Report:
 
     an = PointAnalysis(scenario.spec(), points)
     cyclic = cyclic_residual(an)
-    boch = bochner_residual(an)
+    bochner = bochner_residual(an)
+    static = static_residual(an) if scenario.is_static else ()
     columns = {
         "p_norm_sq": an.p_norm_sq,
         "nabla_p_norm_sq": an.nabla_p_norm_sq,
@@ -69,57 +68,38 @@ def run_verify(scenario: Scenario, tolerance: float | None = None) -> Report:
         "violation": an.violation,
         "sharp_margin": an.sharp_margin,
         "cyclic_residual": cyclic.abs_residual,
-        "bochner_rel_residual": boch.rel_residual,
+        "bochner_rel_residual": bochner.rel_residual,
+        **{f"{res.name.replace('-', '_')}_residual": res.abs_residual for res in static},
     }
-    residuals = [
-        summarize_residuals("cyclic", points, cyclic.abs_residual, cyclic.rel_residual),
-        summarize_residuals("bochner", points, boch.abs_residual, boch.rel_residual),
-    ]
-    if scenario.is_static:
-        st_t, st_s = static_residual(an)
-        columns["static_tensor_residual"] = st_t.abs_residual
-        columns["static_scalar_residual"] = st_s.abs_residual
-        for res in (st_t, st_s):
-            residuals.append(
-                summarize_residuals(res.name, points, res.abs_residual, res.rel_residual)
-            )
     rows = tuple(
         {"point": list(pt), **{name: float(col[i]) for name, col in columns.items()}}
         for i, pt in enumerate(points)
     )
 
-    tol_cyc = tolerance if tolerance is not None else TOLERANCES["cyclic"]
-    tol_boch = tolerance if tolerance is not None else TOLERANCES["bochner_rel"]
-    tol_static = tolerance if tolerance is not None else TOLERANCES["static"]
+    def tol(key: str) -> float:
+        return TOLERANCES[key] if tolerance is None else tolerance
 
-    boch_max, boch_at = extreme(boch.rel_residual, points, np.argmax)
-    margin, margin_at = extreme(an.sharp_margin, points, np.argmin)
-    bound, bound_at = extreme(an.nabla_p_norm_sq - an.div_p_norm_sq / n, points, np.argmin)
-    verdicts = [
-        Verdict.at_most(
-            "cyclic_residual", residuals[0].max_abs, tol_cyc, residuals[0].worst_point
-        ),
-        Verdict.at_most("bochner_rel_residual", boch_max, tol_boch, boch_at),
-        Verdict.at_least("sharp_margin", margin, TOLERANCES["sharp_margin"], margin_at),
-        Verdict.at_least("one_over_n_bound", bound, TOLERANCES["one_over_n"], bound_at),
+    # (verdict, kind, threshold, per-point values), in report order
+    checks = [
+        ("cyclic_residual", "max<=", tol("cyclic"), cyclic.abs_residual),
+        ("bochner_rel_residual", "max<=", tol("bochner_rel"), bochner.rel_residual),
+        ("sharp_margin", "min>=", TOLERANCES["sharp_margin"], an.sharp_margin),
+        ("one_over_n_bound", "min>=", TOLERANCES["one_over_n"], an.nabla_p_norm_sq - an.div_p_norm_sq / n),
+        *((res.name.replace("-", "_"), "max<=", tol("static"), res.abs_residual) for res in static),
     ]
-    if scenario.is_static:
-        for name, summary in (("static_tensor", residuals[2]), ("static_scalar", residuals[3])):
-            verdicts.append(
-                Verdict.at_most(name, summary.max_abs, tol_static, summary.worst_point)
-            )
     if scenario.expect_zero_p:
-        p_max, p_at = extreme(np.sqrt(np.maximum(an.p_norm_sq, 0.0)), points, np.argmax)
-        verdicts.append(Verdict.at_most("p_vanishes", p_max, TOLERANCES["p_zero"], p_at))
+        checks.append(("p_vanishes", "max<=", TOLERANCES["p_zero"], np.sqrt(np.maximum(an.p_norm_sq, 0.0))))
     if scenario.expect_violation:
-        v_max, v_at = extreme(an.violation, points, np.argmax)
-        verdicts.append(Verdict.below("violation_negative", v_max, 0.0, v_at))
+        checks.append(("violation_negative", "max<", 0.0, an.violation))
 
     return Report(
         scenario=scenario.echo(),
-        residuals=tuple(residuals),
+        residuals=tuple(
+            summarize_residuals(res.name, points, res.abs_residual, res.rel_residual)
+            for res in (cyclic, bochner, *static)
+        ),
         violations=rows,
-        verdicts=tuple(verdicts),
+        verdicts=tuple(Verdict.on_grid(*check, points) for check in checks),
     )
 
 
@@ -176,12 +156,14 @@ def _load_scenario(args) -> Scenario:
     if getattr(args, "scenario_file", None):
         with open(args.scenario_file) as fh:
             scenario = parse_scenario_file(fh.read())
+        if args.dim not in (None, scenario.dim):
+            raise SkewdivError(f"--dim {args.dim} differs from the scenario file's dim {scenario.dim}")
         _check_params(params, scenario.params)
         if params:
             scenario = scenario.with_params(**params)
     else:
         name = args.scenario or "euclidean"
-        scenario = builtin_scenario(name, seed=seed, dim=getattr(args, "dim", 3), **params)
+        scenario = builtin_scenario(name, seed=seed, dim=args.dim or 3, **params)
         _check_params(params, scenario.params)
     if getattr(args, "grid", None):
         grid = parse_grid_spec(",".join(args.grid), scenario.dim)
@@ -213,9 +195,7 @@ def cmd_verify(args) -> int:
     report = run_verify(scenario, tolerance=tolerance)
     print(f"scenario: {scenario.name} ({len(report.violations)} grid points)")
     for r in report.residuals:
-        print(
-            f"residual {r.name}: max_abs={fmt17(r.max_abs)} max_rel={fmt17(r.max_rel)}"
-        )
+        print(f"residual {r['name']}: max_abs={fmt17(r['max_abs'])} max_rel={fmt17(r['max_rel'])}")
     _print_verdicts(report)
     _emit(report, args.out, args.format, lambda: verify_csv(report, scenario.dim))
     return 0 if report.all_passed else 1
@@ -243,18 +223,16 @@ def cmd_counterexample(args) -> int:
             "form_dictionary": dict(FORM_DICTIONARY),
         },
         residuals=(
-            ResidualSummary(
-                "engine_vs_closed_form",
-                vreport.max_engine_discrepancy,
-                vreport.max_engine_discrepancy,
-                (),
-            ),
+            {
+                "name": "engine_vs_closed_form",
+                "max_abs": vreport.max_engine_discrepancy,
+                "max_rel": vreport.max_engine_discrepancy,
+                "worst_point": [],
+            },
         ),
         violations=tuple(rows),
         verdicts=(
-            Verdict.below(
-                "violation_exhibited", vreport.min_violation, TOLERANCES["violation_zero"]
-            ),
+            Verdict("violation_exhibited", "max<", TOLERANCES["violation_zero"], vreport.min_violation),
         ),
     )
     print(
@@ -305,7 +283,7 @@ def cmd_search(args) -> int:
                 "violation": result.violation,
             },
         ),
-        verdicts=(Verdict.below("violation_negative", result.violation, 0.0),),
+        verdicts=(Verdict("violation_negative", "max<", 0.0, result.violation),),
     )
     _emit(report, args.out)
     return 0 if report.all_passed else 1
@@ -365,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--param", action="append", default=[], help="NAME=VALUE override")
         p.add_argument("--grid", action="append", default=[], help="axis:min:max:count")
         p.add_argument("--seed", type=int, default=0, help="seed for random-curved")
-        p.add_argument("--dim", type=int, default=3, choices=(3, 4))
+        p.add_argument("--dim", type=int, default=None, choices=(3, 4))
 
     p_verify = sub.add_parser("verify", help="run identity residuals over a grid")
     add_scenario_flags(p_verify)

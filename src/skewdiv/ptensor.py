@@ -117,14 +117,18 @@ class PointAnalysis:
     def dim(self) -> int:
         return self.mj.dim
 
-    def _finite(self, stage: str, value):
-        """``value``, as the stage named ``stage`` formed it, if it is finite at every point.
+    def _finite(self, stage: str, form):
+        """``form()``, the value of the stage named ``stage``, if it is finite at every point.
 
         Otherwise raises :class:`EvalDomainError` naming the stage and the
         first point in grid order where it is not.  A batch entry is its
         point analysed alone, bit for bit, so that point raises the same
-        error alone, as :func:`each_point_on_error` would find it.
+        error alone, as :func:`each_point_on_error` would find it.  ``form``
+        runs without numpy's overflow and invalid-value warnings: that error
+        reports a non-finite value in their place.
         """
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = form()
         if np.isfinite(value).all():
             return value
         points = self.mj.points.reshape(-1, self.dim)
@@ -164,25 +168,31 @@ class PointAnalysis:
             out = evaluate(self.spec.lam, [Jet(sp, fc)], self.spec.params)
             return as_coefficients(out, fc.shape)
 
-        return self._finite("lambda(f)", each_point_on_error(at, self.fjet[..., : sp.size]))
+        return self._finite("lambda(f)", lambda: each_point_on_error(at, self.fjet[..., : sp.size]))
 
     @cached_property
     def P(self) -> np.ndarray:
         n = self.dim
         pairs = self._pairs(2)
-        # h_k = grad^2 f(grad f, .)_k = (1/2) d_k |grad f|^2.  The Hessian
-        # pairing fixes the normalization: d|grad f|^2 itself is twice this,
-        # and the factor would otherwise just be absorbed into lambda.
-        h = 0.5 * partials(self.w, n, self.mj.batch)
-        dfh = contract("j,k->jk", self.df, h, pairs)  # d_j f h_k
-        j, k = upper_indices(n, 1)
-        block = dfh[..., j, k, :] - dfh[..., k, j, :]
-        return self._finite("P", _skew(contract(",p->p", self.lam_f, block, pairs), n))
+
+        def form():
+            # h_k = grad^2 f(grad f, .)_k = (1/2) d_k |grad f|^2.  The Hessian
+            # pairing fixes the normalization: d|grad f|^2 itself is twice this,
+            # and the factor would otherwise just be absorbed into lambda.
+            h = 0.5 * partials(self.w, n, self.mj.batch)
+            dfh = contract("j,k->jk", self.df, h, pairs)  # d_j f h_k
+            j, k = upper_indices(n, 1)
+            block = dfh[..., j, k, :] - dfh[..., k, j, :]
+            return _skew(contract(",p->p", self.lam_f, block, pairs), n)
+
+        return self._finite("P", form)
 
     @cached_property
     def nabla_P(self) -> np.ndarray:
         j, k = upper_indices(self.dim, 1)
-        return self._finite("grad P", _skew(cov_derivative(self.P, self.mj.gamma)[..., j, k, :], self.dim))
+        return self._finite(
+            "grad P", lambda: _skew(cov_derivative(self.P, self.mj.gamma)[..., j, k, :], self.dim)
+        )
 
     @cached_property
     def div_P(self) -> np.ndarray:
@@ -210,15 +220,15 @@ class PointAnalysis:
 
     @cached_property
     def p_norm_sq(self) -> float | np.ndarray:
-        return self._finite("|P|^2", norm_sq(self.P_val, self.mj.ginv_val))
+        return self._finite("|P|^2", lambda: norm_sq(self.P_val, self.mj.ginv_val))
 
     @cached_property
     def nabla_p_norm_sq(self) -> float | np.ndarray:
-        return self._finite("|grad P|^2", norm_sq(self.nabla_P_val, self.mj.ginv_val))
+        return self._finite("|grad P|^2", lambda: norm_sq(self.nabla_P_val, self.mj.ginv_val))
 
     @cached_property
     def div_p_norm_sq(self) -> float | np.ndarray:
-        return self._finite("|div P|^2", norm_sq(self.div_P_val, self.mj.ginv_val))
+        return self._finite("|div P|^2", lambda: norm_sq(self.div_P_val, self.mj.ginv_val))
 
     @cached_property
     def p_norm_sq_jet(self) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -28,60 +29,41 @@ def fmt_point(point: Sequence[float]) -> str:
     return "(" + ", ".join(fmt17(x) for x in point) + ")"
 
 
-@dataclass(frozen=True)
-class ResidualSummary:
-    name: str
-    max_abs: float
-    max_rel: float
-    worst_point: tuple
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "max_abs": self.max_abs,
-            "max_rel": self.max_rel,
-            "worst_point": list(self.worst_point),
-        }
+_HOLDS = {"max<=": operator.le, "min>=": operator.ge, "max<": operator.lt}
 
 
 @dataclass(frozen=True)
 class Verdict:
     """A pass/fail decision plus the numbers it was computed from.
 
-    ``point`` is where ``value`` was found, when it came from a grid.  A
-    non-finite value fails whatever the threshold.
+    ``kind`` is one of ``_HOLDS``: the verdict passes when ``value`` stands in
+    that relation to ``threshold``.  ``point`` is where ``value`` was found,
+    when it came from a grid.  A non-finite value fails every kind.
     """
 
     name: str
-    value: float
+    kind: str
     threshold: float
-    kind: str  # "max<=" or "min>=" or "max<"
-    passed: bool
+    value: float
     point: tuple = ()
 
-    @staticmethod
-    def at_most(name: str, value: float, threshold: float, point: tuple = ()) -> "Verdict":
-        passed = math.isfinite(value) and value <= threshold
-        return Verdict(name, value, threshold, "max<=", passed, point)
+    @property
+    def passed(self) -> bool:
+        return math.isfinite(self.value) and _HOLDS[self.kind](self.value, self.threshold)
 
-    @staticmethod
-    def at_least(name: str, value: float, threshold: float, point: tuple = ()) -> "Verdict":
-        passed = math.isfinite(value) and value >= threshold
-        return Verdict(name, value, threshold, "min>=", passed, point)
-
-    @staticmethod
-    def below(name: str, value: float, threshold: float, point: tuple = ()) -> "Verdict":
-        passed = math.isfinite(value) and value < threshold
-        return Verdict(name, value, threshold, "max<", passed, point)
+    @classmethod
+    def on_grid(cls, name: str, kind: str, threshold: float, values, points) -> "Verdict":
+        """The verdict on the :func:`extreme` of ``values``: their minimum for "min>=", else their maximum."""
+        pick = np.argmin if kind == "min>=" else np.argmax
+        return cls(name, kind, threshold, *extreme(values, points, pick))
 
 
 @dataclass(frozen=True)
 class Report:
     scenario: dict
-    residuals: tuple[ResidualSummary, ...]
+    residuals: tuple[dict, ...]
     violations: tuple[dict, ...]
     verdicts: tuple[Verdict, ...]
-    version: str = VERSION
 
     @property
     def all_passed(self) -> bool:
@@ -100,14 +82,14 @@ def extreme(values, points, pick) -> tuple[float, tuple]:
     return float(values[i]), tuple(points[i])
 
 
-def summarize_residuals(name: str, points, abs_residual, rel_residual) -> ResidualSummary:
-    """Largest absolute and relative residual over ``points``.
+def summarize_residuals(name: str, points, abs_residual, rel_residual) -> dict:
+    """The report entry of a residual: its largest absolute and relative value over ``points``.
 
     The worst point is that of the largest absolute residual (see :func:`extreme`).
     """
     max_abs, worst = extreme(abs_residual, points, np.argmax)
     max_rel, _ = extreme(rel_residual, points, np.argmax)
-    return ResidualSummary(name, max_abs, max_rel, worst)
+    return {"name": name, "max_abs": max_abs, "max_rel": max_rel, "worst_point": list(worst)}
 
 
 def _json_safe(x):
@@ -123,9 +105,9 @@ def _json_safe(x):
 
 def report_to_json(report: Report) -> str:
     doc = {
-        "version": report.version,
+        "version": VERSION,
         "scenario": report.scenario,
-        "residuals": [r.to_dict() for r in report.residuals],
+        "residuals": list(report.residuals),
         "violations": list(report.violations),
         "verdicts": [{"name": v.name, "pass": v.passed} for v in report.verdicts],
     }

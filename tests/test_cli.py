@@ -102,21 +102,48 @@ def test_grid_spec_parsing():
         parse_grid_spec("r:0:1", 3)
 
 
-def test_run_verify_report_consistency():
-    sc = builtin_scenario("warped-canonical")
+def _verdict_columns(sc, rows):
+    """Each verdict's kind and per-point values, recomputed from the report rows."""
+
+    def col(name):
+        return np.array([row[name] for row in rows])
+
+    columns = {
+        "cyclic_residual": ("max<=", col("cyclic_residual")),
+        "bochner_rel_residual": ("max<=", col("bochner_rel_residual")),
+        "sharp_margin": ("min>=", col("sharp_margin")),
+        "one_over_n_bound": ("min>=", col("nabla_p_norm_sq") - col("div_p_norm_sq") / sc.dim),
+    }
+    if sc.is_static:
+        columns["static_tensor"] = ("max<=", col("static_tensor_residual"))
+        columns["static_scalar"] = ("max<=", col("static_scalar_residual"))
+    if sc.expect_zero_p:
+        columns["p_vanishes"] = ("max<=", np.sqrt(np.maximum(col("p_norm_sq"), 0.0)))
+    if sc.expect_violation:
+        columns["violation_negative"] = ("max<", col("violation"))
+    return columns
+
+
+@pytest.mark.parametrize(
+    "sc",
+    [builtin_scenario(name) for name in ("euclidean", "round-sphere-static", "warped-canonical")]
+    + [random_scenario(0, 3), random_scenario(1, 4)],
+    ids=lambda sc: sc.name,
+)
+def test_run_verify_report_consistency(sc):
+    """Every verdict is the extreme of its column of the report rows, found at that extreme's point.
+
+    The extreme is the minimum for a "min>=" verdict and the maximum otherwise.
+    """
     report = run_verify(sc)
     assert report.all_passed
-    # every verdict must be recomputable from the rows it summarizes
-    rows = report.violations
-    assert max(r["cyclic_residual"] for r in rows) == next(
-        v.value for v in report.verdicts if v.name == "cyclic_residual"
-    )
-    assert min(r["sharp_margin"] for r in rows) == next(
-        v.value for v in report.verdicts if v.name == "sharp_margin"
-    )
-    assert max(r["violation"] for r in rows) == next(
-        v.value for v in report.verdicts if v.name == "violation_negative"
-    )
+    points = [tuple(row["point"]) for row in report.violations]
+    columns = _verdict_columns(sc, report.violations)
+    assert [v.name for v in report.verdicts] == list(columns)
+    for v in report.verdicts:
+        kind, values = columns[v.name]
+        want = extreme(values, points, np.argmin if kind == "min>=" else np.argmax)
+        assert (v.kind, v.value, v.point) == (kind, *want), v.name
 
 
 def test_cli_verify_exit_codes(tmp_path, capsys):
@@ -303,8 +330,6 @@ metric:
 """
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize(
     "text,message",
     [
@@ -322,16 +347,25 @@ def test_a_non_finite_stage_exits_2_naming_the_stage_and_the_point(text, message
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["verify", "frame"])
+def test_a_dim_that_differs_from_the_scenario_file_exits_2_naming_both(command, tmp_path, capsys):
+    path = tmp_path / "s.txt"
+    path.write_text(SCENARIO_FILE)
+    args = [command, "--scenario-file", str(path), "--dim"]
+    code, err = _exit_and_message(args + ["4"], capsys)
+    assert (code, err) == (2, "error: --dim 4 differs from the scenario file's dim 3")
+    assert main(args + ["3"]) == 0
+
+
 def test_non_finite_values_fail_and_name_the_point(capsys):
     """A non-finite value fails its verdict, whose line names the value's first point; JSON spells it."""
     points = [(0.0, 0.2, 0.5), (1.0, 0.2, 0.5), (1.0, 0.8, 0.5)]
     values = [0.5, math.nan, math.inf]
-    value, at = extreme(values, points, np.argmax)
     report = Report(
         scenario={"name": "overflow"},
         residuals=(summarize_residuals("bochner", points, values, values),),
         violations=tuple({"point": list(pt), "violation": v} for pt, v in zip(points, values)),
-        verdicts=(Verdict.at_most("bochner_rel_residual", value, 1e-8, at),),
+        verdicts=(Verdict.on_grid("bochner_rel_residual", "max<=", 1e-8, values, points),),
     )
     _print_verdicts(report)
     line = capsys.readouterr().out
@@ -347,13 +381,19 @@ def test_non_finite_residual_is_never_folded_away():
     summary = summarize_residuals(
         "r", points, [1e-3, float("nan"), 5.0], [1e-3, float("nan"), 0.5]
     )
-    assert math.isnan(summary.max_abs) and math.isnan(summary.max_rel)
-    assert summary.worst_point == (1.0,)
-    for make in (Verdict.at_most, Verdict.at_least, Verdict.below):
-        assert not make("v", float("nan"), 0.0).passed
-        assert not make("v", float("inf"), 0.0).passed
-        assert not make("v", float("-inf"), 0.0).passed
+    assert math.isnan(summary["max_abs"]) and math.isnan(summary["max_rel"])
+    assert summary["worst_point"] == [1.0]
     assert "NaN" not in report_to_json(run_verify(builtin_scenario("euclidean")))
+
+
+@pytest.mark.parametrize("kind, at_threshold", [("max<=", True), ("min>=", True), ("max<", False)])
+def test_each_verdict_kind_at_its_threshold_and_beyond_the_float_range(kind, at_threshold):
+    """At value == threshold only the strict kind fails; a non-finite value fails every kind."""
+    assert Verdict("v", kind, 0.5, 0.5).passed is at_threshold
+    assert Verdict("v", kind, 0.5, 0.25).passed is (kind != "min>=")
+    assert Verdict("v", kind, 0.5, 0.75).passed is (kind == "min>=")
+    for value in (math.nan, math.inf, -math.inf):
+        assert not Verdict("v", kind, 0.0, value).passed
 
 
 def _exit_and_message(args, capsys):

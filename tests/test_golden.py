@@ -12,7 +12,9 @@ intended behaviour change, with
 
 The ``frame`` subcommand prints text and has no ``--out``: its goldens are
 its stdout, compared by the same rule (each number within the tolerance,
-the text around the numbers exactly); regenerate one with
+the text around the numbers exactly).  The ``stdout-*`` goldens pin the
+residual and verdict lines of ``verify`` and the summary lines of
+``counterexample`` and ``search`` by the same rule.  Regenerate one with
 
     PYTHONPATH=src python -m skewdiv <args> > tests/golden/<file>
 
@@ -80,6 +82,22 @@ FRAME_CASES = {
     ],
 }
 
+STDOUT_CASES = {
+    "stdout-verify-round-sphere-static.txt": ["verify", "--scenario", "round-sphere-static"],
+    "stdout-verify-warped-canonical.txt": ["verify", "--scenario", "warped-canonical"],
+    "stdout-verify-random-curved-4d-seed1.txt": [
+        "verify",
+        "--scenario",
+        "random-curved",
+        "--dim",
+        "4",
+        "--seed",
+        "1",
+    ],
+    "stdout-counterexample.txt": ["counterexample"],
+    "stdout-search.txt": ["search"],
+}
+
 # A number not glued to a name: the 1 of ``E_1`` is part of a label.
 NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|inf|nan)")
 
@@ -136,17 +154,26 @@ def _text_and_numbers(text):
     return NUMBER.sub("#", text), [float(x) for x in NUMBER.findall(text)]
 
 
-@pytest.mark.parametrize("name", sorted(FRAME_CASES))
-def test_golden_frame(name, capsys):
+def _assert_stdout_matches(args, name, capsys):
     outputs = []
     for _ in range(2):
-        assert main(FRAME_CASES[name]) == 0
+        assert main(args) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1], "two runs of the same command differ"
     got_text, got = _text_and_numbers(outputs[0])
     want_text, want = _text_and_numbers((GOLDEN / name).read_text())
     assert got_text == want_text
     _assert_close(got, want, name)
+
+
+@pytest.mark.parametrize("name", sorted(FRAME_CASES))
+def test_golden_frame(name, capsys):
+    _assert_stdout_matches(FRAME_CASES[name], name, capsys)
+
+
+@pytest.mark.parametrize("name", sorted(STDOUT_CASES))
+def test_golden_stdout(name, capsys):
+    _assert_stdout_matches(STDOUT_CASES[name], name, capsys)
 
 
 def test_frame_numbers_are_found_apart_from_labels():

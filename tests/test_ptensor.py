@@ -266,8 +266,6 @@ def flat_spec(f: str, lam: str) -> PTensorSpec:
     )
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize(
     "f,lam,stage,failing",
     [
