@@ -232,7 +232,7 @@ def cmd_counterexample(args) -> int:
         ),
         violations=tuple(rows),
         verdicts=(
-            Verdict("violation_exhibited", "max<", TOLERANCES["violation_zero"], vreport.min_violation),
+            Verdict("violation_exhibited", "min<", TOLERANCES["violation_zero"], vreport.min_violation),
         ),
     )
     print(

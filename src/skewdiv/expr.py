@@ -31,10 +31,14 @@ printing look up a handler by ``type(node)`` in one table each (``_EVAL``,
 ``_FMT``) and recurse through the same tables, so each node costs one dict
 lookup and one call.
 
-Fields.  :func:`evaluate_entries` evaluates several trees on one point (a
-metric's entries, say) as sums of terms coef * factor_1 * ... * factor_m:
-variables read their point entries, other factors are walked once, and the
-product of each prefix of factors is formed once for all the trees.
+Fields.  Several entries on one point (a metric's entries, say) are sums of
+lowered terms coef * factor_1 * ... * factor_m (:func:`_terms`), which
+:func:`sum_terms` sums: variables read their point entries, other factors
+are walked once, and the product of each prefix of factors is formed once
+for all the entries.  The entries' jet terms are then summed by one gather:
+each distinct product is a row of one table, each entry a row of indices
+into it and a row of coefficients, and one vector add per term position sums
+every entry.  :func:`evaluate_entries` lowers trees and sums them so.
 """
 
 from __future__ import annotations
@@ -285,9 +289,13 @@ _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 # Each printer returns the text and its binding strength (5 for atoms).
 
 
+def number_source(v: float) -> str:
+    """The text of a number: an integral one without its fraction, else its repr."""
+    return str(int(v)) if v == int(v) and abs(v) < 1e16 else repr(v)
+
+
 def _fmt_num(e: Num) -> tuple[str, int]:
-    v = e[0]
-    s = str(int(v)) if v == int(v) and abs(v) < 1e16 else repr(v)
+    s = number_source(e[0])
     return s, (3 if s.startswith("-") else 5)
 
 
@@ -469,47 +477,99 @@ def _terms(e: Expr) -> list[tuple[float, tuple]]:
     return [(1.0, (e,))]
 
 
-def evaluate_entries(exprs: Sequence[Expr], point: Sequence, params: ParamSet | None = None) -> list:
-    """:func:`evaluate` of each tree on one ``point``, sharing factors and their products.
+def sum_terms(entries: Sequence[Sequence[tuple]], point: Sequence, params: ParamSet | None = None) -> list:
+    """Each entry's lowered terms (:func:`_terms`) summed on one ``point``, sharing their products.
 
-    A tree sums its terms (:func:`_terms`) with the walk's arithmetic, so it
-    is the walk's value up to the products and sums that the lowering
-    re-associates; one whose terms fail or are not finite is walked instead.
-    Trees with jet terms are summed together, one vector add per term, their
-    scaled terms padded with -0.0, which adds exactly nothing.
+    Variables read their point entries, other factors are walked once, and
+    the product of each prefix of factors is formed once for all the
+    entries.  An entry sums its terms in source order with the walk's
+    arithmetic, so it is the walk's value up to the products and sums that
+    the lowering re-associates.  An entry whose terms fail or whose sum is
+    not finite is ``None``: the caller walks its tree instead, for the
+    walk's value or its located error.
+
+    Entries with jet terms are summed together by one gather.  Each distinct
+    product is a row of one table, each entry a row of indices into it and a
+    row of coefficients, so ``table[index] * coefs`` scales every term at
+    once.  A number term keeps its value slot alone, and padding is a row of
+    -0.0: both add exactly nothing elsewhere.  One vector add per term
+    position then sums every entry in source order.  Where every such entry
+    is a single term there is nothing to sum: each is its scaled product.
     """
     params = params if params is not None else {}
-    table: dict[tuple, object] = {}  # factors -> their product, each formed once
+    formed: dict[tuple, object] = {}  # factors -> their product, each formed once
 
     def product(factors: tuple):
-        if factors not in table:
+        p = formed.get(factors)  # hashing a tree factor walks the tree: once per lookup
+        if p is None:
             f = factors[0]
-            table[factors] = (
+            p = formed[factors] = (
                 product(factors[:-1]) * product(factors[-1:]) if len(factors) > 1
                 else point[f] if type(f) is int else evaluate(f, point, params)
             )
-        return table[factors]
+        return p
 
-    out: list = []  # each tree's terms (coef, product), then its value
-    for e in exprs:
+    rows: dict[tuple, int] = {}  # each distinct term's factors -> its table row
+    index = [[rows.setdefault(factors, len(rows)) for _, factors in terms] for terms in entries]
+    values: list = []  # row -> its product, or None where that fails
+    for factors in rows:
         try:
-            out.append([(coef, product(factors) if factors else 1.0) for coef, factors in _terms(e)])
+            values.append(product(factors) if factors else 1.0)
         except (EvalDomainError, MissingParameterError, ArithmeticError, LookupError):
-            out.append(None)
-    summed = [i for i, t in enumerate(out) if t and any(isinstance(p, jets.Jet) for _, p in t)]
-    for i in [i for i, t in enumerate(out) if t and i not in summed]:  # numbers only
-        out[i] = reduce(add, [coef * p for coef, p in out[i]])
-    if summed:
-        import numpy as np  # here: imported ahead of jets, it raises the import's peak memory
-        like = next(p for i in summed for _, p in out[i] if isinstance(p, jets.Jet))
-        stacked = np.full((len(summed), max(len(out[i]) for i in summed)) + like.c.shape, -0.0)
-        for row, i in zip(stacked, summed):
-            for slot, (coef, p) in zip(row, out[i]):
-                if isinstance(p, jets.Jet):
-                    np.multiply(p.c, coef, out=slot)  # a number times a jet, as in the walk
-                else:
-                    slot[..., 0] = coef * p  # a number adds to the value alone
-        sums = reduce(np.add, stacked.swapaxes(0, 1))  # term by term, as the walk adds
-        for i, c in zip(summed, sums):
-            out[i] = jets.Jet(like.space, c, max(p.deg for _, p in out[i] if isinstance(p, jets.Jet)))
-    return [v if v is not None and jets.finite(v) else evaluate(e, point, params) for e, v in zip(exprs, out)]
+            values.append(None)
+    is_jet = [isinstance(v, jets.Jet) for v in values]
+    out: list = [None] * len(entries)
+    summed = []  # the entries with a jet term
+    for e, (terms, at) in enumerate(zip(entries, index)):
+        if None in values and any(values[r] is None for r in at):
+            continue
+        if any(is_jet[r] for r in at):
+            summed.append(e)
+        else:
+            value = reduce(add, [coef * values[r] for (coef, _), r in zip(terms, at)])
+            out[e] = value if jets.finite(value) else None
+    if not summed:
+        return out
+
+    import numpy as np  # here: imported ahead of jets, it raises the import's peak memory
+    width = max(len(entries[e]) for e in summed)
+    if width == 1:  # each entry is one jet term: nothing to gather or add
+        for e in summed:
+            p = values[index[e][0]]
+            c = p.c * entries[e][0][0]
+            out[e] = jets.Jet(p.space, c) if np.isfinite(c).all() else None
+        return out
+    like = values[is_jet.index(True)]
+    table = np.full((len(values) + 1,) + like.c.shape, -0.0)  # the last row pads
+    numbers = set()  # the rows of number products
+    for r, v in enumerate(values):
+        if is_jet[r]:
+            table[r] = v.c
+        elif v is not None:
+            table[r, ..., 0] = v
+            numbers.add(r)
+    at, coefs = [], []
+    for e in summed:
+        pad = width - len(entries[e])
+        at.append(index[e] + [-1] * pad)
+        coefs.append([coef for coef, _ in entries[e]] + [1.0] * pad)
+    at = np.array(list(zip(*at)))  # term-major: a term position is one block
+    scaled = table[at]
+    scaled *= np.array(list(zip(*coefs)))[(...,) + (None,) * like.c.ndim]
+    if any(not numbers.isdisjoint(index[e]) for e in summed):  # a number adds to the value alone
+        flag = np.zeros(len(table), bool)
+        flag[list(numbers)] = True
+        scaled[flag[at], ..., 1:] = -0.0
+    sums = scaled[0]
+    for t in range(1, width):  # term by term, as the walk adds
+        sums += scaled[t]
+    finite = np.isfinite(sums.reshape(len(summed), -1)).all(axis=1).tolist()
+    for e, c, ok in zip(summed, sums, finite):
+        out[e] = jets.Jet(like.space, c) if ok else None  # of degree at most the order
+    return out
+
+
+def evaluate_entries(exprs: Sequence[Expr], point: Sequence, params: ParamSet | None = None) -> list:
+    """:func:`evaluate` of each tree on one ``point``: its terms summed by :func:`sum_terms`, or walked."""
+    values = sum_terms([_terms(e) for e in exprs], point, params)
+    return [evaluate(e, point, params) if v is None else v for e, v in zip(exprs, values)]

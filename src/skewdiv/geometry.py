@@ -59,7 +59,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NonPositiveDefiniteError, OrderExceededError, SkewdivError
-from .expr import Expr, ParamSet, chart_variables, evaluate, evaluate_entries, parse, to_source
+from .expr import Expr, ParamSet, _terms, chart_variables, evaluate, parse, sum_terms, to_source
 from .jets import (
     DEFAULT_ORDER,
     as_coefficients,
@@ -69,9 +69,6 @@ from .jets import (
     partials,
     seed_variables,
 )
-
-#: Re-exported: the benchmark's tracing tests read ``geometry.evaluate``.
-evaluate = evaluate
 
 
 # -- expression-defined fields -------------------------------------------------
@@ -86,15 +83,26 @@ def upper_indices(n: int, k: int = 0) -> tuple[np.ndarray, np.ndarray]:
 def expression_jets(exprs: Sequence[Expr], points, order: int, params: ParamSet) -> np.ndarray:
     """Coefficient array [..., e, :] of each tree ``exprs[e]`` at a point or a batch of points.
 
-    The trees are evaluated together on the seeds of the whole batch, forming
-    the products they share once (:func:`~skewdiv.expr.evaluate_entries`).
+    The trees are lowered to their terms and evaluated together on the seeds
+    of the whole batch (:func:`lowered_jets`).
+    """
+    return lowered_jets([_terms(e) for e in exprs], exprs.__getitem__, points, order, params)
+
+
+def lowered_jets(entries: Sequence[list], tree, points, order: int, params: ParamSet) -> np.ndarray:
+    """Coefficient array [..., e, :] of entry e, summed from its lowered terms ``entries[e]``.
+
+    The entries are summed together on the seeds of the whole batch, forming
+    the products they share once (:func:`~skewdiv.expr.sum_terms`).  An entry
+    whose terms fail or come out non-finite walks ``tree(e)`` instead.
     """
     points = np.asarray(points, dtype=float)
     n = points.shape[-1]
+    seeds = seed_variables(points, n, order)
     shape = points.shape[:-1] + (jet_space(n, order).size,)
-    out = np.empty(shape[:-1] + (len(exprs),) + shape[-1:])
-    for e, value in enumerate(evaluate_entries(exprs, seed_variables(points, n, order), params)):
-        out[..., e, :] = as_coefficients(value, shape)
+    out = np.empty(shape[:-1] + (len(entries),) + shape[-1:])
+    for e, value in enumerate(sum_terms(entries, seeds, params)):
+        out[..., e, :] = as_coefficients(evaluate(tree(e), seeds, params) if value is None else value, shape)
     return out
 
 
@@ -105,8 +113,13 @@ class MetricField:
     Positive definiteness is enforced at every evaluation point by a
     Cholesky factorization, which does not depend on the metric's scale; a
     violation or a non-finite component raises instead of silently
-    propagating.  The entries i <= j are evaluated together
-    (:func:`expression_jets`).
+    propagating.
+
+    The entries i <= j are evaluated together from their lowered terms
+    (:func:`lowered_jets`).  A field of trees lowers them on first
+    evaluation.  A field built by :meth:`from_terms` is given its entries'
+    terms and texts, and parses its trees ``exprs`` from the texts only when
+    they are first read: by the walk of an entry whose terms fail, say.
     """
 
     def __init__(self, dim: int, exprs: Sequence[Sequence[Expr]], params: ParamSet | None = None):
@@ -120,6 +133,7 @@ class MetricField:
                 if rows[i][j] != rows[j][i]:
                     raise ValueError(f"metric expressions not symmetric at ({i},{j})")
         self.exprs = rows
+        self._texts = None
 
     @classmethod
     def parse(cls, rows: Sequence[Sequence[str]], params: ParamSet | None = None) -> "MetricField":
@@ -134,13 +148,34 @@ class MetricField:
                     trees[src] = parse(src, variables=names, params=tuple(params))
         return cls(dim, [[trees[src] for src in row] for row in rows], params)
 
+    @classmethod
+    def from_terms(cls, texts: Sequence[Sequence[str]], terms: Sequence[list]) -> "MetricField":
+        """The field of the symmetric entry ``texts``, without parameters, given their lowered terms.
+
+        ``terms[e]`` is what :func:`~skewdiv.expr._terms` gives for the parsed
+        text of the e-th entry i <= j, in :func:`upper_indices` order.
+        """
+        field = cls.__new__(cls)
+        field.dim, field.params, field._texts, field._lowered = len(texts), {}, texts, list(terms)
+        return field
+
+    @cached_property
+    def exprs(self) -> tuple:
+        """The entry trees, parsed from the texts on first read if the field was built from terms."""
+        return MetricField.parse(self._texts, self.params).exprs
+
+    @cached_property
+    def _lowered(self) -> list:
+        """The lowered terms of the entries i <= j, in :func:`upper_indices` order."""
+        return [_terms(self.exprs[a][b]) for a, b in zip(*upper_indices(self.dim))]
+
     def component_jets(self, point, order: int = DEFAULT_ORDER) -> np.ndarray:
         """Coefficient array g[..., i, j, :] at a point or a batch of points."""
         return each_point_on_error(lambda points: self._component_jets(points, order), point)
 
     def _component_jets(self, points: np.ndarray, order: int) -> np.ndarray:
         i, j = upper_indices(self.dim)
-        upper = expression_jets([self.exprs[a][b] for a, b in zip(i, j)], points, order, self.params)
+        upper = lowered_jets(self._lowered, lambda e: self.exprs[i[e]][j[e]], points, order, self.params)
         g = np.empty(upper.shape[:-2] + (self.dim, self.dim, upper.shape[-1]))
         g[..., i, j, :] = upper
         g[..., j, i, :] = upper
@@ -158,7 +193,9 @@ class MetricField:
             ) from None
 
     def sources(self) -> list[list[str]]:
-        """Entry sources for reports; each distinct tree is rendered once."""
+        """Entry sources for reports: the texts given, or each distinct tree rendered once."""
+        if self._texts is not None:
+            return [list(row) for row in self._texts]
         text: dict[int, str] = {}
         for row in self.exprs:
             for e in row:

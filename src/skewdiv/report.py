@@ -29,7 +29,7 @@ def fmt_point(point: Sequence[float]) -> str:
     return "(" + ", ".join(fmt17(x) for x in point) + ")"
 
 
-_HOLDS = {"max<=": operator.le, "min>=": operator.ge, "max<": operator.lt}
+_HOLDS = {"max<=": operator.le, "min>=": operator.ge, "max<": operator.lt, "min<": operator.lt}
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,8 @@ class Verdict:
 
     @classmethod
     def on_grid(cls, name: str, kind: str, threshold: float, values, points) -> "Verdict":
-        """The verdict on the :func:`extreme` of ``values``: their minimum for "min>=", else their maximum."""
-        pick = np.argmin if kind == "min>=" else np.argmax
+        """The verdict on the :func:`extreme` of ``values``: their minimum for a "min" kind, else maximum."""
+        pick = np.argmin if kind.startswith("min") else np.argmax
         return cls(name, kind, threshold, *extreme(values, points, pick))
 
 

@@ -12,6 +12,12 @@ Built-ins:
 * ``random-curved``        seeded polynomial perturbation of the flat metric,
                            positive definite on the unit box by construction.
 
+A random-curved metric is drawn as each entry's text together with its
+lowered terms, the signed terms that :func:`~skewdiv.expr._terms` gives for
+the parsed text (:meth:`MetricField.from_terms`).  Its jets are summed from
+those terms in one gather, and its trees are parsed from the texts only
+when something reads them; f is parsed from its text.
+
 Scenario files are plain text, one ``key = value`` per line with a
 ``metric:`` section of ``|``-separated expression rows; see the README for
 the exact grammar.
@@ -26,7 +32,7 @@ import numpy as np
 
 from . import warped as warped_mod
 from .errors import ScenarioError
-from .expr import Binary, Expr, Num, Unary, Var, chart_variables, parse, to_source
+from .expr import Expr, chart_variables, number_source, parse, to_source
 from .geometry import MetricField
 from .ptensor import PTensorSpec
 
@@ -74,7 +80,7 @@ class Scenario:
     expect_zero_p: bool = False
     expect_violation: bool = False
     description: str = ""
-    _sources: tuple | None = field(default=None, repr=False, compare=False)  # echo's text, if known
+    _f_src: str | None = field(default=None, repr=False, compare=False)  # echo's text of f, if known
 
     @property
     def params(self) -> dict:
@@ -94,12 +100,11 @@ class Scenario:
 
     def echo(self) -> dict:
         """Deterministic description for reports."""
-        metric, f = self._sources or (self.metric.sources(), to_source(self.f))
         return {
             "name": self.name,
             "dimension": self.dim,
-            "metric": metric,
-            "f": f,
+            "metric": self.metric.sources(),
+            "f": self._f_src or to_source(self.f),
             "lambda": self.lam_src,
             "params": {k: self.params[k] for k in sorted(self.params)},
             "grid": [
@@ -185,64 +190,64 @@ def warped_canonical_scenario(k: float = 4.0, c: float = 1.0) -> Scenario:
     )
 
 
-def _poly_tree(rng: np.random.Generator, dim: int, scale: float, constant: float | None):
-    """A random polynomial: the tree :func:`parse` gives for its :func:`to_source` text, and that text.
-
-    Coefficients scale * (2u - 1), u uniform, go to x_i, then to x_i*x_j
-    (i <= j), after the constant; each term adds or subtracts its size.
-    """
-    new = tuple.__new__  # the node constructors, without their Python frame
-    names = _axis_names(dim)
-    tree = None if constant is None else new(Num, (float(constant), 0))
-    text = "" if tree is None else to_source(tree)
-    monomials = [(i,) for i in range(dim)] + [(i, j) for i in range(dim) for j in range(i, dim)]
-    for factors, u in zip(monomials, rng.random(len(monomials)).tolist()):
-        coef = scale * (2.0 * u - 1.0)
-        text += ("-" if coef < 0 else "") if tree is None else (" - " if coef < 0 else " + ")
-        at = len(text)
-        term = new(Num, (abs(coef), at))
-        text += to_source(term)
-        if tree is None and coef < 0:
-            term = new(Unary, ("neg", term, 0))
-        for i in factors:
-            term = new(Binary, ("*", term, new(Var, (i, names[i], len(text) + 3)), len(text) + 1))
-            text += " * " + names[i]
-        tree = term if tree is None else new(Binary, ("-" if coef < 0 else "+", tree, term, at - 2))
-    return tree, text
-
-
 def random_scenario(seed: int, dim: int = 3) -> Scenario:
     """Seeded random curved scenario, positive definite on the unit box.
 
     The metric is delta_ij + eps * (symmetric linear + quadratic polynomial)
     with eps small enough that a Gershgorin bound keeps every evaluation in
     [0,1]^dim positive definite.  f is a random nonconstant quadratic and
-    lambda cycles through a small family of profiles.
+    lambda cycles through a small family of profiles.  The metric carries
+    its entries' texts and lowered terms (see the module docstring).
     """
     if dim < 3 or dim > 4:
         raise ScenarioError("random scenarios support dimension 3 or 4")
     rng = np.random.default_rng(seed)
     eps = 0.8 / (dim * (dim + dim * (dim + 1) / 2))
-    rows = [[None] * dim for _ in range(dim)]
+    names = _axis_names(dim)
+    monomials = [(i,) for i in range(dim)] + [(i, j) for i in range(dim) for j in range(i, dim)]
+    suffixes = ["".join(" * " + names[i] for i in factors) for factors in monomials]
+
+    def polynomial(scale: float, constant: float | None) -> tuple[list, str]:
+        """Terms ``[(coef, factors)]`` and text of a random polynomial.
+
+        Coefficients scale * (2u - 1), u uniform, go to x_i, then to x_i*x_j
+        (i <= j), after the constant; each term adds or subtracts its size.
+        The terms are those :func:`~skewdiv.expr._terms` gives for the parsed
+        text: the constant first, each sign folded into its coefficient.
+        """
+        terms = [] if constant is None else [(constant, ())]
+        text = "" if constant is None else number_source(constant)
+        for factors, suffix, u in zip(monomials, suffixes, rng.random(len(monomials)).tolist()):
+            coef = scale * (2.0 * u - 1.0)
+            size, negative = abs(coef), coef < 0
+            terms.append((-size if negative else size, factors))
+            sign = (" - " if negative else " + ") if text else ("-" if negative else "")
+            text += sign + number_source(size) + suffix
+        return terms, text
+
+    texts = [[""] * dim for _ in range(dim)]
+    terms = []
     for i in range(dim):
         for j in range(i, dim):
-            rows[i][j] = rows[j][i] = _poly_tree(rng, dim, eps, 1.0 if i == j else 0.0)
-    f, f_src = _poly_tree(rng, dim, 1.0, None)
+            entry, texts[i][j] = polynomial(eps, 1.0 if i == j else 0.0)
+            texts[j][i] = texts[i][j]
+            terms.append(entry)
+    _, f_src = polynomial(1.0, None)
     lam_src = _LAMBDA_CHOICES[int(seed) % len(_LAMBDA_CHOICES)]
     grid = tuple(
         GridAxis(nm, 0.2, 0.8, 2 if idx < 2 else 1)
-        for idx, nm in enumerate(_axis_names(dim))
+        for idx, nm in enumerate(names)
     )
     return Scenario(
         name=f"random-curved-{dim}d-seed{seed}",
         dim=dim,
-        metric=MetricField(dim, [[e for e, _ in row] for row in rows]),
-        f=f,
+        metric=MetricField.from_terms(texts, terms),
+        f=parse(f_src, variables=chart_variables(dim)),
         lam=_parse_lambda(lam_src),
         lam_src=lam_src,
         grid=grid,
         description=f"seeded polynomial perturbation of the flat {dim}-metric",
-        _sources=([[src for _, src in row] for row in rows], f_src),
+        _f_src=f_src,
     )
 
 

@@ -386,7 +386,7 @@ def test_non_finite_residual_is_never_folded_away():
     assert "NaN" not in report_to_json(run_verify(builtin_scenario("euclidean")))
 
 
-@pytest.mark.parametrize("kind, at_threshold", [("max<=", True), ("min>=", True), ("max<", False)])
+@pytest.mark.parametrize("kind, at_threshold", [("max<=", True), ("min>=", True), ("max<", False), ("min<", False)])
 def test_each_verdict_kind_at_its_threshold_and_beyond_the_float_range(kind, at_threshold):
     """At value == threshold only the strict kind fails; a non-finite value fails every kind."""
     assert Verdict("v", kind, 0.5, 0.5).passed is at_threshold

@@ -7,13 +7,14 @@
   at the value order agrees with analysis at the default order;
 * expressions walked once over a batch give each point's jets bit for bit,
   and a failing batch raises the first failing point's own error;
-* op-count gate: a verify walks only lambda(f) and forms each field's
-  monomials once;
+* op-count gate: a random verify parses only f and lambda, builds no metric
+  tree, walks only lambda(f) and forms each field's monomials once;
 * work gate: a verify-4d op forms a pinned number of ``contract`` pairs and
   builds g no higher than the order its readers use, and the cut jets give
   every value a check reads bit for bit as jets at f's order;
-* random polynomials are built as their sources parse, and g^-1 forms
-  only each Horner step's new coefficients.
+* random polynomials are built as their sources parse, a random metric
+  carries its sources' lowered terms and gives their jets bit for bit, and
+  g^-1 forms only each Horner step's new coefficients.
 """
 
 import math
@@ -27,8 +28,8 @@ from hypothesis import strategies as st
 from skewdiv.cli import run_verify
 from skewdiv.identities import cpe_residual, static_residual
 from skewdiv.errors import EvalDomainError, NonPositiveDefiniteError, SkewdivError
-from skewdiv.expr import Binary, Num, chart_variables, evaluate, parse, to_source
-from skewdiv.geometry import MetricField, MetricJets, expression_jets
+from skewdiv.expr import Binary, Num, _terms, chart_variables, evaluate, parse, to_source
+from skewdiv.geometry import MetricField, MetricJets, expression_jets, upper_indices
 from skewdiv.identities import bochner_residual
 from skewdiv.jets import (
     DEFAULT_ORDER,
@@ -292,15 +293,22 @@ def test_batch_error_is_the_first_failing_point():
 
 
 def test_verify_walks_each_expression_once(monkeypatch):
-    """Op-count gate: one verify of a 4-point 4-D grid walks one tree and forms 20 field products.
+    """Op-count gate: a verify of a 4-point 4-D grid parses f and lambda, walks one tree, forms 20 field products.
 
-    The 10 metric entries and f are polynomials in the x_i and x_i*x_j: their
-    terms read the seeds, and each field forms its 10 monomials x_i*x_j once
-    (a product of two seeds, degree 1 each, at (4 variables, order 4) forms
-    25 coefficient pairs).  Only lambda(f) is walked, at order 2; its own
-    products (f*f, or the one Horner step of exp there) come on top.
+    The random metric is built as its entries' lowered terms and texts, so
+    neither the build nor the verify and its JSON report parses a metric
+    entry.  The 10 metric entries and f are polynomials in the x_i and
+    x_i*x_j: their terms read the seeds, and each field forms its 10
+    monomials x_i*x_j once (a product of two seeds, degree 1 each, at
+    (4 variables, order 4) forms 25 coefficient pairs).  Only lambda(f) is
+    walked, at order 2; its own products (f*f, or the one Horner step of exp
+    there) come on top.
     """
-    calls, products = [], []
+    parsed, calls, products = [], [], []
+
+    def counted_parse(source, **kwargs):
+        parsed.append(source)
+        return parse(source, **kwargs)
 
     def counted(e, point, params=None):
         calls.append(e)
@@ -313,15 +321,20 @@ def test_verify_walks_each_expression_once(monkeypatch):
     for mod in [m for name, m in sys.modules.items() if name.startswith("skewdiv.")]:
         if getattr(mod, "evaluate", None) is evaluate:
             monkeypatch.setattr(mod, "evaluate", counted)
+        if getattr(mod, "parse", None) is parse:
+            monkeypatch.setattr(mod, "parse", counted_parse)
     mul = Jet.__mul__
     monkeypatch.setattr(Jet, "__mul__", multiplied)
     monkeypatch.setattr(Jet, "__rmul__", multiplied)
     for seed, lam, lam_products in [(0, "1", 0), (1, "f", 0), (2, "1 + f*f", 1), (3, "exp(f/4)", 1)]:
+        parsed.clear()
         calls.clear()
         products.clear()
-        sc = random_scenario(seed, 4)
+        sc = builtin_scenario("random-curved", seed=seed, dim=4)
         assert len(sc.grid_points()) == 4 and sc.lam_src == lam
-        run_verify(sc)
+        report_to_json(run_verify(sc))
+        assert parsed == [to_source(sc.f), lam]
+        assert "exprs" not in vars(sc.metric)  # parsed from the texts only when read
         assert calls == [sc.lam]
         assert len(products) == 20 + lam_products
 
@@ -346,6 +359,29 @@ def test_random_polynomials_are_their_parsed_sources(dim):
         # The echo keeps the text the builder wrote: the same as rendering the trees.
         echo = sc.echo()
         assert (echo["metric"], echo["f"]) == (sc.metric.sources(), to_source(sc.f))
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_random_metrics_carry_their_sources_terms(dim):
+    """A random metric's terms are its texts' lowered terms, and give the parsed texts' jets bit for bit."""
+
+    def exact(terms):
+        return [(coef.hex(), factors) for coef, factors in terms]
+
+    names = chart_variables(dim)
+    rows, cols = upper_indices(dim)
+    for seed in range(8):
+        sc = random_scenario(seed, dim)
+        texts = sc.metric.sources()
+        lowered = [_terms(parse(texts[i][j], variables=names)) for i, j in zip(rows, cols)]
+        assert [exact(t) for t in sc.metric._lowered] == [exact(t) for t in lowered]
+        parsed = MetricField.parse(texts)
+        points = np.array(sc.grid_points())
+        for order in (2, 3, 4):
+            for pts in [points, *points]:
+                want = parsed.component_jets(pts, order)
+                assert sc.metric.component_jets(pts, order).tobytes() == want.tobytes()
+        assert "exprs" not in vars(sc.metric)
 
 
 def _ginv_every_coefficient(mj: MetricJets) -> np.ndarray:
