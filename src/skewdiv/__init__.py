@@ -30,7 +30,6 @@ from .geometry import (
     MetricJets,
     cov_derivative,
     expression_jets,
-    second_bianchi_residual,
 )
 from .identities import (
     bochner_residual,
@@ -41,7 +40,6 @@ from .identities import (
 from .jets import (
     DEFAULT_ORDER,
     Jet,
-    extract_derivative,
     partial_derivative,
     seed_variables,
 )
@@ -69,7 +67,6 @@ from .warped import (
     closed_form_eval,
     cross_validate,
     search_violation,
-    violation_bracket,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -90,7 +90,7 @@ def run_verify(scenario: Scenario, tolerance: float | None = None) -> Report:
     if scenario.expect_zero_p:
         checks.append(("p_vanishes", "max<=", TOLERANCES["p_zero"], np.sqrt(np.maximum(an.p_norm_sq, 0.0))))
     if scenario.expect_violation:
-        checks.append(("violation_negative", "max<", 0.0, an.violation))
+        checks.append(("violation_negative", "max<", TOLERANCES["violation_zero"], an.violation))
 
     return Report(
         scenario=scenario.echo(),
@@ -283,7 +283,7 @@ def cmd_search(args) -> int:
                 "violation": result.violation,
             },
         ),
-        verdicts=(Verdict("violation_negative", "max<", 0.0, result.violation),),
+        verdicts=(Verdict("violation_negative", "max<", TOLERANCES["violation_zero"], result.violation),),
     )
     _emit(report, args.out)
     return 0 if report.all_passed else 1

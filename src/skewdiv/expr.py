@@ -38,7 +38,7 @@ are walked once, and the product of each prefix of factors is formed once
 for all the entries.  The entries' jet terms are then summed by one gather:
 each distinct product is a row of one table, each entry a row of indices
 into it and a row of coefficients, and one vector add per term position sums
-every entry.  :func:`evaluate_entries` lowers trees and sums them so.
+every entry.
 """
 
 from __future__ import annotations
@@ -567,9 +567,3 @@ def sum_terms(entries: Sequence[Sequence[tuple]], point: Sequence, params: Param
     for e, c, ok in zip(summed, sums, finite):
         out[e] = jets.Jet(like.space, c) if ok else None  # of degree at most the order
     return out
-
-
-def evaluate_entries(exprs: Sequence[Expr], point: Sequence, params: ParamSet | None = None) -> list:
-    """:func:`evaluate` of each tree on one ``point``: its terms summed by :func:`sum_terms`, or walked."""
-    values = sum_terms([_terms(e) for e in exprs], point, params)
-    return [evaluate(e, point, params) if v is None else v for e, v in zip(exprs, values)]

@@ -457,21 +457,3 @@ def cov_derivative(T: np.ndarray, gamma: np.ndarray) -> np.ndarray:
         t_sub = slots[:s] + "l" + slots[s + 1 :]
         out = out - contract(f"li{name},{t_sub}->i{slots}", gamma, T, sp.pairs)
     return out
-
-
-def second_bianchi_residual(mj: MetricJets) -> IdentityResidual:
-    """Residual of the contracted second Bianchi identity (jet order >= 3).
-
-    div Ric = (1/2) dR holds for every Levi-Civita connection; a nonzero
-    residual beyond rounding indicates a convention or implementation bug.
-    Its lhs is max_k |div Ric - 1/2 dR|_k and its one term max_k |dR|_k;
-    over a batch, one of each per point.
-    """
-    mj.require_order(3, "the second Bianchi identity")
-    n = mj.dim
-    pairs = jet_space(n, mj.order - 2).pairs
-    ric = np.einsum("...iijsZ->...jsZ", mj.riemann_up(mj.order - 2))
-    dscal = partials(contract("js,js->", mj.ginv, ric, pairs), n, mj.batch)[..., 0]
-    divric = np.einsum("...ij,...ijk->...k", mj.ginv_val, cov_derivative(ric, mj.gamma)[..., 0])
-    gap = np.max(np.abs(divric - 0.5 * dscal), axis=-1)
-    return residual("second-bianchi", mj.points, gap, 0.0, (np.max(np.abs(dscal), axis=-1),))

@@ -669,21 +669,6 @@ def seed_variables(
     return seeds
 
 
-def extract_derivative(j: Jet, alpha: Sequence[int]) -> float:
-    """Partial derivative d^alpha of the jet's field at the base point."""
-    alpha = tuple(int(a) for a in alpha)
-    if len(alpha) != j.nvars:
-        raise ValueError(f"multi-index has {len(alpha)} slots, jet has {j.nvars}")
-    if any(a < 0 for a in alpha):
-        raise ValueError("multi-index entries must be nonnegative")
-    if sum(alpha) > j.order:
-        raise OrderExceededError(
-            f"derivative order {sum(alpha)} exceeds jet order {j.order}"
-        )
-    idx = j.space.index[alpha]
-    return float(j.c[idx] * j.space.factorial[idx])
-
-
 def partial_derivative(j: Jet, var: int) -> Jet:
     """d/dx_var as a jet one order lower."""
     sp = j.space

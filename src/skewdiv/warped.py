@@ -179,16 +179,6 @@ def closed_form_eval(
     return ViolationRow(float(r), float(x1), *values)
 
 
-def violation_bracket(spec: WarpedSpec, r: float) -> float:
-    """The sign-determining factor 4 phi_dot^2/phi^2 - phi_dd/phi.
-
-    No command calls it; it is kept as the sign law that the tests pin.
-    """
-    p0, p1, p2 = spec.phi_jet(r).c[:3].tolist()
-    p2 *= 2.0
-    return 4.0 * p1**2 / p0**2 - p2 / p0
-
-
 # -- embedding into the generic engine ------------------------------------------
 
 

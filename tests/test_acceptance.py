@@ -10,12 +10,13 @@ import time
 import numpy as np
 import pytest
 
-from skewdiv.geometry import MetricJets, second_bianchi_residual
+from skewdiv.geometry import MetricJets
 from skewdiv.identities import bochner_residual, static_residual
 from skewdiv.ptensor import PointAnalysis, build_frame
 from skewdiv.scenarios import builtin_scenario, random_scenario
 from skewdiv.warped import WarpedSpec, closed_form_eval, cross_validate, ptensor_spec, search_violation
 
+from checks import second_bianchi_residual
 from conftest import bochner_dim3_rhs, session_elapsed
 from exact_oracle import exact_point, rel_error
 

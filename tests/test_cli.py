@@ -215,6 +215,23 @@ def test_cli_counterexample_no_violation_exit():
     assert main(["counterexample", "--param", "k=3", "--grid", "r:0:1:3"]) == 1
 
 
+@pytest.mark.parametrize(
+    "args,code",
+    [
+        # The search stops at k = 3, where the violation's law is exactly 0: rounding leaves -2.9e-17.
+        (["search", "--bounds", "k:2:3"], 1),
+        (["verify", "--scenario", "warped-canonical", "--param", "k=3.000000000001"], 1),  # -1.2e-14
+        (["search"], 0),
+    ],
+)
+def test_a_violation_within_the_zero_band_is_no_violation(args, code, tmp_path):
+    """Every violation verdict, as ``counterexample``'s does, needs a violation below -ZERO_BAND."""
+    out = tmp_path / "report.json"
+    assert main(args + ["--out", str(out)]) == code
+    verdicts = {v["name"]: v["pass"] for v in json.loads(out.read_text())["verdicts"]}
+    assert [name for name, ok in verdicts.items() if not ok] == ([] if code == 0 else ["violation_negative"])
+
+
 def test_cli_determinism(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

@@ -27,12 +27,14 @@ from skewdiv.expr import (
     _terms,
     chart_variables,
     evaluate,
-    evaluate_entries,
     parse,
+    sum_terms,
     to_source,
 )
-from skewdiv.jets import Jet, as_coefficients, extract_derivative, seed_variables
+from skewdiv.geometry import expression_jets
+from skewdiv.jets import Jet, as_coefficients, seed_variables
 
+from checks import extract_derivative
 from exact_oracle import derivatives, to_sympy
 
 VARS3 = chart_variables(3)
@@ -451,10 +453,11 @@ def _terms_scale(e, seeds, shape):
 def test_entries_match_the_walk_within_4_ulps_of_the_terms(entries):
     seeds = seed_variables(FIELD_POINTS, 3, 2)
     shape = (len(FIELD_POINTS), seeds[0].c.shape[-1])
-    for e, got in zip(entries, evaluate_entries(entries, seeds, FIELD_PARAMS)):
+    got = expression_jets(entries, FIELD_POINTS, 2, FIELD_PARAMS)
+    for i, e in enumerate(entries):
         want = as_coefficients(evaluate(e, seeds, FIELD_PARAMS), shape)
         bound = 4 * np.spacing(_terms_scale(e, seeds, shape))
-        assert np.all(np.abs(as_coefficients(got, shape) - want) <= bound), to_source(e)
+        assert np.all(np.abs(got[..., i, :] - want) <= bound), to_source(e)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -463,21 +466,19 @@ def test_entries_match_the_walk_bit_for_bit_where_nothing_is_reassociated(entrie
     for points in (FIELD_POINTS, FIELD_POINTS[0]):
         seeds = seed_variables(points, 3, 2)
         shape = seeds[0].c.shape
-        got = evaluate_entries(entries, seeds, FIELD_PARAMS)
-        for e, value in zip(entries, got):
+        got = expression_jets(entries, points, 2, FIELD_PARAMS)
+        for i, e in enumerate(entries):
             want = as_coefficients(evaluate(e, seeds, FIELD_PARAMS), shape)
-            assert as_coefficients(value, shape).tobytes() == want.tobytes(), to_source(e)
+            assert got[..., i, :].tobytes() == want.tobytes(), to_source(e)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(_entries())
 def test_entries_of_a_batch_are_its_points_alone(entries):
-    batch = evaluate_entries(entries, seed_variables(FIELD_POINTS, 3, 2), FIELD_PARAMS)
+    batch = expression_jets(entries, FIELD_POINTS, 2, FIELD_PARAMS)
     for i, point in enumerate(FIELD_POINTS):
-        alone = evaluate_entries(entries, seed_variables(point, 3, 2), FIELD_PARAMS)
-        for b, a in zip(batch, alone):
-            shape = seed_variables(point, 3, 2)[0].c.shape
-            assert as_coefficients(b, (2,) + shape)[i].tobytes() == as_coefficients(a, shape).tobytes()
+        alone = expression_jets(entries, point, 2, FIELD_PARAMS)
+        assert batch[i].tobytes() == alone.tobytes()
 
 
 def test_entries_share_factors_and_products(monkeypatch):
@@ -502,7 +503,7 @@ def test_entries_share_factors_and_products(monkeypatch):
     real_mul = Jet.__mul__
     monkeypatch.setattr(expr_module, "evaluate", walk)
     monkeypatch.setattr(Jet, "__mul__", mul)
-    evaluate_entries(entries, seed_variables(FIELD_POINTS, 3, 3))
+    expression_jets(entries, FIELD_POINTS, 3, {})
     assert walked == [entries[3], parse("sin(x2)^2", variables=VARS3)]
     # r*x1, sin(x2)*r, sin(x2)*r*x1 and r*x1*x2.
     assert len(products) == 4
@@ -512,11 +513,12 @@ def test_entries_share_factors_and_products(monkeypatch):
 def test_entry_that_overflows_only_in_the_table_is_the_walks_value():
     """1e-300*r*r at r = 1e160: the walk scales first and stays finite, r*r alone overflows."""
     e = parse("1e-300*r*r", variables=VARS3)
-    for point in ((1e160, 0.5, 0.5), seed_variables((1e160, 0.5, 0.5), 3, 2)):
-        (got,) = evaluate_entries([e], point)
-        want = evaluate(e, point)
-        assert type(got) is type(want) and np.all(np.isfinite(getattr(got, "c", got)))
-        assert np.asarray(getattr(got, "c", got)).tobytes() == np.asarray(getattr(want, "c", want)).tobytes()
+    point = (1e160, 0.5, 0.5)
+    assert sum_terms([_terms(e)], point) == [None]  # the caller walks the tree instead
+    assert math.isfinite(evaluate(e, point))
+    (got,) = expression_jets([e], point, 2, {})
+    want = evaluate(e, seed_variables(point, 3, 2)).c
+    assert np.all(np.isfinite(want)) and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -531,12 +533,15 @@ def test_entry_that_overflows_only_in_the_table_is_the_walks_value():
 )
 def test_entries_raise_the_walks_located_error(source, r, message):
     e = parse(source, variables=VARS3)
-    for point in ((r, 0.5, 0.5), seed_variables((r, 0.5, 0.5), 3, 2)):
+    point = (r, 0.5, 0.5)
+    assert sum_terms([_terms(parse("r*r", variables=VARS3)), _terms(e)], point)[1] is None
+    for at in (point, seed_variables(point, 3, 2)):
         with pytest.raises(EvalDomainError) as walk:
-            evaluate(e, point)
-        with pytest.raises(EvalDomainError) as table:
-            evaluate_entries([parse("r*r", variables=VARS3), e], point)
-        assert str(table.value) == str(walk.value) == message
+            evaluate(e, at)
+        assert str(walk.value) == message
+    with pytest.raises(EvalDomainError) as table:
+        expression_jets([parse("r*r", variables=VARS3), e], point, 2, {})
+    assert str(table.value) == message
 
 
 # -- functions of a non-finite argument ---------------------------------------------

@@ -13,12 +13,12 @@ from skewdiv.geometry import (
     cov_derivative,
     expression_jets,
     norm_sq,
-    second_bianchi_residual,
 )
 from skewdiv.expr import chart_variables, parse
 from skewdiv.jets import DEFAULT_ORDER, contract, jet_space, partials
 from skewdiv.scenarios import random_scenario
 
+from checks import second_bianchi_residual
 from exact_oracle import exact_point, rel_error
 
 

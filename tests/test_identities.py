@@ -6,7 +6,7 @@ import pytest
 
 from skewdiv.errors import EvalDomainError, OrderExceededError
 from skewdiv.expr import chart_variables, evaluate, parse
-from skewdiv.geometry import MetricField, MetricJets, second_bianchi_residual
+from skewdiv.geometry import MetricField, MetricJets
 from skewdiv.identities import (
     IdentityResidual,
     bochner_residual,
@@ -23,6 +23,7 @@ from skewdiv.scenarios import (
 from skewdiv.ptensor import PointAnalysis, PTensorSpec, build_frame, cyclic_residual
 from skewdiv.warped import WarpedSpec, ptensor_spec
 
+from checks import second_bianchi_residual
 from conftest import bochner_dim3_rhs
 
 

@@ -15,7 +15,6 @@ from skewdiv.jets import (
     _reciprocal_series,
     _sin_series,
     contract,
-    extract_derivative,
     jet_space,
     partial_derivative,
     partials,
@@ -23,6 +22,7 @@ from skewdiv.jets import (
     seed_variables,
 )
 
+from checks import extract_derivative
 from exact_oracle import derivatives
 
 coef = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)

@@ -17,8 +17,9 @@ from skewdiv.warped import (
     cross_validate,
     ptensor_spec,
     search_violation,
-    violation_bracket,
 )
+
+from checks import violation_bracket
 
 
 def grid27():
