@@ -26,12 +26,16 @@ jets' coefficients (coefficient k of a univariate jet times k!), so one
 evaluation costs the warp's expression walk and little else: on the
 canonical warp that walk makes no jet product, since a power of r + c is
 placed from its series (see :mod:`skewdiv.jets`).  :func:`search_violation`
-explores the family on Python floats and tuples.
+explores the family on Python floats and tuples.  Each distinct input is
+evaluated once: the search keeps the value of every (k, c, r) it has met,
+and the grid report forms phi once per distinct r and G once per distinct
+x1, each keyed by the exact bits of its floats (so -0.0 is not 0.0).
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -144,15 +148,20 @@ def closed_form_eval(
     x1: float,
     params: ParamSet | None = None,
     *,
+    phi: Jet | None = None,
     profile: Jet | None = None,
 ) -> ViolationRow:
     """All displayed quantities from univariate derivatives only.
 
-    ``profile`` is the jet of G at ``x1``, ``spec.profile_jet(x1, params)``;
-    pass it to reuse it across calls where it does not change.
+    ``phi`` is the warp's jet at ``r``, ``spec.phi_jet(r, params)``, and
+    ``profile`` the jet of G at ``x1``, ``spec.profile_jet(x1, params)``;
+    pass either to reuse it across calls where it does not change.
     """
+    phi = phi if phi is not None else spec.phi_jet(r, params)
+    if phi.order < 2:
+        raise OrderExceededError(f"derivative order 2 exceeds jet order {phi.order}")
     # A univariate jet's coefficient k is the k-th derivative over k!.
-    p0, p1, p2 = spec.phi_jet(r, params).c[:3].tolist()
+    p0, p1, p2 = phi.c[:3].tolist()
     p2 *= 2.0
     G = profile if profile is not None else spec.profile_jet(x1, params)
     if G.order < 1:
@@ -179,6 +188,12 @@ def closed_form_eval(
     return ViolationRow(float(r), float(x1), *values)
 
 
+# Dict keys for one float and for a (k, c, r) point by their bits: 0.0 == -0.0,
+# but their keys differ.
+_float_bits = struct.Struct("d").pack
+_point_bits = struct.Struct("3d").pack
+
+
 # -- embedding into the generic engine ------------------------------------------
 
 
@@ -199,13 +214,25 @@ def cross_validate(
     """Run closed form and generic engine on the same points.
 
     ``points`` holds (r, x1, x2) triples; the closed form ignores x2 (nothing
-    depends on it), and the engine analyses all points in one batch.  Returns
+    depends on it), and the engine analyses all points in one batch.  phi is
+    formed once per distinct r and G once per distinct x1, in grid order, so
+    a failure names the same first point as per-point evaluation.  Returns
     the worst relative discrepancy across |grad P|^2, |div P|^2, violation
     and sharp margin (NaN if any of them is NaN), plus the closed-form rows.
+    Raises ValueError on an empty set of points.
     """
-    rows = [closed_form_eval(spec, float(pt[0]), float(pt[1])) for pt in points]
-    if not rows:
-        return 0.0, rows
+    if len(points) == 0:
+        raise ValueError("cannot cross-validate an empty set of points")
+    phis: dict[bytes, Jet] = {}
+    profiles: dict[bytes, Jet] = {}
+    rows = []
+    for pt in points:
+        r, x1 = float(pt[0]), float(pt[1])
+        if (kr := _float_bits(r)) not in phis:
+            phis[kr] = spec.phi_jet(r)
+        if (kx := _float_bits(x1)) not in profiles:
+            profiles[kx] = spec.profile_jet(x1)
+        rows.append(closed_form_eval(spec, r, x1, phi=phis[kr], profile=profiles[kx]))
     an = analyze(ptensor_spec(spec), points)
     a = np.array([[getattr(row, nm) for row in rows] for nm in VALUE_COLUMNS])
     b = np.array([getattr(an, nm) for nm in VALUE_COLUMNS])
@@ -242,6 +269,9 @@ def build_report(spec: WarpedSpec, points: Sequence[Sequence[float]]) -> Violati
 
 @dataclass(frozen=True)
 class SearchResult:
+    """Best point of a search, its violation, and the objective queries charged
+    to the iteration budget (a repeated point counts, though it is not recomputed)."""
+
     params: dict
     violation: float
     evaluations: int
@@ -258,6 +288,8 @@ def search_violation(
     the best sample; the total number of objective evaluations is capped by
     ``iterations`` and the outcome is deterministic for a fixed seed (best
     candidates ordered by violation, then lexicographic parameters).  An
+    evaluation is one query charged to that budget: a (k, c, r) met before is
+    answered from the values already computed, but still counted.  An
     evaluation that raises :class:`EvalDomainError` (the closed form leaves
     the float range, say) ranks last, as +inf; numpy's floating-point
     warnings are off for the whole search.  Returns the best point seen, and
@@ -287,15 +319,23 @@ def search_violation(
     # fixed x1 is the same for every evaluation.
     profile = base.profile_jet(0.5)
     evals = 0
+    # The pattern search steps back onto points it has met; the objective is
+    # pure, so a repeat is answered from here, bit for bit.
+    seen: dict[bytes, float] = {}
 
     def objective(x: tuple[float, ...]) -> float:
         nonlocal evals
         evals += 1
-        pm = {"k": x[0], "c": x[1]}
-        try:
-            return closed_form_eval(base, x[2], 0.5, params=pm, profile=profile).violation
-        except EvalDomainError:
-            return math.inf
+        key = _point_bits(*x)
+        value = seen.get(key)
+        if value is None:
+            pm = {"k": x[0], "c": x[1]}
+            try:
+                value = closed_form_eval(base, x[2], 0.5, params=pm, profile=profile).violation
+            except EvalDomainError:
+                value = math.inf
+            seen[key] = value
+        return value
 
     # An overflow inside an evaluation is found by the finiteness checks of
     # evaluate and closed_form_eval, which raise; numpy's warning would only repeat it.

@@ -187,17 +187,27 @@ def test_search_where_no_evaluation_is_finite_is_a_domain_error():
 
 @pytest.mark.parametrize("seed", [3, 11, 42])
 def test_search_with_the_profile_computed_once_is_exact(seed, monkeypatch):
-    """Reusing G across evaluations changes no bit of the search result."""
+    """Reusing G across evaluations, and a value across repeated queries, changes no bit of
+    the search result: the closed form runs once per distinct (k, c, r) bit pattern queried,
+    in the order first queried, while every query counts as an evaluation."""
     hoisted = search_violation(seed=seed, iterations=300)
-    calls = []
+    point_bits = warped._point_bits
+    queried, calls = [], []
 
-    def recomputing(spec, r, x1, params=None, *, profile=None):
-        calls.append(profile is not None)
+    def recording(*x):
+        queried.append(point_bits(*x))
+        return queried[-1]
+
+    def recomputing(spec, r, x1, params=None, *, phi=None, profile=None):
+        calls.append((point_bits(params["k"], params["c"], r), phi is None and profile is not None))
         return closed_form_eval(spec, r, x1, params=params)
 
+    monkeypatch.setattr(warped, "_point_bits", recording)
     monkeypatch.setattr(warped, "closed_form_eval", recomputing)
     plain = search_violation(seed=seed, iterations=300)
-    assert len(calls) == plain.evaluations and all(calls)
+    assert len(queried) == plain.evaluations
+    assert [key for key, _ in calls] == list(dict.fromkeys(queried))
+    assert len(calls) < plain.evaluations and all(with_profile for _, with_profile in calls)
     assert hoisted == plain
     assert math.copysign(1.0, hoisted.violation) == math.copysign(1.0, plain.violation)
 
@@ -300,7 +310,7 @@ def test_search_optimum_on_the_k_bound(seed):
 
 
 def test_search_evaluations_make_no_jet_product(monkeypatch):
-    """The warp (r+c)^(-1/k) at order 2 is the only jet work of an evaluation, and it makes no
+    """The warp (r+c)^(-1/k) at order 2 is the only jet work of a closed-form call, and it makes no
     product: a power of a seed plus a constant places the power's series (``Jet._compose``)."""
     products = []
     mul = Jet.__mul__
@@ -322,10 +332,91 @@ def test_search_evaluations_make_no_jet_product(monkeypatch):
 
     monkeypatch.setattr(warped, "closed_form_eval", traced)
     res = search_violation(seed=3, iterations=300)
-    assert per_call == [0] * res.evaluations
+    # A repeated (k, c, r) is answered without a call, so there are fewer calls than evaluations.
+    assert 0 < len(per_call) < res.evaluations
+    assert per_call == [0] * len(per_call)
 
 
 def test_closed_form_rejects_a_profile_without_derivatives():
     spec = WarpedSpec.canonical(4.0, 1.0)
     with pytest.raises(OrderExceededError, match="derivative order 1 exceeds jet order 0"):
         closed_form_eval(spec, 0.5, 0.5, profile=Jet.constant(1.0, 1, 0))
+
+
+def test_closed_form_rejects_a_warp_jet_below_order_2():
+    spec = WarpedSpec.canonical(4.0, 1.0)
+    with pytest.raises(OrderExceededError, match="derivative order 2 exceeds jet order 1"):
+        closed_form_eval(spec, 0.5, 0.5, phi=Jet.variable(0.5, 0, 1, 1))
+
+
+_REPEATED = st.sampled_from([0.0, -0.0, 0.5])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(PROFILES),
+    st.floats(1.0, 6.0),
+    st.floats(0.5, 2.0),
+    st.lists(_REPEATED | st.floats(0.0, 1.0), min_size=1, max_size=3),
+    st.lists(_REPEATED | st.floats(-1.0, 1.0), min_size=1, max_size=3),
+    st.data(),
+)
+def test_the_grid_report_forms_each_jet_once_and_equals_per_point_evaluation(
+    profile, k, c, rs, xs, data
+):
+    """phi runs once per distinct r and G once per distinct x1 (by bits: -0.0 is not 0.0),
+    and every row is bit-identical to the closed form evaluated at its point alone."""
+    lam, psi = profile
+    spec = WarpedSpec.canonical(k, c, lam=lam, psi=psi)
+    picks = st.tuples(st.sampled_from(rs), st.sampled_from(xs))
+    points = [(r, x1, 0.25) for r, x1 in data.draw(st.lists(picks, min_size=1, max_size=8))]
+    alone = [_bits(closed_form_eval(spec, r, x1)) for r, x1, _ in points]
+    formed = {"phi_jet": [], "profile_jet": []}
+    with pytest.MonkeyPatch.context() as mp:
+        for name, seen in formed.items():
+            method = getattr(WarpedSpec, name)
+
+            def counted(self, x, params=None, method=method, seen=seen):
+                seen.append(np.float64(x).tobytes())
+                return method(self, x, params)
+
+            mp.setattr(WarpedSpec, name, counted)
+        _, rows = cross_validate(spec, points)
+    assert [_bits(row) for row in rows] == alone
+    for name, column in (("phi_jet", 0), ("profile_jet", 1)):
+        distinct = list(dict.fromkeys(np.float64(pt[column]).tobytes() for pt in points))
+        assert formed[name] == distinct
+
+
+_OVERFLOW = WarpedSpec.canonical(0.005, 1.0)
+_RS, _XS = (0.0, 0.5, 0.75, 1.0, 0.5), (0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "spec, points, where",
+    [
+        (_OVERFLOW, [(r, x1, 0.0) for r in _RS for x1 in _XS], "r=1.0, x1=0.0"),
+        (_OVERFLOW, [(r, x1, 0.0) for x1 in _XS for r in _RS][::-1], "r=1.0, x1=1.0"),
+        (WarpedSpec("r - 0.5", "log(x1)", "1"), [(1.0, 1.0, 0.0), (1.0, -1.0, 0.0), (0.25, 1.0, 0.0)], "-1.0"),
+    ],
+    ids=["k=0.005 r outer", "k=0.005 x1 outer reversed", "G fails before a later phi"],
+)
+def test_a_failing_grid_names_the_first_point_that_fails_alone(spec, points, where):
+    """k = 0.005: (r+1)^(-200) is in range, but its sixth power underflows near r = 1.  The jets
+    shared across rows are formed in grid order, so the first failure is the per-point one."""
+    failures = []
+    for r, x1, _ in points:
+        try:
+            closed_form_eval(spec, r, x1)
+        except EvalDomainError as exc:
+            failures.append(str(exc))
+    with pytest.raises(EvalDomainError) as exc:
+        build_report(spec, points)
+    assert str(exc.value) == failures[0]
+    assert where in failures[0]
+
+
+@pytest.mark.parametrize("run", [cross_validate, build_report])
+def test_a_report_refuses_an_empty_set_of_points(run):
+    with pytest.raises(ValueError, match="^cannot cross-validate an empty set of points$"):
+        run(WarpedSpec.canonical(4.0, 1.0), [])
