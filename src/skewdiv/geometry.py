@@ -233,10 +233,16 @@ def each_point_on_error(fn, rows) -> np.ndarray:
 
 def point_tuple(points) -> tuple:
     """A point as a tuple of floats; a batch of points as a tuple of those."""
+    a = np.asarray(points, dtype=float)
+    if a.ndim == 1:
+        return tuple(a.tolist())
+    if a.ndim == 2:
+        return tuple(map(tuple, a.tolist()))
+
     def nested(x):
         return tuple(nested(v) for v in x) if isinstance(x, list) else x
 
-    return nested(np.asarray(points, dtype=float).tolist())
+    return nested(a.tolist())
 
 
 def batch_value(x):

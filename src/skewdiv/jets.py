@@ -9,7 +9,8 @@ number system the geometry layers run on: curvature and fourth-order
 identities come out with no finite-difference truncation error.
 
 Jets are immutable value types; every operation allocates a fresh
-coefficient array, so concurrent use from many threads is safe.
+coefficient array, and the kernel plans below are read-only once built and
+cached under a lock, so concurrent use from many threads is safe.
 
 Storage is dense over the C(nvars+order, order) monomials, ordered by total
 degree then lexicographically.  The graded ordering makes truncation to a
@@ -46,7 +47,19 @@ floats and jets.
 Every product, of jets, of batches of jets or through :func:`contract`, sums
 its pairs from one :class:`PairTable` type with one ``np.bincount``: each
 target adds its products in the table's order starting from +0.0, so an
-exact -0.0 sum comes out +0.0 (:func:`_sum_pairs`).
+exact -0.0 sum comes out +0.0 (:func:`_flat_index`).
+
+What :func:`contract` and :func:`partials` work out from their operands'
+shapes alone (axis orders, reshape targets, the flat ``bincount`` targets) is
+a plan, built on a shape's first call and kept in one module cache for every
+later call: a ``contract`` plan keyed by ``(subscripts, A.shape, B.shape,
+pairs)``, a ``partials`` plan by ``(T.shape, nvars, batch)``, and a batched
+product's flat index by its table and batch size.  The arrays the plans
+hold are bounded at 1 MiB; a miss that would pass the bound empties the
+cache first.  Plans pay off only where the same shapes recur in one process
+(the same analysis repeated, or a grid in same-size chunks); a one-shot run
+builds most of them and uses each about once.  A call whose checks fail
+(subscripts, batch shapes, a coefficient count) raises and keeps nothing.
 
 An analytic function f of a jet is composed from f's Taylor coefficients
 f^(k)(v)/k! at the jet's value v, by Horner's rule in jet products
@@ -63,9 +76,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -150,6 +164,7 @@ class JetSpace:
                 dtype=np.intp,
             )
             self.diff_fac = np.asarray([[float(m[v] + 1) for m in lower] for v in range(nvars)])
+            self.diff_src.flags.writeable = self.diff_fac.flags.writeable = False  # plans share them
 
     def step_pairs(self, t: int) -> PairTable:
         """The pairs with |a| >= 1 and a degree-``t`` target, for :func:`contract`.
@@ -191,27 +206,43 @@ class PairTable:
         return PairTable(self.ia[keep], self.ib[keep], self.ic[keep] - lo, deg, lo, size)
 
 
-# Flat bincount targets per (table, entries before the pair axis, entries
-# after it), emptied by a miss that would take it past _FLAT_INDEX_BYTES
-# (a 4-D verify of 4 points needs 0.5 MiB, a 3-D one of 27 points 0.9 MiB).
-_FLAT_INDEX: dict[tuple[PairTable, int, int], np.ndarray] = {}
-_FLAT_INDEX_BYTES = 2**20
+# Kernel plans (see the module docstring); a batched product's flat index is
+# keyed by ``(pairs, batch entries)``.  A miss that would take the arrays
+# the plans hold past _PLAN_BYTES empties the dict first (a 4-D verify of 4
+# points holds 0.27 MiB, the 10-point counterexample grid 0.04 MiB); a plan
+# larger than that alone is used and not kept.
+_PLANS: dict[tuple, "_ContractPlan | _PartialsPlan | np.ndarray"] = {}
+_PLAN_BYTES = 2**20
+_PLANS_LOCK = threading.Lock()
 
 
-def _sum_pairs(pairs: PairTable, prod: np.ndarray, before: int, after: int) -> np.ndarray:
-    """Sum products laid out ``(before, pair, after)`` into ``(before, pairs.size, after)``, flat.
+def _plan(key: tuple, build: Callable, *args):
+    """The plan cached under ``key``, or else ``build(*args)``, cached within the bound.
+
+    A build that raises caches nothing.
+    """
+    plan = _PLANS.get(key)
+    if plan is None:
+        plan = build(*args)
+        if plan.nbytes <= _PLAN_BYTES:
+            with _PLANS_LOCK:
+                if sum(p.nbytes for p in _PLANS.values()) + plan.nbytes > _PLAN_BYTES:
+                    _PLANS.clear()
+                _PLANS[key] = plan
+    return plan
+
+
+def _flat_index(pairs: PairTable, before: int, after: int) -> np.ndarray:
+    """Bincount targets summing products ``(before, pair, after)`` into ``(before, pairs.size, after)``.
 
     One ``bincount`` adds each target's products in pair order from +0.0, as
-    each entry before or after the pair axis would alone.
+    each entry before or after the pair axis would alone.  Read-only: plans
+    share it between calls and threads.
     """
-    index = _FLAT_INDEX.get((pairs, before, after))
-    if index is None:
-        index = (np.arange(before)[:, None, None] * pairs.size + pairs.ic[:, None]) * after
-        index = (index + np.arange(after)).ravel()
-        if sum(i.nbytes for i in list(_FLAT_INDEX.values())) + index.nbytes > _FLAT_INDEX_BYTES:
-            _FLAT_INDEX.clear()
-        _FLAT_INDEX[pairs, before, after] = index
-    return np.bincount(index, weights=prod.ravel(), minlength=before * pairs.size * after)
+    index = (np.arange(before)[:, None, None] * pairs.size + pairs.ic[:, None]) * after
+    index = (index + np.arange(after)).ravel()
+    index.flags.writeable = False
+    return index
 
 
 def _align(a: "Jet", b: "Jet") -> tuple["Jet", "Jet"]:
@@ -329,8 +360,10 @@ class Jet:
                 return Jet(sp, np.bincount(pairs.ic, weights=prod, minlength=sp.size), pairs.deg)
             if ac.ndim > 1 and bc.ndim > 1 and ac.shape != bc.shape:
                 raise ValueError(f"jet batch shapes {ac.shape[:-1]} and {bc.shape[:-1]} differ")
-            prod = np.take(ac, pairs.ia, axis=-1) * np.take(bc, pairs.ib, axis=-1)  # entry-major
-            c = _sum_pairs(pairs, prod, prod.size // pairs.ia.size, 1)
+            prod = ac.take(pairs.ia, axis=-1) * bc.take(pairs.ib, axis=-1)  # entry-major
+            before = prod.size // pairs.ia.size
+            index = _plan((pairs, before), _flat_index, pairs, before, 1)
+            c = np.bincount(index, weights=prod.ravel(), minlength=before * pairs.size)
             return Jet(sp, c.reshape(prod.shape[:-1] + (sp.size,)), pairs.deg)
         if isinstance(other, _SCALARS):
             return Jet(self.space, self.c * other, self.deg)
@@ -694,6 +727,60 @@ def jet_order(T: np.ndarray, nvars: int) -> int:
     return order
 
 
+class _ContractPlan(NamedTuple):
+    """What :func:`contract` works out from its subscripts, operand shapes and table."""
+
+    pa: tuple  # A's transpose: coefficients, batch, shared, free, summed axes
+    sa: tuple  # the gathered A's shape for matmul: pairs, batch, shared, rows, columns
+    pb: tuple  # B's transpose: coefficients, batch, shared, summed, free axes
+    sb: tuple
+    index: np.ndarray  # flat bincount targets (:func:`_flat_index`)
+    minlength: int
+    shape: tuple  # the sums: targets, batch, shared, A's free, B's free axes
+    axes: tuple  # their transpose to batch, output, coefficient axes
+
+    @property
+    def nbytes(self) -> int:
+        return self.index.nbytes
+
+
+def _contract_plan(subscripts: str, sha: tuple, shb: tuple, pairs: PairTable) -> _ContractPlan:
+    ins, out = subscripts.split("->")
+    a, b = ins.split(",")
+    nb = len(sha) - 1 - len(a)
+    if shb[: len(shb) - 1 - len(b)] != sha[:nb]:
+        raise ValueError(
+            f"contract {subscripts!r}: batch shapes {sha[:nb]} and "
+            f"{shb[: len(shb) - 1 - len(b)]} differ"
+        )
+    shared = [c for c in a if c in b and c in out]
+    summed = [c for c in a if c in b and c not in out]
+    free_a = [c for c in a if c not in b]
+    free_b = [c for c in b if c not in a]
+    dims = {**dict(zip(a, sha[nb:])), **dict(zip(b, shb[nb:]))}
+
+    def gathered(shape, subs, rows, cols):
+        # Pairs on the leading axis, then the batch axes and the shared
+        # tensor axes, then the tensor axes in matmul order.
+        lead = [nb + subs.index(c) for c in shared]
+        axes = (len(shape) - 1, *range(nb), *lead, *(nb + subs.index(c) for c in rows + cols))
+        rc = (math.prod(dims[c] for c in rows), math.prod(dims[c] for c in cols))
+        return axes, (pairs.ia.size, *shape[:nb], *(shape[i] for i in lead), *rc)
+
+    pa, sa = gathered(sha, a, free_a, summed)
+    pb, sb = gathered(shb, b, summed, free_b)
+    lead = np.broadcast_shapes(sa[1:-2], sb[1:-2])  # matmul's, of the batch and shared axes
+    after = math.prod(lead) * sa[-2] * sb[-1]
+    axes = shared + free_a + free_b
+    return _ContractPlan(
+        pa, sa, pb, sb,
+        _flat_index(pairs, 1, after),
+        pairs.size * after,
+        (pairs.size, *lead, *(dims[c] for c in free_a + free_b)),
+        (*range(1, 1 + nb), *(1 + nb + axes.index(c) for c in out), 0),
+    )
+
+
 def contract(subscripts: str, A: np.ndarray, B: np.ndarray, pairs: PairTable) -> np.ndarray:
     """Jet product of two coefficient-array tensors, contracted like ``einsum``.
 
@@ -714,44 +801,40 @@ def contract(subscripts: str, A: np.ndarray, B: np.ndarray, pairs: PairTable) ->
     depend on the others.  Every index must appear in the other operand or
     in the output, once per operand.
     """
-    ins, out = subscripts.split("->")
-    a, b = ins.split(",")
-    nb = A.ndim - 1 - len(a)
-    if B.shape[: B.ndim - 1 - len(b)] != A.shape[:nb]:
-        raise ValueError(
-            f"contract {subscripts!r}: batch shapes {A.shape[:nb]} and "
-            f"{B.shape[: B.ndim - 1 - len(b)]} differ"
-        )
-    shared = [c for c in a if c in b and c in out]
-    summed = [c for c in a if c in b and c not in out]
-    free_a = [c for c in a if c not in b]
-    free_b = [c for c in b if c not in a]
-    dims = {**dict(zip(a, A.shape[nb:])), **dict(zip(b, B.shape[nb:]))}
-
-    def gathered(T, subs, index, rows, cols):
-        # Pairs on the leading axis, then the batch axes and the shared
-        # tensor axes, then the tensor axes in matmul order.
-        G = T.transpose(
-            [T.ndim - 1] + list(range(nb)) + [nb + subs.index(c) for c in shared + rows + cols]
-        )
-        # ``take`` returns C order whatever the layout of T.  matmul's
-        # summation order depends on its operands' strides, and must not
-        # differ between a batch entry and the same point analysed alone.
-        G = np.take(G, index, axis=0)
-        return G.reshape(
-            G.shape[: 1 + nb + len(shared)]
-            + (math.prod(dims[c] for c in rows), math.prod(dims[c] for c in cols))
-        )
-
+    key = (subscripts, A.shape, B.shape, pairs)
+    plan = _plan(key, _contract_plan, *key)
+    # ``take`` returns C order whatever the layout of A and B.  matmul's
+    # summation order depends on its operands' strides, and must not
+    # differ between a batch entry and the same point analysed alone.
     prod = np.matmul(
-        gathered(A, a, pairs.ia, free_a, summed),
-        gathered(B, b, pairs.ib, summed, free_b),
+        A.transpose(plan.pa).take(pairs.ia, axis=0).reshape(plan.sa),
+        B.transpose(plan.pb).take(pairs.ib, axis=0).reshape(plan.sb),
     )
-    coef = _sum_pairs(pairs, prod, 1, prod[0].size).reshape(
-        (pairs.size,) + prod.shape[1:-2] + tuple(dims[c] for c in free_a + free_b)
-    )
-    axes = shared + free_a + free_b
-    return coef.transpose(list(range(1, 1 + nb)) + [1 + nb + axes.index(c) for c in out] + [0])
+    coef = np.bincount(plan.index, weights=prod.ravel(), minlength=plan.minlength)
+    return coef.reshape(plan.shape).transpose(plan.axes)
+
+
+class _PartialsPlan(NamedTuple):
+    """What :func:`partials` works out from its operand's shape."""
+
+    src: np.ndarray  # ``JetSpace.diff_src`` of the operand's space
+    fac: np.ndarray  # ``JetSpace.diff_fac``
+    axes: tuple  # the transpose that moves the derivative slot after the batch axes
+
+    @property
+    def nbytes(self) -> int:  # the space's own arrays, counted so that every plan weighs on the bound
+        return self.src.nbytes + self.fac.nbytes
+
+
+def _partials_plan(T: np.ndarray, nvars: int, batch: int) -> _PartialsPlan:
+    sp = jet_space(nvars, jet_order(T, nvars))
+    if sp.order < 1:
+        raise OrderExceededError("cannot differentiate an order-0 jet")
+    if not 0 <= batch < T.ndim:
+        raise ValueError(f"partials: {batch} batch axes in front of a {T.ndim}-axis array")
+    axes = [i for i in range(T.ndim + 1) if i != T.ndim - 1]
+    axes.insert(batch, T.ndim - 1)
+    return _PartialsPlan(sp.diff_src, sp.diff_fac, tuple(axes))
 
 
 def partials(T: np.ndarray, nvars: int, batch: int = 0) -> np.ndarray:
@@ -760,7 +843,5 @@ def partials(T: np.ndarray, nvars: int, batch: int = 0) -> np.ndarray:
     ``out[*b, a, ...] = d_a T[*b, ...]``: the derivative index comes directly
     after the ``batch`` leading batch axes.
     """
-    sp = jet_space(nvars, jet_order(T, nvars))
-    if sp.order < 1:
-        raise OrderExceededError("cannot differentiate an order-0 jet")
-    return np.moveaxis(T[..., sp.diff_src] * sp.diff_fac, -2, batch)
+    plan = _plan((T.shape, nvars, batch), _partials_plan, T, nvars, batch)
+    return (T[..., plan.src] * plan.fac).transpose(plan.axes)

@@ -13,6 +13,7 @@ from skewdiv.geometry import (
     cov_derivative,
     expression_jets,
     norm_sq,
+    point_tuple,
 )
 from skewdiv.expr import chart_variables, parse
 from skewdiv.jets import DEFAULT_ORDER, contract, jet_space, partials
@@ -326,3 +327,15 @@ def test_norm_sq_of_a_batch_entry_is_that_of_its_point_alone(case):
     for i in range(len(T)):
         alone = norm_sq(T[i], ginv[i])
         assert isinstance(alone, float) and alone == batch[i]
+
+
+@pytest.mark.parametrize("shape", [(3,), (10, 3), (2, 3, 3)], ids=str)
+def test_point_tuple_nests_python_floats_and_keeps_negative_zeros(shape):
+    a = np.linspace(-2.0, 3.0, math.prod(shape)).reshape(shape)
+    a.flat[0] = -0.0
+
+    def nested(x):
+        return tuple(nested(v) for v in x) if x.ndim else float(x)
+
+    assert repr(point_tuple(a)) == repr(point_tuple(a.tolist())) == repr(nested(a))
+    assert "-0.0" in repr(point_tuple(a))

@@ -183,22 +183,39 @@ def test_frame_numbers_are_found_apart_from_labels():
 
 
 def test_the_flat_product_index_cache_stays_small(tmp_path, monkeypatch):
-    """Every golden command run in one process leaves at most 1 MiB of product indices.
+    """Every golden command run in one process leaves kernel plans of at most 1 MiB.
 
-    A 4-D verify, the heaviest benchmark op, still finds all its indices
-    cached when it runs again.
+    The bytes are those of the plans' index arrays, flat product indices
+    chiefly.  A 4-D verify, the heaviest benchmark op, still finds every
+    plan cached when it runs again: the same keys and the same objects.
     """
-    monkeypatch.setattr(jets, "_FLAT_INDEX", {})
+    monkeypatch.setattr(jets, "_PLANS", {})
     for name, args in CASES.items():
         _run(args, tmp_path / name)
-    held = sum(index.nbytes for index in jets._FLAT_INDEX.values())
-    assert 0 < held <= 2**20, held
+    held = sum(plan.nbytes for plan in jets._PLANS.values())
+    assert 0 < held <= 2**20 == jets._PLAN_BYTES, held
     verify_4d = CASES["verify-random-curved-4d-seed0.json"]
     _run(verify_4d, tmp_path / "first")
-    cached = dict(jets._FLAT_INDEX)
+    cached = dict(jets._PLANS)
     _run(verify_4d, tmp_path / "second")
-    assert jets._FLAT_INDEX.keys() == cached.keys()
-    assert all(jets._FLAT_INDEX[key] is index for key, index in cached.items())
+    assert jets._PLANS.keys() == cached.keys()
+    assert all(jets._PLANS[key] is plan for key, plan in cached.items())
+
+
+@pytest.mark.parametrize("name", sorted(CASES) + sorted(FRAME_CASES) + sorted(STDOUT_CASES))
+def test_a_cold_and_a_warm_plan_cache_write_the_same_bytes(name, tmp_path, monkeypatch, capsys):
+    """Each golden command, run first on an empty kernel plan cache, then on the plans it built."""
+
+    def run(path):
+        written = _run(CASES[name], path) if name in CASES else None
+        if written is None:
+            assert main({**FRAME_CASES, **STDOUT_CASES}[name]) == 0
+        return written, capsys.readouterr().out
+
+    monkeypatch.setattr(jets, "_PLANS", {})
+    cold = run(tmp_path / "cold")
+    assert jets._PLANS or "search" in name  # search forms no tensor and no batch
+    assert run(tmp_path / "warm") == cold
 
 
 SEARCH_BOUNDS = {"default": None, "k:5:6": {"k": (5.0, 6.0)}, "k:1:2.5": {"k": (1.0, 2.5)}}

@@ -1,4 +1,8 @@
+import ast
 import math
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewdiv.errors import EvalDomainError, OrderExceededError
-from skewdiv import jets
+import skewdiv
+from skewdiv import geometry, jets
 from skewdiv.expr import chart_variables, evaluate, parse
 from skewdiv.jets import (
     Jet,
@@ -556,3 +561,212 @@ def test_a_batch_of_two_equals_each_entry_alone_bit_for_bit(data):
         for batched, alone in zip(seeds, seed_variables(points[i], nvars, order)):
             assert (batched.deg, batched.c[i].tobytes()) == (alone.deg, alone.c.tobytes())
             assert alone.c.ndim == 1 and isinstance(alone.value, float)
+
+
+# -- kernel plans -----------------------------------------------------------------
+
+
+def _package_subscripts() -> list[str]:
+    """Every subscripts string the package passes to ``contract``.
+
+    The literals come from the source; ``cov_derivative`` builds its own,
+    recorded here on tensors of rank 1 to 3.
+    """
+    found = set()
+    for path in Path(skewdiv.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "contract":
+                if isinstance(node.args[0], ast.Constant):
+                    found.add(node.args[0].value)
+    sp = jet_space(3, 2)
+
+    def recorded(subscripts, A, B, pairs):
+        found.add(subscripts)
+        return contract(subscripts, A, B, pairs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "contract", recorded)
+        mp.setattr(jets, "_PLANS", {})
+        for rank in (1, 2, 3):
+            geometry.cov_derivative(np.ones((3,) * rank + (sp.size,)), np.ones((3, 3, 3, sp.size)))
+    return sorted(found)
+
+
+def _coefficients(rng, shape):
+    """Uniform coefficients, a third of them zeros of either sign."""
+    c = rng.uniform(-3.0, 3.0, shape)
+    c[rng.random(shape) < 0.3] *= 0.0
+    return c
+
+
+def _contract_cases() -> list[tuple]:
+    """``(subscripts, A, B, pairs)`` for each package subscripts string, batch shape and table."""
+    rng = np.random.default_rng(24)
+    sp = jet_space(2, 3)
+    tables = [sp.pairs, jet_space(2, 2).pairs, sp.product_pairs[1][2]]
+    tables += [sp.step_pairs(t) for t in (1, 2, 3)]
+    cases = []
+    for subscripts in _package_subscripts():
+        a, b = subscripts.split("->")[0].split(",")
+        dims = {c: 2 + i % 2 for i, c in enumerate(dict.fromkeys(a + b))}
+        for batch in ((), (2,), (1, 2)):
+            for pairs in tables:
+                A = _coefficients(rng, batch + tuple(dims[c] for c in a) + (sp.size,))
+                B = _coefficients(rng, batch + tuple(dims[c] for c in b) + (sp.size,))
+                cases.append((subscripts, A, B, pairs))
+    return cases
+
+
+def _cold(fn, *args):
+    """``fn(*args)`` with an empty plan cache."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jets, "_PLANS", {})
+        return fn(*args)
+
+
+def _plan_arrays(plan) -> list[np.ndarray]:
+    return [plan] if isinstance(plan, np.ndarray) else [x for x in plan if isinstance(x, np.ndarray)]
+
+
+def _assert_warm_equals_cold(calls, cold):
+    """Two passes over ``calls`` in one cache: the first fills it, the second only reads it."""
+    for warm_pass in range(2):
+        before = dict(jets._PLANS)
+        for (fn, args), want in zip(calls, cold):
+            _same_bits(fn(*args), want)
+        if warm_pass:
+            assert jets._PLANS.keys() == before.keys()
+            assert all(jets._PLANS[key] is plan for key, plan in before.items())
+    assert jets._PLANS
+    for plan in jets._PLANS.values():
+        arrays = _plan_arrays(plan)
+        assert arrays and not any(x.flags.writeable for x in arrays)
+
+
+def test_the_plan_cases_cover_every_package_subscripts_string():
+    subscripts = _package_subscripts()
+    assert {",p->p", "a,a->", "mip,pjs->mijs", "lia,l->ia", "lic,abl->iabc"} <= set(subscripts)
+
+
+def _entry(T: np.ndarray, rank: int) -> np.ndarray:
+    """Batch entry 1 of ``T``, a batch of rank-``rank`` coefficient tensors."""
+    return T.reshape((-1,) + T.shape[T.ndim - 1 - rank :])[1]
+
+
+def test_contract_plans_give_the_cold_result_warm(monkeypatch):
+    """Bit for bit, on batched and single operands, C and Fortran layouts, full and step tables.
+
+    Every case shares one cache, so a key that missed what tells two cases
+    apart would hand one the other's plan.  A batch entry also equals its
+    point alone.
+    """
+    calls, cold = [], []
+    for subscripts, A, B, pairs in _contract_cases():
+        want = _cold(contract, subscripts, A, B, pairs)
+        for layout in (np.ascontiguousarray, np.asfortranarray):
+            calls.append((contract, (subscripts, layout(A), layout(B), pairs)))
+            cold.append(want)
+        (a, b), out = (x.split(",") for x in subscripts.split("->"))
+        if A.ndim > len(a) + 1:
+            calls.append((contract, (subscripts, _entry(A, len(a)), _entry(B, len(b)), pairs)))
+            cold.append(_entry(want, len(out[0])))
+    monkeypatch.setattr(jets, "_PLANS", {})
+    _assert_warm_equals_cold(calls, cold)
+
+
+def test_partials_plans_give_the_cold_result_warm(monkeypatch):
+    """Bit for bit against ``np.moveaxis(T[..., src] * fac, -2, batch)``, cold and warm."""
+    rng = np.random.default_rng(24)
+    calls, cold = [], []
+    for nvars in (1, 2, 3):
+        for order in (1, 2, 4):
+            sp = jet_space(nvars, order)
+            for batch in ((), (2,), (2, 3)):
+                for rank in (0, 1, 2):
+                    T = _coefficients(rng, batch + (nvars,) * rank + (sp.size,))
+                    want = np.moveaxis(T[..., sp.diff_src] * sp.diff_fac, -2, len(batch))
+                    _same_bits(_cold(partials, T, nvars, len(batch)), want)
+                    for layout in (np.ascontiguousarray, np.asfortranarray):
+                        calls.append((partials, (layout(T), nvars, len(batch))))
+                        cold.append(want)
+    monkeypatch.setattr(jets, "_PLANS", {})
+    _assert_warm_equals_cold(calls, cold)
+
+
+def test_a_call_that_fails_its_plan_raises_every_time_and_keeps_nothing(monkeypatch):
+    monkeypatch.setattr(jets, "_PLANS", {})
+    sp = jet_space(2, 2)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="batch shapes"):
+            contract("i,i->i", np.ones((2, 3, sp.size)), np.ones((3, 3, sp.size)), sp.pairs)
+        with pytest.raises(ValueError, match="batch shapes"):
+            Jet(sp, np.ones((2, sp.size))) * Jet(sp, np.ones((3, sp.size)))
+        with pytest.raises(OrderExceededError):
+            partials(np.ones((2, 1)), 2)
+        with pytest.raises(ValueError, match="fit no jet order"):
+            partials(np.ones((2, 4)), 2)
+        with pytest.raises(ValueError, match="batch axes"):
+            partials(np.ones((2, sp.size)), 2, 2)
+    assert jets._PLANS == {}
+
+
+def _held() -> int:
+    return sum(plan.nbytes for plan in jets._PLANS.values())
+
+
+def test_plans_of_many_shapes_never_hold_more_than_the_bound(monkeypatch):
+    """Misses that would pass 1 MiB empty the cache first; a plan over 1 MiB alone is not kept."""
+    monkeypatch.setattr(jets, "_PLANS", {})
+    sp = jet_space(4, 4)
+    held, counts = [], []
+    for k in range(1, 25):
+        c = _coefficients(np.random.default_rng(k), (k, 4, sp.size))
+        outer = contract("i,j->ij", c, c, sp.pairs)  # 62 KiB of index per batch entry
+        _same_bits(outer, _cold(contract, "i,j->ij", c, c, sp.pairs))
+        _same_bits(partials(c, 4, 1), np.moveaxis(c[..., sp.diff_src] * sp.diff_fac, -2, 1))
+        _same_bits((Jet(sp, c[:, 0]) * Jet(sp, c[:, 1])).c, outer[:, 0, 1])
+        held.append(_held())
+        counts.append(len(jets._PLANS))
+    assert 0 < max(held) <= jets._PLAN_BYTES == 2**20
+    assert any(b < a for a, b in zip(counts, counts[1:])), "the cache was never emptied"
+    kept = dict(jets._PLANS)
+    big = np.ones((40, 4, sp.size))
+    contract("i,j->ij", big, big, sp.pairs)  # a 2.4 MiB index: used, neither kept nor evicting
+    assert jets._PLANS.keys() == kept.keys()
+    for plan in jets._PLANS.values():
+        assert not any(x.flags.writeable for x in _plan_arrays(plan))
+
+
+def test_plans_shared_by_threads_keep_every_result_and_the_bound(monkeypatch):
+    """The module docstring promises thread safety: 8 threads, more than the cores, with the
+    cache bound cut to a few plans so that misses and clears interleave."""
+    cases = _contract_cases()[::5]
+    cold = [_cold(contract, *case).tobytes() for case in cases]
+    monkeypatch.setattr(jets, "_PLANS", {})
+    monkeypatch.setattr(jets, "_PLAN_BYTES", 2**14)
+    errors = []
+
+    def work(offset):
+        try:
+            for i in range(30 * len(cases)):
+                j = (7 * i + offset) % len(cases)
+                if contract(*cases[j]).tobytes() != cold[j]:
+                    errors.append(f"case {j}")
+                with jets._PLANS_LOCK:
+                    if _held() > jets._PLAN_BYTES:
+                        errors.append(f"held {_held()}")
+        except Exception as err:  # a dead thread would otherwise pass unseen
+            errors.append(repr(err))
+
+    threads = [threading.Thread(target=work, args=(offset,)) for offset in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
