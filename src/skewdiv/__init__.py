@@ -33,8 +33,6 @@ from .geometry import (
 )
 from .identities import (
     bochner_residual,
-    cpe_residual,
-    static_bochner_residual,
     static_residual,
 )
 from .jets import (

@@ -223,12 +223,12 @@ def cmd_counterexample(args) -> int:
             "form_dictionary": dict(FORM_DICTIONARY),
         },
         residuals=(
-            {
-                "name": "engine_vs_closed_form",
-                "max_abs": vreport.max_engine_discrepancy,
-                "max_rel": vreport.max_engine_discrepancy,
-                "worst_point": [],
-            },
+            summarize_residuals(
+                "engine_vs_closed_form",
+                [row["point"] for row in rows],
+                np.max(vreport.engine_check.abs_residual, axis=0),
+                np.max(vreport.engine_check.rel_residual, axis=0),
+            ),
         ),
         violations=tuple(rows),
         verdicts=(

@@ -26,29 +26,14 @@ Identities covered:
 
 * The vacuum static system:  f Ric = grad^2 f + (R/2) f g  and
   Lap f = -(R/2) f  (dimension 3).
-
-* The critical-point system:  (1+f)(Ric - (R/n) g) = grad^2 f + R f/(n(n-1)) g
-  and  Lap f = -R/(n-1) f.  Diagnostic: residuals are reported, not asserted,
-  since no chart-form solution with P != 0 ships.
-
-* The static substitution of Ricci into the dimension-3 balance:
-
-      1/2 Lap |P|^2 = |grad P|^2 + 2 <P, grad div P> + (R/2)|P|^2
-                      + (2/f) P(grad f, div P) - 1/(2f) <grad f, grad |P|^2>
-
-  valid only where the static system holds and f != 0; the checker refuses
-  points with |f| below the gate rather than regularizing.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import EvalDomainError
-from .geometry import IdentityResidual, batch_value, cov_derivative, norm_sq, point_tuple, residual
+from .geometry import IdentityResidual, batch_value, cov_derivative, norm_sq, residual
 from .ptensor import PointAnalysis
-
-F_GATE = 1e-8
 
 
 def _balance_terms(an: PointAnalysis):
@@ -96,25 +81,6 @@ def static_residual(an: PointAnalysis) -> tuple[IdentityResidual, IdentityResidu
     return _field_residuals("static", an, lhs_t, 0.5 * scal * fval, -0.5 * scal * fval)
 
 
-def cpe_residual(an: PointAnalysis) -> tuple[IdentityResidual, IdentityResidual]:
-    """Tensor and scalar residuals of the critical-point system (diagnostic, jet order >= 2).
-
-    The tensor equation is (1+f) z = grad^2 f + R f/(n(n-1)) g, z the
-    trace-free Ricci tensor: its trace is Lap f = -R f/(n-1).  Kept although
-    no command calls it: the critical point equation is where the Besse
-    conjecture applies the divergence estimate for P.
-    """
-    n = an.dim
-    if n < 3:
-        raise ValueError("the critical-point system needs dimension >= 3")
-    an.require_order(2, "the critical-point system")
-    fval = an.fjet[..., 0]
-    curv = an.mj.curvature
-    scal = np.asarray(curv.scalar)
-    lhs_t = (1.0 + fval)[..., None, None] * curv.traceless_ricci
-    return _field_residuals("cpe", an, lhs_t, scal * fval / (n * (n - 1)), -scal / (n - 1) * fval)
-
-
 def _field_residuals(name: str, an: PointAnalysis, lhs_t, g_coef, lap_rhs):
     """Residuals of the system lhs_t = grad^2 f + g_coef g and Lap f = lap_rhs.
 
@@ -133,36 +99,3 @@ def _field_residuals(name: str, an: PointAnalysis, lhs_t, g_coef, lap_rhs):
     tensor = residual(f"{name}-tensor", mj.points, tnorm(lhs_t - rhs_t), 0.0, terms)
     lap = np.einsum("...ij,...ij->...", gi, hess)
     return tensor, residual(f"{name}-scalar", mj.points, lap, lap_rhs, (lap, -lap_rhs))
-
-
-def static_bochner_residual(an: PointAnalysis) -> IdentityResidual:
-    """Residual of the balance with Ricci eliminated via the static system (jet order >= 4).
-
-    Meaningful only where :func:`static_residual` vanishes; the formula
-    genuinely divides by f, so points with |f| < 1e-8 are refused, the first
-    such point in grid order named.  ``an`` may analyse a batch of points.
-    Kept although no command calls it: the uniqueness argument for static
-    triples relies on exactly this substitution.
-    """
-    if an.dim != 3:
-        raise ValueError("the static substitution is a dimension-3 identity")
-    an.require_order(4, "the static substitution")
-    fval = an.fjet[..., 0]
-    refused = np.flatnonzero(np.abs(fval) < F_GATE)
-    if refused.size:
-        i = refused[0]
-        raise EvalDomainError(
-            f"|f| = {float(abs(fval.flat[i]))!r} < {F_GATE} at "
-            f"{point_tuple(an.mj.points.reshape(-1, 3)[i])}: the identity divides by f"
-        )
-    curv = an.mj.curvature
-    gi = an.mj.ginv_val
-
-    lhs, t_grad, t_div = _balance_terms(an)
-    t_scal = 0.5 * curv.scalar * an.p_norm_sq
-    div_up = np.einsum("...ab,...b->...a", gi, an.div_P_val)
-    p_gf_div = np.einsum("...ab,...a,...b->...", an.P_val, an.grad_f_val, div_up)
-    t_pair = 2.0 / fval * p_gf_div
-    t_grad_pn = -0.5 / fval * np.einsum("...a,...a->...", an.grad_f_val, an.grad_p_norm_sq_val)
-    terms = (t_grad, t_div, t_scal, t_pair, t_grad_pn)
-    return residual("static-bochner", an.point, lhs, sum(terms), terms)

@@ -78,10 +78,6 @@ class PTensorSpec:
     metric: MetricField
 
     @property
-    def dim(self) -> int:
-        return self.metric.dim
-
-    @property
     def params(self) -> ParamSet:
         return self.metric.params
 
@@ -246,17 +242,9 @@ class PointAnalysis:
         return batch_value(np.einsum("...ij,...ij->...", self.mj.ginv_val, hess))
 
     @cached_property
-    def grad_p_norm_sq_val(self) -> np.ndarray:
-        return partials(self.p_norm_sq_jet, self.dim, self.mj.batch)[..., 0]
-
-    @cached_property
     def nabla_div_P_val(self) -> np.ndarray:
         """grad_j (div P)_k values."""
         return cov_derivative(self.div_P, self.mj.gamma)[..., 0]
-
-    @cached_property
-    def grad_f_val(self) -> np.ndarray:
-        return np.einsum("...ab,...b->...a", self.mj.ginv_val, self.df[..., 0])
 
     @cached_property
     def violation(self) -> float | np.ndarray:

@@ -346,6 +346,11 @@ def parse_scenario_file(text: str) -> Scenario:
         grid = parse_grid_spec(grid_src, dim)
     else:
         grid = _default_grid(dim, 0.2, 0.8, 2)
+    static = fields.get("static", "false").lower()
+    if static not in ("true", "false"):
+        raise ScenarioError(f"scenario file: static must be true or false, not {fields['static']!r}")
+    if static == "true" and dim != 3:
+        raise ScenarioError(f"scenario file: static = true needs dim = 3, not {dim}")
     return Scenario(
         name=fields.get("name", "scenario"),
         dim=dim,
@@ -354,7 +359,7 @@ def parse_scenario_file(text: str) -> Scenario:
         lam=lam,
         lam_src=lam_src,
         grid=grid,
-        is_static=fields.get("static", "false").lower() == "true",
+        is_static=static == "true",
         description=fields.get("description", ""),
     )
 

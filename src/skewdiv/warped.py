@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import EvalDomainError, OrderExceededError
 from .expr import ParamSet, chart_variables, evaluate, parse
-from .geometry import MetricField, residual
+from .geometry import IdentityResidual, MetricField, residual
 from .jets import Jet, partial_derivative
 from .ptensor import PTensorSpec, analyze
 
@@ -139,7 +139,12 @@ class ViolationReport:
     negative_points: int
     positive_points: int
     zero_points: int
-    max_engine_discrepancy: float
+    engine_check: IdentityResidual  # engine against closed form, per column and point
+
+    @property
+    def max_engine_discrepancy(self) -> float:
+        """The largest relative engine-versus-closed-form gap (NaN if any gap is NaN)."""
+        return float(np.max(self.engine_check.rel_residual))
 
 
 def closed_form_eval(
@@ -210,16 +215,17 @@ def ptensor_spec(spec: WarpedSpec) -> PTensorSpec:
 
 def cross_validate(
     spec: WarpedSpec, points: Sequence[Sequence[float]]
-) -> tuple[float, list[ViolationRow]]:
+) -> tuple[IdentityResidual, list[ViolationRow]]:
     """Run closed form and generic engine on the same points.
 
     ``points`` holds (r, x1, x2) triples; the closed form ignores x2 (nothing
     depends on it), and the engine analyses all points in one batch.  phi is
     formed once per distinct r and G once per distinct x1, in grid order, so
     a failure names the same first point as per-point evaluation.  Returns
-    the worst relative discrepancy across |grad P|^2, |div P|^2, violation
-    and sharp margin (NaN if any of them is NaN), plus the closed-form rows.
-    Raises ValueError on an empty set of points.
+    the residual of the closed form against the engine, with one row per
+    column of |grad P|^2, |div P|^2, violation and sharp margin and one
+    entry per point, plus the closed-form rows.  Raises ValueError on an
+    empty set of points.
     """
     if len(points) == 0:
         raise ValueError("cannot cross-validate an empty set of points")
@@ -236,19 +242,14 @@ def cross_validate(
     an = analyze(ptensor_spec(spec), points)
     a = np.array([[getattr(row, nm) for row in rows] for nm in VALUE_COLUMNS])
     b = np.array([getattr(an, nm) for nm in VALUE_COLUMNS])
-    worst = residual("engine_vs_closed_form", points, a, b, (b,)).rel_residual
-    return float(np.max(worst)), rows
+    return residual("engine_vs_closed_form", points, a, b, (b,)), rows
 
 
 def build_report(spec: WarpedSpec, points: Sequence[Sequence[float]]) -> ViolationReport:
     """Cross-validated violation report; raises if the two paths disagree."""
-    worst, rows = cross_validate(spec, points)
-    if not worst <= CROSS_VALIDATION_TOLERANCE:
-        raise EvalDomainError(
-            f"closed form and engine disagree: {worst!r} > {CROSS_VALIDATION_TOLERANCE!r}"
-        )
+    check, rows = cross_validate(spec, points)
     violations = [row.violation for row in rows]
-    return ViolationReport(
+    report = ViolationReport(
         description=(
             f"warped product, phi={spec.phi_src}, psi={spec.psi_src}, "
             f"lambda={spec.lam_src}"
@@ -260,8 +261,14 @@ def build_report(spec: WarpedSpec, points: Sequence[Sequence[float]]) -> Violati
         negative_points=sum(1 for v in violations if v < -ZERO_BAND),
         positive_points=sum(1 for v in violations if v > ZERO_BAND),
         zero_points=sum(1 for v in violations if abs(v) <= ZERO_BAND),
-        max_engine_discrepancy=worst,
+        engine_check=check,
     )
+    worst = report.max_engine_discrepancy
+    if not worst <= CROSS_VALIDATION_TOLERANCE:
+        raise EvalDomainError(
+            f"closed form and engine disagree: {worst!r} > {CROSS_VALIDATION_TOLERANCE!r}"
+        )
+    return report
 
 
 # -- derivative-free parameter search --------------------------------------------

@@ -11,16 +11,28 @@ fails on a public name there that no code in the package reads.
 * :func:`extract_derivative` reads one partial derivative out of a jet.
 * :func:`violation_bracket` is the sign law of the warped family's
   violation (see :mod:`skewdiv.warped`).
+* :func:`cpe_residual` and :func:`static_bochner_residual` check the
+  critical-point system and the static substitution into the balance.  The
+  Besse conjecture and the uniqueness argument for static triples apply
+  the divergence estimate through them, but no built-in solves either
+  system with P != 0, so no command reports them yet.  They share
+  ``identities._field_residuals`` and ``_balance_terms`` with the checks
+  that ``verify`` runs.  :func:`grad_f_val` and :func:`grad_p_norm_sq_val`
+  are the two values only the static substitution reads.
 """
 
 from typing import Sequence
 
 import numpy as np
 
-from skewdiv.errors import OrderExceededError
-from skewdiv.geometry import IdentityResidual, MetricJets, cov_derivative, residual
+from skewdiv.errors import EvalDomainError, OrderExceededError
+from skewdiv.geometry import IdentityResidual, MetricJets, cov_derivative, point_tuple, residual
+from skewdiv.identities import _balance_terms, _field_residuals
 from skewdiv.jets import Jet, contract, jet_space, partials
+from skewdiv.ptensor import PointAnalysis
 from skewdiv.warped import WarpedSpec
+
+F_GATE = 1e-8
 
 
 def second_bianchi_residual(mj: MetricJets) -> IdentityResidual:
@@ -61,3 +73,69 @@ def violation_bracket(spec: WarpedSpec, r: float) -> float:
     p0, p1, p2 = spec.phi_jet(r).c[:3].tolist()
     p2 *= 2.0
     return 4.0 * p1**2 / p0**2 - p2 / p0
+
+
+def cpe_residual(an: PointAnalysis) -> tuple[IdentityResidual, IdentityResidual]:
+    """Tensor and scalar residuals of the critical-point system (diagnostic, jet order >= 2).
+
+    The tensor equation is (1+f) z = grad^2 f + R f/(n(n-1)) g, z the
+    trace-free Ricci tensor: its trace is Lap f = -R f/(n-1).  The critical
+    point equation is where the Besse conjecture applies the divergence
+    estimate for P.
+    """
+    n = an.dim
+    if n < 3:
+        raise ValueError("the critical-point system needs dimension >= 3")
+    an.require_order(2, "the critical-point system")
+    fval = an.fjet[..., 0]
+    curv = an.mj.curvature
+    scal = np.asarray(curv.scalar)
+    lhs_t = (1.0 + fval)[..., None, None] * curv.traceless_ricci
+    return _field_residuals("cpe", an, lhs_t, scal * fval / (n * (n - 1)), -scal / (n - 1) * fval)
+
+
+def grad_f_val(an: PointAnalysis) -> np.ndarray:
+    """grad f = g^ab d_b f (values)."""
+    return np.einsum("...ab,...b->...a", an.mj.ginv_val, an.df[..., 0])
+
+
+def grad_p_norm_sq_val(an: PointAnalysis) -> np.ndarray:
+    """d_a |P|^2 (values)."""
+    return partials(an.p_norm_sq_jet, an.dim, an.mj.batch)[..., 0]
+
+
+def static_bochner_residual(an: PointAnalysis) -> IdentityResidual:
+    """Residual of the balance with Ricci eliminated via the static system (jet order >= 4).
+
+        1/2 Lap |P|^2 = |grad P|^2 + 2 <P, grad div P> + (R/2)|P|^2
+                        + (2/f) P(grad f, div P) - 1/(2f) <grad f, grad |P|^2>
+
+    Meaningful only where ``identities.static_residual`` vanishes; the
+    formula genuinely divides by f, so points with |f| < 1e-8 are refused,
+    the first such point in grid order named, rather than regularized.
+    ``an`` may analyse a batch of points.  The uniqueness argument for
+    static triples relies on exactly this substitution.
+    """
+    if an.dim != 3:
+        raise ValueError("the static substitution is a dimension-3 identity")
+    an.require_order(4, "the static substitution")
+    fval = an.fjet[..., 0]
+    refused = np.flatnonzero(np.abs(fval) < F_GATE)
+    if refused.size:
+        i = refused[0]
+        raise EvalDomainError(
+            f"|f| = {float(abs(fval.flat[i]))!r} < {F_GATE} at "
+            f"{point_tuple(an.mj.points.reshape(-1, 3)[i])}: the identity divides by f"
+        )
+    curv = an.mj.curvature
+    gi = an.mj.ginv_val
+    grad_f = grad_f_val(an)
+
+    lhs, t_grad, t_div = _balance_terms(an)
+    t_scal = 0.5 * curv.scalar * an.p_norm_sq
+    div_up = np.einsum("...ab,...b->...a", gi, an.div_P_val)
+    p_gf_div = np.einsum("...ab,...a,...b->...", an.P_val, grad_f, div_up)
+    t_pair = 2.0 / fval * p_gf_div
+    t_grad_pn = -0.5 / fval * np.einsum("...a,...a->...", grad_f, grad_p_norm_sq_val(an))
+    terms = (t_grad, t_div, t_scal, t_pair, t_grad_pn)
+    return residual("static-bochner", an.point, lhs, sum(terms), terms)

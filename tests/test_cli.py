@@ -88,6 +88,11 @@ def test_scenario_file_errors():
         parse_scenario_file(bad_row)
     with pytest.raises(ScenarioError):
         parse_scenario_file("dim = 3\nf = x1 +\nmetric:\n1|0|0\n0|1|0\n0|0|1\n")
+    assert parse_scenario_file(FLAT_FILE + "static = TRUE\n").is_static
+    assert not parse_scenario_file(FLAT_FILE + "static = false\n").is_static
+    for bad in (FLAT_FILE + "static = yes\n", STATIC_4D_FILE):
+        with pytest.raises(ScenarioError, match="static"):
+            parse_scenario_file(bad)
 
 
 def test_grid_spec_parsing():
@@ -208,6 +213,26 @@ def test_cli_counterexample_csv(tmp_path):
     assert first[0] == "0"
     assert first[6] == "-0.015625"
     assert all(float(row.split(",")[6]) < 0 for row in lines[1:])
+
+
+@pytest.mark.parametrize(
+    "params, max_abs, max_rel, worst_point",
+    [
+        ([], 1.214306433183765e-17, 1.214306433183765e-17, [0.25, 0.5]),
+        # The values reach 10.1, so the largest absolute and relative gaps differ.
+        (["--param", "k=5", "--param", "c=0.1"], 5.329070518200751e-15, 1.7595849138419922e-15, [0.0, 0.5]),
+    ],
+    ids=["defaults", "k=5,c=0.1"],
+)
+def test_cli_counterexample_json_residual_follows_the_report_schema(
+    params, max_abs, max_rel, worst_point, tmp_path
+):
+    """Each point's largest gap over the four columns, summarized as every residual is."""
+    out = tmp_path / "report.json"
+    assert main(["counterexample", *params, "--format", "json", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["residuals"] == [
+        {"name": "engine_vs_closed_form", "max_abs": max_abs, "max_rel": max_rel, "worst_point": worst_point}
+    ]
 
 
 def test_cli_counterexample_no_violation_exit():
@@ -477,6 +502,10 @@ def test_bad_scenario_file_exits_2_with_one_line(text, tmp_path, capsys):
 
 
 FLAT_FILE = "dim = 3\nf = x1\nmetric:\n1 | 0 | 0\n0 | 1 | 0\n0 | 0 | 1\n"
+STATIC_4D_FILE = (
+    "dim = 4\nf = x0*x1 + x2*x3\nstatic = true\nmetric:\n"
+    "1 | 0 | 0 | 0\n0 | 1 | 0 | 0\n0 | 0 | 1 | 0\n0 | 0 | 0 | 1\n"
+)
 
 
 @pytest.mark.parametrize(
@@ -487,6 +516,8 @@ FLAT_FILE = "dim = 3\nf = x1\nmetric:\n1 | 0 | 0\n0 | 1 | 0\n0 | 0 | 1\n"
         ([], "dim = 3\nf x1\n", "line 2: expected key = value"),
         ([], "param k = abc\n" + FLAT_FILE, "line 1: bad parameter value 'abc'"),
         ([], FLAT_FILE + "grid = r:0:1:x\n", "bad grid numbers in 'r:0:1:x'"),
+        ([], FLAT_FILE + "static = yes\n", "static must be true or false, not 'yes'"),
+        ([], STATIC_4D_FILE, "static = true needs dim = 3, not 4"),
         ([], None, "No such file or directory"),
         (["frame", "--scenario", "warped-canonical", "--point", "0,0"], None, "--point needs 3"),
         (["verify", "--scenario", "euclidean", "--dim", "4"], None, "dimension 3, not 4"),
@@ -513,6 +544,8 @@ FLAT_FILE = "dim = 3\nf = x1\nmetric:\n1 | 0 | 0\n0 | 1 | 0\n0 | 0 | 1\n"
         "no-equals",
         "param-not-a-number",
         "grid-count-not-a-number",
+        "static-not-a-boolean",
+        "static-in-4d",
         "missing-file",
         "point-coordinates",
         "verify-dim",

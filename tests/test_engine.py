@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewdiv.cli import run_verify
-from skewdiv.identities import cpe_residual, static_residual
+from skewdiv.identities import static_residual
 from skewdiv.errors import EvalDomainError, NonPositiveDefiniteError, SkewdivError
 from skewdiv.expr import Binary, Num, _terms, chart_variables, evaluate, parse, to_source
 from skewdiv.geometry import MetricField, MetricJets, expression_jets, upper_indices
@@ -44,6 +44,8 @@ from skewdiv.ptensor import VALUE_ORDER, PointAnalysis, PTensorSpec, analyze, cy
 from skewdiv.report import report_to_json
 from skewdiv.scenarios import BUILTIN_NAMES, builtin_scenario, random_scenario
 from skewdiv.warped import WarpedSpec, ptensor_spec
+
+from checks import cpe_residual, grad_f_val, grad_p_norm_sq_val
 
 
 def scaled_metric(metric: MetricField, s: float) -> MetricField:
@@ -448,18 +450,21 @@ def _at_full_order(spec, points, order: int) -> PointAnalysis:
     """The analysis with g and lambda(f) built at f's order, as they were before the cut."""
     an = PointAnalysis(spec, points, order)
     an.mj = MetricJets(spec.metric, points, order)
-    f = Jet(jet_space(spec.dim, order), an.fjet)
+    f = Jet(jet_space(spec.metric.dim, order), an.fjet)
     an.lam_f = as_coefficients(evaluate(spec.lam, [f], spec.params), an.fjet.shape)
     return an
 
 
 def _read_values(an: PointAnalysis) -> dict:
     """Every value a check or a report reads from ``an``."""
-    names = ["P_val", "nabla_P_val", "div_P_val", "P_up", "grad_f_val", "p_norm_sq"]
+    names = ["P_val", "nabla_P_val", "div_P_val", "P_up", "p_norm_sq"]
     names += ["nabla_p_norm_sq", "div_p_norm_sq", "violation", "sharp_margin"]
     if an.order >= 4:
-        names += ["laplacian_p_norm_sq", "grad_p_norm_sq_val", "nabla_div_P_val"]
+        names += ["laplacian_p_norm_sq", "nabla_div_P_val"]
     values = {name: getattr(an, name) for name in names}
+    values["grad_f_val"] = grad_f_val(an)
+    if an.order >= 4:
+        values["grad_p_norm_sq_val"] = grad_p_norm_sq_val(an)
     for name in ("g_val", "ginv_val"):
         values[name] = getattr(an.mj, name)
     curv = an.mj.curvature

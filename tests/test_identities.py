@@ -7,13 +7,7 @@ import pytest
 from skewdiv.errors import EvalDomainError, OrderExceededError
 from skewdiv.expr import chart_variables, evaluate, parse
 from skewdiv.geometry import MetricField, MetricJets
-from skewdiv.identities import (
-    IdentityResidual,
-    bochner_residual,
-    cpe_residual,
-    static_bochner_residual,
-    static_residual,
-)
+from skewdiv.identities import IdentityResidual, bochner_residual, static_residual
 from skewdiv.scenarios import (
     builtin_scenario,
     parse_scenario_file,
@@ -23,7 +17,7 @@ from skewdiv.scenarios import (
 from skewdiv.ptensor import PointAnalysis, PTensorSpec, build_frame, cyclic_residual
 from skewdiv.warped import WarpedSpec, ptensor_spec
 
-from checks import second_bianchi_residual
+from checks import cpe_residual, second_bianchi_residual, static_bochner_residual
 from conftest import bochner_dim3_rhs
 
 

@@ -1,10 +1,12 @@
 """Lint: no module of the package or the tests imports a name it never uses.
 
 The package imports neither sympy and mpmath nor a module of the tests, and
-every public function and class it defines is on a command's path.
+every public function and class it defines, and every member of its
+classes, is on a command's path.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -79,17 +81,10 @@ def test_the_package_imports_nothing_from_the_tests(path):
 # The entry points of the console script and of ``python -m skewdiv``.
 ENTRY_POINTS = {"cli.main", "cli.console_main"}
 
-# Public names that no command reaches yet, each with the reason it stays.
-UNCALLED = {
-    "identities.cpe_residual": (
-        "the Besse conjecture applies the divergence estimate to critical-point metrics; "
-        "verify is to report it on a critical-point built-in, or it moves to tests/checks.py (ROADMAP)"
-    ),
-    "identities.static_bochner_residual": (
-        "the uniqueness argument for static triples rests on this substitution; "
-        "verify is to report it on a static built-in, or it moves to tests/checks.py (ROADMAP)"
-    ),
-}
+# Public names and class members that no command reaches yet, each with the
+# reason it stays.  Empty: a check that only the tests call lives in
+# tests/checks.py.
+UNCALLED: dict[str, str] = {}
 
 
 def uncalled(sources: dict[str, str], allowed) -> list[str]:
@@ -141,12 +136,72 @@ def test_uncalled_names_are_caught():
     assert uncalled(sources, {"a.unused"}) == ["a.unused_but_named", "a.its_own_caller"]
 
 
+def unread_members(sources: dict[str, str], allowed=()) -> list[str]:
+    """``module.Class.name`` of each method and property of a class in ``sources`` that no code reads.
+
+    A member is read when its name appears as a name, an attribute or a
+    whole string constant (``getattr`` reads a property by its name)
+    anywhere in ``sources`` outside the member's own definition.  Dunders
+    are called by the language and are not reported, nor are names in
+    ``allowed``.
+    """
+    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    total = sum((read_counts(tree) for tree in trees.values()), Counter())
+    return [
+        f"{mod}.{cls.name}.{member.name}"
+        for mod, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for member in cls.body
+        if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (member.name.startswith("__") and member.name.endswith("__"))
+        and f"{mod}.{cls.name}.{member.name}" not in allowed
+        and total[member.name] == read_counts(member)[member.name]
+    ]
+
+
+def read_counts(node: ast.AST) -> Counter:
+    """How often the code under ``node`` reads each name: as a name, an attribute or a string."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute) else n.value
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+        or (isinstance(n, ast.Constant) and isinstance(n.value, str))
+    )
+
+
+def test_unread_members_are_caught():
+    sources = {
+        "a": (
+            "from functools import cached_property\n"
+            "class A:\n"
+            '    """unused is named here, but only in a docstring."""\n'
+            "    def __init__(self): self.x = 1\n"
+            "    def __len__(self): return 0\n"
+            "    def unused(self): pass\n"
+            "    def its_own_caller(self): return self.its_own_caller()\n"
+            "    @cached_property\n"
+            "    def unread(self): return 1\n"
+            "    @property\n"
+            "    def by_attribute(self): return 2\n"
+            "    @property\n"
+            "    def by_string(self): return 3\n"
+            "    def by_sibling(self): return self.by_attribute\n"
+            "COLUMNS = ('by_string',)\n"
+        ),
+        "b": "from .a import A, COLUMNS\nv = [getattr(A(), nm) for nm in COLUMNS] + [A().by_sibling()]\n",
+    }
+    assert unread_members(sources) == ["a.A.unused", "a.A.its_own_caller", "a.A.unread"]
+    assert unread_members(sources, {"a.A.unread"}) == ["a.A.unused", "a.A.its_own_caller"]
+
+
 def test_every_public_name_is_on_a_commands_path():
-    """Each public function and class of the package is read by the package's own code.
+    """Each public function and class of the package, and each class member, is read by package code.
 
     A check that only the tests call lives in ``tests/checks.py``.
     """
     sources = {p.stem: p.read_text() for p in PACKAGE}
     assert uncalled(sources, ENTRY_POINTS | UNCALLED.keys()) == []
+    assert unread_members(sources, UNCALLED.keys()) == []
     # A name that gains a caller leaves the list.
-    assert sorted(uncalled(sources, ENTRY_POINTS)) == sorted(UNCALLED)
+    assert sorted(uncalled(sources, ENTRY_POINTS) + unread_members(sources)) == sorted(UNCALLED)

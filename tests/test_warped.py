@@ -83,15 +83,15 @@ def test_false_formula_gap_closed_form():
 
 def test_cross_validation_canonical():
     spec = WarpedSpec.canonical(4.0, 1.0)
-    worst, rows = cross_validate(spec, grid27())
-    assert worst < 1e-10
+    check, rows = cross_validate(spec, grid27())
+    assert np.max(check.rel_residual) < 1e-10
     assert len(rows) == 27
 
 
 def test_cross_validation_flat_warp():
     spec = WarpedSpec("1", "x1", "1")
-    worst, rows = cross_validate(spec, [(0.1, 0.2, 0.3), (0.5, 0.6, 0.7)])
-    assert worst < 1e-15
+    check, rows = cross_validate(spec, [(0.1, 0.2, 0.3), (0.5, 0.6, 0.7)])
+    assert np.max(check.rel_residual) < 1e-15
     for row in rows:
         assert row.nabla_p_norm_sq == 0.0
         assert row.violation == 0.0
@@ -100,8 +100,8 @@ def test_cross_validation_flat_warp():
 def test_cross_validation_harder_instance():
     spec = WarpedSpec.canonical(5.0, 2.0, lam="f^2", psi="sin(x1)")
     pts = [(r, x, 0.4) for r in (0.0, 0.6, 1.0) for x in (0.2, 0.8)]
-    worst, _ = cross_validate(spec, pts)
-    assert worst < 1e-10
+    check, _ = cross_validate(spec, pts)
+    assert np.max(check.rel_residual) < 1e-10
 
 
 def test_build_report_summary():
