@@ -67,8 +67,9 @@ FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
 class _Node(tuple):
     """A tree node: the tuple of its ``fields``, ``offset`` last.
 
-    Equality and hash use the first ``compared`` fields; the offset (and a
-    variable's alias) only locate the node in the source.
+    Equality uses the first ``compared`` fields; the offset (and a variable's
+    alias) only locate the node in the source.  The hash reads the node's type
+    and first field only, so a lookup keyed by a tree does not walk it.
     """
 
     __slots__ = ()
@@ -87,7 +88,7 @@ class _Node(tuple):
         return not self == other
 
     def __hash__(self):
-        return hash(self[: self._compared])
+        return hash((type(self), self[0]))
 
     def __repr__(self):
         shown = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields[:-1], self))
@@ -500,7 +501,7 @@ def sum_terms(entries: Sequence[Sequence[tuple]], point: Sequence, params: Param
     formed: dict[tuple, object] = {}  # factors -> their product, each formed once
 
     def product(factors: tuple):
-        p = formed.get(factors)  # hashing a tree factor walks the tree: once per lookup
+        p = formed.get(factors)
         if p is None:
             f = factors[0]
             p = formed[factors] = (

@@ -45,6 +45,9 @@ BUILTIN_NAMES = (
 
 _LAMBDA_CHOICES = ("1", "f", "1 + f*f", "exp(f/4)")
 
+# A scenario file's keys besides ``param NAME`` lines and the ``metric:`` section.
+_FILE_KEYS = ("name", "dim", "f", "lambda", "grid", "static", "description")
+
 
 @dataclass(frozen=True)
 class GridAxis:
@@ -316,8 +319,13 @@ def parse_scenario_file(text: str) -> Scenario:
                 raise ScenarioError(
                     f"scenario file line {i}: bad parameter value {value!r}"
                 )
-        else:
+        elif key in _FILE_KEYS:
             fields[key] = value
+        else:
+            raise ScenarioError(
+                f"scenario file line {i}: unknown key {key!r}; valid keys are "
+                f"{', '.join(_FILE_KEYS)}, param NAME and metric:"
+            )
 
     for required in ("dim", "f"):
         if required not in fields:

@@ -26,10 +26,11 @@ jets' coefficients (coefficient k of a univariate jet times k!), so one
 evaluation costs the warp's expression walk and little else: on the
 canonical warp that walk makes no jet product, since a power of r + c is
 placed from its series (see :mod:`skewdiv.jets`).  :func:`search_violation`
-explores the family on Python floats and tuples.  Each distinct input is
-evaluated once: the search keeps the value of every (k, c, r) it has met,
-and the grid report forms phi once per distinct r and G once per distinct
-x1, each keyed by the exact bits of its floats (so -0.0 is not 0.0).
+explores the family on Python floats and tuples, keeping its best point as
+it goes.  Each distinct input is evaluated once: the search keeps the value
+of every (k, c, r) it has met, and the grid report forms phi once per
+distinct r and G once per distinct x1, each keyed by the exact bits of its
+floats (so -0.0 is not 0.0).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -108,8 +109,7 @@ class WarpedSpec:
         return lam * dpsi * dpsi * dpsi
 
 
-@dataclass(frozen=True)
-class ViolationRow:
+class ViolationRow(NamedTuple):
     """Closed-form quantities at one (r, x1) point of the warped chart."""
 
     r: float
@@ -174,15 +174,16 @@ def closed_form_eval(
     g0, g1 = G.c[:2].tolist()
 
     try:
-        p_coef = g0 * p1 / p0**3
-        nab_r = -(p2 / p0**3 - 4.0 * p1**2 / p0**4) * g0
-        nab_1 = -(p1 / p0**3) * g1
-        nab_2 = -(p1**2 / p0**2) * g0
-        nabla_sq = 2.0 * nab_r**2 / p0**2 + 2.0 * nab_1**2 / p0**4 + 2.0 * nab_2**2 / p0**6
+        q2, q3, q4, d2 = p0**2, p0**3, p0**4, p1**2
+        p_coef = g0 * p1 / q3
+        nab_r = -(p2 / q3 - 4.0 * d2 / q4) * g0
+        nab_1 = -(p1 / q3) * g1
+        nab_2 = -(d2 / q2) * g0
+        nabla_sq = 2.0 * nab_r**2 / q2 + 2.0 * nab_1**2 / q4 + 2.0 * nab_2**2 / p0**6
         div_r = -(p1 / p0**5) * g1
-        div_1 = g0 * (p2 / p0**3 - 3.0 * p1**2 / p0**4)
-        div_sq = div_r**2 + div_1**2 / p0**2
-        false_1 = g0 * (p2 / p0**3 - 4.0 * p1**2 / p0**4)
+        div_1 = g0 * (p2 / q3 - 3.0 * d2 / q4)
+        div_sq = div_r**2 + div_1**2 / q2
+        false_1 = g0 * (p2 / q3 - 4.0 * d2 / q4)
         # ViolationRow's fields after r and x1, in their order.
         values = (p_coef, nabla_sq, div_sq, nabla_sq - 2.0 * div_sq, nabla_sq - div_sq, div_1, false_1)
     except (ZeroDivisionError, OverflowError):  # ** raises where float * and / give inf
@@ -299,8 +300,8 @@ def search_violation(
     answered from the values already computed, but still counted.  An
     evaluation that raises :class:`EvalDomainError` (the closed form leaves
     the float range, say) ranks last, as +inf; numpy's floating-point
-    warnings are off for the whole search.  Returns the best point seen, and
-    raises :class:`EvalDomainError` if no evaluation was finite.
+    warnings are off for the whole search.  Returns the best point, kept as
+    the queries arrive, and raises :class:`EvalDomainError` if none was finite.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -350,17 +351,15 @@ def search_violation(
         rng = np.random.default_rng(seed)
         budget = iterations
         n_starts = max(1, min(16, budget // 20))
-        candidates: list[tuple[float, tuple[float, ...]]] = []
-        for _ in range(n_starts):
-            x = tuple(l + u * s for l, u, s in zip(lo, rng.random(3).tolist(), span))
-            budget -= 1
-            candidates.append((objective(x), x))
-        candidates.sort(key=lambda t: (t[0], t[1]))
-        best_f, best_x = candidates[0]
+        draws = rng.random((n_starts, 3)).tolist()  # the stream of one rng.random(3) per start
+        starts = [tuple(l + u * s for l, u, s in zip(lo, row, span)) for row in draws]
+        budget -= n_starts
+        # The best (violation, point) so far: tuples order by violation, then
+        # lexicographic parameters, and a tie keeps the point met first.
+        best = min((objective(x), x) for x in starts)
 
         step = [s / 4.0 for s in span]
-        x = best_x
-        fx = best_f
+        fx, x = best
         while budget > 0 and max(step) > 1e-9:
             improved = False
             for d in range(3):
@@ -375,15 +374,15 @@ def search_violation(
                     trial = x[:d] + (moved,) + x[d + 1 :]
                     budget -= 1
                     ft = objective(trial)
-                    candidates.append((ft, trial))
+                    if (ft, trial) < best:
+                        best = (ft, trial)
                     if ft < fx:
                         x, fx = trial, ft
                         improved = True
                         break
             if not improved:
                 step = [s * 0.5 for s in step]
-    candidates.sort(key=lambda t: (t[0], t[1]))
-    best_f, best_x = candidates[0]
+    best_f, best_x = best
     if best_f == math.inf:
         ranges = ", ".join(f"{nm} in [{l!r}, {h!r}]" for nm, l, h in zip(names, lo, hi))
         raise EvalDomainError(f"all {evals} evaluations leave the float range for {ranges}")

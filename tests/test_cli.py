@@ -518,6 +518,12 @@ STATIC_4D_FILE = (
         ([], FLAT_FILE + "grid = r:0:1:x\n", "bad grid numbers in 'r:0:1:x'"),
         ([], FLAT_FILE + "static = yes\n", "static must be true or false, not 'yes'"),
         ([], STATIC_4D_FILE, "static = true needs dim = 3, not 4"),
+        (
+            [],
+            FLAT_FILE + "lamda = exp(f)\n",
+            "line 7: unknown key 'lamda'; valid keys are name, dim, f, lambda, grid, static, "
+            "description, param NAME and metric:",
+        ),
         ([], None, "No such file or directory"),
         (["frame", "--scenario", "warped-canonical", "--point", "0,0"], None, "--point needs 3"),
         (["verify", "--scenario", "euclidean", "--dim", "4"], None, "dimension 3, not 4"),
@@ -546,6 +552,7 @@ STATIC_4D_FILE = (
         "grid-count-not-a-number",
         "static-not-a-boolean",
         "static-in-4d",
+        "unknown-key",
         "missing-file",
         "point-coordinates",
         "verify-dim",

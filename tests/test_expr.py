@@ -307,6 +307,15 @@ def test_parse_tree_matches_golden(case):
     assert _dump(tree) == case["tree"]
 
 
+def test_a_node_hash_reads_its_top_node_only():
+    """``sum_terms`` keys products by tree factors: a lookup must not walk the tree."""
+    deep = Var(0, "r")
+    for _ in range(5000):  # deeper than the recursion limit: a walk would raise
+        deep = Unary("neg", deep)
+    assert hash(deep) == hash(Unary("neg", Num(1.0)))
+    assert {deep: 1}[deep] == 1
+
+
 def test_node_equality_and_hash_ignore_offset_and_var_name():
     assert Num(1.5, 3) == Num(1.5) and hash(Num(1.5, 3)) == hash(Num(1.5))
     assert Var(0, "r", 2) == Var(0, "x0") and hash(Var(0, "r", 2)) == hash(Var(0, "x0"))

@@ -34,6 +34,7 @@ import pytest
 
 from skewdiv import jets
 from skewdiv.cli import main
+from skewdiv.errors import EvalDomainError
 from skewdiv.warped import search_violation
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -218,26 +219,36 @@ def test_a_cold_and_a_warm_plan_cache_write_the_same_bytes(name, tmp_path, monke
     assert run(tmp_path / "warm") == cold
 
 
-SEARCH_BOUNDS = {"default": None, "k:5:6": {"k": (5.0, 6.0)}, "k:1:2.5": {"k": (1.0, 2.5)}}
+SEARCH_BOUNDS = {
+    "default": None,
+    "k:5:6": {"k": (5.0, 6.0)},
+    "k:1:2.5": {"k": (1.0, 2.5)},
+    # Some queries leave the float range and rank as +inf; the best is finite.
+    "k:0.001:0.002": {"k": (0.001, 0.002)},
+    # Every query leaves the float range: the search raises, naming the count.
+    "k:0.001:0.002,c:0.5:0.6,r:0:0.1": {"k": (0.001, 0.002), "c": (0.5, 0.6), "r": (0.0, 0.1)},
+}
+
+# 2, 20 and 37 end the budget part-way through the starts or a poll.
+SEARCH_ITERATIONS = (1000, 1, 2, 20, 37)
 
 
 def search_runs() -> list:
-    """``search_violation`` over seeds 0-15, three bounds, 1000 and 1 iterations."""
+    """``search_violation`` over seeds 0-15, each bound set and each iteration budget."""
     runs = []
-    for iterations in (1000, 1):
+    for iterations in SEARCH_ITERATIONS:
         for label, bounds in SEARCH_BOUNDS.items():
             for seed in range(16):
-                res = search_violation(bounds, seed=seed, iterations=iterations)
-                runs.append(
-                    {
-                        "seed": seed,
-                        "bounds": label,
-                        "iterations": iterations,
-                        "params": {nm: repr(v) for nm, v in res.params.items()},
-                        "violation": repr(res.violation),
-                        "evaluations": res.evaluations,
-                    }
-                )
+                run = {"seed": seed, "bounds": label, "iterations": iterations}
+                try:
+                    res = search_violation(bounds, seed=seed, iterations=iterations)
+                except EvalDomainError as exc:
+                    run["error"] = str(exc)
+                else:
+                    run["params"] = {nm: repr(v) for nm, v in res.params.items()}
+                    run["violation"] = repr(res.violation)
+                    run["evaluations"] = res.evaluations
+                runs.append(run)
     return runs
 
 

@@ -3,6 +3,8 @@
 import re
 from pathlib import Path
 
+from skewdiv.scenarios import parse_scenario_file
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -21,3 +23,11 @@ def test_readme_python_blocks_give_their_documented_values():
     exec(blocks[1], ns)
     assert ns["ev"].violation.shape == (2,)
     assert ns["ev"].violation[0] == -1 / 64
+
+
+def test_readme_scenario_file_parses_with_the_values_it_sets():
+    section = README.read_text().split("## Scenario files", 1)[1]
+    text = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    sc = parse_scenario_file(text)
+    assert (sc.name, sc.dim, sc.lam_src, sc.is_static) == ("warped-demo", 3, "f", False)
+    assert [axis.count for axis in sc.grid] == [3, 2, 1]

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +10,7 @@ from skewdiv.errors import EvalDomainError, OrderExceededError
 from skewdiv.jets import Jet
 from skewdiv.ptensor import analyze
 from skewdiv.warped import (
+    ViolationRow,
     WarpedSpec,
     build_report,
     closed_form_eval,
@@ -216,7 +216,22 @@ PROFILES = [("1", "x1"), ("f^2", "sin(x1)"), ("exp(-f)", "x1^3 + x1"), ("1/(1 + 
 
 
 def _bits(row) -> bytes:
-    return np.array(dataclasses.astuple(row), dtype=float).tobytes()
+    return np.array(tuple(row), dtype=float).tobytes()
+
+
+def test_a_row_keeps_its_nine_fields_in_order():
+    """The CSV and the engine cross-check read a row's fields by name; a row unpacks in this order."""
+    assert ViolationRow._fields == (
+        "r",
+        "x1",
+        "p_coefficient",
+        "nabla_p_norm_sq",
+        "div_p_norm_sq",
+        "violation",
+        "sharp_margin",
+        "div_true_dx1",
+        "div_false_dx1",
+    )
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
