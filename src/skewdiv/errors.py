@@ -20,8 +20,6 @@ class UnknownNameError(ParseError):
         super().__init__(
             f"unknown identifier {name!r}; valid names: {', '.join(valid)}", offset
         )
-        self.name = name
-        self.valid = valid
 
 
 class MissingParameterError(SkewdivError):

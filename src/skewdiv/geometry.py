@@ -272,20 +272,15 @@ def norm_sq(T: np.ndarray, ginv_val: np.ndarray) -> float | np.ndarray:
 class IdentityResidual:
     """Residual of one identity at one point, or over a batch of points.
 
-    Over a batch, ``point`` is a tuple of points and every number is an
-    array with one entry per point.
+    Over a batch, each residual is an array with one entry per point.
     """
 
     name: str
-    point: tuple
-    lhs: float | np.ndarray
-    rhs: float | np.ndarray
     abs_residual: float | np.ndarray
     rel_residual: float | np.ndarray
-    scale: float | np.ndarray
 
 
-def residual(name: str, point, lhs, rhs, terms) -> IdentityResidual:
+def residual(name: str, lhs, rhs, terms) -> IdentityResidual:
     """The one tolerance rule of every check: |lhs - rhs| / max(scale, 1).
 
     ``scale`` is the largest of |lhs| and the |terms| that make up rhs: checks
@@ -297,12 +292,8 @@ def residual(name: str, point, lhs, rhs, terms) -> IdentityResidual:
     absr = np.abs(np.subtract(lhs, rhs))
     return IdentityResidual(
         name=name,
-        point=point_tuple(point),
-        lhs=batch_value(lhs),
-        rhs=batch_value(rhs),
         abs_residual=batch_value(absr),
         rel_residual=batch_value(absr / np.maximum(scale, 1.0)),
-        scale=batch_value(scale),
     )
 
 
@@ -319,9 +310,7 @@ class MetricJets:
     """
 
     def __init__(self, metric: MetricField, points, order: int = DEFAULT_ORDER):
-        self.metric = metric
         self.points = np.asarray(points, dtype=float)
-        self.point = point_tuple(self.points)
         self.batch = self.points.ndim - 1
         self.order = order
         self.dim = metric.dim
@@ -405,7 +394,6 @@ class MetricJets:
         riem = np.einsum("...km,...mijs->...ijks", self.g_val, rup)
         ricci = np.einsum("...iijs->...js", rup)
         scal = np.asarray(np.einsum("...js,...js->...", self.ginv_val, ricci))
-        z = ricci - (scal / n)[..., None, None] * self.g_val
         if n >= 3:
             gg = np.einsum("...ik,...js->...ijks", self.g_val, self.g_val)
             rg = np.einsum("...ik,...js->...ijks", ricci, self.g_val)
@@ -419,29 +407,22 @@ class MetricJets:
             )
         else:
             weyl = np.zeros_like(riem)
-        return CurvatureEval(
-            riemann=riem,
-            ricci=ricci,
-            scalar=batch_value(scal),
-            traceless_ricci=z,
-            weyl=weyl,
-        )
+        return CurvatureEval(ricci=ricci, scalar=batch_value(scal), weyl=weyl)
 
 
 @dataclass(frozen=True)
 class CurvatureEval:
-    """Curvature tensors at a point or over a batch of points.
+    """The curvature that the balance and the static system read, at a point or over a batch.
 
+    The Riemann tensor itself is :meth:`MetricJets.riemann_up` lowered by g.
     The tensors are plain arrays of values, with the batch axes of
     :class:`MetricJets` in front; the metric, its inverse and Gamma stay on
     the :class:`MetricJets` whose ``curvature`` this is.  ``scalar`` is a
     float for one point and an array over a batch.
     """
 
-    riemann: np.ndarray
     ricci: np.ndarray
     scalar: float | np.ndarray
-    traceless_ricci: np.ndarray
     weyl: np.ndarray
 
 

@@ -63,7 +63,7 @@ def bochner_residual(an: PointAnalysis) -> IdentityResidual:
     t_ric = 2.0 * (n - 4) / (n - 2) * ric_quad
     t_weyl = 2.0 * batch_value(np.einsum("...ijks,...is,...jk->...", curv.weyl, p_up, p_up))
     terms = (t_grad, t_div, t_scal, t_ric, t_weyl)
-    return residual("bochner", an.point, lhs, sum(terms), terms)
+    return residual("bochner", lhs, sum(terms), terms)
 
 
 def static_residual(an: PointAnalysis) -> tuple[IdentityResidual, IdentityResidual]:
@@ -96,6 +96,6 @@ def _field_residuals(name: str, an: PointAnalysis, lhs_t, g_coef, lap_rhs):
 
     rhs_t = hess + g_coef[..., None, None] * mj.g_val
     terms = (tnorm(lhs_t), tnorm(hess), tnorm(rhs_t - hess))
-    tensor = residual(f"{name}-tensor", mj.points, tnorm(lhs_t - rhs_t), 0.0, terms)
+    tensor = residual(f"{name}-tensor", tnorm(lhs_t - rhs_t), 0.0, terms)
     lap = np.einsum("...ij,...ij->...", gi, hess)
-    return tensor, residual(f"{name}-scalar", mj.points, lap, lap_rhs, (lap, -lap_rhs))
+    return tensor, residual(f"{name}-scalar", lap, lap_rhs, (lap, -lap_rhs))

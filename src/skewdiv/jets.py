@@ -114,12 +114,8 @@ class JetSpace:
             ),
             key=lambda m: (sum(m), m),
         )
-        self.monomials: tuple[tuple[int, ...], ...] = tuple(monos)
         self.size = len(monos)
         self.index = {m: i for i, m in enumerate(monos)}
-        self.factorial = np.array(
-            [float(math.prod(math.factorial(k) for k in m)) for m in monos]
-        )
         if order >= 1:
             self.var_pos = tuple(
                 self.index[tuple(1 if j == v else 0 for j in range(nvars))]

@@ -105,7 +105,6 @@ class PointAnalysis:
         self.spec = spec
         self.order = order
         self.mj = MetricJets(spec.metric, points, max(order - 1, 2))
-        self.point = self.mj.point
 
     require_order = MetricJets.require_order  # a check's lowest order is an order of f
 
@@ -288,7 +287,7 @@ def cyclic_residual(an: PointAnalysis) -> IdentityResidual:
     T = an.nabla_P_val
     cyc = T + np.einsum("...jki->...ijk", T) + np.einsum("...kij->...ijk", T)
     worst = np.max(np.abs(cyc), axis=(-3, -2, -1))
-    return residual("cyclic", an.point, worst, 0.0, (np.max(np.abs(T), axis=(-3, -2, -1)),))
+    return residual("cyclic", worst, 0.0, (np.max(np.abs(T), axis=(-3, -2, -1)),))
 
 
 # -- adapted orthonormal frame ---------------------------------------------------
@@ -305,16 +304,13 @@ class FrameEval:
     components convert to chart components through :meth:`covector_to_chart`.
     """
 
-    point: tuple
     vectors: np.ndarray
     u: float
     bracket_frame: np.ndarray  # bracket_frame[i,j,k] = <E_k, [E_i, E_j]>
     gram_residual: float
-    p_frame: np.ndarray
     div_true: np.ndarray
     div_false: np.ndarray
     discrepancy: np.ndarray
-    div_coord_in_frame: np.ndarray
     metric_values: np.ndarray
 
     def covector_to_chart(self, frame_components: np.ndarray) -> np.ndarray:
@@ -335,12 +331,12 @@ def build_frame(an: PointAnalysis) -> FrameEval:
     """
     an.require_order(3, "the adapted frame")
     if an.mj.batch:
-        raise ValueError(f"the adapted frame is one-point; the analysis has {len(an.point)} points")
+        raise ValueError(f"the adapted frame is one-point; the analysis has {len(an.mj.points)} points")
     n = an.dim
     p_norm = float(np.sqrt(max(an.p_norm_sq, 0.0)))
     if p_norm < DEGENERATE_P_TOLERANCE:
         raise DegeneratePError(
-            f"|P| = {p_norm!r} < {DEGENERATE_P_TOLERANCE} at {an.point}; "
+            f"|P| = {p_norm!r} < {DEGENERATE_P_TOLERANCE} at {point_tuple(an.mj.points)}; "
             "the adapted frame requires a nonvanishing P"
         )
 
@@ -408,8 +404,6 @@ def build_frame(an: PointAnalysis) -> FrameEval:
     )
     bracket_frame = np.einsum("ijc,cd,kd->ijk", brackets, g_val, vectors)
 
-    p_frame = np.einsum("ab,ia,jb->ij", an.P_val, vectors, vectors)
-
     div_true = np.zeros(n)
     div_true[0] = -eu[1] + u * sum(connection[i, i, 1] for i in range(2, n))
     div_true[1] = eu[0] - u * sum(connection[i, i, 0] for i in range(2, n))
@@ -422,23 +416,20 @@ def build_frame(an: PointAnalysis) -> FrameEval:
 
     div_coord_in_frame = vectors @ an.div_P_val
     gap = np.max(np.abs(div_true - div_coord_in_frame))
-    check = residual("frame-divergence", an.point, gap, 0.0, (np.max(np.abs(div_coord_in_frame)),))
+    check = residual("frame-divergence", gap, 0.0, (np.max(np.abs(div_coord_in_frame)),))
     if not check.rel_residual <= FRAME_MATCH_TOLERANCE:
         raise FrameConsistencyError(
             f"frame divergence deviates from coordinate divergence by {check.abs_residual!r}"
         )
 
     return FrameEval(
-        point=an.point,
         vectors=vectors,
         u=u,
         bracket_frame=bracket_frame,
         gram_residual=gram_residual,
-        p_frame=p_frame,
         div_true=div_true,
         div_false=div_false,
         discrepancy=div_true - div_false,
-        div_coord_in_frame=div_coord_in_frame,
         metric_values=g_val,
     )
 

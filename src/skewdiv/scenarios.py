@@ -281,6 +281,7 @@ def parse_scenario_file(text: str) -> Scenario:
     fields: dict[str, str] = {}
     params: dict[str, float] = {}
     metric_rows: list[str] = []
+    set_on: dict[str, int] = {}  # the line that set each key
     i = 0
     while i < len(lines):
         raw = lines[i]
@@ -311,6 +312,7 @@ def parse_scenario_file(text: str) -> Scenario:
         value = value.strip().strip('"')
         if key.startswith("param "):
             pname = key[len("param "):].strip()
+            _set_once(set_on, f"param {pname}", i)
             try:
                 params[pname] = float(value)
             except ValueError:
@@ -320,6 +322,7 @@ def parse_scenario_file(text: str) -> Scenario:
                     f"scenario file line {i}: bad parameter value {value!r}"
                 )
         elif key in _FILE_KEYS:
+            _set_once(set_on, key, i)
             fields[key] = value
         else:
             raise ScenarioError(
@@ -372,6 +375,14 @@ def parse_scenario_file(text: str) -> Scenario:
     )
 
 
+def _set_once(set_on: dict[str, int], key: str, line: int) -> None:
+    """Record that ``line`` sets ``key``; a key set twice is most likely a mistake, so it raises."""
+    if key in set_on:
+        first = set_on[key]
+        raise ScenarioError(f"scenario file line {line}: repeated key {key!r}, first set on line {first}")
+    set_on[key] = line
+
+
 def _parse_dim(text: str) -> int:
     try:
         dim = int(text)
@@ -385,11 +396,13 @@ def _parse_dim(text: str) -> int:
 def parse_grid_spec(src: str, dim: int) -> tuple[GridAxis, ...]:
     """Parse 'axis:min:max:count' specs, comma separated, into full-chart grids.
 
-    Unmentioned axes collapse to a single midpoint value of [0, 1].
+    Unmentioned axes collapse to a single midpoint value of [0, 1]; an axis
+    named twice (``r`` and ``x0`` are one axis) raises.
     """
     names = _axis_names(dim)
     alias = {"x0": "r"}
     specs: dict[str, GridAxis] = {}
+    given: dict[str, str] = {}
     for chunk in src.split(","):
         chunk = chunk.strip()
         if not chunk:
@@ -400,6 +413,9 @@ def parse_grid_spec(src: str, dim: int) -> tuple[GridAxis, ...]:
         axis = alias.get(bits[0].strip(), bits[0].strip())
         if axis not in names:
             raise ScenarioError(f"grid axis {axis!r} not in chart ({', '.join(names)})")
+        if axis in given:
+            raise ScenarioError(f"grid axis {axis!r} given twice: {given[axis]!r} and {chunk!r}")
+        given[axis] = chunk
         try:
             lo, hi, count = float(bits[1]), float(bits[2]), int(bits[3])
         except ValueError:

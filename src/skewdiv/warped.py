@@ -114,13 +114,10 @@ class ViolationRow(NamedTuple):
 
     r: float
     x1: float
-    p_coefficient: float
     nabla_p_norm_sq: float
     div_p_norm_sq: float
     violation: float
     sharp_margin: float
-    div_true_dx1: float
-    div_false_dx1: float
 
 
 #: The :class:`ViolationRow` values that reports show and the engine cross-checks.
@@ -175,7 +172,6 @@ def closed_form_eval(
 
     try:
         q2, q3, q4, d2 = p0**2, p0**3, p0**4, p1**2
-        p_coef = g0 * p1 / q3
         nab_r = -(p2 / q3 - 4.0 * d2 / q4) * g0
         nab_1 = -(p1 / q3) * g1
         nab_2 = -(d2 / q2) * g0
@@ -183,9 +179,8 @@ def closed_form_eval(
         div_r = -(p1 / p0**5) * g1
         div_1 = g0 * (p2 / q3 - 3.0 * d2 / q4)
         div_sq = div_r**2 + div_1**2 / q2
-        false_1 = g0 * (p2 / q3 - 4.0 * d2 / q4)
         # ViolationRow's fields after r and x1, in their order.
-        values = (p_coef, nabla_sq, div_sq, nabla_sq - 2.0 * div_sq, nabla_sq - div_sq, div_1, false_1)
+        values = (nabla_sq, div_sq, nabla_sq - 2.0 * div_sq, nabla_sq - div_sq)
     except (ZeroDivisionError, OverflowError):  # ** raises where float * and / give inf
         values = (math.inf,)
     if not all(map(math.isfinite, values)):
@@ -243,7 +238,7 @@ def cross_validate(
     an = analyze(ptensor_spec(spec), points)
     a = np.array([[getattr(row, nm) for row in rows] for nm in VALUE_COLUMNS])
     b = np.array([getattr(an, nm) for nm in VALUE_COLUMNS])
-    return residual("engine_vs_closed_form", points, a, b, (b,)), rows
+    return residual("engine_vs_closed_form", a, b, (b,)), rows
 
 
 def build_report(spec: WarpedSpec, points: Sequence[Sequence[float]]) -> ViolationReport:

@@ -19,8 +19,16 @@ fails on a public name there that no code in the package reads.
   ``identities._field_residuals`` and ``_balance_terms`` with the checks
   that ``verify`` runs.  :func:`grad_f_val` and :func:`grad_p_norm_sq_val`
   are the two values only the static substitution reads.
+* :func:`riemann` and :func:`traceless_ricci` are curvature values that no
+  command reads: R_ijks, lowered from ``MetricJets.riemann_up`` as
+  ``MetricJets.curvature`` does for the Weyl tensor, and the trace-free
+  Ricci tensor that :func:`cpe_residual` reads.  The engine's
+  ``IdentityResidual`` keeps only a name and the two residuals, and
+  ``FrameEval`` and ``ViolationRow`` only what a command prints; the tests
+  form what else they read from the analysis itself.
 """
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -50,7 +58,18 @@ def second_bianchi_residual(mj: MetricJets) -> IdentityResidual:
     dscal = partials(contract("js,js->", mj.ginv, ric, pairs), n, mj.batch)[..., 0]
     divric = np.einsum("...ij,...ijk->...k", mj.ginv_val, cov_derivative(ric, mj.gamma)[..., 0])
     gap = np.max(np.abs(divric - 0.5 * dscal), axis=-1)
-    return residual("second-bianchi", mj.points, gap, 0.0, (np.max(np.abs(dscal), axis=-1),))
+    return residual("second-bianchi", gap, 0.0, (np.max(np.abs(dscal), axis=-1),))
+
+
+def riemann(mj: MetricJets) -> np.ndarray:
+    """R_ijks values: R^m_ijs lowered by g, as ``MetricJets.curvature`` forms them for the Weyl tensor."""
+    return np.einsum("...km,...mijs->...ijks", mj.g_val, mj.riemann_up(0)[..., 0])
+
+
+def traceless_ricci(mj: MetricJets) -> np.ndarray:
+    """z = Ric - (R/n) g values, the trace-free Ricci tensor."""
+    curv = mj.curvature
+    return curv.ricci - (np.asarray(curv.scalar) / mj.dim)[..., None, None] * mj.g_val
 
 
 def extract_derivative(j: Jet, alpha: Sequence[int]) -> float:
@@ -64,8 +83,7 @@ def extract_derivative(j: Jet, alpha: Sequence[int]) -> float:
         raise OrderExceededError(
             f"derivative order {sum(alpha)} exceeds jet order {j.order}"
         )
-    idx = j.space.index[alpha]
-    return float(j.c[idx] * j.space.factorial[idx])
+    return float(j.c[j.space.index[alpha]] * math.prod(map(math.factorial, alpha)))
 
 
 def violation_bracket(spec: WarpedSpec, r: float) -> float:
@@ -90,7 +108,7 @@ def cpe_residual(an: PointAnalysis) -> tuple[IdentityResidual, IdentityResidual]
     fval = an.fjet[..., 0]
     curv = an.mj.curvature
     scal = np.asarray(curv.scalar)
-    lhs_t = (1.0 + fval)[..., None, None] * curv.traceless_ricci
+    lhs_t = (1.0 + fval)[..., None, None] * traceless_ricci(an.mj)
     return _field_residuals("cpe", an, lhs_t, scal * fval / (n * (n - 1)), -scal / (n - 1) * fval)
 
 
@@ -138,4 +156,4 @@ def static_bochner_residual(an: PointAnalysis) -> IdentityResidual:
     t_pair = 2.0 / fval * p_gf_div
     t_grad_pn = -0.5 / fval * np.einsum("...a,...a->...", grad_f, grad_p_norm_sq_val(an))
     terms = (t_grad, t_div, t_scal, t_pair, t_grad_pn)
-    return residual("static-bochner", an.point, lhs, sum(terms), terms)
+    return residual("static-bochner", lhs, sum(terms), terms)

@@ -16,7 +16,7 @@ from skewdiv.ptensor import PointAnalysis, build_frame
 from skewdiv.scenarios import builtin_scenario, random_scenario
 from skewdiv.warped import WarpedSpec, closed_form_eval, cross_validate, ptensor_spec, search_violation
 
-from checks import second_bianchi_residual
+from checks import riemann, second_bianchi_residual
 from conftest import bochner_dim3_rhs, session_elapsed
 from exact_oracle import exact_point, rel_error
 
@@ -145,7 +145,7 @@ def test_criterion_5_bochner(random_pool):
             continue
         an = batch.analyses[0]
         d3 = bochner_dim3_rhs(an)
-        worst_gap = max(worst_gap, abs(bochner_residual(an).rhs - d3) / max(1.0, abs(d3)))
+        worst_gap = max(worst_gap, abs(0.5 * an.laplacian_p_norm_sq - d3) / max(1.0, abs(d3)))
     _report(
         "criterion 5: curvature balance residual <= 1e-8, dim-3 forms agree to 1e-12",
         worst <= 1e-8 and worst_gap <= 1e-12,
@@ -155,8 +155,9 @@ def test_criterion_5_bochner(random_pool):
 
 def test_criterion_6_frame_analysis():
     spec = ptensor_spec(WarpedSpec.canonical(4.0, 1.0))
-    frame = build_frame(PointAnalysis(spec, (0.0, 0.0, 0.0)))  # raises beyond 1e-10
-    coord_gap = float(np.max(np.abs(frame.div_true - frame.div_coord_in_frame)))
+    an = PointAnalysis(spec, (0.0, 0.0, 0.0))
+    frame = build_frame(an)  # raises beyond 1e-10
+    coord_gap = float(np.max(np.abs(frame.div_true - frame.vectors @ an.div_P_val)))
     dx1 = float(frame.covector_to_chart(frame.discrepancy)[1])
     _report(
         "criterion 6: frame divergence matches coordinates; bracket-free gap = 0.0625",
@@ -191,7 +192,7 @@ def test_criterion_8_oracle_cross_checks(random_pool):
         worst_oracle = max(
             worst_oracle,
             rel_error(mj.gamma[..., 0], exact.gamma),
-            rel_error(mj.curvature.riemann, exact.riemann),
+            rel_error(riemann(mj), exact.riemann),
         )
 
     batches, _ = random_pool

@@ -524,6 +524,17 @@ STATIC_4D_FILE = (
             "line 7: unknown key 'lamda'; valid keys are name, dim, f, lambda, grid, static, "
             "description, param NAME and metric:",
         ),
+        (
+            [],
+            FLAT_FILE.replace("f = x1\n", "f = x1\nlambda = f\n") + "lambda = exp(f)\n",
+            "line 8: repeated key 'lambda', first set on line 3",
+        ),
+        ([], "param k = 1\n" + FLAT_FILE + "param  k = 2\n", "line 8: repeated key 'param k', first set on line 1"),
+        (
+            ["counterexample", "--grid", "r:0:1:5", "--grid", "x0:0:1:2"],
+            None,
+            "grid axis 'r' given twice: 'r:0:1:5' and 'x0:0:1:2'",
+        ),
         ([], None, "No such file or directory"),
         (["frame", "--scenario", "warped-canonical", "--point", "0,0"], None, "--point needs 3"),
         (["verify", "--scenario", "euclidean", "--dim", "4"], None, "dimension 3, not 4"),
@@ -553,6 +564,9 @@ STATIC_4D_FILE = (
         "static-not-a-boolean",
         "static-in-4d",
         "unknown-key",
+        "repeated-key",
+        "repeated-param",
+        "repeated-grid-axis",
         "missing-file",
         "point-coordinates",
         "verify-dim",

@@ -1,8 +1,8 @@
 """Lint: no module of the package or the tests imports a name it never uses.
 
 The package imports neither sympy and mpmath nor a module of the tests, and
-every public function and class it defines, and every member of its
-classes, is on a command's path.
+every public function and class it defines, every member of its classes
+and every field and attribute they hold, is on a command's path.
 """
 
 import ast
@@ -81,7 +81,7 @@ def test_the_package_imports_nothing_from_the_tests(path):
 # The entry points of the console script and of ``python -m skewdiv``.
 ENTRY_POINTS = {"cli.main", "cli.console_main"}
 
-# Public names and class members that no command reaches yet, each with the
+# Public names, class members and data members that no command reaches yet, each with the
 # reason it stays.  Empty: a check that only the tests call lives in
 # tests/checks.py.
 UNCALLED: dict[str, str] = {}
@@ -195,13 +195,108 @@ def test_unread_members_are_caught():
     assert unread_members(sources, {"a.A.unread"}) == ["a.A.unused", "a.A.its_own_caller"]
 
 
+def unread_fields(sources: dict[str, str], allowed=()) -> list[str]:
+    """``module.Class.name`` of each data member of a class in ``sources`` that no code reads.
+
+    A data member is a name annotated in the class body (a dataclass or
+    ``NamedTuple`` field) or an attribute that a method stores on ``self``.
+    It is read when its name appears anywhere in ``sources`` as an attribute
+    load or as a whole string constant (``getattr`` reads a field by its
+    name).  A bare name does not count, so a local variable that spells a
+    field does not hide it.  Limit: a name that another class's attribute or
+    a string key also spells counts as read.  Names in ``allowed`` are not
+    reported.
+    """
+    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    read = {
+        n.attr if isinstance(n, ast.Attribute) else n.value
+        for tree in trees.values()
+        for n in ast.walk(tree)
+        if (isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+        or (isinstance(n, ast.Constant) and isinstance(n.value, str))
+    }
+    return [
+        f"{mod}.{cls.name}.{name}"
+        for mod, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for name in data_members(cls)
+        if name not in read and f"{mod}.{cls.name}.{name}" not in allowed
+    ]
+
+
+def data_members(cls: ast.ClassDef) -> list[str]:
+    """The names annotated in the body of ``cls`` and the attributes its methods store on ``self``."""
+    fields = [
+        s.target.id for s in cls.body if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
+    ]
+    stored = [
+        n.attr
+        for method in cls.body
+        if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for n in ast.walk(method)
+        if isinstance(n, ast.Attribute)
+        and isinstance(n.ctx, ast.Store)
+        and isinstance(n.value, ast.Name)
+        and n.value.id == "self"
+    ]
+    return list(dict.fromkeys(fields + stored))
+
+
+def test_unread_fields_are_caught():
+    sources = {
+        "a": (
+            "from dataclasses import dataclass\n"
+            "from typing import NamedTuple\n"
+            "@dataclass\n"
+            "class D:\n"
+            "    read: int\n"
+            "    unread: int\n"
+            "    by_string: int\n"
+            "    spelt_by_a_local: int\n"
+            "class Row(NamedTuple):\n"
+            "    x: float\n"
+            "    unread_column: float\n"
+            "class S:\n"
+            "    def __init__(self):\n"
+            "        self.kept = 1\n"
+            "        self.stored_only = 2\n"
+            "        self.allowed = 3\n"
+            "COLUMNS = ('by_string',)\n"
+        ),
+        "b": (
+            "from .a import COLUMNS, D, Row, S\n"
+            "spelt_by_a_local = D(1, 2, 3, 4).read + Row(0.0, 1.0).x + S().kept\n"
+            "v = [getattr(D(1, 2, 3, 4), nm) for nm in COLUMNS]\n"
+        ),
+    }
+    assert unread_fields(sources) == [
+        "a.D.unread",
+        "a.D.spelt_by_a_local",
+        "a.Row.unread_column",
+        "a.S.stored_only",
+        "a.S.allowed",
+    ]
+    assert unread_fields(sources, {"a.S.allowed"}) == [
+        "a.D.unread",
+        "a.D.spelt_by_a_local",
+        "a.Row.unread_column",
+        "a.S.stored_only",
+    ]
+
+
 def test_every_public_name_is_on_a_commands_path():
-    """Each public function and class of the package, and each class member, is read by package code.
+    """Each public function and class of the package, and each member of a class, is read by package code.
+
+    The members are methods and properties, fields, and attributes stored on ``self``.
 
     A check that only the tests call lives in ``tests/checks.py``.
     """
     sources = {p.stem: p.read_text() for p in PACKAGE}
     assert uncalled(sources, ENTRY_POINTS | UNCALLED.keys()) == []
     assert unread_members(sources, UNCALLED.keys()) == []
+    assert unread_fields(sources, UNCALLED.keys()) == []
     # A name that gains a caller leaves the list.
-    assert sorted(uncalled(sources, ENTRY_POINTS) + unread_members(sources)) == sorted(UNCALLED)
+    assert sorted(
+        uncalled(sources, ENTRY_POINTS) + unread_members(sources) + unread_fields(sources)
+    ) == sorted(UNCALLED)

@@ -148,8 +148,9 @@ def test_frame_at_canonical_point():
 
 def test_frame_p_structure():
     spec = warped_spec()
-    fr = build_frame(PointAnalysis(spec, (0.3, 0.4, 0.5)))
-    pf = fr.p_frame
+    an = PointAnalysis(spec, (0.3, 0.4, 0.5))
+    fr = build_frame(an)
+    pf = np.einsum("ab,ia,jb->ij", an.P_val, fr.vectors, fr.vectors)  # P(E_i, E_j)
     assert pf[0, 1] == pytest.approx(fr.u, abs=1e-12)
     assert pf[1, 0] == pytest.approx(-fr.u, abs=1e-12)
     mask = np.ones((3, 3), dtype=bool)
@@ -159,8 +160,9 @@ def test_frame_p_structure():
 
 def test_div_true_matches_coordinates_and_false_misses():
     spec = warped_spec()
-    fr = build_frame(PointAnalysis(spec, (0.0, 0.0, 0.0)))
-    assert np.allclose(fr.div_true, fr.div_coord_in_frame, atol=1e-12)
+    an = PointAnalysis(spec, (0.0, 0.0, 0.0))
+    fr = build_frame(an)
+    assert np.allclose(fr.div_true, fr.vectors @ an.div_P_val, atol=1e-12)
     chart = fr.covector_to_chart(fr.discrepancy)
     assert chart[1] == pytest.approx(1.0 / 16.0, abs=1e-13)
     assert abs(chart[0]) < 1e-13 and abs(chart[2]) < 1e-13
@@ -237,14 +239,16 @@ def test_coordinate_vs_frame_divergence_random():
     for seed in (80, 81, 82, 83):
         sc = random_scenario(seed, 3)
         pt = sc.grid_points()[0]
+        an = PointAnalysis(sc.spec(), pt)
         try:
-            fr = build_frame(PointAnalysis(sc.spec(), pt))
+            fr = build_frame(an)
         except DegeneratePError:
             continue
+        div_coord_in_frame = fr.vectors @ an.div_P_val
         assert np.allclose(
             fr.div_true,
-            fr.div_coord_in_frame,
-            atol=1e-10 * max(1.0, np.max(np.abs(fr.div_coord_in_frame))),
+            div_coord_in_frame,
+            atol=1e-10 * max(1.0, np.max(np.abs(div_coord_in_frame))),
         )
 
 

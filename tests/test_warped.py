@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from skewdiv import warped
 from skewdiv.errors import EvalDomainError, OrderExceededError
 from skewdiv.jets import Jet
-from skewdiv.ptensor import analyze
+from skewdiv.ptensor import PointAnalysis, analyze, build_frame
 from skewdiv.warped import (
     ViolationRow,
     WarpedSpec,
@@ -34,19 +34,21 @@ def grid27():
 def test_closed_form_at_canonical_point():
     spec = WarpedSpec.canonical(4.0, 1.0)
     row = closed_form_eval(spec, 0.0, 0.0)
-    assert row.p_coefficient == pytest.approx(-0.25, abs=1e-15)
     assert row.nabla_p_norm_sq == pytest.approx(1.0 / 64.0, abs=1e-15)
     assert row.div_p_norm_sq == pytest.approx(1.0 / 64.0, abs=1e-15)
     assert row.violation == pytest.approx(-1.0 / 64.0, abs=1e-15)
     assert abs(row.sharp_margin) < 1e-15
-    assert row.div_true_dx1 == pytest.approx(1.0 / 8.0, abs=1e-15)
-    assert row.div_false_dx1 == pytest.approx(1.0 / 16.0, abs=1e-15)
+    an = PointAnalysis(ptensor_spec(spec), (0.0, 0.0, 0.0))
+    assert an.P_val[..., 0, 1] == pytest.approx(-0.25, abs=1e-15)
+    frame = build_frame(an)
+    assert frame.covector_to_chart(frame.div_true)[1] == pytest.approx(1.0 / 8.0, abs=1e-15)
+    assert frame.covector_to_chart(frame.div_false)[1] == pytest.approx(1.0 / 16.0, abs=1e-15)
 
 
 def test_constant_psi_kills_everything():
     spec = WarpedSpec.canonical(4.0, 1.0, psi="1")
     row = closed_form_eval(spec, 0.3, 0.7)
-    assert row.p_coefficient == 0.0
+    assert analyze(ptensor_spec(spec), (0.3, 0.7, 0.0)).P_val[..., 0, 1] == 0.0
     assert row.nabla_p_norm_sq == 0.0
     assert row.div_p_norm_sq == 0.0
     assert row.violation == 0.0
@@ -72,13 +74,14 @@ def test_bracket_closed_form_and_signs():
 
 
 def test_false_formula_gap_closed_form():
+    """The frame's bracket-free shortcut misses div P by phi_dot^2/phi^4 dx1."""
     for k, c, r, x1 in ((4.0, 1.0, 0.0, 0.0), (5.0, 2.0, 0.7, 0.4), (2.5, 0.8, 0.3, 0.9)):
         spec = WarpedSpec.canonical(k, c)
-        row = closed_form_eval(spec, r, x1)
+        frame = build_frame(PointAnalysis(ptensor_spec(spec), (r, x1, 0.0)))
         phi = (r + c) ** (-1 / k)
         dphi = -(1 / k) * (r + c) ** (-1 / k - 1)
         gap = dphi**2 / phi**4  # lambda = 1, psi' = 1
-        assert row.div_true_dx1 - row.div_false_dx1 == pytest.approx(gap, rel=1e-12)
+        assert frame.covector_to_chart(frame.discrepancy)[1] == pytest.approx(gap, rel=1e-12)
 
 
 def test_cross_validation_canonical():
@@ -219,19 +222,9 @@ def _bits(row) -> bytes:
     return np.array(tuple(row), dtype=float).tobytes()
 
 
-def test_a_row_keeps_its_nine_fields_in_order():
+def test_a_row_keeps_its_six_fields_in_order():
     """The CSV and the engine cross-check read a row's fields by name; a row unpacks in this order."""
-    assert ViolationRow._fields == (
-        "r",
-        "x1",
-        "p_coefficient",
-        "nabla_p_norm_sq",
-        "div_p_norm_sq",
-        "violation",
-        "sharp_margin",
-        "div_true_dx1",
-        "div_false_dx1",
-    )
+    assert ViolationRow._fields == ("r", "x1", "nabla_p_norm_sq", "div_p_norm_sq", "violation", "sharp_margin")
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
