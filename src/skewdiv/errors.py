@@ -6,11 +6,10 @@ class SkewdivError(Exception):
 
 
 class ParseError(SkewdivError):
-    """Malformed expression source.  Carries the byte offset of the problem."""
+    """Malformed expression source.  The message ends with the byte offset of the problem."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at offset {offset})")
-        self.offset = offset
 
 
 class UnknownNameError(ParseError):

@@ -27,17 +27,12 @@ Index conventions, fixed once for the whole package:
       R_ijks = g_km (d_i Gamma^m_js - d_j Gamma^m_is
                      + Gamma^m_ip Gamma^p_js - Gamma^m_jp Gamma^p_is)
 
-  With this sign the round unit sphere has Ric = (n-1) g (positive), the
-  symmetries R_ijks = -R_jiks = -R_ijsk = R_ksij hold, and the curvature
-  decomposition
-
-      R_ijks = -R/((n-1)(n-2)) (g_ik g_js - g_is g_jk)
-               + 1/(n-2) (R_ik g_js - R_is g_jk + g_ik R_js - g_is R_jk)
-               + W_ijks
-
-  defines the Weyl tensor.  The Bochner residual test pins this choice: the
-  commutator rule it encodes is d_i d_j T - d_j d_i T acting through
-  +R_ij.s contractions.
+  With this sign the round unit sphere has R_ijks = g_ik g_js - g_is g_jk
+  and Ric = (n-1) g (positive), and the symmetries
+  R_ijks = -R_jiks = -R_ijsk = R_ksij hold.  The Ricci and Riemann terms
+  of the Bochner balance pin this choice, and so does the commutation test
+  (``test_commutation_rule_pins_curvature_sign``): the rule they encode is
+  d_i d_j T - d_j d_i T acting through +R_ij.s contractions.
 * Ricci traces R^m_ijs = g^mk R_ijks:  R_js = R^i_ijs (= g^ik R_ijks);
   scalar R = g^js R_js.  :meth:`MetricJets.riemann_up` writes R^m_ijs once,
   for the values and for jets.
@@ -183,6 +178,7 @@ class MetricField:
         return g
 
     def _check_positive_definite(self, vals: np.ndarray, point) -> None:
+        """Raise unless g is finite and positive definite (a batch's message goes unread)."""
         if not np.all(np.isfinite(vals)):
             raise NonPositiveDefiniteError(f"metric has non-finite components at {point_tuple(point)}")
         try:
@@ -231,18 +227,9 @@ def each_point_on_error(fn, rows) -> np.ndarray:
     return np.stack(out).reshape(rows.shape[:-1] + out[0].shape)
 
 
-def point_tuple(points) -> tuple:
-    """A point as a tuple of floats; a batch of points as a tuple of those."""
-    a = np.asarray(points, dtype=float)
-    if a.ndim == 1:
-        return tuple(a.tolist())
-    if a.ndim == 2:
-        return tuple(map(tuple, a.tolist()))
-
-    def nested(x):
-        return tuple(nested(v) for v in x) if isinstance(x, list) else x
-
-    return nested(a.tolist())
+def point_tuple(point) -> tuple:
+    """A point as a tuple of Python floats, for error messages."""
+    return tuple(np.asarray(point, dtype=float).tolist())
 
 
 def batch_value(x):
@@ -389,41 +376,27 @@ class MetricJets:
 
     @cached_property
     def curvature(self) -> "CurvatureEval":
-        n = self.dim
         rup = self.riemann_up(0)[..., 0]
         riem = np.einsum("...km,...mijs->...ijks", self.g_val, rup)
         ricci = np.einsum("...iijs->...js", rup)
-        scal = np.asarray(np.einsum("...js,...js->...", self.ginv_val, ricci))
-        if n >= 3:
-            gg = np.einsum("...ik,...js->...ijks", self.g_val, self.g_val)
-            rg = np.einsum("...ik,...js->...ijks", ricci, self.g_val)
-            gr = np.einsum("...ik,...js->...ijks", self.g_val, ricci)
-            weyl = (
-                riem
-                + (scal / ((n - 1) * (n - 2)))[..., None, None, None, None]
-                * (gg - np.swapaxes(gg, -1, -2))
-                - (rg - np.swapaxes(rg, -1, -2) + gr - np.swapaxes(gr, -1, -2))
-                / (n - 2)
-            )
-        else:
-            weyl = np.zeros_like(riem)
-        return CurvatureEval(ricci=ricci, scalar=batch_value(scal), weyl=weyl)
+        scal = np.einsum("...js,...js->...", self.ginv_val, ricci)
+        return CurvatureEval(riemann=riem, ricci=ricci, scalar=batch_value(scal))
 
 
 @dataclass(frozen=True)
 class CurvatureEval:
     """The curvature that the balance and the static system read, at a point or over a batch.
 
-    The Riemann tensor itself is :meth:`MetricJets.riemann_up` lowered by g.
-    The tensors are plain arrays of values, with the batch axes of
+    ``riemann`` is R_ijks, :meth:`MetricJets.riemann_up` lowered by g.  The
+    tensors are plain arrays of values, with the batch axes of
     :class:`MetricJets` in front; the metric, its inverse and Gamma stay on
     the :class:`MetricJets` whose ``curvature`` this is.  ``scalar`` is a
     float for one point and an array over a batch.
     """
 
+    riemann: np.ndarray
     ricci: np.ndarray
     scalar: float | np.ndarray
-    weyl: np.ndarray
 
 
 def cov_derivative(T: np.ndarray, gamma: np.ndarray) -> np.ndarray:

@@ -6,15 +6,15 @@ the rule every check shares.
 
 Identities covered:
 
-* Weitzenbock/Bochner balance for P (general dimension, with the curvature
-  split into scalar, Ricci and Weyl blocks):
+* Weitzenbock/Bochner balance for P, in every dimension:
 
       1/2 Lap |P|^2 = |grad P|^2 + 2 <P, grad div P>
-                      + 2R/((n-1)(n-2)) |P|^2
-                      + 2 (n-4)/(n-2) R_js P_sk P_jk
-                      + 2 W_ijks P_is P_jk
+                      + 2 R_js P^sc P^j_c + 2 R_ijks P^is P^jk
 
-  In dimension 3 the Weyl tensor vanishes and the balance collapses to
+  Its curvature term 2 Ric(P, P) + 2 Rm(P, P) is the Weitzenbock curvature
+  term of 2-forms (Petersen, Riemannian Geometry, 3rd ed., ch. 9); on the
+  round unit n-sphere it is 2(n-2) |P|^2.  In dimension 3 the Riemann
+  tensor is fixed by the Ricci tensor and the balance reads
 
       1/2 Lap |P|^2 = |grad P|^2 + 2 <P, grad div P> + R |P|^2 - 2 R_js P_sk P_jk,
 
@@ -44,25 +44,19 @@ def _balance_terms(an: PointAnalysis):
 
 
 def bochner_residual(an: PointAnalysis) -> IdentityResidual:
-    """Residual of the curvature balance for 1/2 Lap |P|^2 (jet order >= 4, n >= 3).
+    """Residual of the curvature balance for 1/2 Lap |P|^2 (jet order >= 4).
 
-    One formula for every dimension: at n = 3 its Weyl term is rounding
-    noise and it reduces to the dimension-3 form.  ``an`` may analyse a
-    batch of points (see :class:`PointAnalysis`).
+    One formula for every dimension.  ``an`` may analyse a batch of points
+    (see :class:`PointAnalysis`).
     """
     an.require_order(4, "the curvature balance")
-    n = an.dim
-    if n < 3:
-        raise ValueError("the curvature balance needs dimension >= 3")
     lhs, t_grad, t_div = _balance_terms(an)
     curv = an.mj.curvature
     p_up = an.P_up
     p_mixed = np.einsum("...jb,...bc->...jc", an.mj.ginv_val, an.P_val)
-    ric_quad = batch_value(np.einsum("...js,...sc,...jc->...", curv.ricci, p_up, p_mixed))
-    t_scal = 2.0 * curv.scalar / ((n - 1) * (n - 2)) * an.p_norm_sq
-    t_ric = 2.0 * (n - 4) / (n - 2) * ric_quad
-    t_weyl = 2.0 * batch_value(np.einsum("...ijks,...is,...jk->...", curv.weyl, p_up, p_up))
-    terms = (t_grad, t_div, t_scal, t_ric, t_weyl)
+    t_ric = 2.0 * batch_value(np.einsum("...js,...sc,...jc->...", curv.ricci, p_up, p_mixed))
+    t_riem = 2.0 * batch_value(np.einsum("...ijks,...is,...jk->...", curv.riemann, p_up, p_up))
+    terms = (t_grad, t_div, t_ric, t_riem)
     return residual("bochner", lhs, sum(terms), terms)
 
 

@@ -19,10 +19,10 @@ fails on a public name there that no code in the package reads.
   ``identities._field_residuals`` and ``_balance_terms`` with the checks
   that ``verify`` runs.  :func:`grad_f_val` and :func:`grad_p_norm_sq_val`
   are the two values only the static substitution reads.
-* :func:`riemann` and :func:`traceless_ricci` are curvature values that no
-  command reads: R_ijks, lowered from ``MetricJets.riemann_up`` as
-  ``MetricJets.curvature`` does for the Weyl tensor, and the trace-free
-  Ricci tensor that :func:`cpe_residual` reads.  The engine's
+* :func:`weyl` and :func:`traceless_ricci` are curvature values that no
+  command reads: the Weyl tensor, which the tests keep as a reference for
+  the balance's curvature term, and the trace-free Ricci tensor that
+  :func:`cpe_residual` reads.  The engine's
   ``IdentityResidual`` keeps only a name and the two residuals, and
   ``FrameEval`` and ``ViolationRow`` only what a command prints; the tests
   form what else they read from the analysis itself.
@@ -61,9 +61,24 @@ def second_bianchi_residual(mj: MetricJets) -> IdentityResidual:
     return residual("second-bianchi", gap, 0.0, (np.max(np.abs(dscal), axis=-1),))
 
 
-def riemann(mj: MetricJets) -> np.ndarray:
-    """R_ijks values: R^m_ijs lowered by g, as ``MetricJets.curvature`` forms them for the Weyl tensor."""
-    return np.einsum("...km,...mijs->...ijks", mj.g_val, mj.riemann_up(0)[..., 0])
+def weyl(mj: MetricJets) -> np.ndarray:
+    """W_ijks values (n >= 3), from the curvature decomposition
+
+        R_ijks = -R/((n-1)(n-2)) (g_ik g_js - g_is g_jk)
+                 + 1/(n-2) (R_ik g_js - R_is g_jk + g_ik R_js - g_is R_jk)
+                 + W_ijks
+    """
+    n = mj.dim
+    curv = mj.curvature
+    scal = np.asarray(curv.scalar)
+    gg = np.einsum("...ik,...js->...ijks", mj.g_val, mj.g_val)
+    rg = np.einsum("...ik,...js->...ijks", curv.ricci, mj.g_val)
+    gr = np.einsum("...ik,...js->...ijks", mj.g_val, curv.ricci)
+    return (
+        curv.riemann
+        + (scal / ((n - 1) * (n - 2)))[..., None, None, None, None] * (gg - np.swapaxes(gg, -1, -2))
+        - (rg - np.swapaxes(rg, -1, -2) + gr - np.swapaxes(gr, -1, -2)) / (n - 2)
+    )
 
 
 def traceless_ricci(mj: MetricJets) -> np.ndarray:

@@ -16,7 +16,7 @@ from skewdiv.ptensor import PointAnalysis, build_frame
 from skewdiv.scenarios import builtin_scenario, random_scenario
 from skewdiv.warped import WarpedSpec, closed_form_eval, cross_validate, ptensor_spec, search_violation
 
-from checks import riemann, second_bianchi_residual
+from checks import second_bianchi_residual, weyl
 from conftest import bochner_dim3_rhs, session_elapsed
 from exact_oracle import exact_point, rel_error
 
@@ -192,7 +192,7 @@ def test_criterion_8_oracle_cross_checks(random_pool):
         worst_oracle = max(
             worst_oracle,
             rel_error(mj.gamma[..., 0], exact.gamma),
-            rel_error(riemann(mj), exact.riemann),
+            rel_error(mj.curvature.riemann, exact.riemann),
         )
 
     batches, _ = random_pool
@@ -200,8 +200,7 @@ def test_criterion_8_oracle_cross_checks(random_pool):
     for batch in batches:
         if batch.scenario.dim != 3:
             continue
-        cv = batch.analyses[0].mj.curvature
-        worst_weyl = max(worst_weyl, float(np.max(np.abs(cv.weyl))))
+        worst_weyl = max(worst_weyl, float(np.max(np.abs(weyl(batch.analyses[0].mj)))))
 
     worst_bianchi = 0.0
     for seed in range(10):

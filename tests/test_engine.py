@@ -45,7 +45,7 @@ from skewdiv.report import report_to_json
 from skewdiv.scenarios import BUILTIN_NAMES, builtin_scenario, random_scenario
 from skewdiv.warped import WarpedSpec, ptensor_spec
 
-from checks import cpe_residual, grad_f_val, grad_p_norm_sq_val, riemann, traceless_ricci
+from checks import cpe_residual, grad_f_val, grad_p_norm_sq_val, traceless_ricci
 
 
 def scaled_metric(metric: MetricField, s: float) -> MetricField:
@@ -467,9 +467,8 @@ def _read_values(an: PointAnalysis) -> dict:
     for name in ("g_val", "ginv_val"):
         values[name] = getattr(an.mj, name)
     curv = an.mj.curvature
-    for name in ("ricci", "scalar", "weyl"):
+    for name in ("riemann", "ricci", "scalar"):
         values[f"curvature.{name}"] = getattr(curv, name)
-    values["riemann"] = riemann(an.mj)
     values["traceless_ricci"] = traceless_ricci(an.mj)
     residuals = [cyclic_residual(an)] + ([bochner_residual(an)] if an.order >= 4 else [])
     residuals += [*static_residual(an)] if an.dim == 3 else []

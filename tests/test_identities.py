@@ -9,6 +9,7 @@ from skewdiv.expr import chart_variables, evaluate, parse
 from skewdiv.geometry import MetricField, MetricJets, residual
 from skewdiv.identities import IdentityResidual, bochner_residual, static_residual
 from skewdiv.scenarios import (
+    BUILTIN_NAMES,
     builtin_scenario,
     parse_scenario_file,
     random_scenario,
@@ -17,7 +18,7 @@ from skewdiv.scenarios import (
 from skewdiv.ptensor import PointAnalysis, PTensorSpec, build_frame, cyclic_residual
 from skewdiv.warped import WarpedSpec, ptensor_spec
 
-from checks import cpe_residual, second_bianchi_residual, static_bochner_residual
+from checks import cpe_residual, second_bianchi_residual, static_bochner_residual, weyl
 from conftest import bochner_dim3_rhs
 
 
@@ -76,8 +77,8 @@ def test_bochner_balance_is_within_a_few_ulps_on_random_scenarios(dim):
 def test_general_form_matches_dim3_form():
     """In dimension 3 the balance's curvature terms are R|P|^2 - 2 R_js P_sk P_jk: that form closes it too.
 
-    The general form, with its rounding-level Weyl term, closes it within
-    the bounds of the bochner tests above.
+    The general form, 2 Ric(P, P) + 2 Rm(P, P), closes it within the bounds
+    of the bochner tests above.
     """
     cases = [(ptensor_spec(WarpedSpec.canonical(4.0, 1.0)), (0.3, 0.2, 0.6))]
     for seed in (400, 401, 402):
@@ -90,10 +91,48 @@ def test_general_form_matches_dim3_form():
         assert abs(lhs - dim3) < 1e-12 * max(1.0, abs(dim3))
 
 
-def test_bochner_balance_needs_dimension_3():
-    sc = parse_scenario_file("dim = 2\nf = x0*x1\nmetric:\n1 | 0\n0 | 1\n")
-    with pytest.raises(ValueError, match="dimension >= 3"):
-        bochner_residual(PointAnalysis(sc.spec(), sc.grid_points()[0]))
+SPLIT_CASES = [builtin_scenario(name) for name in BUILTIN_NAMES]
+SPLIT_CASES += [random_scenario(seed, dim) for dim in (3, 4) for seed in range(8)]
+
+
+@pytest.mark.parametrize("sc", SPLIT_CASES, ids=lambda sc: f"{sc.name}-{sc.dim}d")
+def test_weitzenbock_term_equals_the_scalar_ricci_weyl_split(sc):
+    """2 Ric(P, P) + 2 Rm(P, P) is the curvature term of the balance's scalar/Ricci/Weyl form.
+
+    That form, for n >= 3, is 2R/((n-1)(n-2)) |P|^2 + 2 (n-4)/(n-2) Ric(P, P)
+    + 2 W(P, P); the two agree within 1e-14 of their largest term.
+    """
+    an = PointAnalysis(sc.spec(), sc.grid_points())
+    n, curv, p_up = an.dim, an.mj.curvature, an.P_up
+    p_mixed = np.einsum("...jb,...bc->...jc", an.mj.ginv_val, an.P_val)
+    ric_quad = np.einsum("...js,...sc,...jc->...", curv.ricci, p_up, p_mixed)
+    riem_quad = np.einsum("...ijks,...is,...jk->...", curv.riemann, p_up, p_up)
+    weyl_quad = np.einsum("...ijks,...is,...jk->...", weyl(an.mj), p_up, p_up)
+    split = (
+        2.0 * curv.scalar / ((n - 1) * (n - 2)) * an.p_norm_sq,
+        2.0 * (n - 4) / (n - 2) * ric_quad,
+        2.0 * weyl_quad,
+    )
+    weitzenbock = (2.0 * ric_quad, 2.0 * riem_quad)
+    largest = np.max(np.abs([*split, *weitzenbock]), axis=0)
+    assert np.all(np.abs(sum(split) - sum(weitzenbock)) <= 1e-14 * largest)
+
+
+def test_bochner_balance_closes_in_dimension_2():
+    """The balance holds in every dimension: on a curved 2-D chart it closes to a few ulps.
+
+    At n = 2 its two curvature terms cancel, Rm(P, P) = -Ric(P, P).
+    """
+    sc = parse_scenario_file(
+        "dim = 2\n"
+        "f = x0*x1*x1 + sin(x0)\n"
+        "lambda = 1 + f\n"
+        "metric:\n"
+        "1 + x0*x0/3 | x0*x1/5\n"
+        "x0*x1/5 | exp(x0/2)\n"
+    )
+    res = bochner_residual(PointAnalysis(sc.spec(), [(0.3, 0.4), (0.7, 0.2), (0.1, 0.9)]))
+    assert np.max(res.rel_residual) <= 2e-15
 
 
 def test_static_system_on_round_sphere():
