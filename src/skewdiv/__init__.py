@@ -28,8 +28,8 @@ from .geometry import (
     IdentityResidual,
     MetricField,
     MetricJets,
+    ScalarField,
     cov_derivative,
-    expression_jets,
 )
 from .identities import (
     bochner_residual,

@@ -32,21 +32,24 @@ printing look up a handler by ``type(node)`` in one table each (``_EVAL``,
 lookup and one call.
 
 Fields.  Several entries on one point (a metric's entries, say) are sums of
-lowered terms coef * factor_1 * ... * factor_m (:func:`_terms`), which
-:func:`sum_terms` sums: variables read their point entries, other factors
-are walked once, and the product of each prefix of factors is formed once
-for all the entries.  The entries' jet terms are then summed by one gather:
-each distinct product is a row of one table, each entry a row of indices
-into it and a row of coefficients, and one vector add per term position sums
-every entry.
+lowered terms coef * factor_1 * ... * factor_m (:func:`_terms`).  A field
+holds them as one :class:`TermTable`, built once: a row per distinct term,
+and per entry a row of indices into it and a row of coefficients.
+:func:`sum_terms` sums them on each call.  A term's leading variables are
+one monomial, placed from the points by Taylor shift with no jet product
+(:func:`skewdiv.jets.place_monomials`); any later factor is walked once and
+multiplied in, in source order.  The entries' jet terms are then summed by
+one gather, and one vector add per term position sums every entry.
 """
 
 from __future__ import annotations
 
+import copy
+import math
 import re
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import add, itemgetter
-from typing import Mapping, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 from . import jets
 from .errors import (
@@ -291,7 +294,12 @@ _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
 
 def number_source(v: float) -> str:
-    """The text of a number: an integral one without its fraction, else its repr."""
+    """The text of a number: an integral one without its fraction, an infinite one as 1e999, else its repr.
+
+    A literal beyond the float range parses to inf, and 1e999 parses back to it.
+    """
+    if abs(v) == math.inf:
+        return "-1e999" if v < 0 else "1e999"
     return str(int(v)) if v == int(v) and abs(v) < 1e16 else repr(v)
 
 
@@ -478,93 +486,225 @@ def _terms(e: Expr) -> list[tuple[float, tuple]]:
     return [(1.0, (e,))]
 
 
-def sum_terms(entries: Sequence[Sequence[tuple]], point: Sequence, params: ParamSet | None = None) -> list:
-    """Each entry's lowered terms (:func:`_terms`) summed on one ``point``, sharing their products.
+class TermTable:
+    """The lowered terms of a field's entries (:func:`_terms`), as the bookkeeping of their sum.
 
-    Variables read their point entries, other factors are walked once, and
-    the product of each prefix of factors is formed once for all the
-    entries.  An entry sums its terms in source order with the walk's
-    arithmetic, so it is the walk's value up to the products and sums that
-    the lowering re-associates.  An entry whose terms fail or whose sum is
-    not finite is ``None``: the caller walks its tree instead, for the
-    walk's value or its located error.
-
-    Entries with jet terms are summed together by one gather.  Each distinct
-    product is a row of one table, each entry a row of indices into it and a
-    row of coefficients, so ``table[index] * coefs`` scales every term at
-    once.  A number term keeps its value slot alone, and padding is a row of
-    -0.0: both add exactly nothing elsewhere.  One vector add per term
-    position then sums every entry in source order.  Where every such entry
-    is a single term there is nothing to sum: each is its scaled product.
+    Built once per field, and read by :func:`sum_terms` on every call.  Each
+    distinct term is a row of one table.  A term's leading run of variables
+    is a monomial x^alpha, and the monomials come first: ``monomials[k]``
+    lists the variables of row k in increasing order, those of degree 2 and
+    up before the lone seeds (``seeds`` holds their variables).  A term with a
+    further factor (a function, a quotient, a power, or a variable after
+    one) is a row of ``trees``: its leading monomial, then the factors that
+    multiply it in source order.  The number term ``()`` comes last, and
+    then the row that pads.  ``at[e]`` holds the rows of entry e's terms in
+    source order, padded by that last row, ``coefs[:, e]`` their
+    coefficients, padded by 1.0 (term-major, as the gather reads them), and
+    ``lengths[e]`` its number of terms.
     """
-    params = params if params is not None else {}
-    formed: dict[tuple, object] = {}  # factors -> their product, each formed once
 
-    def product(factors: tuple):
-        p = formed.get(factors)
-        if p is None:
-            f = factors[0]
-            p = formed[factors] = (
-                product(factors[:-1]) * product(factors[-1:]) if len(factors) > 1
-                else point[f] if type(f) is int else evaluate(f, point, params)
-            )
-        return p
+    def __init__(self, factors: Sequence[tuple], index, coefs):
+        """``factors[r]`` is a term's factors; entry e's terms are the rows ``index[e]`` (-1 pads) times ``coefs[e]``."""
+        import numpy as np  # here: imported ahead of jets, it raises the import's peak memory
+        split = []  # each row's leading variables and the factors after them
+        for fs in factors:
+            lead = 0
+            while lead < len(fs) and type(fs[lead]) is int:
+                lead += 1
+            split.append((tuple(sorted(fs[:lead])), fs[lead:]))
+        monomials = dict.fromkeys(v for v, _ in split if v)
+        self.monomials = tuple(sorted(monomials, key=lambda v: len(v) < 2))  # placed ones, then lone seeds
+        self.seeds = [v[0] for v in self.monomials if len(v) == 1]
+        self.trees = tuple(dict.fromkeys((v, rest) for v, rest in split if rest))
+        row = {(v, ()): k for k, v in enumerate(self.monomials)}
+        row.update((tree, len(self.monomials) + k) for k, tree in enumerate(self.trees))
+        self.number = len(row) if ((), ()) in split else None  # the row of the number term
+        self.nrows = len(row) + (self.number is not None)
+        row[(), ()] = self.number
+        index = np.asarray(index)
+        self.at = np.array([row[s] for s in split] + [self.nrows])[index]  # -1 picks the padding row
+        self.coefs = np.ascontiguousarray(np.transpose(coefs), dtype=float)
+        self.lengths = (index >= 0).sum(axis=1).tolist()
+        self.nvars = 1 + max((v[-1] for v in self.monomials), default=-1)
+        self._plans: dict[tuple, _SumPlan] = {}
 
-    rows: dict[tuple, int] = {}  # each distinct term's factors -> its table row
-    index = [[rows.setdefault(factors, len(rows)) for _, factors in terms] for terms in entries]
-    values: list = []  # row -> its product, or None where that fails
-    for factors in rows:
-        try:
-            values.append(product(factors) if factors else 1.0)
-        except (EvalDomainError, MissingParameterError, ArithmeticError, LookupError):
-            values.append(None)
-    is_jet = [isinstance(v, jets.Jet) for v in values]
-    out: list = [None] * len(entries)
-    summed = []  # the entries with a jet term
-    for e, (terms, at) in enumerate(zip(entries, index)):
-        if None in values and any(values[r] is None for r in at):
-            continue
-        if any(is_jet[r] for r in at):
+    @classmethod
+    def of(cls, entries: Sequence[Sequence[tuple]]) -> "TermTable":
+        """The table of each entry's terms ``[(coef, factors), ...]``, a row per distinct factors."""
+        rows: dict[tuple, int] = {}
+        index = [[rows.setdefault(factors, len(rows)) for _, factors in terms] for terms in entries]
+        width = max(map(len, index))
+        return cls(
+            list(rows),
+            [at + [-1] * (width - len(at)) for at in index],
+            [[coef for coef, _ in terms] + [1.0] * (width - len(terms)) for terms in entries],
+        )
+
+    def with_coefs(self, coefs) -> "TermTable":
+        """The same terms with the coefficients ``coefs[e]``, sharing this table's bookkeeping and plans."""
+        import numpy as np
+        table = copy.copy(self)
+        table.coefs = np.ascontiguousarray(coefs.T)
+        return table
+
+    def plan(self, kinds: tuple) -> "_SumPlan":
+        """How the entries sum where each tree row is a jet (True), a number (False) or fails (None)."""
+        plan = self._plans.get(kinds)
+        if plan is None:
+            plan = self._plans[kinds] = _sum_plan(self, kinds)
+        return plan
+
+
+@lru_cache(maxsize=256)
+def lower(trees: tuple) -> TermTable:
+    """The lowered form of the trees, an entry each, built once for equal trees.
+
+    Equal trees give equal values, so they share one table and its plans,
+    whatever their offsets; a failing entry walks the caller's own tree.
+    """
+    return TermTable.of([_terms(e) for e in trees])
+
+
+class _SumPlan(NamedTuple):
+    """Which entries of a :class:`TermTable` sum how, for one kind of each tree row; no coefficient."""
+
+    summed: object  # the entries with a jet term, summed by the gather: a list, or a slice of all
+    at: object  # their rows, term-major: a term position is one block
+    numbers: object  # the (term, entry) places of number rows: they add to the value alone; None if none is
+    others: list  # (entry, its rows) of each entry of number terms alone
+    failed: list  # the entries with a failing term
+
+
+def _sum_plan(table: TermTable, kinds: tuple) -> _SumPlan:
+    import numpy as np
+    first = len(table.monomials)
+    jet = set(range(first)) | {first + k for k, kind in enumerate(kinds) if kind is True}
+    failing = {first + k for k, kind in enumerate(kinds) if kind is None}
+    number = np.zeros(table.nrows + 1, bool)
+    number[[first + k for k, kind in enumerate(kinds) if kind is False]] = True
+    if table.number is not None:
+        number[table.number] = True
+    summed, others, failed = [], [], []
+    for e, (rows, n) in enumerate(zip(table.at.tolist(), table.lengths)):
+        rows = rows[:n]
+        if not failing.isdisjoint(rows):
+            failed.append(e)
+        elif not jet.isdisjoint(rows):
             summed.append(e)
         else:
-            value = reduce(add, [coef * values[r] for (coef, _), r in zip(terms, at)])
-            out[e] = value if jets.finite(value) else None
-    if not summed:
-        return out
+            others.append((e, rows))
+    width = max((table.lengths[e] for e in summed), default=0)
+    at = table.at[summed, :width].T
+    numbers = np.nonzero(number[at]) if number[at].any() else None
+    if summed == list(range(len(table.lengths))):
+        summed = slice(None)
+    return _SumPlan(summed, at, numbers, others, failed)
 
-    import numpy as np  # here: imported ahead of jets, it raises the import's peak memory
-    width = max(len(entries[e]) for e in summed)
-    if width == 1:  # each entry is one jet term: nothing to gather or add
-        for e in summed:
-            p = values[index[e][0]]
-            c = p.c * entries[e][0][0]
-            out[e] = jets.Jet(p.space, c) if np.isfinite(c).all() else None
-        return out
-    like = values[is_jet.index(True)]
-    table = np.full((len(values) + 1,) + like.c.shape, -0.0)  # the last row pads
-    numbers = set()  # the rows of number products
-    for r, v in enumerate(values):
-        if is_jet[r]:
-            table[r] = v.c
+
+def sum_terms(table: TermTable, points, order: int, params: ParamSet | None = None):
+    """Each entry of ``table`` summed on ``points``: the coefficient array [e, ..., :], and the entries left.
+
+    ``points`` has shape ``batch_shape + (n,)``, and the array the shape
+    ``(entries,) + batch_shape + (ncoef,)``.  A monomial row is placed from
+    the points (:func:`jets.place_monomials`), with no jet product: one of
+    degree 2 or less equals the product of its seeds bit for bit.  A tree
+    row multiplies its monomial, or its first factor, by each later factor
+    in source order, and each factor that is not a variable is walked once;
+    a shared prefix of factors is multiplied once.  An entry sums its terms
+    in source order with the walk's arithmetic, so it is the walk's value up
+    to the products and sums that the lowering re-associates.  The entries
+    whose terms fail or whose sum is not finite are left, in order, for the
+    caller to walk: the walk gives its value or its located error.  So are
+    all entries where the points lack a variable.
+
+    Entries with jet terms are summed together by one gather.  Each row of
+    the table is a product's coefficients, so ``rows[at] * coefs`` scales
+    every term at once.  A number term keeps its value slot alone, and
+    padding is a row of -0.0: both add exactly nothing elsewhere.  One
+    vector add per term position then sums every entry in source order.  An
+    entry of number terms alone is summed in floats.
+    """
+    import numpy as np
+    params = params if params is not None else {}
+    points = jets.seed_points(points, None, order)
+    shape = points.shape[:-1] + (jets.jet_space(points.shape[-1], order).size,)
+    entries = len(table.lengths)
+    if table.nvars > points.shape[-1]:  # the walk names the missing coordinate
+        return np.empty((entries,) + shape), list(range(entries))
+    rows = np.zeros((table.nrows + 1,) + shape)
+    placed = len(table.monomials) - len(table.seeds)
+    if placed:
+        jets.place_monomials(rows, points, table.monomials[:placed])
+    if table.seeds:  # a lone seed is read as it is
+        seeds = rows[placed : len(table.monomials)]
+        seeds[..., 0] = points[..., table.seeds].transpose((-1, *range(len(shape) - 1)))
+        var_pos = jets.jet_space(points.shape[-1], order).var_pos
+        seeds[range(len(table.seeds)), ..., [var_pos[v] for v in table.seeds]] = 1.0
+    values = _tree_rows(table, rows, points, order, params)
+    plan = table.plan(tuple(None if v is None else isinstance(v, jets.Jet) for v in values))
+    left = list(plan.failed)
+    number = {} if table.number is None else {table.number: 1.0}  # the number rows and their values
+    for r, v in enumerate(values, len(table.monomials)):
+        if isinstance(v, jets.Jet):
+            rows[r] = v.c
         elif v is not None:
-            table[r, ..., 0] = v
-            numbers.add(r)
-    at, coefs = [], []
-    for e in summed:
-        pad = width - len(entries[e])
-        at.append(index[e] + [-1] * pad)
-        coefs.append([coef for coef, _ in entries[e]] + [1.0] * pad)
-    at = np.array(list(zip(*at)))  # term-major: a term position is one block
-    scaled = table[at]
-    scaled *= np.array(list(zip(*coefs)))[(...,) + (None,) * like.c.ndim]
-    if any(not numbers.isdisjoint(index[e]) for e in summed):  # a number adds to the value alone
-        flag = np.zeros(len(table), bool)
-        flag[list(numbers)] = True
-        scaled[flag[at], ..., 1:] = -0.0
-    sums = scaled[0]
-    for t in range(1, width):  # term by term, as the walk adds
-        sums += scaled[t]
-    finite = np.isfinite(sums.reshape(len(summed), -1)).all(axis=1).tolist()
-    for e, c, ok in zip(summed, sums, finite):
-        out[e] = jets.Jet(like.space, c) if ok else None  # of degree at most the order
-    return out
+            number[r] = v
+    out = None
+    if plan.at.size:
+        rows[-1] = -0.0
+        if plan.numbers is not None:
+            for r, v in number.items():
+                rows[r, ..., 0] = v
+        scaled = rows[plan.at]
+        coefs = table.coefs[: len(scaled), plan.summed]
+        scaled *= coefs.reshape(coefs.shape + (1,) * len(shape))
+        if plan.numbers is not None:
+            scaled[plan.numbers + (..., slice(1, None))] = -0.0
+        sums = scaled[0]
+        for t in range(1, len(scaled)):  # term by term, as the walk adds
+            sums += scaled[t]
+        summed = range(entries)[plan.summed] if type(plan.summed) is slice else plan.summed
+        finite = np.isfinite(sums.reshape(len(sums), -1)).all(axis=1).tolist()
+        left.extend(e for e, ok in zip(summed, finite) if not ok)
+        out = sums if len(summed) == entries else np.empty((entries,) + shape)
+        if out is not sums:
+            out[plan.summed] = sums
+    if plan.others:
+        out = np.empty((entries,) + shape) if out is None else out
+        others = [e for e, _ in plan.others]
+        values = [reduce(add, [coef * number[r] for coef, r in zip(table.coefs[:, e].tolist(), at)]) for e, at in plan.others]
+        left.extend(e for e, value in zip(others, values) if not jets.finite(value))
+        out[others] = 0.0
+        out[others, ..., 0] = np.reshape(values, (-1,) + (1,) * (len(shape) - 1))
+    return (np.empty((entries,) + shape) if out is None else out), sorted(left)
+
+
+def _tree_rows(table: TermTable, rows, points, order: int, params: ParamSet) -> list:
+    """The value of each tree row of ``table``, or None where it fails; ``rows`` holds the placed monomials."""
+    if not table.trees:
+        return []
+    seeds = jets.seed_variables(points, None, order)
+    sp = seeds[0].space
+    formed: dict[tuple, object] = {}  # (monomial, factors) -> their product, each formed once
+
+    def product(monomial: tuple, factors: tuple):
+        key = (monomial, factors)
+        p = formed.get(key)
+        if p is None:
+            if not factors:
+                p = jets.Jet(sp, rows[table.monomials.index(monomial)], min(len(monomial), order))
+            elif monomial or len(factors) > 1:
+                p = product(monomial, factors[:-1]) * product((), factors[-1:])
+            else:
+                f = factors[0]
+                p = seeds[f] if type(f) is int else evaluate(f, seeds, params)
+            formed[key] = p
+        return p
+
+    values = []
+    for monomial, factors in table.trees:
+        try:
+            values.append(product(monomial, factors))
+        except (EvalDomainError, MissingParameterError, ArithmeticError, LookupError):
+            values.append(None)
+    return values

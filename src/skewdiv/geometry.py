@@ -54,7 +54,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NonPositiveDefiniteError, OrderExceededError, SkewdivError
-from .expr import Expr, ParamSet, _terms, chart_variables, evaluate, parse, sum_terms, to_source
+from .expr import Expr, ParamSet, TermTable, chart_variables, evaluate, lower, parse, sum_terms, to_source
 from .jets import (
     DEFAULT_ORDER,
     as_coefficients,
@@ -75,29 +75,27 @@ def upper_indices(n: int, k: int = 0) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(n, k)
 
 
-def expression_jets(exprs: Sequence[Expr], points, order: int, params: ParamSet) -> np.ndarray:
-    """Coefficient array [..., e, :] of each tree ``exprs[e]`` at a point or a batch of points.
+@lru_cache(maxsize=None)
+def upper_entry(n: int) -> np.ndarray:
+    """For each entry of an n x n symmetric tensor, row-major, the index of its entry i <= j in :func:`upper_indices`."""
+    i, j = upper_indices(n)
+    entry = np.empty((n, n), dtype=np.intp)
+    entry[i, j] = entry[j, i] = np.arange(len(i))
+    return entry.ravel()
 
-    The trees are lowered to their terms and evaluated together on the seeds
-    of the whole batch (:func:`lowered_jets`).
+
+def lowered_jets(table: TermTable, tree, points, order: int, params: ParamSet) -> np.ndarray:
+    """Coefficient array [e, ..., :] of entry e of ``table``, at a point or a batch of points.
+
+    The entries are summed together from their lowered terms
+    (:func:`~skewdiv.expr.sum_terms`).  An entry whose terms fail or come
+    out non-finite walks its tree ``tree(e)`` instead.
     """
-    return lowered_jets([_terms(e) for e in exprs], exprs.__getitem__, points, order, params)
-
-
-def lowered_jets(entries: Sequence[list], tree, points, order: int, params: ParamSet) -> np.ndarray:
-    """Coefficient array [..., e, :] of entry e, summed from its lowered terms ``entries[e]``.
-
-    The entries are summed together on the seeds of the whole batch, forming
-    the products they share once (:func:`~skewdiv.expr.sum_terms`).  An entry
-    whose terms fail or come out non-finite walks ``tree(e)`` instead.
-    """
-    points = np.asarray(points, dtype=float)
-    n = points.shape[-1]
-    seeds = seed_variables(points, n, order)
-    shape = points.shape[:-1] + (jet_space(n, order).size,)
-    out = np.empty(shape[:-1] + (len(entries),) + shape[-1:])
-    for e, value in enumerate(sum_terms(entries, seeds, params)):
-        out[..., e, :] = as_coefficients(evaluate(tree(e), seeds, params) if value is None else value, shape)
+    out, left = sum_terms(table, points, order, params)
+    if left:
+        seeds = seed_variables(points, None, order)
+        for e in left:
+            out[e] = as_coefficients(evaluate(tree(e), seeds, params), out.shape[1:])
     return out
 
 
@@ -111,10 +109,11 @@ class MetricField:
     propagating.
 
     The entries i <= j are evaluated together from their lowered terms
-    (:func:`lowered_jets`).  A field of trees lowers them on first
-    evaluation.  A field built by :meth:`from_terms` is given its entries'
-    terms and texts, and parses its trees ``exprs`` from the texts only when
-    they are first read: by the walk of an entry whose terms fail, say.
+    (:func:`lowered_jets`).  A field of trees lowers them on its first
+    evaluation.  A field built by :meth:`from_table` is given its entries'
+    texts and lowered form, and parses its trees ``exprs`` from the texts
+    only when they are first read: by the walk of an entry whose terms
+    fail, say.
     """
 
     def __init__(self, dim: int, exprs: Sequence[Sequence[Expr]], params: ParamSet | None = None):
@@ -144,25 +143,25 @@ class MetricField:
         return cls(dim, [[trees[src] for src in row] for row in rows], params)
 
     @classmethod
-    def from_terms(cls, texts: Sequence[Sequence[str]], terms: Sequence[list]) -> "MetricField":
-        """The field of the symmetric entry ``texts``, without parameters, given their lowered terms.
+    def from_table(cls, texts: Sequence[Sequence[str]], table: TermTable) -> "MetricField":
+        """The field of the symmetric entry ``texts``, without parameters, given their lowered form.
 
-        ``terms[e]`` is what :func:`~skewdiv.expr._terms` gives for the parsed
-        text of the e-th entry i <= j, in :func:`upper_indices` order.
+        ``table`` holds what :func:`~skewdiv.expr._terms` gives for the parsed
+        text of each entry i <= j, in :func:`upper_indices` order.
         """
         field = cls.__new__(cls)
-        field.dim, field.params, field._texts, field._lowered = len(texts), {}, texts, list(terms)
+        field.dim, field.params, field._texts, field._lowered = len(texts), {}, texts, table
         return field
 
     @cached_property
     def exprs(self) -> tuple:
-        """The entry trees, parsed from the texts on first read if the field was built from terms."""
+        """The entry trees, parsed from the texts on first read if the field was built from its table."""
         return MetricField.parse(self._texts, self.params).exprs
 
     @cached_property
-    def _lowered(self) -> list:
-        """The lowered terms of the entries i <= j, in :func:`upper_indices` order."""
-        return [_terms(self.exprs[a][b]) for a, b in zip(*upper_indices(self.dim))]
+    def _lowered(self) -> TermTable:
+        """The lowered form of the entries i <= j, in :func:`upper_indices` order."""
+        return lower(tuple(self.exprs[a][b] for a, b in zip(*upper_indices(self.dim))))
 
     def component_jets(self, point, order: int = DEFAULT_ORDER) -> np.ndarray:
         """Coefficient array g[..., i, j, :] at a point or a batch of points."""
@@ -171,9 +170,8 @@ class MetricField:
     def _component_jets(self, points: np.ndarray, order: int) -> np.ndarray:
         i, j = upper_indices(self.dim)
         upper = lowered_jets(self._lowered, lambda e: self.exprs[i[e]][j[e]], points, order, self.params)
-        g = np.empty(upper.shape[:-2] + (self.dim, self.dim, upper.shape[-1]))
-        g[..., i, j, :] = upper
-        g[..., j, i, :] = upper
+        g = upper[upper_entry(self.dim)].reshape((self.dim, self.dim) + upper.shape[1:])
+        g = np.ascontiguousarray(np.moveaxis(g, (0, 1), (-3, -2)))
         self._check_positive_definite(g[..., 0], points)
         return g
 
@@ -205,6 +203,46 @@ class MetricField:
 
 # Errors that evaluation at a single point raises.
 _POINT_ERRORS = (SkewdivError, ArithmeticError)
+
+
+class ScalarField:
+    """A function on the chart, such as the potential f, summed from its lowered terms.
+
+    Built from a tree, the field lowers it on its first evaluation.  Built by
+    :meth:`from_table` from a text and its lowered form, it parses its tree
+    ``tree`` from the text only when that is first read: by the walk of a
+    failing evaluation, say.
+    """
+
+    def __init__(self, tree: Expr):
+        self.tree = tree
+        self._text = None
+
+    @classmethod
+    def from_table(cls, text: str, table: TermTable, dim: int) -> "ScalarField":
+        """The field of the ``text`` on a ``dim``-chart, without parameters, given its lowered form."""
+        field = cls.__new__(cls)
+        field._text, field._lowered, field._dim = text, table, dim
+        return field
+
+    @cached_property
+    def tree(self) -> Expr:
+        """The tree, parsed from the text on first read if the field was built from its table."""
+        return parse(self._text, variables=chart_variables(self._dim))
+
+    @cached_property
+    def _lowered(self) -> TermTable:
+        return lower((self.tree,))
+
+    def jets(self, points, order: int, params: ParamSet) -> np.ndarray:
+        """Coefficient array [..., :] at a point or a batch of points."""
+        return each_point_on_error(
+            lambda pts: lowered_jets(self._lowered, lambda e: self.tree, pts, order, params)[0], points
+        )
+
+    def source(self) -> str:
+        """The text for reports: the one given, or the tree rendered."""
+        return self._text or to_source(self.tree)
 
 
 def each_point_on_error(fn, rows) -> np.ndarray:

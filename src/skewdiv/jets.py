@@ -53,7 +53,8 @@ What :func:`contract` and :func:`partials` work out from their operands'
 shapes alone (axis orders, reshape targets, the flat ``bincount`` targets) is
 a plan, built on a shape's first call and kept in one module cache for every
 later call: a ``contract`` plan keyed by ``(subscripts, A.shape, B.shape,
-pairs)``, a ``partials`` plan by ``(T.shape, nvars, batch)``, and a batched
+pairs)``, a ``partials`` plan by ``(T.shape, nvars, batch)``, a
+:func:`place_monomials` plan by ``(monomials, nvars, ncoef)``, and a batched
 product's flat index by its table and batch size.  The arrays the plans
 hold are bounded at 1 MiB; a miss that would pass the bound empties the
 cache first.  Plans pay off only where the same shapes recur in one process
@@ -70,6 +71,15 @@ ch. 13); ``Jet._compose`` chooses by inspecting the argument.  Each placed
 coefficient is ``f^(k)(v)/k! + 0.0``, what Horner's sums give, so both
 paths agree bit for bit, signed zeros included; a test pins the placement
 to ``Jet._horner`` on sin, cos, exp, log, sqrt, powers and reciprocals.
+
+A monomial x^alpha is placed the same way (:func:`place_monomials`): at p
+its coefficient beta <= alpha is C(alpha, beta) p^(alpha - beta), with each
+power formed by repeated multiplication.  Fields of polynomial entries (a
+random metric and its f) read their monomials so, with no jet product.  A
+monomial of degree 2 or less equals the product of its seeds bit for bit,
+``+ 0.0`` giving the product sums' +0.0 as above, and a degree-1 monomial
+is the seed itself; higher degrees agree with seed products to 1e-15
+relative.  A test pins both, on one point and on batches.
 """
 
 from __future__ import annotations
@@ -679,16 +689,9 @@ def seed_variables(
     expression's full derivative data at each point.  An empty batch raises
     ValueError.
     """
-    pts = np.asarray(point, dtype=float)
-    if nvars is None:
-        nvars = pts.shape[-1]
-    if pts.shape[-1] != nvars:
-        raise ValueError(f"point has {pts.shape[-1]} coordinates, expected {nvars}")
-    if 0 in pts.shape[:-1]:
-        raise ValueError(f"cannot seed an empty batch of points (shape {pts.shape})")
-    if order < 1:
-        raise ValueError("seed order must be at least 1")
-    sp = jet_space(nvars, order)
+    pts = seed_points(point, nvars, order)
+    sp = jet_space(pts.shape[-1], order)
+    nvars = sp.nvars
     seeds = []
     for i in range(nvars):
         c = np.zeros(pts.shape[:-1] + (sp.size,))
@@ -696,6 +699,88 @@ def seed_variables(
         c[..., sp.var_pos[i]] = 1.0
         seeds.append(Jet(sp, c, 1))
     return seeds
+
+
+def seed_points(point, nvars: int | None, order: int) -> np.ndarray:
+    """``point`` as a float array that seeds jets of ``order``; raises ValueError as :func:`seed_variables` does."""
+    pts = np.asarray(point, dtype=float)
+    if nvars is not None and pts.shape[-1] != nvars:
+        raise ValueError(f"point has {pts.shape[-1]} coordinates, expected {nvars}")
+    if 0 in pts.shape[:-1]:
+        raise ValueError(f"cannot seed an empty batch of points (shape {pts.shape})")
+    if order < 1:
+        raise ValueError("seed order must be at least 1")
+    return pts
+
+
+class _MonomialPlan(NamedTuple):
+    """What :func:`place_monomials` works out from its monomials and jet space.
+
+    Each (monomial alpha, coefficient beta <= alpha) pair is one entry of the
+    arrays below.
+    """
+
+    top: int  # the highest power of one variable that a monomial holds
+    factors: tuple  # per factor slot, each pair's power p_i^k, as k * nvars + i
+    coefs: np.ndarray  # C(alpha, beta)
+    zeros: np.ndarray  # what each coefficient adds last: +0.0 where |alpha| >= 2, else -0.0
+    rows: np.ndarray  # the monomial's row of the output
+    targets: np.ndarray  # beta's index in the jet space
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in (*self.factors, self.coefs, self.zeros, self.rows, self.targets))
+
+
+def _monomial_plan(monomials: tuple, nvars: int, out: np.ndarray) -> _MonomialPlan:
+    sp = jet_space(nvars, jet_order(out, nvars))
+    pairs = []
+    for row, variables in enumerate(monomials):
+        alpha = [variables.count(i) for i in range(nvars)]
+        for beta, target in sp.index.items():
+            if all(b <= a for a, b in zip(alpha, beta)):
+                powers = [(a - b) * nvars + i for i, (a, b) in enumerate(zip(alpha, beta)) if a > b]
+                coef = math.prod(map(math.comb, alpha, beta))
+                pairs.append((row, target, float(coef), 0.0 if len(variables) >= 2 else -0.0, powers))
+    slots = max(len(p[-1]) for p in pairs)
+    factors = tuple(np.array([p[-1][s] if s < len(p[-1]) else 0 for p in pairs]) for s in range(slots))
+    rows, targets, coefs, zeros, _ = zip(*pairs)
+    top = max(max(map(variables.count, variables)) for variables in monomials)
+    return _MonomialPlan(top, factors, np.array(coefs), np.array(zeros), np.array(rows), np.array(targets))
+
+
+def place_monomials(out: np.ndarray, points: np.ndarray, monomials: tuple) -> None:
+    """Write the jet of each monomial x^alpha at ``points`` into ``out[k]``, with no jet product.
+
+    ``monomials[k]`` lists alpha's variables in increasing order ((0, 0, 2)
+    is x0^2 x2), each of degree 1 at least.  ``points`` has shape
+    ``batch_shape + (nvars,)`` and ``out`` the shape ``(rows,) + batch_shape
+    + (ncoef,)``, zeros at the rows written.  At p, coefficient beta <= alpha
+    is C(alpha, beta) p^(alpha - beta), the Taylor shift of x^alpha, and
+    every other coefficient stays +0.0.  Each power p_i^k is formed by
+    repeated multiplication, and coefficients are scaled first and
+    multiplied by their powers in variable order, so a monomial of degree 2
+    equals the product of two seeds bit for bit; ``+ 0.0`` gives the +0.0
+    that a product's sums start from.  A monomial of degree 1 is the seed
+    itself, signed zeros included.  Higher degrees agree with seed products
+    to rounding.  Overflow is left as inf, for the caller's finiteness check.
+    """
+    nvars, batch = points.shape[-1], points.shape[:-1]
+    plan = _plan((monomials, nvars, out.shape[-1]), _monomial_plan, monomials, nvars, out)
+    p = points.transpose((-1, *range(len(batch))))  # a variable's coordinates first
+    powers = np.empty((plan.top + 1, nvars) + batch)
+    powers[0] = 1.0
+    powers[1] = p
+    with np.errstate(over="ignore"):
+        for k in range(2, plan.top + 1):
+            np.multiply(powers[k - 1], p, out=powers[k])
+        powers = powers.reshape((-1,) + batch)
+        broadcast = (-1,) + (1,) * len(batch)
+        values = powers[plan.factors[0]] * plan.coefs.reshape(broadcast)
+        for factor in plan.factors[1:]:
+            values *= powers[factor]
+    values += plan.zeros.reshape(broadcast)
+    out[plan.rows, ..., plan.targets] = values
 
 
 def partial_derivative(j: Jet, var: int) -> Jet:

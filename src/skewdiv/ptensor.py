@@ -40,10 +40,10 @@ from .geometry import (
     IdentityResidual,
     MetricField,
     MetricJets,
+    ScalarField,
     batch_value,
     cov_derivative,
     each_point_on_error,
-    expression_jets,
     norm_sq,
     point_tuple,
     residual,
@@ -74,7 +74,7 @@ class PTensorSpec:
     """
 
     lam: Expr
-    f: Expr
+    f: ScalarField
     metric: MetricField
 
     @property
@@ -137,10 +137,7 @@ class PointAnalysis:
     @cached_property
     def fjet(self) -> np.ndarray:
         """Coefficient array of f."""
-        def at(points):
-            return expression_jets([self.spec.f], points, self.order, self.spec.params)[..., 0, :]
-
-        return each_point_on_error(at, self.mj.points)
+        return self.spec.f.jets(self.mj.points, self.order, self.spec.params)
 
     @cached_property
     def df(self) -> np.ndarray:

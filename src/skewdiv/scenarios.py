@@ -12,11 +12,13 @@ Built-ins:
 * ``random-curved``        seeded polynomial perturbation of the flat metric,
                            positive definite on the unit box by construction.
 
-A random-curved metric is drawn as each entry's text together with its
-lowered terms, the signed terms that :func:`~skewdiv.expr._terms` gives for
-the parsed text (:meth:`MetricField.from_terms`).  Its jets are summed from
-those terms in one gather, and its trees are parsed from the texts only
-when something reads them; f is parsed from its text.
+A random-curved metric and its f are drawn as their texts together with
+their lowered form (:class:`~skewdiv.expr.TermTable`): the monomials 1,
+x_i and x_i*x_j, and each entry's coefficients as an array, which are the
+signed terms that :func:`~skewdiv.expr._terms` gives for the parsed text
+(:meth:`MetricField.from_table`, :meth:`ScalarField.from_table`).  Their
+jets are placed and summed from that table, and their trees are parsed
+from the texts only when something reads them.
 
 Scenario files are plain text, one ``key = value`` per line with a
 ``metric:`` section of ``|``-separated expression rows; see the README for
@@ -26,14 +28,15 @@ the exact grammar.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
 from . import warped as warped_mod
 from .errors import ScenarioError
-from .expr import Expr, chart_variables, number_source, parse, to_source
-from .geometry import MetricField
+from .expr import Expr, TermTable, chart_variables, number_source, parse
+from .geometry import MetricField, ScalarField
 from .ptensor import PTensorSpec
 
 BUILTIN_NAMES = (
@@ -75,7 +78,7 @@ class Scenario:
     name: str
     dim: int
     metric: MetricField
-    f: Expr
+    f: ScalarField
     lam: Expr
     lam_src: str
     grid: tuple[GridAxis, ...]
@@ -83,7 +86,6 @@ class Scenario:
     expect_zero_p: bool = False
     expect_violation: bool = False
     description: str = ""
-    _f_src: str | None = field(default=None, repr=False, compare=False)  # echo's text of f, if known
 
     @property
     def params(self) -> dict:
@@ -107,7 +109,7 @@ class Scenario:
             "name": self.name,
             "dimension": self.dim,
             "metric": self.metric.sources(),
-            "f": self._f_src or to_source(self.f),
+            "f": self.f.source(),
             "lambda": self.lam_src,
             "params": {k: self.params[k] for k in sorted(self.params)},
             "grid": [
@@ -141,7 +143,7 @@ def euclidean_scenario() -> Scenario:
         name="euclidean",
         dim=3,
         metric=MetricField.parse([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]),
-        f=parse("(x0^2 + x1^2 + x2^2)/2", variables=chart_variables(3)),
+        f=ScalarField(parse("(x0^2 + x1^2 + x2^2)/2", variables=chart_variables(3))),
         lam=_parse_lambda("1"),
         lam_src="1",
         grid=_default_grid(3, 0.1, 0.9, 3),
@@ -167,7 +169,7 @@ def round_sphere_scenario() -> Scenario:
         name="round-sphere-static",
         dim=3,
         metric=metric,
-        f=parse("cos(r)", variables=chart_variables(3)),
+        f=ScalarField(parse("cos(r)", variables=chart_variables(3))),
         lam=_parse_lambda("1"),
         lam_src="1",
         grid=grid,
@@ -199,43 +201,33 @@ def random_scenario(seed: int, dim: int = 3) -> Scenario:
     The metric is delta_ij + eps * (symmetric linear + quadratic polynomial)
     with eps small enough that a Gershgorin bound keeps every evaluation in
     [0,1]^dim positive definite.  f is a random nonconstant quadratic and
-    lambda cycles through a small family of profiles.  The metric carries
-    its entries' texts and lowered terms (see the module docstring).
+    lambda cycles through a small family of profiles.  The metric and f
+    carry their texts and lowered form (see the module docstring).
     """
     if dim < 3 or dim > 4:
         raise ScenarioError("random scenarios support dimension 3 or 4")
     rng = np.random.default_rng(seed)
     eps = 0.8 / (dim * (dim + dim * (dim + 1) / 2))
     names = _axis_names(dim)
-    monomials = [(i,) for i in range(dim)] + [(i, j) for i in range(dim) for j in range(i, dim)]
-    suffixes = ["".join(" * " + names[i] for i in factors) for factors in monomials]
+    metric, f, suffixes = _random_tables(dim)
+    # Coefficients scale * (2u - 1), u uniform, for x_i, then x_i*x_j (i <= j):
+    # a row per metric entry i <= j (scale eps, after the constant), then f's (scale 1).
+    rows, cols = np.triu_indices(dim)
+    draws = 2.0 * rng.random((len(rows) + 1, len(suffixes))) - 1.0
+    metric_coefs = np.column_stack([(rows == cols).astype(float), eps * draws[:-1]])
+    f_coefs = draws[-1:]
 
-    def polynomial(scale: float, constant: float | None) -> tuple[list, str]:
-        """Terms ``[(coef, factors)]`` and text of a random polynomial.
-
-        Coefficients scale * (2u - 1), u uniform, go to x_i, then to x_i*x_j
-        (i <= j), after the constant; each term adds or subtracts its size.
-        The terms are those :func:`~skewdiv.expr._terms` gives for the parsed
-        text: the constant first, each sign folded into its coefficient.
-        """
-        terms = [] if constant is None else [(constant, ())]
-        text = "" if constant is None else number_source(constant)
-        for factors, suffix, u in zip(monomials, suffixes, rng.random(len(monomials)).tolist()):
-            coef = scale * (2.0 * u - 1.0)
-            size, negative = abs(coef), coef < 0
-            terms.append((-size if negative else size, factors))
-            sign = (" - " if negative else " + ") if text else ("-" if negative else "")
-            text += sign + number_source(size) + suffix
-        return terms, text
+    def text(coefs: list, constant: str = "") -> str:
+        """The polynomial's text: each term adds or subtracts its size, after the constant."""
+        out = constant
+        for coef, suffix in zip(coefs, suffixes):
+            sign = (" - " if coef < 0 else " + ") if out else ("-" if coef < 0 else "")
+            out += sign + number_source(abs(coef)) + suffix
+        return out
 
     texts = [[""] * dim for _ in range(dim)]
-    terms = []
-    for i in range(dim):
-        for j in range(i, dim):
-            entry, texts[i][j] = polynomial(eps, 1.0 if i == j else 0.0)
-            texts[j][i] = texts[i][j]
-            terms.append(entry)
-    _, f_src = polynomial(1.0, None)
+    for i, j, coefs in zip(rows.tolist(), cols.tolist(), metric_coefs.tolist()):
+        texts[i][j] = texts[j][i] = text(coefs[1:], number_source(coefs[0]))
     lam_src = _LAMBDA_CHOICES[int(seed) % len(_LAMBDA_CHOICES)]
     grid = tuple(
         GridAxis(nm, 0.2, 0.8, 2 if idx < 2 else 1)
@@ -244,14 +236,28 @@ def random_scenario(seed: int, dim: int = 3) -> Scenario:
     return Scenario(
         name=f"random-curved-{dim}d-seed{seed}",
         dim=dim,
-        metric=MetricField.from_terms(texts, terms),
-        f=parse(f_src, variables=chart_variables(dim)),
+        metric=MetricField.from_table(texts, metric.with_coefs(metric_coefs)),
+        f=ScalarField.from_table(text(f_coefs[0].tolist()), f.with_coefs(f_coefs), dim),
         lam=_parse_lambda(lam_src),
         lam_src=lam_src,
         grid=grid,
         description=f"seeded polynomial perturbation of the flat {dim}-metric",
-        _f_src=f_src,
     )
+
+
+@lru_cache(maxsize=None)
+def _random_tables(dim: int) -> tuple[TermTable, TermTable, list]:
+    """The lowered form of a random metric and f, coefficients aside, and each monomial's text.
+
+    The monomials are x_i, then x_i*x_j (i <= j); a metric entry i <= j is
+    the constant and then each of them, and f each of them.
+    """
+    monomials = [(i,) for i in range(dim)] + [(i, j) for i in range(dim) for j in range(i, dim)]
+    names = _axis_names(dim)
+    width, entries = len(monomials) + 1, dim * (dim + 1) // 2
+    metric = TermTable([()] + monomials, [list(range(width))] * entries, np.zeros((entries, width)))
+    f = TermTable(monomials, [list(range(width - 1))], np.zeros((1, width - 1)))
+    return metric, f, ["".join(" * " + names[i] for i in factors) for factors in monomials]
 
 
 def builtin_scenario(name: str, seed: int = 0, dim: int = 3, **overrides) -> Scenario:
@@ -346,7 +352,7 @@ def parse_scenario_file(text: str) -> Scenario:
         rows.append(cells)
     try:
         metric = MetricField.parse(rows, params)
-        f = parse(fields["f"], variables=chart_variables(dim), params=tuple(params))
+        f = ScalarField(parse(fields["f"], variables=chart_variables(dim), params=tuple(params)))
         lam_src = fields.get("lambda", "1")
         lam = _parse_lambda(lam_src, params)
     except Exception as err:

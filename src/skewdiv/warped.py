@@ -38,13 +38,14 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import EvalDomainError, OrderExceededError
 from .expr import ParamSet, chart_variables, evaluate, parse
-from .geometry import IdentityResidual, MetricField, residual
+from .geometry import IdentityResidual, MetricField, ScalarField, residual
 from .jets import Jet, partial_derivative
 from .ptensor import PTensorSpec, analyze
 
@@ -200,13 +201,20 @@ _point_bits = struct.Struct("3d").pack
 
 def ptensor_spec(spec: WarpedSpec) -> PTensorSpec:
     """The warped metric, f = psi(x1) and lambda as ingredients of the generic engine."""
-    phi_sq = f"({spec.phi_src})^2"
+    metric, f = _fields(spec.phi_src, spec.psi_src, tuple(spec.params))
+    return PTensorSpec(lam=spec._lam, f=f, metric=MetricField(3, metric.exprs, spec.params))
+
+
+@lru_cache(maxsize=64)
+def _fields(phi_src: str, psi_src: str, names: tuple) -> tuple[MetricField, ScalarField]:
+    """The metric's trees and f, parsed and lowered once per text; each spec binds its own values.
+
+    A ``counterexample`` run builds a spec per (k, c) from the same texts.
+    """
+    phi_sq = f"({phi_src})^2"
     rows = [["1", "0", "0"], ["0", phi_sq, "0"], ["0", "0", phi_sq]]
-    return PTensorSpec(
-        lam=spec._lam,
-        f=parse(spec.psi_src, variables=chart_variables(3), params=tuple(spec.params)),
-        metric=MetricField.parse(rows, spec.params),
-    )
+    f = ScalarField(parse(psi_src, variables=chart_variables(3), params=names))
+    return MetricField.parse(rows, dict.fromkeys(names, 0.0)), f
 
 
 def cross_validate(

@@ -19,6 +19,9 @@ fails on a public name there that no code in the package reads.
   ``identities._field_residuals`` and ``_balance_terms`` with the checks
   that ``verify`` runs.  :func:`grad_f_val` and :func:`grad_p_norm_sq_val`
   are the two values only the static substitution reads.
+* :func:`expression_jets` gives the jets of trees through their lowered
+  form, as a field holds it (:class:`~skewdiv.expr.TermTable`), built on
+  each call.
 * :func:`weyl` and :func:`traceless_ricci` are curvature values that no
   command reads: the Weyl tensor, which the tests keep as a reference for
   the balance's curvature term, and the trace-free Ricci tensor that
@@ -34,13 +37,24 @@ from typing import Sequence
 import numpy as np
 
 from skewdiv.errors import EvalDomainError, OrderExceededError
-from skewdiv.geometry import IdentityResidual, MetricJets, cov_derivative, point_tuple, residual
+from skewdiv.expr import Expr, ParamSet, TermTable, _terms
+from skewdiv.geometry import IdentityResidual, MetricJets, cov_derivative, lowered_jets, point_tuple, residual
 from skewdiv.identities import _balance_terms, _field_residuals
 from skewdiv.jets import Jet, contract, jet_space, partials
 from skewdiv.ptensor import PointAnalysis
 from skewdiv.warped import WarpedSpec
 
 F_GATE = 1e-8
+
+
+def expression_jets(exprs: Sequence[Expr], points, order: int, params: ParamSet) -> np.ndarray:
+    """Coefficient array [..., e, :] of each tree ``exprs[e]`` at a point or a batch of points.
+
+    The trees are lowered to one table and summed together
+    (:func:`skewdiv.geometry.lowered_jets`); an entry that fails walks its tree.
+    """
+    out = lowered_jets(TermTable.of([_terms(e) for e in exprs]), exprs.__getitem__, points, order, params)
+    return np.moveaxis(out, 0, -2)
 
 
 def second_bianchi_residual(mj: MetricJets) -> IdentityResidual:

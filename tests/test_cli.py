@@ -6,6 +6,7 @@ import pytest
 
 from skewdiv.cli import _print_verdicts, main, run_verify
 from skewdiv.errors import ScenarioError
+from skewdiv.expr import chart_variables, parse, to_source
 from skewdiv.geometry import MetricJets
 from skewdiv.identities import bochner_residual, static_residual
 from skewdiv.ptensor import VALUE_ORDER, PointAnalysis, cyclic_residual
@@ -162,6 +163,18 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
 
     path.write_text("dim = 3\n")
     assert main(["verify", "--scenario-file", str(path)]) == 2
+
+
+def test_an_infinite_literal_is_echoed_as_1e999(tmp_path):
+    """1e999 parses to inf; exp(-1e999) is 0, so the entry is finite, and the echo renders the literal back."""
+    path = tmp_path / "infinite.txt"
+    path.write_text("dim = 3\nf = x0*x1\nmetric:\n1 + exp(-1e999) | 0 | 0\n0 | 1 | 0\n0 | 0 | 1\n")
+    out = tmp_path / "report.json"
+    assert main(["verify", "--scenario-file", str(path)]) == 0
+    assert main(["verify", "--scenario-file", str(path), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["scenario"]["metric"][0][0] == "1 + exp(-1e999)"
+    tree = parse("1 + exp(-1e999)", variables=chart_variables(3))
+    assert parse(to_source(tree), variables=chart_variables(3)) == tree
 
 
 def test_cli_param_overrides(tmp_path):

@@ -28,8 +28,8 @@ from hypothesis import strategies as st
 from skewdiv.cli import run_verify
 from skewdiv.identities import static_residual
 from skewdiv.errors import EvalDomainError, NonPositiveDefiniteError, SkewdivError
-from skewdiv.expr import Binary, Num, _terms, chart_variables, evaluate, parse, to_source
-from skewdiv.geometry import MetricField, MetricJets, expression_jets, upper_indices
+from skewdiv.expr import Binary, Num, TermTable, _terms, chart_variables, evaluate, parse, to_source
+from skewdiv.geometry import MetricField, MetricJets, ScalarField, upper_indices
 from skewdiv.identities import bochner_residual
 from skewdiv.jets import (
     DEFAULT_ORDER,
@@ -45,7 +45,7 @@ from skewdiv.report import report_to_json
 from skewdiv.scenarios import BUILTIN_NAMES, builtin_scenario, random_scenario
 from skewdiv.warped import WarpedSpec, ptensor_spec
 
-from checks import cpe_residual, grad_f_val, grad_p_norm_sq_val, traceless_ricci
+from checks import cpe_residual, expression_jets, grad_f_val, grad_p_norm_sq_val, traceless_ricci
 
 
 def scaled_metric(metric: MetricField, s: float) -> MetricField:
@@ -125,7 +125,7 @@ def test_tensor_pipeline_makes_no_scalar_jet_products(dim, monkeypatch):
 
     # The analysis's orders: g one below f, lambda(f) two below.
     spec.metric.component_jets(pt, DEFAULT_ORDER - 1)
-    f = Jet(jet_space(dim, DEFAULT_ORDER), expression_jets([spec.f], pt, DEFAULT_ORDER, spec.params)[0])
+    f = Jet(jet_space(dim, DEFAULT_ORDER), expression_jets([spec.f.tree], pt, DEFAULT_ORDER, spec.params)[0])
     evaluate(spec.lam, [f.truncate(DEFAULT_ORDER - 2)], spec.params)
     expression_products = len(calls)
     assert expression_products > 0
@@ -209,7 +209,7 @@ def test_value_order_matches_default_order(spec, points):
 FUNCTIONS_SPEC = PTensorSpec(
     lam=parse("exp(f/4) + f^2 / (1 + f*f)", variables=("f",)),
     # At r = 0.2 the exponent's jet is the constant 2.5, at r = 0.8 it is not.
-    f=parse("r^2.5 + x1*x2^3 - log(1 + r*x2) + x1^((r - 0.2)^5 + 2.5)", variables=chart_variables(3)),
+    f=ScalarField(parse("r^2.5 + x1*x2^3 - log(1 + r*x2) + x1^((r - 0.2)^5 + 2.5)", variables=chart_variables(3))),
     metric=MetricField.parse(
         [
             ["2 + sin(r)*x1", "0.1*cos(x2)", "0"],
@@ -248,7 +248,7 @@ def test_batched_expressions_equal_single_points(spec, points):
 def f_jets(f_src: str):
     """The analysis's jets of f = ``f_src`` on the flat 3-chart, at a point or a batch of points."""
     flat = MetricField.parse([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
-    spec = PTensorSpec(parse("1", variables=("f",)), parse(f_src, variables=chart_variables(3)), flat)
+    spec = PTensorSpec(parse("1", variables=("f",)), ScalarField(parse(f_src, variables=chart_variables(3))), flat)
     return lambda points: PointAnalysis(spec, points).fjet
 
 
@@ -294,16 +294,14 @@ def test_batch_error_is_the_first_failing_point():
 
 
 def test_verify_walks_each_expression_once(monkeypatch):
-    """Op-count gate: a verify of a 4-point 4-D grid parses f and lambda, walks one tree, forms 20 field products.
+    """Op-count gate: a verify of a 4-point 4-D grid parses lambda alone, walks one tree, forms no field product.
 
-    The random metric is built as its entries' lowered terms and texts, so
+    The random metric and f are built as their texts and lowered forms, so
     neither the build nor the verify and its JSON report parses a metric
-    entry.  The 10 metric entries and f are polynomials in the x_i and
-    x_i*x_j: their terms read the seeds, and each field forms its 10
-    monomials x_i*x_j once (a product of two seeds, degree 1 each, at
-    (4 variables, order 4) forms 25 coefficient pairs).  Only lambda(f) is
-    walked, at order 2; its own products (f*f, or the one Horner step of exp
-    there) come on top.
+    entry or f.  The 10 metric entries and f are polynomials in the x_i and
+    x_i*x_j: each monomial is placed from the points, with no jet product.
+    Only lambda(f) is walked, at order 2; its own products (f*f, or the one
+    Horner step of exp there) are the only ones.
     """
     parsed, calls, products = [], [], []
 
@@ -334,15 +332,10 @@ def test_verify_walks_each_expression_once(monkeypatch):
         sc = builtin_scenario("random-curved", seed=seed, dim=4)
         assert len(sc.grid_points()) == 4 and sc.lam_src == lam
         report_to_json(run_verify(sc))
-        assert parsed == [to_source(sc.f), lam]
-        assert "exprs" not in vars(sc.metric)  # parsed from the texts only when read
+        assert parsed == [lam]
+        assert "exprs" not in vars(sc.metric) and "tree" not in vars(sc.f)  # parsed only when read
         assert calls == [sc.lam]
-        assert len(products) == 20 + lam_products
-
-    sp = jet_space(4, 4)
-    x, y = seed_variables(sc.grid_points()[0], 4, 4)[:2]
-    pairs = sp.product_pairs[x.deg][y.deg]
-    assert (pairs.ia.size, pairs.deg) == (25, 2)
+        assert len(products) == lam_products
 
 
 @pytest.mark.parametrize("dim", [3, 4])
@@ -355,34 +348,66 @@ def test_random_polynomials_are_their_parsed_sources(dim):
     names = chart_variables(dim)
     for seed in range(32):
         sc = random_scenario(seed, dim)
-        for e in [e for row in sc.metric.exprs for e in row] + [sc.f]:
+        for e in [e for row in sc.metric.exprs for e in row] + [sc.f.tree]:
             assert exact(parse(to_source(e), variables=names)) == exact(e)
         # The echo keeps the text the builder wrote: the same as rendering the trees.
         echo = sc.echo()
-        assert (echo["metric"], echo["f"]) == (sc.metric.sources(), to_source(sc.f))
+        assert (echo["metric"], echo["f"]) == (sc.metric.sources(), to_source(sc.f.tree))
+
+
+def _same_table(a: TermTable, b: TermTable) -> bool:
+    """Two lowered forms hold the same rows and entries, their coefficients bit for bit."""
+    def key(t):
+        return t.monomials, t.trees, t.number, t.nrows, t.lengths, t.at.tolist(), t.coefs.tobytes()
+
+    return key(a) == key(b)
 
 
 @pytest.mark.parametrize("dim", [3, 4])
 def test_random_metrics_carry_their_sources_terms(dim):
-    """A random metric's terms are its texts' lowered terms, and give the parsed texts' jets bit for bit."""
+    """A random metric's and f's lowered forms are their texts' terms, and give the parsed texts' jets bit for bit.
 
-    def exact(terms):
-        return [(coef.hex(), factors) for coef, factors in terms]
-
+    A term after a function is walked and multiplied in: an entry with
+    x0*x1*sin(x2) added is the random entry plus that term's walk, and one
+    with sqrt(x0 - 0.5)*x1 added raises the walk's located error at the
+    first point where the square root fails.
+    """
     names = chart_variables(dim)
     rows, cols = upper_indices(dim)
+    mixed, failing = (parse(src, variables=names) for src in ("x0*x1*sin(x2)", "sqrt(x0 - 0.5)*x1"))
     for seed in range(8):
         sc = random_scenario(seed, dim)
         texts = sc.metric.sources()
         lowered = [_terms(parse(texts[i][j], variables=names)) for i, j in zip(rows, cols)]
-        assert [exact(t) for t in sc.metric._lowered] == [exact(t) for t in lowered]
+        assert _same_table(sc.metric._lowered, TermTable.of(lowered))
+        f_src = sc.f.source()
+        f_parsed = parse(f_src, variables=names)
+        assert _same_table(sc.f._lowered, TermTable.of([_terms(f_parsed)]))
         parsed = MetricField.parse(texts)
         points = np.array(sc.grid_points())
         for order in (2, 3, 4):
             for pts in [points, *points]:
                 want = parsed.component_jets(pts, order)
                 assert sc.metric.component_jets(pts, order).tobytes() == want.tobytes()
-        assert "exprs" not in vars(sc.metric)
+                f = sc.f.jets(pts, order, {})
+                assert f.tobytes() == ScalarField(f_parsed).jets(pts, order, {}).tobytes()
+                seeds = seed_variables(pts, dim, order)
+                with_mixed = ScalarField(parse(f"{f_src} + {to_source(mixed)}", variables=names))
+                want = f + evaluate(mixed, seeds).c
+                assert with_mixed.jets(pts, order, {}).tobytes() == want.tobytes()
+        assert "exprs" not in vars(sc.metric) and "tree" not in vars(sc.f)
+
+        with_failing = ScalarField(parse(f"{f_src} + {to_source(failing)}", variables=names))
+        bad = next(pt for pt in points if pt[0] < 0.5)
+        with pytest.raises(EvalDomainError) as walk:
+            evaluate(with_failing.tree, seed_variables(bad, dim, 4))
+        assert str(walk.value).endswith(f"(at offset {len(f_src) + 3})")
+        with pytest.raises(EvalDomainError) as got:
+            with_failing.jets(points, 4, {})
+        assert str(got.value) == str(walk.value)
+        good = next(pt for pt in points if pt[0] > 0.5)
+        want = sc.f.jets(good, 4, {}) + evaluate(failing, seed_variables(good, dim, 4)).c
+        assert with_failing.jets(good, 4, {}).tobytes() == want.tobytes()
 
 
 def _ginv_every_coefficient(mj: MetricJets) -> np.ndarray:

@@ -22,6 +22,7 @@ from skewdiv.expr import (
     Binary,
     Num,
     Param,
+    TermTable,
     Unary,
     Var,
     _terms,
@@ -31,10 +32,9 @@ from skewdiv.expr import (
     sum_terms,
     to_source,
 )
-from skewdiv.geometry import expression_jets
 from skewdiv.jets import Jet, as_coefficients, seed_variables
 
-from checks import extract_derivative
+from checks import expression_jets, extract_derivative
 from exact_oracle import derivatives, to_sympy
 
 VARS3 = chart_variables(3)
@@ -493,7 +493,7 @@ def test_entries_of_a_batch_are_its_points_alone(entries):
 
 
 def test_entries_share_factors_and_products(monkeypatch):
-    """Each distinct non-variable factor is walked once, and each shared product formed once."""
+    """Each distinct non-variable factor is walked once, each shared product formed once, and no monomial is a product."""
     entries = [
         parse(src, variables=VARS3)
         for src in ("1 + 2*r*x1 - sin(x2)", "sin(x2)*r*x1", "3*r*x1*x2 + sin(x2)^2", "sin(x2)")
@@ -516,8 +516,8 @@ def test_entries_share_factors_and_products(monkeypatch):
     monkeypatch.setattr(Jet, "__mul__", mul)
     expression_jets(entries, FIELD_POINTS, 3, {})
     assert walked == [entries[3], parse("sin(x2)^2", variables=VARS3)]
-    # r*x1, sin(x2)*r, sin(x2)*r*x1 and r*x1*x2.
-    assert len(products) == 4
+    # sin(x2)*r and sin(x2)*r*x1; r*x1 and r*x1*x2 are placed.
+    assert len(products) == 2
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -525,7 +525,7 @@ def test_entry_that_overflows_only_in_the_table_is_the_walks_value():
     """1e-300*r*r at r = 1e160: the walk scales first and stays finite, r*r alone overflows."""
     e = parse("1e-300*r*r", variables=VARS3)
     point = (1e160, 0.5, 0.5)
-    assert sum_terms([_terms(e)], point) == [None]  # the caller walks the tree instead
+    assert sum_terms(TermTable.of([_terms(e)]), point, 2)[1] == [0]  # the caller walks the tree instead
     assert math.isfinite(evaluate(e, point))
     (got,) = expression_jets([e], point, 2, {})
     want = evaluate(e, seed_variables(point, 3, 2)).c
@@ -545,7 +545,7 @@ def test_entry_that_overflows_only_in_the_table_is_the_walks_value():
 def test_entries_raise_the_walks_located_error(source, r, message):
     e = parse(source, variables=VARS3)
     point = (r, 0.5, 0.5)
-    assert sum_terms([_terms(parse("r*r", variables=VARS3)), _terms(e)], point)[1] is None
+    assert 1 in sum_terms(TermTable.of([_terms(parse("r*r", variables=VARS3)), _terms(e)]), point, 2)[1]
     for at in (point, seed_variables(point, 3, 2)):
         with pytest.raises(EvalDomainError) as walk:
             evaluate(e, at)

@@ -11,7 +11,6 @@ from skewdiv.geometry import (
     MetricField,
     MetricJets,
     cov_derivative,
-    expression_jets,
     norm_sq,
     point_tuple,
 )
@@ -19,7 +18,7 @@ from skewdiv.expr import chart_variables, parse
 from skewdiv.jets import DEFAULT_ORDER, contract, jet_space, partials
 from skewdiv.scenarios import random_scenario
 
-from checks import second_bianchi_residual, traceless_ricci, weyl
+from checks import expression_jets, second_bianchi_residual, traceless_ricci, weyl
 from exact_oracle import exact_point, rel_error
 
 
@@ -251,7 +250,7 @@ def test_christoffel_and_riemann_match_the_exact_oracle():
 def test_covariant_derivative_of_scalar_is_gradient():
     sc = random_scenario(3, 3)
     pt = sc.grid_points()[0]
-    fjet = expression_jets([sc.f], pt, DEFAULT_ORDER, sc.params)[0]
+    fjet = expression_jets([sc.f.tree], pt, DEFAULT_ORDER, sc.params)[0]
     grad = cov_derivative(fjet, MetricJets(sc.metric, pt).gamma)
     expected = partials(fjet, 3)[..., 0]
     got = grad[..., 0]
@@ -270,7 +269,7 @@ def test_commutation_rule_pins_curvature_sign():
             sc = random_scenario(seed, dim)
             pt = sc.grid_points()[0]
             mj = MetricJets(sc.metric, pt)
-            fjet = expression_jets([sc.f], pt, DEFAULT_ORDER, sc.params)[0]
+            fjet = expression_jets([sc.f.tree], pt, DEFAULT_ORDER, sc.params)[0]
             sigma = cov_derivative(fjet, mj.gamma)  # (a,)
             first = cov_derivative(sigma, mj.gamma)  # (j, a)
             second = cov_derivative(first, mj.gamma)  # (i, j, a)

@@ -484,6 +484,46 @@ def test_a_seed_composition_out_of_range_raises_as_horner_does():
             compose(powop, seed_variables((0.0,), 1, 4)[0] + 1e-300, -0.5)
 
 
+def _seed_product(seeds: list, variables: tuple) -> Jet:
+    p = seeds[variables[0]]
+    for v in variables[1:]:
+        p = p * seeds[v]
+    return p
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_placed_monomials_are_seed_products(data):
+    """x^alpha placed by Taylor shift is the product of its seeds: every bit to degree 2, 1e-15 above.
+
+    In 1-4 variables at orders 1-4, on one point and a batch, at points
+    with signed zeros; a batch entry is its point placed alone, bit for bit.
+    """
+    nvars = data.draw(st.integers(min_value=1, max_value=4), label="nvars")
+    order = data.draw(st.integers(min_value=1, max_value=4), label="order")
+    batch = data.draw(st.sampled_from([(), (3,)]), label="batch")
+    variable = st.integers(min_value=0, max_value=nvars - 1)
+    monomials = tuple(
+        tuple(sorted(m)) for m in data.draw(st.lists(st.lists(variable, min_size=1, max_size=4), min_size=1, max_size=5))
+    )
+    n = math.prod(batch) * nvars
+    points = np.array(data.draw(st.lists(signed, min_size=n, max_size=n))).reshape(batch + (nvars,))
+    size = jet_space(nvars, order).size
+    out = np.zeros((len(monomials),) + batch + (size,))
+    jets.place_monomials(out, points, monomials)
+    seeds = seed_variables(points, nvars, order)
+    for k, variables in enumerate(monomials):
+        want = _seed_product(seeds, variables).c
+        if len(variables) <= 2:
+            assert out[k].tobytes() == want.tobytes(), variables
+        else:
+            assert np.all(np.abs(out[k] - want) <= 1e-15 * np.abs(want)), variables
+    for i in np.ndindex(batch):
+        alone = np.zeros((len(monomials), size))
+        jets.place_monomials(alone, points[i], monomials)
+        assert alone.tobytes() == out[(slice(None),) + i].tobytes()
+
+
 @pytest.mark.parametrize("order", [2, 3, 4])
 def test_other_arguments_compose_by_horner_products(order):
     """Only a seed plus a constant is placed: Horner makes order - 1 products for anything else."""
