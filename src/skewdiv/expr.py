@@ -39,7 +39,9 @@ and per entry a row of indices into it and a row of coefficients.
 one monomial, placed from the points by Taylor shift with no jet product
 (:func:`skewdiv.jets.place_monomials`); any later factor is walked once and
 multiplied in, in source order.  The entries' jet terms are then summed by
-one gather, and one vector add per term position sums every entry.
+one gather, and one vector add per term position sums every entry.  A
+table without tree factors gathers only the coefficients up to its
+monomials' degree, and one slot for the signed zeros of all above it.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from __future__ import annotations
 import copy
 import math
 import re
-from functools import lru_cache, reduce
+from functools import reduce
 from operator import add, itemgetter
 from typing import Mapping, NamedTuple, Sequence, Union
 
@@ -492,15 +494,15 @@ class TermTable:
     Built once per field, and read by :func:`sum_terms` on every call.  Each
     distinct term is a row of one table.  A term's leading run of variables
     is a monomial x^alpha, and the monomials come first: ``monomials[k]``
-    lists the variables of row k in increasing order, those of degree 2 and
-    up before the lone seeds (``seeds`` holds their variables).  A term with a
+    lists the variables of row k in increasing order.  A term with a
     further factor (a function, a quotient, a power, or a variable after
     one) is a row of ``trees``: its leading monomial, then the factors that
     multiply it in source order.  The number term ``()`` comes last, and
     then the row that pads.  ``at[e]`` holds the rows of entry e's terms in
     source order, padded by that last row, ``coefs[:, e]`` their
     coefficients, padded by 1.0 (term-major, as the gather reads them), and
-    ``lengths[e]`` its number of terms.
+    ``lengths[e]`` its number of terms.  ``degree`` is the highest degree of
+    a row's nonzero coefficients, or None where a tree row may have any.
     """
 
     def __init__(self, factors: Sequence[tuple], index, coefs):
@@ -512,9 +514,7 @@ class TermTable:
             while lead < len(fs) and type(fs[lead]) is int:
                 lead += 1
             split.append((tuple(sorted(fs[:lead])), fs[lead:]))
-        monomials = dict.fromkeys(v for v, _ in split if v)
-        self.monomials = tuple(sorted(monomials, key=lambda v: len(v) < 2))  # placed ones, then lone seeds
-        self.seeds = [v[0] for v in self.monomials if len(v) == 1]
+        self.monomials = tuple(dict.fromkeys(v for v, _ in split if v))
         self.trees = tuple(dict.fromkeys((v, rest) for v, rest in split if rest))
         row = {(v, ()): k for k, v in enumerate(self.monomials)}
         row.update((tree, len(self.monomials) + k) for k, tree in enumerate(self.trees))
@@ -526,6 +526,7 @@ class TermTable:
         self.coefs = np.ascontiguousarray(np.transpose(coefs), dtype=float)
         self.lengths = (index >= 0).sum(axis=1).tolist()
         self.nvars = 1 + max((v[-1] for v in self.monomials), default=-1)
+        self.degree = None if self.trees else max(map(len, self.monomials), default=0)
         self._plans: dict[tuple, _SumPlan] = {}
 
     @classmethod
@@ -555,13 +556,8 @@ class TermTable:
         return plan
 
 
-@lru_cache(maxsize=256)
-def lower(trees: tuple) -> TermTable:
-    """The lowered form of the trees, an entry each, built once for equal trees.
-
-    Equal trees give equal values, so they share one table and its plans,
-    whatever their offsets; a failing entry walks the caller's own tree.
-    """
+def lower(trees: Sequence) -> TermTable:
+    """The lowered form of the trees, an entry each."""
     return TermTable.of([_terms(e) for e in trees])
 
 
@@ -622,24 +618,22 @@ def sum_terms(table: TermTable, points, order: int, params: ParamSet | None = No
     every term at once.  A number term keeps its value slot alone, and
     padding is a row of -0.0: both add exactly nothing elsewhere.  One
     vector add per term position then sums every entry in source order.  An
-    entry of number terms alone is summed in floats.
+    entry of number terms alone is summed in floats.  A table without tree
+    rows holds no jet coefficient above its ``degree``: each of those sums
+    the same signed zeros, so one slot sums them for all.
     """
     import numpy as np
     params = params if params is not None else {}
     points = jets.seed_points(points, None, order)
     shape = points.shape[:-1] + (jets.jet_space(points.shape[-1], order).size,)
-    entries = len(table.lengths)
+    entries, size = len(table.lengths), shape[-1]
     if table.nvars > points.shape[-1]:  # the walk names the missing coordinate
         return np.empty((entries,) + shape), list(range(entries))
-    rows = np.zeros((table.nrows + 1,) + shape)
-    placed = len(table.monomials) - len(table.seeds)
-    if placed:
-        jets.place_monomials(rows, points, table.monomials[:placed])
-    if table.seeds:  # a lone seed is read as it is
-        seeds = rows[placed : len(table.monomials)]
-        seeds[..., 0] = points[..., table.seeds].transpose((-1, *range(len(shape) - 1)))
-        var_pos = jets.jet_space(points.shape[-1], order).var_pos
-        seeds[range(len(table.seeds)), ..., [var_pos[v] for v in table.seeds]] = 1.0
+    degree = order if table.degree is None else min(table.degree, order)
+    held = jets.jet_space(points.shape[-1], degree).size
+    rows = np.zeros((table.nrows + 1,) + shape[:-1] + (held + (held < size),))  # the last slot sums the rest
+    if table.monomials:
+        jets.place_monomials(rows[..., :held], points, table.monomials)
     values = _tree_rows(table, rows, points, order, params)
     plan = table.plan(tuple(None if v is None else isinstance(v, jets.Jet) for v in values))
     left = list(plan.failed)
@@ -666,9 +660,10 @@ def sum_terms(table: TermTable, points, order: int, params: ParamSet | None = No
         summed = range(entries)[plan.summed] if type(plan.summed) is slice else plan.summed
         finite = np.isfinite(sums.reshape(len(sums), -1)).all(axis=1).tolist()
         left.extend(e for e, ok in zip(summed, finite) if not ok)
-        out = sums if len(summed) == entries else np.empty((entries,) + shape)
+        out = sums if len(summed) == entries and held == size else np.empty((entries,) + shape)
         if out is not sums:
-            out[plan.summed] = sums
+            out[plan.summed, ..., :held] = sums[..., :held]
+            out[plan.summed, ..., held:] = sums[..., held:]
     if plan.others:
         out = np.empty((entries,) + shape) if out is None else out
         others = [e for e, _ in plan.others]

@@ -47,6 +47,7 @@ concurrently over point grids.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -110,10 +111,10 @@ class MetricField:
 
     The entries i <= j are evaluated together from their lowered terms
     (:func:`lowered_jets`).  A field of trees lowers them on its first
-    evaluation.  A field built by :meth:`from_table` is given its entries'
-    texts and lowered form, and parses its trees ``exprs`` from the texts
-    only when they are first read: by the walk of an entry whose terms
-    fail, say.
+    evaluation, and :meth:`with_params` shares that form.  A field built by
+    :meth:`from_table` is given its entries' texts and lowered form, and
+    parses its trees ``exprs`` from the texts only when they are first read:
+    by the walk of an entry whose terms fail, say.
     """
 
     def __init__(self, dim: int, exprs: Sequence[Sequence[Expr]], params: ParamSet | None = None):
@@ -161,7 +162,13 @@ class MetricField:
     @cached_property
     def _lowered(self) -> TermTable:
         """The lowered form of the entries i <= j, in :func:`upper_indices` order."""
-        return lower(tuple(self.exprs[a][b] for a, b in zip(*upper_indices(self.dim))))
+        return lower([self.exprs[a][b] for a, b in zip(*upper_indices(self.dim))])
+
+    def with_params(self, params: ParamSet) -> "MetricField":
+        """The same entries bound to ``params``, sharing this field's trees and lowered form."""
+        field = copy.copy(self)
+        field.params, field._lowered = dict(params), self._lowered
+        return field
 
     def component_jets(self, point, order: int = DEFAULT_ORDER) -> np.ndarray:
         """Coefficient array g[..., i, j, :] at a point or a batch of points."""
@@ -232,7 +239,7 @@ class ScalarField:
 
     @cached_property
     def _lowered(self) -> TermTable:
-        return lower((self.tree,))
+        return lower([self.tree])
 
     def jets(self, points, order: int, params: ParamSet) -> np.ndarray:
         """Coefficient array [..., :] at a point or a batch of points."""

@@ -27,16 +27,18 @@ the exact grammar.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from operator import add
 
 import numpy as np
 
 from . import warped as warped_mod
 from .errors import ScenarioError
 from .expr import Expr, TermTable, chart_variables, number_source, parse
-from .geometry import MetricField, ScalarField
+from .geometry import MetricField, ScalarField, upper_indices
 from .ptensor import PTensorSpec
 
 BUILTIN_NAMES = (
@@ -98,7 +100,7 @@ class Scenario:
     def with_params(self, **overrides) -> "Scenario":
         """Rebind parameter values without re-parsing any expression."""
         params = {**self.params, **{k: float(v) for k, v in overrides.items()}}
-        return replace(self, metric=MetricField(self.dim, self.metric.exprs, params))
+        return replace(self, metric=self.metric.with_params(params))
 
     def grid_points(self) -> list[tuple[float, ...]]:
         return grid_points(self.grid)
@@ -121,8 +123,7 @@ class Scenario:
 
 def grid_points(grid: tuple[GridAxis, ...]) -> list[tuple[float, ...]]:
     """Every point of ``grid`` as a tuple of Python floats, the last axis varying fastest."""
-    axes = np.meshgrid(*(axis.values() for axis in grid), indexing="ij")
-    return [tuple(pt) for pt in np.stack(axes, axis=-1).reshape(-1, len(grid)).tolist()]
+    return list(itertools.product(*(axis.values().tolist() for axis in grid)))
 
 
 def _axis_names(dim: int) -> list[str]:
@@ -212,22 +213,15 @@ def random_scenario(seed: int, dim: int = 3) -> Scenario:
     metric, f, suffixes = _random_tables(dim)
     # Coefficients scale * (2u - 1), u uniform, for x_i, then x_i*x_j (i <= j):
     # a row per metric entry i <= j (scale eps, after the constant), then f's (scale 1).
-    rows, cols = np.triu_indices(dim)
-    draws = 2.0 * rng.random((len(rows) + 1, len(suffixes))) - 1.0
-    metric_coefs = np.column_stack([(rows == cols).astype(float), eps * draws[:-1]])
-    f_coefs = draws[-1:]
-
-    def text(coefs: list, constant: str = "") -> str:
-        """The polynomial's text: each term adds or subtracts its size, after the constant."""
-        out = constant
-        for coef, suffix in zip(coefs, suffixes):
-            sign = (" - " if coef < 0 else " + ") if out else ("-" if coef < 0 else "")
-            out += sign + number_source(abs(coef)) + suffix
-        return out
-
+    rows, cols = upper_indices(dim)
+    coefs = 2.0 * rng.random((len(rows) + 1, len(suffixes))) - 1.0
+    coefs[:-1] *= eps
+    metric_coefs = np.column_stack([(rows == cols).astype(float), coefs[:-1]])
+    *entries, f_terms = _signed_terms(coefs, suffixes)
     texts = [[""] * dim for _ in range(dim)]
-    for i, j, coefs in zip(rows.tolist(), cols.tolist(), metric_coefs.tolist()):
-        texts[i][j] = texts[j][i] = text(coefs[1:], number_source(coefs[0]))
+    for i, j, terms in zip(rows.tolist(), cols.tolist(), entries):
+        texts[i][j] = texts[j][i] = ("1" if i == j else "0") + terms
+    f_src = f_terms[3:] if f_terms.startswith(" + ") else "-" + f_terms[3:]  # f has no constant
     lam_src = _LAMBDA_CHOICES[int(seed) % len(_LAMBDA_CHOICES)]
     grid = tuple(
         GridAxis(nm, 0.2, 0.8, 2 if idx < 2 else 1)
@@ -237,12 +231,21 @@ def random_scenario(seed: int, dim: int = 3) -> Scenario:
         name=f"random-curved-{dim}d-seed{seed}",
         dim=dim,
         metric=MetricField.from_table(texts, metric.with_coefs(metric_coefs)),
-        f=ScalarField.from_table(text(f_coefs[0].tolist()), f.with_coefs(f_coefs), dim),
+        f=ScalarField.from_table(f_src, f.with_coefs(coefs[-1:]), dim),
         lam=_parse_lambda(lam_src),
         lam_src=lam_src,
         grid=grid,
         description=f"seeded polynomial perturbation of the flat {dim}-metric",
     )
+
+
+def _signed_terms(coefs: np.ndarray, suffixes: list) -> list[str]:
+    """Each row's terms as text: " + " or " - ", the coefficient's size, then its monomial's suffix."""
+    sizes = np.abs(coefs)
+    # number_source gives a size that is neither integral nor infinite as its repr
+    number = repr if np.all(sizes != np.trunc(sizes)) else number_source
+    signs = np.where(coefs < 0, " - ", " + ").tolist()
+    return ["".join(map(add, map(add, row, map(number, size)), suffixes)) for row, size in zip(signs, sizes.tolist())]
 
 
 @lru_cache(maxsize=None)

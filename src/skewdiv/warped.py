@@ -202,12 +202,12 @@ _point_bits = struct.Struct("3d").pack
 def ptensor_spec(spec: WarpedSpec) -> PTensorSpec:
     """The warped metric, f = psi(x1) and lambda as ingredients of the generic engine."""
     metric, f = _fields(spec.phi_src, spec.psi_src, tuple(spec.params))
-    return PTensorSpec(lam=spec._lam, f=f, metric=MetricField(3, metric.exprs, spec.params))
+    return PTensorSpec(lam=spec._lam, f=f, metric=metric.with_params(spec.params))
 
 
 @lru_cache(maxsize=64)
 def _fields(phi_src: str, psi_src: str, names: tuple) -> tuple[MetricField, ScalarField]:
-    """The metric's trees and f, parsed and lowered once per text; each spec binds its own values.
+    """The metric and f, parsed and lowered once per text; each spec rebinds the metric to its values.
 
     A ``counterexample`` run builds a spec per (k, c) from the same texts.
     """

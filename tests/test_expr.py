@@ -521,6 +521,23 @@ def test_entries_share_factors_and_products(monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_a_table_without_trees_sums_one_slot_for_the_coefficients_above_its_degree():
+    """Those slots read as the full gather's, signed zeros included: -0.0 only where every term's zero is."""
+    srcs = ("-r - x1*x2", "3 - r*x1", "x1 + 2", "-2*x2", "4 - 1", "-r*r - 0.5*x1", "1e308*r*x1 + 1e308*r*x1")
+    table = TermTable.of([_terms(parse(src, variables=VARS3)) for src in srcs])
+    full = copy.copy(table)
+    full.degree = None  # as a table with a tree row: every slot is gathered
+    points = np.array([[0.3, -0.0, 2.0], [0.0, 1.5, -0.25]])
+    for order in (1, 2, 3, 4):
+        for pts in (points, points[1]):
+            (got, left), (want, want_left) = sum_terms(table, pts, order), sum_terms(full, pts, order)
+            kept = [e for e in range(len(srcs)) if e not in left]
+            assert (left, got[kept].tobytes()) == (want_left, want[kept].tobytes())
+    assert left == [6]  # 1e308 + 1e308 overflows: the caller walks it
+    assert np.signbit(got[:2, 10:]).all() and not np.signbit(got[2, 10:]).any()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_entry_that_overflows_only_in_the_table_is_the_walks_value():
     """1e-300*r*r at r = 1e160: the walk scales first and stays finite, r*r alone overflows."""
     e = parse("1e-300*r*r", variables=VARS3)

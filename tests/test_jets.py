@@ -257,6 +257,7 @@ def test_degree_bounds_restrict_the_product_pairs():
     assert ((x * y).truncate(1).deg, partial_derivative(x * y, 0).deg) == (1, 1)
     assert (x + 1.0).deg == 1 and (x * y + x).deg == 2 and jets.exp(x).deg == 4
     assert sp.product_pairs[4][4].ia.size == sp.pairs.ia.size == 495
+    assert (sp.product_pairs[x.deg][y.deg].ia.size, (x * y).deg) == (25, 2)
     full = Jet(sp, x.c) * Jet(sp, y.c)  # no degree bound: every pair
     assert full.c.tobytes() == (x * y).c.tobytes()
 
