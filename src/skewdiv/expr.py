@@ -682,24 +682,28 @@ def _tree_rows(table: TermTable, rows, points, order: int, params: ParamSet) -> 
     sp = seeds[0].space
     formed: dict[tuple, object] = {}  # (monomial, factors) -> their product, each formed once
 
-    def product(monomial: tuple, factors: tuple):
-        key = (monomial, factors)
+    def factor(f):
+        """A factor's value: a seed, or its tree walked once."""
+        key = ((), (f,))
         p = formed.get(key)
         if p is None:
-            if not factors:
-                p = jets.Jet(sp, rows[table.monomials.index(monomial)], min(len(monomial), order))
-            elif monomial or len(factors) > 1:
-                p = product(monomial, factors[:-1]) * product((), factors[-1:])
-            else:
-                f = factors[0]
-                p = seeds[f] if type(f) is int else evaluate(f, seeds, params)
-            formed[key] = p
+            p = formed[key] = seeds[f] if type(f) is int else evaluate(f, seeds, params)
         return p
 
+    # No closure here calls itself: a cycle would keep each call's arrays until the collector runs.
     values = []
     for monomial, factors in table.trees:
         try:
-            values.append(product(monomial, factors))
+            if monomial:
+                p, first = jets.Jet(sp, rows[table.monomials.index(monomial)], min(len(monomial), order)), 0
+            else:
+                p, first = factor(factors[0]), 1
+            for k in range(first, len(factors)):  # each prefix times its next factor, in source order
+                q = formed.get((monomial, factors[: k + 1]))
+                if q is None:
+                    q = formed[monomial, factors[: k + 1]] = p * factor(factors[k])
+                p = q
+            values.append(p)
         except (EvalDomainError, MissingParameterError, ArithmeticError, LookupError):
             values.append(None)
     return values
