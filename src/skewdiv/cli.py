@@ -172,11 +172,11 @@ def _load_scenario(args) -> Scenario:
 
 
 def _emit(
-    report: Report, out: str | None, fmt: str = "json", csv: Callable[[], str] | None = None
+    report: Report, out: str | None, fmt: str | None = None, csv: Callable[[], str] | None = None, default: str = "json"
 ) -> None:
-    """Write ``report`` to ``out``, if given: as JSON, or as ``csv()`` for ``--format csv``."""
+    """Write ``report`` to ``out``, if given: as ``csv()`` where ``fmt``, else ``default``, is csv, else as JSON."""
     if out:
-        write_text(out, csv() if fmt == "csv" else report_to_json(report))
+        write_text(out, csv() if (fmt or default) == "csv" else report_to_json(report))
 
 
 def _print_verdicts(report: Report) -> None:
@@ -242,7 +242,7 @@ def cmd_counterexample(args) -> int:
         f"{vreport.positive_points} positive points)"
     )
     _print_verdicts(report)
-    _emit(report, args.out, args.format, lambda: violation_csv(vreport.rows, vreport.params))
+    _emit(report, args.out, args.format, lambda: violation_csv(vreport.rows, vreport.params), "csv")
     return 0 if report.all_passed else 1
 
 
@@ -348,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run identity residuals over a grid")
     add_scenario_flags(p_verify)
     p_verify.add_argument("--out", help="write report to this path")
-    p_verify.add_argument("--format", choices=("csv", "json"), default="json")
+    p_verify.add_argument("--format", choices=("csv", "json"), help="format of --out (default json)")
     p_verify.add_argument("--tolerance", default=None)
     p_verify.set_defaults(func=cmd_verify)
 
@@ -360,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ce.add_argument("--psi", default="x1", help="potential profile in x1")
     p_ce.add_argument("--grid", action="append", default=[], help="axis:min:max:count")
     p_ce.add_argument("--out", help="write CSV/JSON rows to this path")
-    p_ce.add_argument("--format", choices=("csv", "json"), default="csv")
+    p_ce.add_argument("--format", choices=("csv", "json"), help="format of --out (default csv)")
     p_ce.set_defaults(func=cmd_counterexample)
 
     p_search = sub.add_parser("search", help="minimize the violation over (k, c, r)")
@@ -384,6 +384,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
+        if getattr(args, "format", None) and not args.out:
+            raise SkewdivError("--format needs --out")
         # Non-finite values are reported through the verdicts, which they
         # fail, so numpy's floating-point warnings would only repeat them.
         with np.errstate(all="ignore"):

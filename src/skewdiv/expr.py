@@ -33,15 +33,16 @@ lookup and one call.
 
 Fields.  Several entries on one point (a metric's entries, say) are sums of
 lowered terms coef * factor_1 * ... * factor_m (:func:`_terms`).  A field
-holds them as one :class:`TermTable`, built once: a row per distinct term,
-and per entry a row of indices into it and a row of coefficients.
-:func:`sum_terms` sums them on each call.  A term's leading variables are
-one monomial, placed from the points by Taylor shift with no jet product
-(:func:`skewdiv.jets.place_monomials`); any later factor is walked once and
-multiplied in, in source order.  The entries' jet terms are then summed by
-one gather, and one vector add per term position sums every entry.  A
-table without tree factors gathers only the coefficients up to its
-monomials' degree, and one slot for the signed zeros of all above it.
+holds the entries whose every factor is a variable, its polynomial entries,
+as one :class:`TermTable`, built once: a row per distinct monomial, and per
+entry a row of indices into it and a row of coefficients.
+:func:`sum_terms` sums them on each call.  Each monomial is placed from the
+points by Taylor shift with no jet product
+(:func:`skewdiv.jets.place_monomials`), the entries' terms are summed by one
+gather, and one vector add per term position sums every entry.  The gather
+holds only the coefficients up to the monomials' degree, and one slot for
+the signed zeros of all above it.  Every other entry is walked whole by the
+caller.
 """
 
 from __future__ import annotations
@@ -49,9 +50,8 @@ from __future__ import annotations
 import copy
 import math
 import re
-from functools import reduce
-from operator import add, itemgetter
-from typing import Mapping, NamedTuple, Sequence, Union
+from operator import itemgetter
+from typing import Mapping, Sequence, Union
 
 from . import jets
 from .errors import (
@@ -74,7 +74,8 @@ class _Node(tuple):
 
     Equality uses the first ``compared`` fields; the offset (and a variable's
     alias) only locate the node in the source.  The hash reads the node's type
-    and first field only, so a lookup keyed by a tree does not walk it.
+    and first field only, so a lookup keyed by a tree (the walks that
+    :func:`skewdiv.geometry.lowered_jets` shares) does not walk it.
     """
 
     __slots__ = ()
@@ -461,7 +462,7 @@ def _located(err: Exception, offset: int, what: str) -> EvalDomainError:
     return EvalDomainError(f"{what} divides by zero", offset)
 
 
-# -- fields: trees on one point, sharing a product table -----------------------
+# -- fields: polynomial entries on one point, sharing a monomial table ---------
 
 
 def _terms(e: Expr) -> list[tuple[float, tuple]]:
@@ -489,71 +490,64 @@ def _terms(e: Expr) -> list[tuple[float, tuple]]:
 
 
 class TermTable:
-    """The lowered terms of a field's entries (:func:`_terms`), as the bookkeeping of their sum.
+    """The polynomial entries of a field, as the bookkeeping of their lowered terms' sum (:func:`_terms`).
 
-    Built once per field, and read by :func:`sum_terms` on every call.  Each
-    distinct term is a row of one table.  A term's leading run of variables
-    is a monomial x^alpha, and the monomials come first: ``monomials[k]``
-    lists the variables of row k in increasing order.  A term with a
-    further factor (a function, a quotient, a power, or a variable after
-    one) is a row of ``trees``: its leading monomial, then the factors that
-    multiply it in source order.  The number term ``()`` comes last, and
-    then the row that pads.  ``at[e]`` holds the rows of entry e's terms in
-    source order, padded by that last row, ``coefs[:, e]`` their
-    coefficients, padded by 1.0 (term-major, as the gather reads them), and
-    ``lengths[e]`` its number of terms.  ``degree`` is the highest degree of
-    a row's nonzero coefficients, or None where a tree row may have any.
+    Built once per field, and read by :func:`sum_terms` on every call.  An
+    entry is polynomial where every factor of its terms is a variable; the
+    entries in ``walked`` are not, and the caller walks their trees.  Each
+    distinct monomial x^alpha is a row: ``monomials[k]`` lists the variables
+    of row k in increasing order.  The number term ``()`` is the row after
+    them, and the row that pads comes last.  ``summed`` lists the polynomial
+    entries; ``at[t, s]`` is the row of term t of entry ``summed[s]``, in
+    source order and padded by the last row, and ``coefs[t, s]`` its
+    coefficient, padded by 1.0 (term-major, as the gather reads them).
+    ``numbers`` holds the places of the number term in ``at``, and
+    ``constant`` the entries of number terms alone.  ``degree`` is the
+    highest degree of a monomial.
     """
 
-    def __init__(self, factors: Sequence[tuple], index, coefs):
-        """``factors[r]`` is a term's factors; entry e's terms are the rows ``index[e]`` (-1 pads) times ``coefs[e]``."""
+    def __init__(self, factors: Sequence[tuple], index, coefs, walked: Sequence[int] = ()):
+        """The rows ``factors``, each a distinct term's variables in increasing order.
+
+        Polynomial entry s sums the rows ``index[s]`` (-1 pads) times
+        ``coefs[s]``; the field's entries are those, in order, with the
+        entries ``walked`` among them.
+        """
         import numpy as np  # here: imported ahead of jets, it raises the import's peak memory
-        split = []  # each row's leading variables and the factors after them
-        for fs in factors:
-            lead = 0
-            while lead < len(fs) and type(fs[lead]) is int:
-                lead += 1
-            split.append((tuple(sorted(fs[:lead])), fs[lead:]))
-        self.monomials = tuple(dict.fromkeys(v for v, _ in split if v))
-        self.trees = tuple(dict.fromkeys((v, rest) for v, rest in split if rest))
-        row = {(v, ()): k for k, v in enumerate(self.monomials)}
-        row.update((tree, len(self.monomials) + k) for k, tree in enumerate(self.trees))
-        self.number = len(row) if ((), ()) in split else None  # the row of the number term
-        self.nrows = len(row) + (self.number is not None)
-        row[(), ()] = self.number
-        index = np.asarray(index)
-        self.at = np.array([row[s] for s in split] + [self.nrows])[index]  # -1 picks the padding row
+        self.monomials = tuple(m for m in factors if m)
+        number = len(self.monomials)  # the row of the number term, and then the padding row
+        row = {m: k for k, m in enumerate(self.monomials)} | {(): number}
+        at = np.array([row[m] for m in factors] + [number + 1], dtype=np.intp)[np.asarray(index, dtype=np.intp)]
+        self.walked = list(walked)
+        self.summed = [e for e in range(len(at) + len(self.walked)) if e not in self.walked]
+        self.constant = [e for e, rows in zip(self.summed, at.tolist()) if min(rows) >= number]
+        self.at = at.T
+        self.numbers = np.nonzero(self.at == number)
         self.coefs = np.ascontiguousarray(np.transpose(coefs), dtype=float)
-        self.lengths = (index >= 0).sum(axis=1).tolist()
-        self.nvars = 1 + max((v[-1] for v in self.monomials), default=-1)
-        self.degree = None if self.trees else max(map(len, self.monomials), default=0)
-        self._plans: dict[tuple, _SumPlan] = {}
+        self.nvars = 1 + max((m[-1] for m in self.monomials), default=-1)
+        self.degree = max(map(len, self.monomials), default=0)
 
     @classmethod
     def of(cls, entries: Sequence[Sequence[tuple]]) -> "TermTable":
-        """The table of each entry's terms ``[(coef, factors), ...]``, a row per distinct factors."""
+        """The table of each entry's terms ``[(coef, factors), ...]``, a row per distinct monomial."""
+        walked = [e for e, terms in enumerate(entries) if any(type(f) is not int for _, fs in terms for f in fs)]
+        entries = [terms for e, terms in enumerate(entries) if e not in walked]
         rows: dict[tuple, int] = {}
-        index = [[rows.setdefault(factors, len(rows)) for _, factors in terms] for terms in entries]
-        width = max(map(len, index))
+        index = [[rows.setdefault(tuple(sorted(factors)), len(rows)) for _, factors in terms] for terms in entries]
+        width = max(map(len, index), default=0)
         return cls(
             list(rows),
             [at + [-1] * (width - len(at)) for at in index],
             [[coef for coef, _ in terms] + [1.0] * (width - len(terms)) for terms in entries],
+            walked,
         )
 
     def with_coefs(self, coefs) -> "TermTable":
-        """The same terms with the coefficients ``coefs[e]``, sharing this table's bookkeeping and plans."""
+        """The same terms with the coefficients ``coefs[s]`` of each summed entry s, sharing this table's bookkeeping."""
         import numpy as np
         table = copy.copy(self)
         table.coefs = np.ascontiguousarray(coefs.T)
         return table
-
-    def plan(self, kinds: tuple) -> "_SumPlan":
-        """How the entries sum where each tree row is a jet (True), a number (False) or fails (None)."""
-        plan = self._plans.get(kinds)
-        if plan is None:
-            plan = self._plans[kinds] = _sum_plan(self, kinds)
-        return plan
 
 
 def lower(trees: Sequence) -> TermTable:
@@ -561,149 +555,53 @@ def lower(trees: Sequence) -> TermTable:
     return TermTable.of([_terms(e) for e in trees])
 
 
-class _SumPlan(NamedTuple):
-    """Which entries of a :class:`TermTable` sum how, for one kind of each tree row; no coefficient."""
-
-    summed: object  # the entries with a jet term, summed by the gather: a list, or a slice of all
-    at: object  # their rows, term-major: a term position is one block
-    numbers: object  # the (term, entry) places of number rows: they add to the value alone; None if none is
-    others: list  # (entry, its rows) of each entry of number terms alone
-    failed: list  # the entries with a failing term
-
-
-def _sum_plan(table: TermTable, kinds: tuple) -> _SumPlan:
-    import numpy as np
-    first = len(table.monomials)
-    jet = set(range(first)) | {first + k for k, kind in enumerate(kinds) if kind is True}
-    failing = {first + k for k, kind in enumerate(kinds) if kind is None}
-    number = np.zeros(table.nrows + 1, bool)
-    number[[first + k for k, kind in enumerate(kinds) if kind is False]] = True
-    if table.number is not None:
-        number[table.number] = True
-    summed, others, failed = [], [], []
-    for e, (rows, n) in enumerate(zip(table.at.tolist(), table.lengths)):
-        rows = rows[:n]
-        if not failing.isdisjoint(rows):
-            failed.append(e)
-        elif not jet.isdisjoint(rows):
-            summed.append(e)
-        else:
-            others.append((e, rows))
-    width = max((table.lengths[e] for e in summed), default=0)
-    at = table.at[summed, :width].T
-    numbers = np.nonzero(number[at]) if number[at].any() else None
-    if summed == list(range(len(table.lengths))):
-        summed = slice(None)
-    return _SumPlan(summed, at, numbers, others, failed)
-
-
-def sum_terms(table: TermTable, points, order: int, params: ParamSet | None = None):
+def sum_terms(table: TermTable, points, order: int):
     """Each entry of ``table`` summed on ``points``: the coefficient array [e, ..., :], and the entries left.
 
     ``points`` has shape ``batch_shape + (n,)``, and the array the shape
-    ``(entries,) + batch_shape + (ncoef,)``.  A monomial row is placed from
+    ``(entries,) + batch_shape + (ncoef,)``.  Each monomial is placed from
     the points (:func:`jets.place_monomials`), with no jet product: one of
-    degree 2 or less equals the product of its seeds bit for bit.  A tree
-    row multiplies its monomial, or its first factor, by each later factor
-    in source order, and each factor that is not a variable is walked once;
-    a shared prefix of factors is multiplied once.  An entry sums its terms
-    in source order with the walk's arithmetic, so it is the walk's value up
-    to the products and sums that the lowering re-associates.  The entries
-    whose terms fail or whose sum is not finite are left, in order, for the
-    caller to walk: the walk gives its value or its located error.  So are
-    all entries where the points lack a variable.
+    degree 2 or less equals the product of its seeds bit for bit.  An entry
+    sums its terms in source order with the walk's arithmetic, so it is the
+    walk's value up to the products and sums that the lowering
+    re-associates; an entry of number terms alone is their float sum, with
+    +0.0 in every other slot, as the walk gives.  The entries left, in
+    order, are for the caller to walk: those the table does not sum, those
+    whose sum is not finite (the walk gives its value or its located error),
+    and all entries where the points lack a variable.
 
-    Entries with jet terms are summed together by one gather.  Each row of
-    the table is a product's coefficients, so ``rows[at] * coefs`` scales
-    every term at once.  A number term keeps its value slot alone, and
-    padding is a row of -0.0: both add exactly nothing elsewhere.  One
-    vector add per term position then sums every entry in source order.  An
-    entry of number terms alone is summed in floats.  A table without tree
-    rows holds no jet coefficient above its ``degree``: each of those sums
-    the same signed zeros, so one slot sums them for all.
+    The entries are summed together by one gather.  Each row of the table is
+    a monomial's coefficients, so ``rows[at] * coefs`` scales every term at
+    once.  A number term keeps its value slot alone, and padding is a row of
+    -0.0: both add exactly nothing elsewhere.  One vector add per term
+    position then sums every entry in source order.  No coefficient above
+    the monomials' ``degree`` is nonzero: each of those sums the same signed
+    zeros, so one slot sums them for all.
     """
     import numpy as np
-    params = params if params is not None else {}
     points = jets.seed_points(points, None, order)
     shape = points.shape[:-1] + (jets.jet_space(points.shape[-1], order).size,)
-    entries, size = len(table.lengths), shape[-1]
+    out = np.empty((len(table.summed) + len(table.walked),) + shape)
     if table.nvars > points.shape[-1]:  # the walk names the missing coordinate
-        return np.empty((entries,) + shape), list(range(entries))
-    degree = order if table.degree is None else min(table.degree, order)
-    held = jets.jet_space(points.shape[-1], degree).size
-    rows = np.zeros((table.nrows + 1,) + shape[:-1] + (held + (held < size),))  # the last slot sums the rest
+        return out, list(range(len(out)))
+    if not table.summed:
+        return out, table.walked
+    held = jets.jet_space(points.shape[-1], min(table.degree, order)).size
+    rows = np.zeros((len(table.monomials) + 2,) + shape[:-1] + (held + (held < shape[-1]),))  # the last slot sums the rest
     if table.monomials:
         jets.place_monomials(rows[..., :held], points, table.monomials)
-    values = _tree_rows(table, rows, points, order, params)
-    plan = table.plan(tuple(None if v is None else isinstance(v, jets.Jet) for v in values))
-    left = list(plan.failed)
-    number = {} if table.number is None else {table.number: 1.0}  # the number rows and their values
-    for r, v in enumerate(values, len(table.monomials)):
-        if isinstance(v, jets.Jet):
-            rows[r] = v.c
-        elif v is not None:
-            number[r] = v
-    out = None
-    if plan.at.size:
-        rows[-1] = -0.0
-        if plan.numbers is not None:
-            for r, v in number.items():
-                rows[r, ..., 0] = v
-        scaled = rows[plan.at]
-        coefs = table.coefs[: len(scaled), plan.summed]
-        scaled *= coefs.reshape(coefs.shape + (1,) * len(shape))
-        if plan.numbers is not None:
-            scaled[plan.numbers + (..., slice(1, None))] = -0.0
-        sums = scaled[0]
-        for t in range(1, len(scaled)):  # term by term, as the walk adds
-            sums += scaled[t]
-        summed = range(entries)[plan.summed] if type(plan.summed) is slice else plan.summed
-        finite = np.isfinite(sums.reshape(len(sums), -1)).all(axis=1).tolist()
-        left.extend(e for e, ok in zip(summed, finite) if not ok)
-        out = sums if len(summed) == entries and held == size else np.empty((entries,) + shape)
-        if out is not sums:
-            out[plan.summed, ..., :held] = sums[..., :held]
-            out[plan.summed, ..., held:] = sums[..., held:]
-    if plan.others:
-        out = np.empty((entries,) + shape) if out is None else out
-        others = [e for e, _ in plan.others]
-        values = [reduce(add, [coef * number[r] for coef, r in zip(table.coefs[:, e].tolist(), at)]) for e, at in plan.others]
-        left.extend(e for e, value in zip(others, values) if not jets.finite(value))
-        out[others] = 0.0
-        out[others, ..., 0] = np.reshape(values, (-1,) + (1,) * (len(shape) - 1))
-    return (np.empty((entries,) + shape) if out is None else out), sorted(left)
-
-
-def _tree_rows(table: TermTable, rows, points, order: int, params: ParamSet) -> list:
-    """The value of each tree row of ``table``, or None where it fails; ``rows`` holds the placed monomials."""
-    if not table.trees:
-        return []
-    seeds = jets.seed_variables(points, None, order)
-    sp = seeds[0].space
-    formed: dict[tuple, object] = {}  # (monomial, factors) -> their product, each formed once
-
-    def factor(f):
-        """A factor's value: a seed, or its tree walked once."""
-        key = ((), (f,))
-        p = formed.get(key)
-        if p is None:
-            p = formed[key] = seeds[f] if type(f) is int else evaluate(f, seeds, params)
-        return p
-
-    # No closure here calls itself: a cycle would keep each call's arrays until the collector runs.
-    values = []
-    for monomial, factors in table.trees:
-        try:
-            if monomial:
-                p, first = jets.Jet(sp, rows[table.monomials.index(monomial)], min(len(monomial), order)), 0
-            else:
-                p, first = factor(factors[0]), 1
-            for k in range(first, len(factors)):  # each prefix times its next factor, in source order
-                q = formed.get((monomial, factors[: k + 1]))
-                if q is None:
-                    q = formed[monomial, factors[: k + 1]] = p * factor(factors[k])
-                p = q
-            values.append(p)
-        except (EvalDomainError, MissingParameterError, ArithmeticError, LookupError):
-            values.append(None)
-    return values
+    rows[-2, ..., 0] = 1.0  # the number term
+    rows[-1] = -0.0
+    scaled = rows[table.at]
+    scaled *= table.coefs.reshape(table.coefs.shape + (1,) * len(shape))
+    scaled[table.numbers + (..., slice(1, None))] = -0.0
+    sums = scaled[0]
+    for t in range(1, len(scaled)):  # term by term, as the walk adds
+        sums += scaled[t]
+    into = table.summed if table.walked else slice(None)
+    out[into, ..., :held] = sums[..., :held]
+    out[into, ..., held:] = sums[..., held:]
+    if table.constant:
+        out[table.constant, ..., 1:] = 0.0
+    finite = np.isfinite(sums.reshape(len(sums), -1)).all(axis=1).tolist()
+    return out, sorted(table.walked + [e for e, ok in zip(table.summed, finite) if not ok])

@@ -88,15 +88,20 @@ def upper_entry(n: int) -> np.ndarray:
 def lowered_jets(table: TermTable, tree, points, order: int, params: ParamSet) -> np.ndarray:
     """Coefficient array [e, ..., :] of entry e of ``table``, at a point or a batch of points.
 
-    The entries are summed together from their lowered terms
-    (:func:`~skewdiv.expr.sum_terms`).  An entry whose terms fail or come
-    out non-finite walks its tree ``tree(e)`` instead.
+    The polynomial entries are summed together from their lowered terms
+    (:func:`~skewdiv.expr.sum_terms`).  Every other entry, and one whose sum
+    is not finite, walks its tree ``tree(e)``; entries that share a tree walk
+    it once.
     """
-    out, left = sum_terms(table, points, order, params)
+    out, left = sum_terms(table, points, order)
     if left:
         seeds = seed_variables(points, None, order)
+        walked: dict[Expr, np.ndarray] = {}
         for e in left:
-            out[e] = as_coefficients(evaluate(tree(e), seeds, params), out.shape[1:])
+            t = tree(e)
+            if t not in walked:
+                walked[t] = as_coefficients(evaluate(t, seeds, params), out.shape[1:])
+            out[e] = walked[t]
     return out
 
 
@@ -109,12 +114,13 @@ class MetricField:
     violation or a non-finite component raises instead of silently
     propagating.
 
-    The entries i <= j are evaluated together from their lowered terms
-    (:func:`lowered_jets`).  A field of trees lowers them on its first
-    evaluation, and :meth:`with_params` shares that form.  A field built by
-    :meth:`from_table` is given its entries' texts and lowered form, and
-    parses its trees ``exprs`` from the texts only when they are first read:
-    by the walk of an entry whose terms fail, say.
+    The entries i <= j are evaluated together (:func:`lowered_jets`): the
+    polynomial ones summed from their lowered terms, and each other entry
+    walked whole, once per distinct tree.  A field of trees lowers them on
+    its first evaluation, and :meth:`with_params` shares that form.  A field
+    built by :meth:`from_table` is given its entries' texts and lowered
+    form, and parses its trees ``exprs`` from the texts only when they are
+    first read: by the walk of an entry whose sum is not finite, say.
     """
 
     def __init__(self, dim: int, exprs: Sequence[Sequence[Expr]], params: ParamSet | None = None):
@@ -213,12 +219,12 @@ _POINT_ERRORS = (SkewdivError, ArithmeticError)
 
 
 class ScalarField:
-    """A function on the chart, such as the potential f, summed from its lowered terms.
+    """A function on the chart, such as the potential f, evaluated as a field's entry (:func:`lowered_jets`).
 
     Built from a tree, the field lowers it on its first evaluation.  Built by
     :meth:`from_table` from a text and its lowered form, it parses its tree
     ``tree`` from the text only when that is first read: by the walk of a
-    failing evaluation, say.
+    sum that is not finite, say.
     """
 
     def __init__(self, tree: Expr):

@@ -50,8 +50,9 @@ F_GATE = 1e-8
 def expression_jets(exprs: Sequence[Expr], points, order: int, params: ParamSet) -> np.ndarray:
     """Coefficient array [..., e, :] of each tree ``exprs[e]`` at a point or a batch of points.
 
-    The trees are lowered to one table and summed together
-    (:func:`skewdiv.geometry.lowered_jets`); an entry that fails walks its tree.
+    The polynomial trees are lowered to one table and summed together
+    (:func:`skewdiv.geometry.lowered_jets`); every other tree, and one whose
+    sum is not finite, is walked.
     """
     out = lowered_jets(TermTable.of([_terms(e) for e in exprs]), exprs.__getitem__, points, order, params)
     return np.moveaxis(out, 0, -2)

@@ -552,6 +552,8 @@ STATIC_4D_FILE = (
         (["frame", "--scenario", "warped-canonical", "--point", "0,0"], None, "--point needs 3"),
         (["verify", "--scenario", "euclidean", "--dim", "4"], None, "dimension 3, not 4"),
         (["frame", "--scenario", "warped-canonical", "--dim", "4"], None, "dimension 3, not 4"),
+        (["verify", "--scenario", "euclidean", "--format", "json"], None, "--format needs --out"),
+        (["counterexample", "--format", "csv"], None, "--format needs --out"),
         (
             [],
             FLAT_FILE.replace("f = x1", "f = " + " + ".join(["0.001*r*x1"] * 2000)),
@@ -584,6 +586,8 @@ STATIC_4D_FILE = (
         "point-coordinates",
         "verify-dim",
         "frame-dim",
+        "verify-format-without-out",
+        "counterexample-format-without-out",
         "deep-f",
         "deep-lambda",
         "deep-psi",

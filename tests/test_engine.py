@@ -358,7 +358,8 @@ def test_random_polynomials_are_their_parsed_sources(dim):
 def _same_table(a: TermTable, b: TermTable) -> bool:
     """Two lowered forms hold the same rows and entries, their coefficients bit for bit."""
     def key(t):
-        return t.monomials, t.trees, t.number, t.nrows, t.lengths, t.at.tolist(), t.coefs.tobytes()
+        numbers = [places.tolist() for places in t.numbers]
+        return t.monomials, t.walked, t.summed, t.constant, t.at.tolist(), numbers, t.coefs.tobytes()
 
     return key(a) == key(b)
 
@@ -367,10 +368,10 @@ def _same_table(a: TermTable, b: TermTable) -> bool:
 def test_random_metrics_carry_their_sources_terms(dim):
     """A random metric's and f's lowered forms are their texts' terms, and give the parsed texts' jets bit for bit.
 
-    A term after a function is walked and multiplied in: an entry with
-    x0*x1*sin(x2) added is the random entry plus that term's walk, and one
-    with sqrt(x0 - 0.5)*x1 added raises the walk's located error at the
-    first point where the square root fails.
+    An entry with a function among its factors is walked whole: an f with
+    x0*x1*sin(x2) added is that tree's walk, and one with
+    sqrt(x0 - 0.5)*x1 added raises the walk's located error at the first
+    point where the square root fails.
     """
     names = chart_variables(dim)
     rows, cols = upper_indices(dim)
@@ -393,7 +394,7 @@ def test_random_metrics_carry_their_sources_terms(dim):
                 assert f.tobytes() == ScalarField(f_parsed).jets(pts, order, {}).tobytes()
                 seeds = seed_variables(pts, dim, order)
                 with_mixed = ScalarField(parse(f"{f_src} + {to_source(mixed)}", variables=names))
-                want = f + evaluate(mixed, seeds).c
+                want = evaluate(with_mixed.tree, seeds).c
                 assert with_mixed.jets(pts, order, {}).tobytes() == want.tobytes()
         assert "exprs" not in vars(sc.metric) and "tree" not in vars(sc.f)
 
@@ -406,7 +407,7 @@ def test_random_metrics_carry_their_sources_terms(dim):
             with_failing.jets(points, 4, {})
         assert str(got.value) == str(walk.value)
         good = next(pt for pt in points if pt[0] > 0.5)
-        want = sc.f.jets(good, 4, {}) + evaluate(failing, seed_variables(good, dim, 4)).c
+        want = evaluate(with_failing.tree, seed_variables(good, dim, 4)).c
         assert with_failing.jets(good, 4, {}).tobytes() == want.tobytes()
 
 

@@ -17,7 +17,7 @@ from skewdiv.errors import (
     ParseError,
     UnknownNameError,
 )
-from skewdiv import expr as expr_module
+from skewdiv import geometry
 from skewdiv.expr import (
     Binary,
     Num,
@@ -32,7 +32,9 @@ from skewdiv.expr import (
     sum_terms,
     to_source,
 )
-from skewdiv.jets import Jet, as_coefficients, seed_variables
+from skewdiv.jets import Jet, as_coefficients, jet_space, place_monomials, seed_variables
+from skewdiv.ptensor import analyze
+from skewdiv.warped import WarpedSpec, ptensor_spec
 
 from checks import expression_jets, extract_derivative
 from exact_oracle import derivatives, to_sympy
@@ -310,7 +312,7 @@ def test_parse_tree_matches_golden(case):
 
 
 def test_a_node_hash_reads_its_top_node_only():
-    """``sum_terms`` keys products by tree factors: a lookup must not walk the tree."""
+    """``geometry.lowered_jets`` keys its walks by tree: a lookup must not walk the tree."""
     deep = Var(0, "r")
     for _ in range(5000):  # deeper than the recursion limit: a walk would raise
         deep = Unary("neg", deep)
@@ -415,17 +417,18 @@ _signs = st.lists(st.sampled_from("+-"), min_size=4, max_size=4)
 
 
 @st.composite
-def _entries(draw):
-    """Trees over a shared pool of factors: terms re-associated, nested, distributed."""
+def _entries(draw, pool=len(FIELD_FACTORS)):
+    """Trees over the first ``pool`` shared factors: terms re-associated, nested, distributed."""
+    factor = st.integers(0, pool - 1)
     entries = []
     for _ in range(draw(st.integers(1, 4))):
         terms = [
-            _term(draw(_coefs), draw(_factor_lists), draw(st.sampled_from(["first", "last", "middle", "none"])))
+            _term(draw(_coefs), draw(st.lists(factor, max_size=3)), draw(st.sampled_from(["first", "last", "middle", "none"])))
             for _ in range(draw(st.integers(1, 4)))
         ]
         tree = _sum(terms, draw(_signs), draw(st.booleans()))
         if draw(st.booleans()):
-            tree = Binary("*", FIELD_FACTORS[draw(st.integers(0, len(FIELD_FACTORS) - 1))], tree)
+            tree = Binary("*", FIELD_FACTORS[draw(factor)], tree)
         entries.append(Unary("neg", tree) if draw(st.booleans()) else tree)
     return entries
 
@@ -459,9 +462,15 @@ def _terms_scale(e, seeds, shape):
     return total
 
 
+def _has_a_tree_factor(e) -> bool:
+    return any(type(f) is not int for _, factors in _terms(e) for f in factors)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(_entries())
-def test_entries_match_the_walk_within_4_ulps_of_the_terms(entries):
+@given(_entries(pool=3))
+def test_polynomial_entries_match_the_walk_within_4_ulps_of_the_terms(entries):
+    """Entries in r, x1 and x2 alone are summed from their terms: the walk, up to what the lowering re-associates."""
+    assert not any(map(_has_a_tree_factor, entries))
     seeds = seed_variables(FIELD_POINTS, 3, 2)
     shape = (len(FIELD_POINTS), seeds[0].c.shape[-1])
     got = expression_jets(entries, FIELD_POINTS, 2, FIELD_PARAMS)
@@ -469,6 +478,19 @@ def test_entries_match_the_walk_within_4_ulps_of_the_terms(entries):
         want = as_coefficients(evaluate(e, seeds, FIELD_PARAMS), shape)
         bound = 4 * np.spacing(_terms_scale(e, seeds, shape))
         assert np.all(np.abs(got[..., i, :] - want) <= bound), to_source(e)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_entries())
+def test_entries_with_a_non_variable_factor_are_the_walk_bit_for_bit(entries):
+    for points in (FIELD_POINTS, FIELD_POINTS[0]):
+        seeds = seed_variables(points, 3, 2)
+        shape = seeds[0].c.shape
+        got = expression_jets(entries, points, 2, FIELD_PARAMS)
+        for i, e in enumerate(entries):
+            if _has_a_tree_factor(e):
+                want = as_coefficients(evaluate(e, seeds, FIELD_PARAMS), shape)
+                assert got[..., i, :].tobytes() == want.tobytes(), to_source(e)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -492,13 +514,16 @@ def test_entries_of_a_batch_are_its_points_alone(entries):
         assert batch[i].tobytes() == alone.tobytes()
 
 
-def test_entries_share_factors_and_products(monkeypatch):
-    """Each distinct non-variable factor is walked once, each shared product formed once, and no monomial is a product."""
-    entries = [
-        parse(src, variables=VARS3)
-        for src in ("1 + 2*r*x1 - sin(x2)", "sin(x2)*r*x1", "3*r*x1*x2 + sin(x2)^2", "sin(x2)")
-    ]
-    assert _terms(entries[0]) == [(1.0, ()), (2.0, (0, 1)), (-1.0, (entries[3],))]
+def test_entries_sharing_a_tree_walk_it_once_and_polynomial_entries_are_not_walked(monkeypatch):
+    """A tree with a non-variable factor is walked once for all its entries; a polynomial entry is placed, with no jet product.
+
+    The warped metric is one case: its two phi^2 entries share one tree,
+    walked once per analysis, and its other entries are numbers.
+    """
+    shared, polynomial, alone, number = (
+        parse(src, variables=VARS3) for src in ("1 + 2*r*x1 - sin(x2)", "3*r*x1*x2 - r + 2", "sin(x2)*r*x1", "4 - 1")
+    )
+    entries = [shared, polynomial, shared, alone, number]
     walked, products = [], []
 
     def walk(e, point, params=None):
@@ -512,29 +537,58 @@ def test_entries_share_factors_and_products(monkeypatch):
         return real_mul(self, other)
 
     real_mul = Jet.__mul__
-    monkeypatch.setattr(expr_module, "evaluate", walk)
+    monkeypatch.setattr(geometry, "evaluate", walk)
     monkeypatch.setattr(Jet, "__mul__", mul)
     expression_jets(entries, FIELD_POINTS, 3, {})
-    assert walked == [entries[3], parse("sin(x2)^2", variables=VARS3)]
-    # sin(x2)*r and sin(x2)*r*x1; r*x1 and r*x1*x2 are placed.
-    assert len(products) == 2
+    assert len(walked) == 2 and walked[0] is shared and walked[1] is alone
+    assert products == []
+    walked.clear()
+    spec = ptensor_spec(WarpedSpec.canonical(4.0, 1.0))
+    phi_sq = spec.metric.exprs[1][1]
+    assert spec.metric.exprs[2][2] is phi_sq
+    analyze(spec, [(0.3, 0.2, 0.5), (0.7, 0.4, 0.5)]).violation
+    assert walked == [phi_sq] and walked[0] is phi_sq
+
+
+def _full_gather(tree, points, order: int) -> np.ndarray:
+    """``tree``'s terms summed in source order over every slot: coef times its placed monomial, a number in the value slot alone.
+
+    An entry of number terms alone is their float sum, +0.0 in every other slot.
+    """
+    size = jet_space(points.shape[-1], order).size
+    terms = []
+    for coef, factors in _terms(tree):
+        term = np.zeros((1,) + points.shape[:-1] + (size,))
+        if factors:
+            place_monomials(term, points, (tuple(sorted(factors)),))
+            term *= coef
+        else:
+            term[..., 1:] = -0.0
+            term[..., 0] = coef
+        terms.append(term[0])
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    if not any(factors for _, factors in _terms(tree)):
+        total[..., 1:] = 0.0
+    return total
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_a_table_without_trees_sums_one_slot_for_the_coefficients_above_its_degree():
-    """Those slots read as the full gather's, signed zeros included: -0.0 only where every term's zero is."""
+    """Those slots read as a gather of every slot's, signed zeros included: -0.0 only where every term's zero is."""
     srcs = ("-r - x1*x2", "3 - r*x1", "x1 + 2", "-2*x2", "4 - 1", "-r*r - 0.5*x1", "1e308*r*x1 + 1e308*r*x1")
-    table = TermTable.of([_terms(parse(src, variables=VARS3)) for src in srcs])
-    full = copy.copy(table)
-    full.degree = None  # as a table with a tree row: every slot is gathered
+    trees = [parse(src, variables=VARS3) for src in srcs]
+    table = TermTable.of([_terms(e) for e in trees])
     points = np.array([[0.3, -0.0, 2.0], [0.0, 1.5, -0.25]])
     for order in (1, 2, 3, 4):
         for pts in (points, points[1]):
-            (got, left), (want, want_left) = sum_terms(table, pts, order), sum_terms(full, pts, order)
-            kept = [e for e in range(len(srcs)) if e not in left]
-            assert (left, got[kept].tobytes()) == (want_left, want[kept].tobytes())
+            got, left = sum_terms(table, pts, order)
+            want = [_full_gather(e, pts, order) for e in trees]
+            assert left == [e for e, w in enumerate(want) if not np.isfinite(w).all()]
+            assert [got[e].tobytes() for e in range(6)] == [w.tobytes() for w in want[:6]]
     assert left == [6]  # 1e308 + 1e308 overflows: the caller walks it
-    assert np.signbit(got[:2, 10:]).all() and not np.signbit(got[2, 10:]).any()
+    assert np.signbit(got[:2, 10:]).all() and not np.signbit(got[[2, 4], 10:]).any()
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
