@@ -25,10 +25,10 @@ from .errors import (
 from .expr import chart_variables, evaluate, parse, to_source
 from .geometry import (
     CurvatureEval,
+    Field,
     IdentityResidual,
     MetricField,
     MetricJets,
-    ScalarField,
     cov_derivative,
 )
 from .identities import (

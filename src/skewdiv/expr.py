@@ -75,7 +75,7 @@ class _Node(tuple):
     Equality uses the first ``compared`` fields; the offset (and a variable's
     alias) only locate the node in the source.  The hash reads the node's type
     and first field only, so a lookup keyed by a tree (the walks that
-    :func:`skewdiv.geometry.lowered_jets` shares) does not walk it.
+    :meth:`skewdiv.geometry.Field.jets` shares) does not walk it.
     """
 
     __slots__ = ()

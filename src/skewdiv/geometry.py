@@ -12,8 +12,9 @@ tensor it derives then has the leading batch axes of ``points``,
 ``batch_shape + tensor_shape + (ncoef,)``; value-level scalars become arrays
 of shape ``batch_shape``.  A single point has batch shape ``()`` and goes
 through the same code, so its tensors and Python-float scalars keep their
-unbatched shapes.  The expressions (metric entries, f) are evaluated once
-for the whole batch on batched jet seeds (see :mod:`skewdiv.jets`), and
+unbatched shapes.  The expressions are the entries of a :class:`Field`: the
+metric's entries i <= j are one, f another.  They are evaluated once for
+the whole batch on batched jet seeds (see :mod:`skewdiv.jets`), and
 each batch entry's values are those of the point analysed alone, bit for
 bit.  Errors stay per point: a batch that fails is evaluated again point by
 point in grid order (:func:`each_point_on_error`), so the first failing
@@ -85,56 +86,96 @@ def upper_entry(n: int) -> np.ndarray:
     return entry.ravel()
 
 
-def lowered_jets(table: TermTable, tree, points, order: int, params: ParamSet) -> np.ndarray:
-    """Coefficient array [e, ..., :] of entry e of ``table``, at a point or a batch of points.
+class Field:
+    """A tuple of entry trees on a chart, evaluated together: a metric's entries i <= j, or f alone.
 
-    The polynomial entries are summed together from their lowered terms
-    (:func:`~skewdiv.expr.sum_terms`).  Every other entry, and one whose sum
-    is not finite, walks its tree ``tree(e)``; entries that share a tree walk
-    it once.
+    The polynomial entries are summed from their lowered terms
+    (:func:`~skewdiv.expr.sum_terms`); every other entry, and one whose sum
+    is not finite, is walked whole, once per distinct tree.  A field of trees
+    lowers them on its first evaluation.  A field built by :meth:`from_table`
+    is given its entries' texts and lowered form, and parses its trees
+    ``trees`` from the texts only when they are first read: by the walk of an
+    entry whose sum is not finite, say.
     """
-    out, left = sum_terms(table, points, order)
-    if left:
-        seeds = seed_variables(points, None, order)
-        walked: dict[Expr, np.ndarray] = {}
-        for e in left:
-            t = tree(e)
-            if t not in walked:
-                walked[t] = as_coefficients(evaluate(t, seeds, params), out.shape[1:])
-            out[e] = walked[t]
-    return out
+
+    def __init__(self, trees: Sequence[Expr]):
+        self.trees = tuple(trees)
+        self._texts = None
+
+    @classmethod
+    def from_table(cls, texts: Sequence[str], table: TermTable, dim: int) -> "Field":
+        """The field of the entry ``texts`` on a ``dim``-chart, without parameters, given their lowered form.
+
+        ``table`` holds what :func:`~skewdiv.expr._terms` gives for each parsed text.
+        """
+        field = cls.__new__(cls)
+        field._texts, field._lowered, field._dim = tuple(texts), table, dim
+        return field
+
+    @cached_property
+    def trees(self) -> tuple:
+        """The entry trees, parsed from the texts on first read (each distinct text once) if built from its table."""
+        names = chart_variables(self._dim)
+        parsed = {src: parse(src, variables=names) for src in dict.fromkeys(self._texts)}
+        return tuple(parsed[src] for src in self._texts)
+
+    @cached_property
+    def _lowered(self) -> TermTable:
+        return lower(self.trees)
+
+    def jets(self, points: np.ndarray, order: int, params: ParamSet) -> np.ndarray:
+        """Coefficient array [e, ..., :] of entry e, at a point or a batch of points.
+
+        A failing batch raises its own error: :func:`each_point_on_error` names the failing point.
+        """
+        out, left = sum_terms(self._lowered, points, order)
+        if left:
+            seeds = seed_variables(points, None, order)
+            walked: dict[Expr, np.ndarray] = {}
+            for e in left:
+                t = self.trees[e]
+                if t not in walked:
+                    walked[t] = as_coefficients(evaluate(t, seeds, params), out.shape[1:])
+                out[e] = walked[t]
+        return out
+
+    def sources(self) -> list[str]:
+        """Entry sources for reports: the texts given, or each distinct tree rendered once."""
+        if self._texts is not None:
+            return list(self._texts)
+        text: dict[int, str] = {}
+        for t in self.trees:
+            if id(t) not in text:
+                text[id(t)] = to_source(t)
+        return [text[id(t)] for t in self.trees]
 
 
 class MetricField:
     """Symmetric matrix of expressions defining g_ij on a chart.
 
-    Its parameter set is the spec's one set: it binds f and lambda too.
-    Positive definiteness is enforced at every evaluation point by a
-    Cholesky factorization, which does not depend on the metric's scale; a
-    violation or a non-finite component raises instead of silently
-    propagating.
-
-    The entries i <= j are evaluated together (:func:`lowered_jets`): the
-    polynomial ones summed from their lowered terms, and each other entry
-    walked whole, once per distinct tree.  A field of trees lowers them on
-    its first evaluation, and :meth:`with_params` shares that form.  A field
-    built by :meth:`from_table` is given its entries' texts and lowered
-    form, and parses its trees ``exprs`` from the texts only when they are
-    first read: by the walk of an entry whose sum is not finite, say.
+    Its entries i <= j, in :func:`upper_indices` order, are one
+    :class:`Field`, ``entries``.  Its parameter set is the spec's one set:
+    it binds f and lambda too, and :meth:`with_params` shares ``entries``
+    and so their lowered form.  Positive definiteness is enforced at every
+    evaluation point by a Cholesky factorization, which does not depend on
+    the metric's scale; a violation or a non-finite component raises
+    instead of silently propagating.
     """
 
-    def __init__(self, dim: int, exprs: Sequence[Sequence[Expr]], params: ParamSet | None = None):
+    def __init__(self, dim: int, exprs: Sequence[Sequence[Expr]] | Field, params: ParamSet | None = None):
+        """``exprs`` is the rows of entry trees, square and symmetric, or the entries i <= j as one Field."""
         self.dim = dim
         self.params = dict(params or {})
-        rows = tuple(tuple(row) for row in exprs)
-        if len(rows) != dim or any(len(r) != dim for r in rows):
-            raise ValueError(f"metric expression array must be {dim}x{dim}")
-        for i in range(dim):
-            for j in range(i):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError(f"metric expressions not symmetric at ({i},{j})")
-        self.exprs = rows
-        self._texts = None
+        if not isinstance(exprs, Field):
+            rows = tuple(tuple(row) for row in exprs)
+            if len(rows) != dim or any(len(r) != dim for r in rows):
+                raise ValueError(f"metric expression array must be {dim}x{dim}")
+            for i in range(dim):
+                for j in range(i):
+                    if rows[i][j] != rows[j][i]:
+                        raise ValueError(f"metric expressions not symmetric at ({i},{j})")
+            exprs = Field(rows[a][b] for a, b in zip(*upper_indices(dim)))
+        self.entries = exprs
 
     @classmethod
     def parse(cls, rows: Sequence[Sequence[str]], params: ParamSet | None = None) -> "MetricField":
@@ -149,31 +190,23 @@ class MetricField:
                     trees[src] = parse(src, variables=names, params=tuple(params))
         return cls(dim, [[trees[src] for src in row] for row in rows], params)
 
-    @classmethod
-    def from_table(cls, texts: Sequence[Sequence[str]], table: TermTable) -> "MetricField":
-        """The field of the symmetric entry ``texts``, without parameters, given their lowered form.
+    @property
+    def exprs(self) -> list[list[Expr]]:
+        """The rows of entry trees (parsed on first read if ``entries`` was built from its table)."""
+        return self._rows(self.entries.trees)
 
-        ``table`` holds what :func:`~skewdiv.expr._terms` gives for the parsed
-        text of each entry i <= j, in :func:`upper_indices` order.
-        """
-        field = cls.__new__(cls)
-        field.dim, field.params, field._texts, field._lowered = len(texts), {}, texts, table
-        return field
+    def sources(self) -> list[list[str]]:
+        """Entry sources for reports, as rows (:meth:`Field.sources`)."""
+        return self._rows(self.entries.sources())
 
-    @cached_property
-    def exprs(self) -> tuple:
-        """The entry trees, parsed from the texts on first read if the field was built from its table."""
-        return MetricField.parse(self._texts, self.params).exprs
-
-    @cached_property
-    def _lowered(self) -> TermTable:
-        """The lowered form of the entries i <= j, in :func:`upper_indices` order."""
-        return lower([self.exprs[a][b] for a, b in zip(*upper_indices(self.dim))])
+    def _rows(self, entries: Sequence) -> list[list]:
+        """The entries i <= j laid out as the n x n rows."""
+        return [[entries[e] for e in row] for row in upper_entry(self.dim).reshape(self.dim, -1).tolist()]
 
     def with_params(self, params: ParamSet) -> "MetricField":
-        """The same entries bound to ``params``, sharing this field's trees and lowered form."""
+        """The same entries bound to ``params``: a copy that shares ``entries``."""
         field = copy.copy(self)
-        field.params, field._lowered = dict(params), self._lowered
+        field.params = dict(params)
         return field
 
     def component_jets(self, point, order: int = DEFAULT_ORDER) -> np.ndarray:
@@ -181,8 +214,7 @@ class MetricField:
         return each_point_on_error(lambda points: self._component_jets(points, order), point)
 
     def _component_jets(self, points: np.ndarray, order: int) -> np.ndarray:
-        i, j = upper_indices(self.dim)
-        upper = lowered_jets(self._lowered, lambda e: self.exprs[i[e]][j[e]], points, order, self.params)
+        upper = self.entries.jets(points, order, self.params)
         g = upper[upper_entry(self.dim)].reshape((self.dim, self.dim) + upper.shape[1:])
         g = np.ascontiguousarray(np.moveaxis(g, (0, 1), (-3, -2)))
         self._check_positive_definite(g[..., 0], points)
@@ -199,63 +231,12 @@ class MetricField:
                 f"metric is not positive definite at {point_tuple(point)}: Cholesky factorization fails"
             ) from None
 
-    def sources(self) -> list[list[str]]:
-        """Entry sources for reports: the texts given, or each distinct tree rendered once."""
-        if self._texts is not None:
-            return [list(row) for row in self._texts]
-        text: dict[int, str] = {}
-        for row in self.exprs:
-            for e in row:
-                if id(e) not in text:
-                    text[id(e)] = to_source(e)
-        return [[text[id(e)] for e in row] for row in self.exprs]
-
 
 # -- batches of points -------------------------------------------------------------
 
 
 # Errors that evaluation at a single point raises.
 _POINT_ERRORS = (SkewdivError, ArithmeticError)
-
-
-class ScalarField:
-    """A function on the chart, such as the potential f, evaluated as a field's entry (:func:`lowered_jets`).
-
-    Built from a tree, the field lowers it on its first evaluation.  Built by
-    :meth:`from_table` from a text and its lowered form, it parses its tree
-    ``tree`` from the text only when that is first read: by the walk of a
-    sum that is not finite, say.
-    """
-
-    def __init__(self, tree: Expr):
-        self.tree = tree
-        self._text = None
-
-    @classmethod
-    def from_table(cls, text: str, table: TermTable, dim: int) -> "ScalarField":
-        """The field of the ``text`` on a ``dim``-chart, without parameters, given its lowered form."""
-        field = cls.__new__(cls)
-        field._text, field._lowered, field._dim = text, table, dim
-        return field
-
-    @cached_property
-    def tree(self) -> Expr:
-        """The tree, parsed from the text on first read if the field was built from its table."""
-        return parse(self._text, variables=chart_variables(self._dim))
-
-    @cached_property
-    def _lowered(self) -> TermTable:
-        return lower([self.tree])
-
-    def jets(self, points, order: int, params: ParamSet) -> np.ndarray:
-        """Coefficient array [..., :] at a point or a batch of points."""
-        return each_point_on_error(
-            lambda pts: lowered_jets(self._lowered, lambda e: self.tree, pts, order, params)[0], points
-        )
-
-    def source(self) -> str:
-        """The text for reports: the one given, or the tree rendered."""
-        return self._text or to_source(self.tree)
 
 
 def each_point_on_error(fn, rows) -> np.ndarray:

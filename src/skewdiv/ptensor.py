@@ -37,10 +37,10 @@ import numpy as np
 from .errors import DegeneratePError, EvalDomainError, FrameConsistencyError
 from .expr import Expr, ParamSet, evaluate
 from .geometry import (
+    Field,
     IdentityResidual,
     MetricField,
     MetricJets,
-    ScalarField,
     batch_value,
     cov_derivative,
     each_point_on_error,
@@ -74,7 +74,7 @@ class PTensorSpec:
     """
 
     lam: Expr
-    f: ScalarField
+    f: Field
     metric: MetricField
 
     @property
@@ -137,7 +137,7 @@ class PointAnalysis:
     @cached_property
     def fjet(self) -> np.ndarray:
         """Coefficient array of f."""
-        return self.spec.f.jets(self.mj.points, self.order, self.spec.params)
+        return each_point_on_error(lambda pts: self.spec.f.jets(pts, self.order, self.spec.params)[0], self.mj.points)
 
     @cached_property
     def df(self) -> np.ndarray:

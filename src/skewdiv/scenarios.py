@@ -16,9 +16,9 @@ A random-curved metric and its f are drawn as their texts together with
 their lowered form (:class:`~skewdiv.expr.TermTable`): the monomials 1,
 x_i and x_i*x_j, and each entry's coefficients as an array, which are the
 signed terms that :func:`~skewdiv.expr._terms` gives for the parsed text
-(:meth:`MetricField.from_table`, :meth:`ScalarField.from_table`).  Their
-jets are placed and summed from that table, and their trees are parsed
-from the texts only when something reads them.
+(:meth:`~skewdiv.geometry.Field.from_table`).  Their jets are placed and
+summed from that table, and their trees are parsed from the texts only
+when something reads them.
 
 Scenario files are plain text, one ``key = value`` per line with a
 ``metric:`` section of ``|``-separated expression rows; see the README for
@@ -38,7 +38,7 @@ import numpy as np
 from . import warped as warped_mod
 from .errors import ScenarioError
 from .expr import Expr, TermTable, chart_variables, number_source, parse
-from .geometry import MetricField, ScalarField, upper_indices
+from .geometry import Field, MetricField, upper_indices
 from .ptensor import PTensorSpec
 
 BUILTIN_NAMES = (
@@ -80,7 +80,7 @@ class Scenario:
     name: str
     dim: int
     metric: MetricField
-    f: ScalarField
+    f: Field
     lam: Expr
     lam_src: str
     grid: tuple[GridAxis, ...]
@@ -111,7 +111,7 @@ class Scenario:
             "name": self.name,
             "dimension": self.dim,
             "metric": self.metric.sources(),
-            "f": self.f.source(),
+            "f": self.f.sources()[0],
             "lambda": self.lam_src,
             "params": {k: self.params[k] for k in sorted(self.params)},
             "grid": [
@@ -144,7 +144,7 @@ def euclidean_scenario() -> Scenario:
         name="euclidean",
         dim=3,
         metric=MetricField.parse([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]),
-        f=ScalarField(parse("(x0^2 + x1^2 + x2^2)/2", variables=chart_variables(3))),
+        f=Field([parse("(x0^2 + x1^2 + x2^2)/2", variables=chart_variables(3))]),
         lam=_parse_lambda("1"),
         lam_src="1",
         grid=_default_grid(3, 0.1, 0.9, 3),
@@ -170,7 +170,7 @@ def round_sphere_scenario() -> Scenario:
         name="round-sphere-static",
         dim=3,
         metric=metric,
-        f=ScalarField(parse("cos(r)", variables=chart_variables(3))),
+        f=Field([parse("cos(r)", variables=chart_variables(3))]),
         lam=_parse_lambda("1"),
         lam_src="1",
         grid=grid,
@@ -218,9 +218,7 @@ def random_scenario(seed: int, dim: int = 3) -> Scenario:
     coefs[:-1] *= eps
     metric_coefs = np.column_stack([(rows == cols).astype(float), coefs[:-1]])
     *entries, f_terms = _signed_terms(coefs, suffixes)
-    texts = [[""] * dim for _ in range(dim)]
-    for i, j, terms in zip(rows.tolist(), cols.tolist(), entries):
-        texts[i][j] = texts[j][i] = ("1" if i == j else "0") + terms
+    texts = [("1" if i == j else "0") + terms for i, j, terms in zip(rows.tolist(), cols.tolist(), entries)]
     f_src = f_terms[3:] if f_terms.startswith(" + ") else "-" + f_terms[3:]  # f has no constant
     lam_src = _LAMBDA_CHOICES[int(seed) % len(_LAMBDA_CHOICES)]
     grid = tuple(
@@ -230,8 +228,8 @@ def random_scenario(seed: int, dim: int = 3) -> Scenario:
     return Scenario(
         name=f"random-curved-{dim}d-seed{seed}",
         dim=dim,
-        metric=MetricField.from_table(texts, metric.with_coefs(metric_coefs)),
-        f=ScalarField.from_table(f_src, f.with_coefs(coefs[-1:]), dim),
+        metric=MetricField(dim, Field.from_table(texts, metric.with_coefs(metric_coefs), dim)),
+        f=Field.from_table([f_src], f.with_coefs(coefs[-1:]), dim),
         lam=_parse_lambda(lam_src),
         lam_src=lam_src,
         grid=grid,
@@ -299,6 +297,7 @@ def parse_scenario_file(text: str) -> Scenario:
         if not line or line.startswith("#"):
             continue
         if line == "metric:":
+            _set_once(set_on, line, i)
             dim_str = fields.get("dim")
             if dim_str is None:
                 raise ScenarioError("scenario file: 'dim' must precede 'metric:'")
@@ -355,7 +354,7 @@ def parse_scenario_file(text: str) -> Scenario:
         rows.append(cells)
     try:
         metric = MetricField.parse(rows, params)
-        f = ScalarField(parse(fields["f"], variables=chart_variables(dim), params=tuple(params)))
+        f = Field([parse(fields["f"], variables=chart_variables(dim), params=tuple(params))])
         lam_src = fields.get("lambda", "1")
         lam = _parse_lambda(lam_src, params)
     except Exception as err:

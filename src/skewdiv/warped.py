@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import EvalDomainError, OrderExceededError
 from .expr import ParamSet, chart_variables, evaluate, parse
-from .geometry import IdentityResidual, MetricField, ScalarField, residual
+from .geometry import Field, IdentityResidual, MetricField, residual
 from .jets import Jet, partial_derivative
 from .ptensor import PTensorSpec, analyze
 
@@ -206,14 +206,14 @@ def ptensor_spec(spec: WarpedSpec) -> PTensorSpec:
 
 
 @lru_cache(maxsize=64)
-def _fields(phi_src: str, psi_src: str, names: tuple) -> tuple[MetricField, ScalarField]:
+def _fields(phi_src: str, psi_src: str, names: tuple) -> tuple[MetricField, Field]:
     """The metric and f, parsed and lowered once per text; each spec rebinds the metric to its values.
 
     A ``counterexample`` run builds a spec per (k, c) from the same texts.
     """
     phi_sq = f"({phi_src})^2"
     rows = [["1", "0", "0"], ["0", phi_sq, "0"], ["0", "0", phi_sq]]
-    f = ScalarField(parse(psi_src, variables=chart_variables(3), params=names))
+    f = Field([parse(psi_src, variables=chart_variables(3), params=names)])
     return MetricField.parse(rows, dict.fromkeys(names, 0.0)), f
 
 

@@ -19,9 +19,8 @@ fails on a public name there that no code in the package reads.
   ``identities._field_residuals`` and ``_balance_terms`` with the checks
   that ``verify`` runs.  :func:`grad_f_val` and :func:`grad_p_norm_sq_val`
   are the two values only the static substitution reads.
-* :func:`expression_jets` gives the jets of trees through their lowered
-  form, as a field holds it (:class:`~skewdiv.expr.TermTable`), built on
-  each call.
+* :func:`expression_jets` gives the jets of trees as the entries of one
+  :class:`~skewdiv.geometry.Field`, lowered on each call.
 * :func:`weyl` and :func:`traceless_ricci` are curvature values that no
   command reads: the Weyl tensor, which the tests keep as a reference for
   the balance's curvature term, and the trace-free Ricci tensor that
@@ -37,8 +36,8 @@ from typing import Sequence
 import numpy as np
 
 from skewdiv.errors import EvalDomainError, OrderExceededError
-from skewdiv.expr import Expr, ParamSet, TermTable, _terms
-from skewdiv.geometry import IdentityResidual, MetricJets, cov_derivative, lowered_jets, point_tuple, residual
+from skewdiv.expr import Expr, ParamSet
+from skewdiv.geometry import Field, IdentityResidual, MetricJets, cov_derivative, point_tuple, residual
 from skewdiv.identities import _balance_terms, _field_residuals
 from skewdiv.jets import Jet, contract, jet_space, partials
 from skewdiv.ptensor import PointAnalysis
@@ -51,11 +50,10 @@ def expression_jets(exprs: Sequence[Expr], points, order: int, params: ParamSet)
     """Coefficient array [..., e, :] of each tree ``exprs[e]`` at a point or a batch of points.
 
     The polynomial trees are lowered to one table and summed together
-    (:func:`skewdiv.geometry.lowered_jets`); every other tree, and one whose
+    (:meth:`skewdiv.geometry.Field.jets`); every other tree, and one whose
     sum is not finite, is walked.
     """
-    out = lowered_jets(TermTable.of([_terms(e) for e in exprs]), exprs.__getitem__, points, order, params)
-    return np.moveaxis(out, 0, -2)
+    return np.moveaxis(Field(exprs).jets(points, order, params), 0, -2)
 
 
 def second_bianchi_residual(mj: MetricJets) -> IdentityResidual:

@@ -543,6 +543,8 @@ STATIC_4D_FILE = (
             "line 8: repeated key 'lambda', first set on line 3",
         ),
         ([], "param k = 1\n" + FLAT_FILE + "param  k = 2\n", "line 8: repeated key 'param k', first set on line 1"),
+        ([], FLAT_FILE + "metric:\n", "line 7: repeated key 'metric:', first set on line 3"),
+        ([], FLAT_FILE + FLAT_FILE[FLAT_FILE.index("metric:"):], "line 7: repeated key 'metric:', first set on line 3"),
         (
             ["counterexample", "--grid", "r:0:1:5", "--grid", "x0:0:1:2"],
             None,
@@ -581,6 +583,8 @@ STATIC_4D_FILE = (
         "unknown-key",
         "repeated-key",
         "repeated-param",
+        "repeated-empty-metric",
+        "repeated-metric",
         "repeated-grid-axis",
         "missing-file",
         "point-coordinates",

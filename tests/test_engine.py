@@ -14,7 +14,9 @@
   every value a check reads bit for bit as jets at f's order;
 * random polynomials are built as their sources parse, a random metric
   carries its sources' lowered terms and gives their jets bit for bit, and
-  g^-1 forms only each Horner step's new coefficients.
+  g^-1 forms only each Horner step's new coefficients;
+* each field lowers its trees once, shared by the specs and scenarios
+  that rebind it to other parameter values.
 """
 
 import math
@@ -25,11 +27,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skewdiv import geometry, warped
 from skewdiv.cli import run_verify
 from skewdiv.identities import static_residual
 from skewdiv.errors import EvalDomainError, NonPositiveDefiniteError, SkewdivError
-from skewdiv.expr import Binary, Num, TermTable, _terms, chart_variables, evaluate, parse, to_source
-from skewdiv.geometry import MetricField, MetricJets, ScalarField, upper_indices
+from skewdiv.expr import Binary, Num, TermTable, _terms, chart_variables, evaluate, lower, parse, to_source
+from skewdiv.geometry import Field, MetricField, MetricJets, upper_indices
 from skewdiv.identities import bochner_residual
 from skewdiv.jets import (
     DEFAULT_ORDER,
@@ -42,7 +45,7 @@ from skewdiv.jets import (
 )
 from skewdiv.ptensor import VALUE_ORDER, PointAnalysis, PTensorSpec, analyze, cyclic_residual
 from skewdiv.report import report_to_json
-from skewdiv.scenarios import BUILTIN_NAMES, builtin_scenario, random_scenario
+from skewdiv.scenarios import BUILTIN_NAMES, builtin_scenario, parse_scenario_file, random_scenario
 from skewdiv.warped import WarpedSpec, ptensor_spec
 
 from checks import cpe_residual, expression_jets, grad_f_val, grad_p_norm_sq_val, traceless_ricci
@@ -125,7 +128,7 @@ def test_tensor_pipeline_makes_no_scalar_jet_products(dim, monkeypatch):
 
     # The analysis's orders: g one below f, lambda(f) two below.
     spec.metric.component_jets(pt, DEFAULT_ORDER - 1)
-    f = Jet(jet_space(dim, DEFAULT_ORDER), expression_jets([spec.f.tree], pt, DEFAULT_ORDER, spec.params)[0])
+    f = Jet(jet_space(dim, DEFAULT_ORDER), expression_jets([spec.f.trees[0]], pt, DEFAULT_ORDER, spec.params)[0])
     evaluate(spec.lam, [f.truncate(DEFAULT_ORDER - 2)], spec.params)
     expression_products = len(calls)
     assert expression_products > 0
@@ -209,7 +212,7 @@ def test_value_order_matches_default_order(spec, points):
 FUNCTIONS_SPEC = PTensorSpec(
     lam=parse("exp(f/4) + f^2 / (1 + f*f)", variables=("f",)),
     # At r = 0.2 the exponent's jet is the constant 2.5, at r = 0.8 it is not.
-    f=ScalarField(parse("r^2.5 + x1*x2^3 - log(1 + r*x2) + x1^((r - 0.2)^5 + 2.5)", variables=chart_variables(3))),
+    f=Field([parse("r^2.5 + x1*x2^3 - log(1 + r*x2) + x1^((r - 0.2)^5 + 2.5)", variables=chart_variables(3))]),
     metric=MetricField.parse(
         [
             ["2 + sin(r)*x1", "0.1*cos(x2)", "0"],
@@ -248,7 +251,7 @@ def test_batched_expressions_equal_single_points(spec, points):
 def f_jets(f_src: str):
     """The analysis's jets of f = ``f_src`` on the flat 3-chart, at a point or a batch of points."""
     flat = MetricField.parse([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
-    spec = PTensorSpec(parse("1", variables=("f",)), ScalarField(parse(f_src, variables=chart_variables(3))), flat)
+    spec = PTensorSpec(parse("1", variables=("f",)), Field([parse(f_src, variables=chart_variables(3))]), flat)
     return lambda points: PointAnalysis(spec, points).fjet
 
 
@@ -333,7 +336,7 @@ def test_verify_walks_each_expression_once(monkeypatch):
         assert len(sc.grid_points()) == 4 and sc.lam_src == lam
         report_to_json(run_verify(sc))
         assert parsed == [lam]
-        assert "exprs" not in vars(sc.metric) and "tree" not in vars(sc.f)  # parsed only when read
+        assert "trees" not in vars(sc.metric.entries) and "trees" not in vars(sc.f)  # parsed only when read
         assert calls == [sc.lam]
         assert len(products) == lam_products
 
@@ -348,11 +351,11 @@ def test_random_polynomials_are_their_parsed_sources(dim):
     names = chart_variables(dim)
     for seed in range(32):
         sc = random_scenario(seed, dim)
-        for e in [e for row in sc.metric.exprs for e in row] + [sc.f.tree]:
+        for e in [e for row in sc.metric.exprs for e in row] + [sc.f.trees[0]]:
             assert exact(parse(to_source(e), variables=names)) == exact(e)
         # The echo keeps the text the builder wrote: the same as rendering the trees.
         echo = sc.echo()
-        assert (echo["metric"], echo["f"]) == (sc.metric.sources(), to_source(sc.f.tree))
+        assert (echo["metric"], echo["f"]) == (sc.metric.sources(), to_source(sc.f.trees[0]))
 
 
 def _same_table(a: TermTable, b: TermTable) -> bool:
@@ -380,8 +383,8 @@ def test_random_metrics_carry_their_sources_terms(dim):
         sc = random_scenario(seed, dim)
         texts = sc.metric.sources()
         lowered = [_terms(parse(texts[i][j], variables=names)) for i, j in zip(rows, cols)]
-        assert _same_table(sc.metric._lowered, TermTable.of(lowered))
-        f_src = sc.f.source()
+        assert _same_table(sc.metric.entries._lowered, TermTable.of(lowered))
+        (f_src,) = sc.f.sources()
         f_parsed = parse(f_src, variables=names)
         assert _same_table(sc.f._lowered, TermTable.of([_terms(f_parsed)]))
         parsed = MetricField.parse(texts)
@@ -390,25 +393,50 @@ def test_random_metrics_carry_their_sources_terms(dim):
             for pts in [points, *points]:
                 want = parsed.component_jets(pts, order)
                 assert sc.metric.component_jets(pts, order).tobytes() == want.tobytes()
-                f = sc.f.jets(pts, order, {})
-                assert f.tobytes() == ScalarField(f_parsed).jets(pts, order, {}).tobytes()
+                f = sc.f.jets(pts, order, {})[0]
+                assert f.tobytes() == Field([f_parsed]).jets(pts, order, {})[0].tobytes()
                 seeds = seed_variables(pts, dim, order)
-                with_mixed = ScalarField(parse(f"{f_src} + {to_source(mixed)}", variables=names))
-                want = evaluate(with_mixed.tree, seeds).c
-                assert with_mixed.jets(pts, order, {}).tobytes() == want.tobytes()
-        assert "exprs" not in vars(sc.metric) and "tree" not in vars(sc.f)
+                with_mixed = Field([parse(f"{f_src} + {to_source(mixed)}", variables=names)])
+                want = evaluate(with_mixed.trees[0], seeds).c
+                assert with_mixed.jets(pts, order, {})[0].tobytes() == want.tobytes()
+        assert "trees" not in vars(sc.metric.entries) and "trees" not in vars(sc.f)
 
-        with_failing = ScalarField(parse(f"{f_src} + {to_source(failing)}", variables=names))
+        with_failing = Field([parse(f"{f_src} + {to_source(failing)}", variables=names)])
         bad = next(pt for pt in points if pt[0] < 0.5)
         with pytest.raises(EvalDomainError) as walk:
-            evaluate(with_failing.tree, seed_variables(bad, dim, 4))
+            evaluate(with_failing.trees[0], seed_variables(bad, dim, 4))
         assert str(walk.value).endswith(f"(at offset {len(f_src) + 3})")
         with pytest.raises(EvalDomainError) as got:
             with_failing.jets(points, 4, {})
         assert str(got.value) == str(walk.value)
         good = next(pt for pt in points if pt[0] > 0.5)
-        want = evaluate(with_failing.tree, seed_variables(good, dim, 4)).c
-        assert with_failing.jets(good, 4, {}).tobytes() == want.tobytes()
+        want = evaluate(with_failing.trees[0], seed_variables(good, dim, 4)).c
+        assert with_failing.jets(good, 4, {})[0].tobytes() == want.tobytes()
+
+
+def test_tables_are_lowered_once_per_field(monkeypatch):
+    """The warped metric and f lower once for every (k, c), and a scenario rebound by with_params shares its field."""
+    lowered = []
+
+    def counted(trees):
+        lowered.append(trees)
+        return lower(trees)
+
+    monkeypatch.setattr(geometry, "lower", counted)
+    warped._fields.cache_clear()
+    specs = [ptensor_spec(WarpedSpec.canonical(k, c)) for k, c in [(4.0, 1.0), (5.0, 0.5)]]
+    for spec in specs:
+        analyze(spec, [(0.2, 0.3, 0.4), (0.6, 0.7, 0.8)]).fjet
+    assert len(lowered) == 2  # the metric's entries i <= j, and f
+    assert specs[0].metric.params != specs[1].metric.params
+
+    lowered.clear()
+    sc = parse_scenario_file("dim = 3\nparam a = 1\nf = a*x1 + x2\nmetric:\n1 + a*r^2 | 0 | 0\n0 | 1 | 0\n0 | 0 | 1\n")
+    rebound = sc.with_params(a=2.0)
+    assert rebound.metric.entries is sc.metric.entries and rebound.params == {"a": 2.0}
+    for s in (rebound, sc):
+        analyze(s.spec(), s.grid_points()).fjet
+    assert len(lowered) == 2
 
 
 def _ginv_every_coefficient(mj: MetricJets) -> np.ndarray:

@@ -28,7 +28,7 @@ def test_power_is_walked_left_associative():
 def test_engine_matches_the_exact_oracle(sc):
     pt = sc.grid_points()[-1]
     an = PointAnalysis(sc.spec(), pt)
-    exact = exact_point(sc.metric, pt, sc.f.tree, sc.lam)
+    exact = exact_point(sc.metric, pt, sc.f.trees[0], sc.lam)
     pairs = {
         "g^-1": (an.mj.ginv_val, exact.ginv),
         "Gamma": (an.mj.gamma[..., 0], exact.gamma),
@@ -46,7 +46,7 @@ def test_engine_matches_the_exact_oracle(sc):
 
 def test_warped_canonical_violation_at_r_0_is_exactly_minus_one_64th():
     sc = builtin_scenario("warped-canonical")
-    exact = exact_point(sc.metric, (0.0, 0.0, 0.0), sc.f.tree, sc.lam)
+    exact = exact_point(sc.metric, (0.0, 0.0, 0.0), sc.f.trees[0], sc.lam)
     assert exact.domain == QQ
     assert exact.nabla_p_norm_sq == exact.div_p_norm_sq == QQ(1, 64)
     assert exact.violation == QQ(-1, 64)

@@ -312,7 +312,7 @@ def test_parse_tree_matches_golden(case):
 
 
 def test_a_node_hash_reads_its_top_node_only():
-    """``geometry.lowered_jets`` keys its walks by tree: a lookup must not walk the tree."""
+    """``geometry.Field.jets`` keys its walks by tree: a lookup must not walk the tree."""
     deep = Var(0, "r")
     for _ in range(5000):  # deeper than the recursion limit: a walk would raise
         deep = Unary("neg", deep)

@@ -250,7 +250,7 @@ def test_christoffel_and_riemann_match_the_exact_oracle():
 def test_covariant_derivative_of_scalar_is_gradient():
     sc = random_scenario(3, 3)
     pt = sc.grid_points()[0]
-    fjet = expression_jets([sc.f.tree], pt, DEFAULT_ORDER, sc.params)[0]
+    fjet = expression_jets([sc.f.trees[0]], pt, DEFAULT_ORDER, sc.params)[0]
     grad = cov_derivative(fjet, MetricJets(sc.metric, pt).gamma)
     expected = partials(fjet, 3)[..., 0]
     got = grad[..., 0]
@@ -269,7 +269,7 @@ def test_commutation_rule_pins_curvature_sign():
             sc = random_scenario(seed, dim)
             pt = sc.grid_points()[0]
             mj = MetricJets(sc.metric, pt)
-            fjet = expression_jets([sc.f.tree], pt, DEFAULT_ORDER, sc.params)[0]
+            fjet = expression_jets([sc.f.trees[0]], pt, DEFAULT_ORDER, sc.params)[0]
             sigma = cov_derivative(fjet, mj.gamma)  # (a,)
             first = cov_derivative(sigma, mj.gamma)  # (j, a)
             second = cov_derivative(first, mj.gamma)  # (i, j, a)

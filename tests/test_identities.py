@@ -6,7 +6,7 @@ import pytest
 
 from skewdiv.errors import EvalDomainError, OrderExceededError
 from skewdiv.expr import chart_variables, evaluate, parse
-from skewdiv.geometry import MetricField, MetricJets, ScalarField, residual
+from skewdiv.geometry import Field, MetricField, MetricJets, residual
 from skewdiv.identities import IdentityResidual, bochner_residual, static_residual
 from skewdiv.scenarios import (
     BUILTIN_NAMES,
@@ -24,7 +24,7 @@ from conftest import bochner_dim3_rhs
 
 def field_analysis(metric, f_src, points):
     """Analysis of the potential ``f_src`` on ``metric``: what the static and cpe checks read."""
-    f = ScalarField(parse(f_src, variables=chart_variables(metric.dim)))
+    f = Field([parse(f_src, variables=chart_variables(metric.dim))])
     return PointAnalysis(PTensorSpec(parse("1", variables=("f",)), f, metric), points)
 
 
@@ -286,7 +286,7 @@ def test_batch_equals_its_points(check, sc, refused):
             got = np.broadcast_to(got, (len(points),))[i]
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
     if check == "static-bochner":
-        assert evaluate(sc.f.tree, refused, sc.params) == pytest.approx(0.0, abs=1e-15)
+        assert evaluate(sc.f.trees[0], refused, sc.params) == pytest.approx(0.0, abs=1e-15)
         with pytest.raises(EvalDomainError, match=re.escape(f" at {refused}: ")):
             BATCH_CHECKS[check](sc, points[:2] + [refused] + points[2:])
 

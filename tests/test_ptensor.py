@@ -6,7 +6,7 @@ import pytest
 
 from skewdiv.errors import DegeneratePError, EvalDomainError, FrameConsistencyError
 from skewdiv.expr import chart_variables, parse
-from skewdiv.geometry import MetricField, ScalarField
+from skewdiv.geometry import Field, MetricField
 from skewdiv.ptensor import (
     VALUE_ORDER,
     PointAnalysis,
@@ -265,7 +265,7 @@ def flat_spec(f: str, lam: str) -> PTensorSpec:
     rows = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
     return PTensorSpec(
         lam=parse(lam, variables=("f",)),
-        f=ScalarField(parse(f, variables=chart_variables(3))),
+        f=Field([parse(f, variables=chart_variables(3))]),
         metric=MetricField.parse(rows, {}),
     )
 
