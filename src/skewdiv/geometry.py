@@ -190,11 +190,6 @@ class MetricField:
                     trees[src] = parse(src, variables=names, params=tuple(params))
         return cls(dim, [[trees[src] for src in row] for row in rows], params)
 
-    @property
-    def exprs(self) -> list[list[Expr]]:
-        """The rows of entry trees (parsed on first read if ``entries`` was built from its table)."""
-        return self._rows(self.entries.trees)
-
     def sources(self) -> list[list[str]]:
         """Entry sources for reports, as rows (:meth:`Field.sources`)."""
         return self._rows(self.entries.sources())

@@ -21,14 +21,11 @@ A :class:`Jet`'s coefficients may carry leading batch axes, ``batch_shape +
 (:func:`seed_variables`) and evaluating an expression on the seeds walks the
 expression once for the whole grid.  Each batch entry is computed exactly as
 its point alone would be, bit for bit; a single point is the batch shape
-``()``, keeps 1-D coefficients and a float ``value``.  Each jet also carries
-``deg``, an upper bound on its polynomial degree (0 for constants, 1 for
-seeds, the maximum over a sum, the sum over a product, the order after
-composing an analytic function with a non-constant jet), and a product only
-forms the coefficient pairs that the two bounds allow.  Where a batch fails (a domain error, an
-overflow), the error belongs to no particular point; the callers that
-evaluate on batches re-run point by point so that the first failing point
-raises its own error (:func:`skewdiv.geometry.each_point_on_error`).
+``()``, keeps 1-D coefficients and a float ``value``.  Where a batch fails
+(a domain error, an overflow), the error belongs to no particular point;
+the callers that evaluate on batches re-run point by point so that the
+first failing point raises its own error
+(:func:`skewdiv.geometry.each_point_on_error`).
 
 Tensors of jets (metric, Christoffel symbols, P, ...) are not arrays of
 :class:`Jet` objects but single float arrays of shape
@@ -47,14 +44,15 @@ floats and jets.
 Every product, of jets, of batches of jets or through :func:`contract`, sums
 its pairs from one :class:`PairTable` type with one ``np.bincount``: each
 target adds its products in the table's order starting from +0.0, so an
-exact -0.0 sum comes out +0.0 (:func:`_flat_index`).
+exact -0.0 sum comes out +0.0 (:func:`_flat_index`).  A jet product forms
+every pair of its space (``JetSpace.pairs``), on one point as on a batch.
 
 What :func:`contract` and :func:`partials` work out from their operands'
 shapes alone (axis orders, reshape targets, the flat ``bincount`` targets) is
 a plan, built on a shape's first call and kept in one module cache for every
 later call: a ``contract`` plan keyed by ``(subscripts, A.shape, B.shape,
 pairs)``, a ``partials`` plan by ``(T.shape, nvars, batch)``, a
-:func:`place_monomials` plan by ``(monomials, nvars, ncoef)``, and a batched
+:func:`place_monomials` plan by ``(monomials, nvars, ncoef)``, and a jet
 product's flat index by its table and batch size.  The arrays the plans
 hold are bounded at 1 MiB; a miss that would pass the bound empties the
 cache first.  Plans pay off only where the same shapes recur in one process
@@ -67,10 +65,11 @@ f^(k)(v)/k! at the jet's value v, by Horner's rule in jet products
 (``Jet._horner``).  Where the argument is a seed plus a constant, x_i + v,
 the composed jet is f's series itself, placed at the monomials x_i^k with
 no product at all (Griewank & Walther, *Evaluating Derivatives*, 2nd ed.,
-ch. 13); ``Jet._compose`` chooses by inspecting the argument.  Each placed
-coefficient is ``f^(k)(v)/k! + 0.0``, what Horner's sums give, so both
-paths agree bit for bit, signed zeros included; a test pins the placement
-to ``Jet._horner`` on sin, cos, exp, log, sqrt, powers and reciprocals.
+ch. 13); ``Jet._compose`` chooses by inspecting the argument's
+coefficients.  Each placed coefficient is ``f^(k)(v)/k! + 0.0``, what
+Horner's sums give, so both paths agree bit for bit, signed zeros included;
+a test pins the placement to ``Jet._horner`` on sin, cos, exp, log, sqrt,
+powers and reciprocals.
 
 A monomial x^alpha is placed the same way (:func:`place_monomials`): at p
 its coefficient beta <= alpha is C(alpha, beta) p^(alpha - beta), with each
@@ -144,19 +143,8 @@ class JetSpace:
             for j, mb in enumerate(monos)
             if sum(ma) + sum(mb) <= order
         ]
-        self.pairs = PairTable(*np.asarray(pairs, dtype=np.intp).T.copy(), order, 0, self.size)
-        # The pairs of jets with degree bounds (deg_a, deg_b), at
-        # ``product_pairs[deg_a][deg_b]``.  Coefficients above a jet's bound
-        # are zero, so the dropped pairs would only add exact zeros.
+        self.pairs = PairTable(*np.asarray(pairs, dtype=np.intp).T.copy(), 0, self.size)
         self.degree = np.asarray([sum(m) for m in monos], dtype=np.intp)
-        deg_a, deg_b = self.degree[self.pairs.ia], self.degree[self.pairs.ib]
-        self.product_pairs = tuple(
-            tuple(
-                self.pairs.where((deg_a <= i) & (deg_b <= j), min(i + j, order), 0, self.size)
-                for j in range(order + 1)
-            )
-            for i in range(order + 1)
-        )
         self._step_pairs: dict = {}
 
         # Partial-derivative maps into the (nvars, order-1) layout, one row
@@ -182,7 +170,7 @@ class JetSpace:
             p = self.pairs
             targets = np.flatnonzero(self.degree == t)
             keep = (self.degree[p.ic] == t) & (self.degree[p.ia] >= 1)
-            self._step_pairs[t] = p.where(keep, t, int(targets[0]), targets.size)
+            self._step_pairs[t] = p.where(keep, int(targets[0]), targets.size)
         return self._step_pairs[t]
 
     def __repr__(self):  # pragma: no cover - debugging aid
@@ -194,25 +182,24 @@ class PairTable:
     """Coefficient pairs of a jet product: ``a[ia[k]] * b[ib[k]]`` adds to target ``ic[k]``.
 
     The targets are the coefficients ``lo : lo + size`` of the space, ``ic``
-    counted from ``lo``; ``deg`` bounds the product's degree.  Every table
-    keeps the pairs of its space's full table (``JetSpace.pairs``) in their
-    order, so a target adds its products in one order whatever table forms
-    it.  Tables compare by identity, to key :func:`_sum_pairs`'s cache.
+    counted from ``lo``.  Every table keeps the pairs of its space's full
+    table (``JetSpace.pairs``) in their order, so a target adds its products
+    in one order whatever table forms it.  Tables compare by identity, to
+    key the plan cache.
     """
 
     ia: np.ndarray
     ib: np.ndarray
     ic: np.ndarray
-    deg: int
     lo: int
     size: int
 
-    def where(self, keep: np.ndarray, deg: int, lo: int, size: int) -> PairTable:
+    def where(self, keep: np.ndarray, lo: int, size: int) -> PairTable:
         """The pairs where ``keep`` holds, for the targets ``lo : lo + size``."""
-        return PairTable(self.ia[keep], self.ib[keep], self.ic[keep] - lo, deg, lo, size)
+        return PairTable(self.ia[keep], self.ib[keep], self.ic[keep] - lo, lo, size)
 
 
-# Kernel plans (see the module docstring); a batched product's flat index is
+# Kernel plans (see the module docstring); a jet product's flat index is
 # keyed by ``(pairs, batch entries)``.  A miss that would take the arrays
 # the plans hold past _PLAN_BYTES empties the dict first (a 4-D verify of 4
 # points holds 0.27 MiB, the 10-point counterexample grid 0.04 MiB); a plan
@@ -276,17 +263,14 @@ class Jet:
     ``c`` has shape ``batch_shape + (ncoef,)``: one point is the batch shape
     ``()``, and every operation acts on each batch entry as it would on that
     point alone, bit for bit.  ``value`` is a float for one point and an
-    array over a batch.  ``deg`` bounds the polynomial degree: coefficients
-    of higher degree are zero, so a product only forms the pairs of
-    coefficients that can both be nonzero.
+    array over a batch.
     """
 
-    __slots__ = ("space", "c", "deg")
+    __slots__ = ("space", "c")
 
-    def __init__(self, space: JetSpace, coeffs: np.ndarray, deg: int | None = None):
+    def __init__(self, space: JetSpace, coeffs: np.ndarray):
         self.space = space
         self.c = coeffs
-        self.deg = space.order if deg is None else deg
 
     # -- constructors -------------------------------------------------------
 
@@ -295,7 +279,7 @@ class Jet:
         sp = jet_space(nvars, order)
         c = np.zeros(sp.size)
         c[0] = value
-        return Jet(sp, c, 0)
+        return Jet(sp, c)
 
     @staticmethod
     def variable(value: float, slot: int, nvars: int, order: int = DEFAULT_ORDER) -> "Jet":
@@ -303,7 +287,7 @@ class Jet:
         c = np.zeros(sp.size)
         c[0] = value
         c[sp.var_pos[slot]] = 1.0
-        return Jet(sp, c, 1)
+        return Jet(sp, c)
 
     # -- basic queries ------------------------------------------------------
 
@@ -326,21 +310,21 @@ class Jet:
         if order < 0:
             raise ValueError("order must be nonnegative")
         sp = jet_space(self.space.nvars, order)
-        return Jet(sp, self.c[..., : sp.size], min(self.deg, order))
+        return Jet(sp, self.c[..., : sp.size])
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, Jet):
             a, b = (self, other) if self.space is other.space else _align(self, other)
-            return Jet(a.space, a.c + b.c, a.deg if a.deg > b.deg else b.deg)
+            return Jet(a.space, a.c + b.c)
         if isinstance(other, _SCALARS):
             c = self.c.copy()
             if c.ndim == 1:  # ``c[..., 0]`` on a single point too costs search 9%
                 c[0] += other
             else:
                 c[..., 0] += other
-            return Jet(self.space, c, self.deg)
+            return Jet(self.space, c)
         return NotImplemented
 
     __radd__ = __add__
@@ -353,26 +337,22 @@ class Jet:
         return (-self) + other
 
     def __neg__(self):
-        return Jet(self.space, -self.c, self.deg)
+        return Jet(self.space, -self.c)
 
     def __mul__(self, other):
         if isinstance(other, Jet):
             a, b = (self, other) if self.space is other.space else _align(self, other)
             sp = a.space
-            ac, bc = a.c, b.c
-            pairs = sp.product_pairs[a.deg][b.deg]
-            if ac.ndim == 1 and bc.ndim == 1:  # a single point skips the flat batch index
-                prod = ac[pairs.ia] * bc[pairs.ib]
-                return Jet(sp, np.bincount(pairs.ic, weights=prod, minlength=sp.size), pairs.deg)
+            ac, bc, pairs = a.c, b.c, sp.pairs
             if ac.ndim > 1 and bc.ndim > 1 and ac.shape != bc.shape:
                 raise ValueError(f"jet batch shapes {ac.shape[:-1]} and {bc.shape[:-1]} differ")
             prod = ac.take(pairs.ia, axis=-1) * bc.take(pairs.ib, axis=-1)  # entry-major
             before = prod.size // pairs.ia.size
             index = _plan((pairs, before), _flat_index, pairs, before, 1)
             c = np.bincount(index, weights=prod.ravel(), minlength=before * pairs.size)
-            return Jet(sp, c.reshape(prod.shape[:-1] + (sp.size,)), pairs.deg)
+            return Jet(sp, c.reshape(prod.shape[:-1] + (sp.size,)))
         if isinstance(other, _SCALARS):
-            return Jet(self.space, self.c * other, self.deg)
+            return Jet(self.space, self.c * other)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -383,7 +363,7 @@ class Jet:
         if isinstance(other, _SCALARS):
             if other == 0:
                 raise EvalDomainError("division by zero")
-            return Jet(self.space, self.c / other, self.deg)
+            return Jet(self.space, self.c / other)
         return NotImplemented
 
     def __rtruediv__(self, other):
@@ -432,7 +412,7 @@ class Jet:
         if pos is None:
             acc = self._horner(coefs)
         else:
-            acc = Jet(self.space, np.zeros(self.c.shape), self.space.order)
+            acc = Jet(self.space, np.zeros(self.c.shape))
             for i, coef in zip(self.space.power_pos[pos], coefs):
                 acc.c[..., i] = coef + 0.0
         if not finite(acc):
@@ -440,13 +420,14 @@ class Jet:
         return acc
 
     def _seed_position(self) -> int | None:
-        """p where deg is 1 and the degree-1 block is the unit vector e_p at every batch entry."""
+        """p where, at every batch entry, the degree-1 block is the unit vector e_p and every higher coefficient is 0."""
         n = self.space.nvars
-        block = self.c[..., 1 : n + 1].reshape(-1, n)
-        first = block[0].tolist() if self.deg == 1 else []
-        if first.count(1.0) != 1 or first.count(0.0) != n - 1:
+        rows = self.c.reshape(-1, self.c.shape[-1])
+        first = rows[0].tolist()
+        block = first[1 : n + 1]
+        if block.count(1.0) != 1 or block.count(0.0) != n - 1 or any(first[n + 1 :]):
             return None
-        return first.index(1.0) if self.c.ndim == 1 or (block == block[0]).all() else None
+        return block.index(1.0) if len(rows) == 1 or (rows[:, 1:] == rows[0, 1:]).all() else None
 
     def _horner(self, coefs) -> "Jet":
         """sum_k coefs[k] t^k with t = self - value, by Horner's rule in jet products."""
@@ -455,12 +436,12 @@ class Jet:
         tilde_c[..., 0] = 0.0
         acc_c = np.zeros(tilde_c.shape)
         acc_c[..., 0] = coefs[-1]
-        tilde = Jet(sp, tilde_c, self.deg)
-        acc = Jet(sp, acc_c, 0)
+        tilde = Jet(sp, tilde_c)
+        acc = Jet(sp, acc_c)
         for k in range(len(coefs) - 2, -1, -1):
-            # A constant (the first step) times tilde is a scaling; ``+ 0.0``
+            # The first step, a constant times tilde, is a scaling; ``+ 0.0``
             # turns its -0.0s into the +0.0s that a product's sums start from.
-            acc = acc * tilde if acc.deg else Jet(sp, acc.c[..., :1] * tilde_c + 0.0, tilde.deg)
+            acc = acc * tilde if k < len(coefs) - 2 else Jet(sp, acc_c[..., :1] * tilde_c + 0.0)
             acc.c[..., 0] += coefs[k]  # a product's coefficients are its own
         return acc
 
@@ -474,7 +455,7 @@ class Jet:
         raises.
         """
         coefs = self._series(series)
-        return Jet(self.space, self.c / self.c[..., :1], self.deg)._compose(coefs)
+        return Jet(self.space, self.c / self.c[..., :1])._compose(coefs)
 
     def _reciprocal(self) -> "Jet":
         """1/(v + t) = (1/v) / (1 + t/v), composed in t/v."""
@@ -546,14 +527,18 @@ def _int_pow(base, k: int):
         if np.any((value_of(positive) == 0.0) & (value_of(base) != 0.0)):
             raise OverflowError("integer power overflows a float")
         return positive._reciprocal() if isinstance(positive, Jet) else 1.0 / positive
-    acc = Jet.constant(1.0, base.nvars, base.order) if isinstance(base, Jet) else 1.0
-    sq = base
-    while k:
-        if k & 1:
-            acc = acc * sq
+    if k == 0:
+        return Jet.constant(1.0, base.nvars, base.order) if isinstance(base, Jet) else 1.0
+    while not k & 1:
+        base = base * base
         k >>= 1
-        if k:
-            sq = sq * sq
+    # The first power needed: ``+ 0.0`` gives the +0.0s of a product with the constant 1.
+    acc = Jet(base.space, base.c + 0.0) if isinstance(base, Jet) else base
+    while k > 1:
+        k >>= 1
+        base = base * base
+        if k & 1:
+            acc = acc * base
     return acc
 
 
@@ -697,7 +682,7 @@ def seed_variables(
         c = np.zeros(pts.shape[:-1] + (sp.size,))
         c[..., 0] = pts[..., i]
         c[..., sp.var_pos[i]] = 1.0
-        seeds.append(Jet(sp, c, 1))
+        seeds.append(Jet(sp, c))
     return seeds
 
 
@@ -790,7 +775,7 @@ def partial_derivative(j: Jet, var: int) -> Jet:
         raise OrderExceededError("cannot differentiate an order-0 jet")
     lo = jet_space(sp.nvars, sp.order - 1)
     # Its own indexing: through :func:`partials` a call takes 1.5 us, not 1.25.
-    return Jet(lo, j.c[..., sp.diff_src[var]] * sp.diff_fac[var], max(j.deg - 1, 0))
+    return Jet(lo, j.c[..., sp.diff_src[var]] * sp.diff_fac[var])
 
 
 # -- coefficient-array tensors --------------------------------------------------

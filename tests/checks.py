@@ -20,7 +20,8 @@ fails on a public name there that no code in the package reads.
   that ``verify`` runs.  :func:`grad_f_val` and :func:`grad_p_norm_sq_val`
   are the two values only the static substitution reads.
 * :func:`expression_jets` gives the jets of trees as the entries of one
-  :class:`~skewdiv.geometry.Field`, lowered on each call.
+  :class:`~skewdiv.geometry.Field`, lowered on each call, and
+  :func:`metric_rows` a metric's entry trees as its rows.
 * :func:`weyl` and :func:`traceless_ricci` are curvature values that no
   command reads: the Weyl tensor, which the tests keep as a reference for
   the balance's curvature term, and the trace-free Ricci tensor that
@@ -37,7 +38,7 @@ import numpy as np
 
 from skewdiv.errors import EvalDomainError, OrderExceededError
 from skewdiv.expr import Expr, ParamSet
-from skewdiv.geometry import Field, IdentityResidual, MetricJets, cov_derivative, point_tuple, residual
+from skewdiv.geometry import Field, IdentityResidual, MetricField, MetricJets, cov_derivative, point_tuple, residual
 from skewdiv.identities import _balance_terms, _field_residuals
 from skewdiv.jets import Jet, contract, jet_space, partials
 from skewdiv.ptensor import PointAnalysis
@@ -54,6 +55,11 @@ def expression_jets(exprs: Sequence[Expr], points, order: int, params: ParamSet)
     sum is not finite, is walked.
     """
     return np.moveaxis(Field(exprs).jets(points, order, params), 0, -2)
+
+
+def metric_rows(metric: MetricField) -> list[list[Expr]]:
+    """The metric's entry trees as its n x n rows (parsed on first read if built from a table)."""
+    return metric._rows(metric.entries.trees)
 
 
 def second_bianchi_residual(mj: MetricJets) -> IdentityResidual:

@@ -29,6 +29,8 @@ from sympy.polys.rings import ring
 
 from skewdiv.expr import Num, Param, Unary, Var
 
+from checks import metric_rows
+
 DIGITS = 45
 
 _UNARY = {
@@ -135,7 +137,8 @@ def exact_point(metric, point, f=None, lam=None) -> ExactPoint:
     xs = sympy.symbols(f"x0:{n}")
     params = metric.params
     upper = list(zip(*np.triu_indices(n)))
-    series = {(i, j): taylor(to_sympy(metric.exprs[i][j], xs, params), xs, point, 2) for i, j in upper}
+    rows = metric_rows(metric)
+    series = {(i, j): taylor(to_sympy(rows[i][j], xs, params), xs, point, 2) for i, j in upper}
     if f is not None:
         f_sym = to_sympy(f, xs, params)
         series["f"] = taylor(f_sym, xs, point, 3)

@@ -48,12 +48,12 @@ from skewdiv.report import report_to_json
 from skewdiv.scenarios import BUILTIN_NAMES, builtin_scenario, parse_scenario_file, random_scenario
 from skewdiv.warped import WarpedSpec, ptensor_spec
 
-from checks import cpe_residual, expression_jets, grad_f_val, grad_p_norm_sq_val, traceless_ricci
+from checks import cpe_residual, expression_jets, grad_f_val, grad_p_norm_sq_val, metric_rows, traceless_ricci
 
 
 def scaled_metric(metric: MetricField, s: float) -> MetricField:
     """The metric s*g, built on the same expression trees."""
-    rows = [[Binary("*", Num(s), e) for e in row] for row in metric.exprs]
+    rows = [[Binary("*", Num(s), e) for e in row] for row in metric_rows(metric)]
     return MetricField(metric.dim, rows, metric.params)
 
 
@@ -104,8 +104,9 @@ def test_non_finite_metric_fails_and_names_the_point(value):
 
 def test_metric_parse_shares_symmetric_entries():
     m = random_scenario(3, 4).metric
-    assert all(m.exprs[i][j] is m.exprs[j][i] for i in range(4) for j in range(4))
-    assert len({id(e) for row in m.exprs for e in row}) == 10
+    rows = metric_rows(m)
+    assert all(rows[i][j] is rows[j][i] for i in range(4) for j in range(4))
+    assert len({id(e) for row in rows for e in row}) == 10
     src = m.sources()
     assert all(src[i][j] == src[j][i] for i in range(4) for j in range(4))
 
@@ -351,7 +352,7 @@ def test_random_polynomials_are_their_parsed_sources(dim):
     names = chart_variables(dim)
     for seed in range(32):
         sc = random_scenario(seed, dim)
-        for e in [e for row in sc.metric.exprs for e in row] + [sc.f.trees[0]]:
+        for e in [e for row in metric_rows(sc.metric) for e in row] + [sc.f.trees[0]]:
             assert exact(parse(to_source(e), variables=names)) == exact(e)
         # The echo keeps the text the builder wrote: the same as rendering the trees.
         echo = sc.echo()

@@ -139,11 +139,12 @@ def test_uncalled_names_are_caught():
 def unread_members(sources: dict[str, str], allowed=()) -> list[str]:
     """``module.Class.name`` of each method and property of a class in ``sources`` that no code reads.
 
-    A member is read when its name appears as a name, an attribute or a
-    whole string constant (``getattr`` reads a property by its name)
-    anywhere in ``sources`` outside the member's own definition.  Dunders
-    are called by the language and are not reported, nor are names in
-    ``allowed``.
+    A member is read when its name appears as an attribute load or a whole
+    string constant (``getattr`` reads a property by its name) anywhere in
+    ``sources`` outside the member's own definition.  A bare name does not
+    count, so a parameter or a local variable that spells a member does not
+    hide it.  Dunders are called by the language and are not reported, nor
+    are names in ``allowed``.
     """
     trees = {mod: ast.parse(text) for mod, text in sources.items()}
     total = sum((read_counts(tree) for tree in trees.values()), Counter())
@@ -161,11 +162,11 @@ def unread_members(sources: dict[str, str], allowed=()) -> list[str]:
 
 
 def read_counts(node: ast.AST) -> Counter:
-    """How often the code under ``node`` reads each name: as a name, an attribute or a string."""
+    """How often the code under ``node`` reads each name: as an attribute load or a string."""
     return Counter(
-        n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute) else n.value
+        n.attr if isinstance(n, ast.Attribute) else n.value
         for n in ast.walk(node)
-        if isinstance(n, (ast.Name, ast.Attribute))
+        if (isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
         or (isinstance(n, ast.Constant) and isinstance(n.value, str))
     )
 
@@ -187,12 +188,15 @@ def test_unread_members_are_caught():
             "    @property\n"
             "    def by_string(self): return 3\n"
             "    def by_sibling(self): return self.by_attribute\n"
+            "    def spelt_by_a_parameter(self): pass\n"
             "COLUMNS = ('by_string',)\n"
+            "def f(spelt_by_a_parameter): return spelt_by_a_parameter\n"
         ),
         "b": "from .a import A, COLUMNS\nv = [getattr(A(), nm) for nm in COLUMNS] + [A().by_sibling()]\n",
     }
-    assert unread_members(sources) == ["a.A.unused", "a.A.its_own_caller", "a.A.unread"]
-    assert unread_members(sources, {"a.A.unread"}) == ["a.A.unused", "a.A.its_own_caller"]
+    unread = ["a.A.unused", "a.A.its_own_caller", "a.A.unread", "a.A.spelt_by_a_parameter"]
+    assert unread_members(sources) == unread
+    assert unread_members(sources, {"a.A.unread"}) == [m for m in unread if m != "a.A.unread"]
 
 
 def unread_fields(sources: dict[str, str], allowed=()) -> list[str]:

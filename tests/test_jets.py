@@ -249,19 +249,6 @@ def test_log_of_a_large_value_keeps_its_derivatives():
     assert exc.value.offset == 0
 
 
-def test_degree_bounds_restrict_the_product_pairs():
-    sp = jet_space(4, 4)
-    x, y = seed_variables((0.1, 0.2, 0.3, 0.4), 4, 4)[:2]
-    assert (Jet.constant(2.0, 4, 4).deg, x.deg) == (0, 1)
-    assert [(x * y).deg, (x * y * x).deg, (x * y * x * y * x).deg] == [2, 3, 4]
-    assert ((x * y).truncate(1).deg, partial_derivative(x * y, 0).deg) == (1, 1)
-    assert (x + 1.0).deg == 1 and (x * y + x).deg == 2 and jets.exp(x).deg == 4
-    assert sp.product_pairs[4][4].ia.size == sp.pairs.ia.size == 495
-    assert (sp.product_pairs[x.deg][y.deg].ia.size, (x * y).deg) == (25, 2)
-    full = Jet(sp, x.c) * Jet(sp, y.c)  # no degree bound: every pair
-    assert full.c.tobytes() == (x * y).c.tobytes()
-
-
 def _reference_product(sp, a, b, keep=lambda ma, mb: True):
     """Each target's products a_i b_j summed from 0.0, ordered by a's monomial, then b's."""
     out = [0.0] * sp.size
@@ -285,7 +272,7 @@ def test_every_product_sums_its_pairs_like_the_plain_reference(nvars, order, dat
 
     The sums start from +0.0, so a target whose products are all -0.0 comes
     out +0.0.  A third of the inputs are zeros of either sign, and every
-    input is zero above its degree bound.
+    input is zero above a random degree.
     """
     sp = jet_space(nvars, order)
     degs = [data.draw(st.integers(min_value=0, max_value=order)) for _ in range(2)]
@@ -295,11 +282,11 @@ def test_every_product_sums_its_pairs_like_the_plain_reference(nvars, order, dat
         c[(rng.random(c.shape) < 0.3) | (sp.degree > deg)] *= 0.0
     outer = np.array([[_reference_product(sp, x.tolist(), y.tolist()) for y in b] for x in a])
     pointwise = np.array([outer[e, e] for e in range(3)])
-    ja, jb = Jet(sp, a, degs[0]), Jet(sp, b, degs[1])
+    ja, jb = Jet(sp, a), Jet(sp, b)
     for e in range(3):
-        _same_bits((Jet(sp, a[e], degs[0]) * Jet(sp, b[e], degs[1])).c, pointwise[e])
+        _same_bits((Jet(sp, a[e]) * Jet(sp, b[e])).c, pointwise[e])
     _same_bits((ja * jb).c, pointwise)
-    _same_bits((ja * Jet(sp, b[0], degs[1])).c, outer[:, 0])
+    _same_bits((ja * Jet(sp, b[0])).c, outer[:, 0])
     _same_bits(contract("i,j->ij", a, b, sp.pairs), outer)
     _same_bits(contract("i,i->i", a[:, None], b[:, None], sp.pairs)[:, 0], pointwise)
     for t in range(1, order + 1):
@@ -312,7 +299,7 @@ def test_every_product_sums_its_pairs_like_the_plain_reference(nvars, order, dat
         assert np.all(sp.degree[targets] == t)
         want = [[_reference_product(sp, x.tolist(), y.tolist(), in_step) for y in b] for x in a]
         _same_bits(contract("i,j->ij", a, b, step), np.array(want)[..., targets])
-    minus_zero = Jet(sp, np.full(sp.size, -0.0), 0) * Jet(sp, np.ones(sp.size), 0)
+    minus_zero = Jet(sp, np.full(sp.size, -0.0)) * Jet(sp, np.ones(sp.size))
     assert not np.signbit(minus_zero.c[0])
 
 
@@ -349,8 +336,8 @@ def _horner_by_products(j, coefs):
     value = 0 if j.c.ndim == 1 else (..., 0)
     tilde_c = j.c.copy()
     tilde_c[value] = 0.0
-    tilde = Jet(j.space, tilde_c, j.deg)
-    acc = Jet(j.space, np.zeros(j.c.shape), 0)
+    tilde = Jet(j.space, tilde_c)
+    acc = Jet(j.space, np.zeros(j.c.shape))
     acc.c[value] = coefs[-1]
     for k in range(len(coefs) - 2, -1, -1):
         acc = acc * tilde
@@ -366,15 +353,15 @@ def test_composition_equals_horner_by_products_bit_for_bit(cs, deg):
     c = np.array(cs).reshape(2, sp.size)
     c[:, sp.degree > deg] = 0.0
     c[:, 0] = [1.0 + abs(cs[0]), -1.0 - abs(cs[10])]  # a negative value gives -0.0s in t/v
-    for j in (Jet(sp, c, deg), Jet(sp, c[0], deg), Jet(sp, c[1], deg)):
-        ratio = Jet(sp, j.c / j.c[..., :1], deg)
+    for j in (Jet(sp, c), Jet(sp, c[0]), Jet(sp, c[1])):
+        ratio = Jet(sp, j.c / j.c[..., :1])
         for got, base, series in (
             (jets.exp(j), j, _exp_series),
             (jets.sin(j), j, _sin_series),
             (j._reciprocal(), ratio, _reciprocal_series),
         ):
             want = _horner_by_products(base, j._series(series))
-            assert (got.deg, got.c.tobytes()) == (want.deg, want.c.tobytes())
+            assert got.c.tobytes() == want.c.tobytes()
 
 
 # Coefficients with both signed zeros, compared by ``tobytes`` so that they count.
@@ -383,17 +370,17 @@ signed = st.one_of(st.sampled_from([0.0, -0.0]), coef)
 
 @st.composite
 def jet_of(draw, nvars: int, order: int, batch: tuple = ()) -> Jet:
-    """A jet with a random degree bound and zeros above it."""
+    """A jet whose coefficients are zero above a random degree."""
     sp = jet_space(nvars, order)
     deg = draw(st.integers(min_value=0, max_value=order))
     n = math.prod(batch) * sp.size
     c = np.array(draw(st.lists(signed, min_size=n, max_size=n))).reshape(batch + (sp.size,))
     c[..., sp.degree > deg] = 0.0
-    return Jet(sp, c, deg)
+    return Jet(sp, c)
 
 
 def _bits(j: Jet) -> tuple:
-    return j.order, j.deg, j.c.tobytes()
+    return j.order, j.c.tobytes()
 
 
 # f(x_i + a) for functions composed by their series; ``positive`` ones need x_i + a > 0.
@@ -535,10 +522,63 @@ def test_other_arguments_compose_by_horner_products(order):
     assert _counting_products(lambda x: x._reciprocal(), x0 + 2.0)[1] == order - 1
     assert _counting_products(jets.exp, x0 + 2.0)[1] == 0
     # A batch of x0 + 2 and x1 + 2 is a seed at each entry, but not the same one.
-    mixed = Jet(x0.space, np.stack([(x0 + 2.0).c, (x1 + 2.0).c]), 1)
+    mixed = Jet(x0.space, np.stack([(x0 + 2.0).c, (x1 + 2.0).c]))
     got, products = _counting_products(jets.exp, mixed)
     assert products == order - 1
     assert [got.c[0].tobytes(), got.c[1].tobytes()] == [jets.exp(x0 + 2.0).c.tobytes(), jets.exp(x1 + 2.0).c.tobytes()]
+
+
+def test_a_seed_is_recognised_by_its_coefficients():
+    """Placed where the degree-1 block is e_p and every higher coefficient is 0 at every entry, else Horner."""
+    x0, x1 = seed_variables((0.5, 0.0), 2, 3)
+    curved = x0 + 0.5 * x1 * x1 + 2.0  # a unit degree-1 block at x1 = 0, and x1^2 above it
+    mixed = Jet(x0.space, np.stack([(x0 + 2.0).c, curved.c]))  # entries that differ above degree 1
+    for arg in (curved, mixed):
+        assert arg._seed_position() is None
+        got, products = _counting_products(jets.exp, arg)
+        assert products == 2 and _bits(got) == _bits(_with_horner_only(jets.exp, arg))
+    assert [got.c[0].tobytes(), got.c[1].tobytes()] == [jets.exp(x0 + 2.0).c.tobytes(), jets.exp(curved).c.tobytes()]
+    for seed in (x0 + 2.0, x1 - 0.25, seed_variables([(0.5, 0.0), (-0.5, 1.0)], 2, 3)[1] + 2.0):
+        rebuilt = Jet(seed.space, seed.c.copy())  # built from its coefficients alone
+        got, products = _counting_products(jets.exp, rebuilt)
+        assert products == 0 and _bits(got) == _bits(_with_horner_only(jets.exp, rebuilt))
+        assert _bits(got) == _bits(jets.exp(seed))
+
+
+def _power_by_products(j: Jet, k: int) -> Jet:
+    """j^k by squaring, full products chained from the constant 1, then 1/x for k < 0.
+
+    A nonzero value whose positive power underflows to 0 raises, as
+    :func:`powop` does.
+    """
+    acc, sq, n = Jet.constant(1.0, j.nvars, j.order), j, abs(k)
+    while n:
+        if n & 1:
+            acc = acc * sq
+        n >>= 1
+        if n:
+            sq = sq * sq
+    if k >= 0:
+        return acc
+    if np.any((acc.c[..., 0] == 0.0) & (j.c[..., 0] != 0.0)):
+        raise OverflowError("integer power overflows a float")
+    return acc._reciprocal()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_integer_powers_equal_full_products_from_the_constant_one_bit_for_bit(data):
+    """powop(j, k) for k in -3..5 starts from the first power it needs and keeps every bit.
+
+    In 1-3 variables at orders 0-4, on one point and a batch, with both
+    signed zeros: x^1 turns -0.0s into +0.0s as a product with 1 does.
+    """
+    nvars = data.draw(st.integers(min_value=1, max_value=3), label="nvars")
+    order = data.draw(st.integers(min_value=0, max_value=4), label="order")
+    batch = data.draw(st.sampled_from([(), (2,)]), label="batch")
+    j = data.draw(jet_of(nvars, order, batch))
+    k = data.draw(st.integers(min_value=-3, max_value=5), label="k")
+    assert _outcome(powop, j, k) == _outcome(_power_by_products, j, k)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -553,13 +593,13 @@ def test_subtraction_equals_the_difference_formulas_bit_for_bit(data):
     m = min(a.order, b.order)
     size = jet_space(nvars, m).size
     want = a.c[..., :size] - b.c[..., :size]
-    assert _bits(a - b) == (m, max(min(a.deg, m), min(b.deg, m)), want.tobytes())
+    assert _bits(a - b) == (m, want.tobytes())
     want = a.c.copy()
     want[..., 0] -= s
-    assert _bits(a - s) == (a.order, a.deg, want.tobytes())
+    assert _bits(a - s) == (a.order, want.tobytes())
     want = -a.c
     want[..., 0] += s
-    assert _bits(s - a) == (a.order, a.deg, want.tobytes())
+    assert _bits(s - a) == (a.order, want.tobytes())
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -570,7 +610,7 @@ def test_a_batch_of_two_equals_each_entry_alone_bit_for_bit(data):
     order = data.draw(st.integers(min_value=1, max_value=4))
     a = data.draw(jet_of(nvars, order, (2,)))
     b = data.draw(jet_of(nvars, data.draw(st.integers(min_value=0, max_value=4)), (2,)))
-    pos = Jet(a.space, a.c.copy(), a.deg)
+    pos = Jet(a.space, a.c.copy())
     pos.c[:, 0] = 0.5 + np.abs(a.c[:, 0])  # in the domain of log and sqrt
     s = data.draw(st.one_of(signed, st.integers(min_value=-3, max_value=3)))
     var = data.draw(st.integers(min_value=0, max_value=nvars - 1))
@@ -589,20 +629,20 @@ def test_a_batch_of_two_equals_each_entry_alone_bit_for_bit(data):
         "sqrt": lambda a, b, p: jets.sqrt(p),
         "partial": lambda a, b, p: partial_derivative(a, var),
     }
-    entries = [[Jet(j.space, j.c[i], j.deg) for j in (a, b, pos)] for i in range(2)]
+    entries = [[Jet(j.space, j.c[i]) for j in (a, b, pos)] for i in range(2)]
     for name, op in ops.items():
         batched = op(a, b, pos)
         for i, entry in enumerate(entries):
             alone = op(*entry)
             assert alone.c.ndim == 1, name
-            got = (batched.order, batched.deg, batched.c[i].tobytes())
+            got = (batched.order, batched.c[i].tobytes())
             assert got == _bits(alone), name
     points = np.array(data.draw(st.lists(signed, min_size=2 * nvars, max_size=2 * nvars)))
     points = points.reshape(2, nvars)
     seeds = seed_variables(points, nvars, order)
     for i in range(2):
         for batched, alone in zip(seeds, seed_variables(points[i], nvars, order)):
-            assert (batched.deg, batched.c[i].tobytes()) == (alone.deg, alone.c.tobytes())
+            assert batched.c[i].tobytes() == alone.c.tobytes()
             assert alone.c.ndim == 1 and isinstance(alone.value, float)
 
 
@@ -646,7 +686,8 @@ def _contract_cases() -> list[tuple]:
     """``(subscripts, A, B, pairs)`` for each package subscripts string, batch shape and table."""
     rng = np.random.default_rng(24)
     sp = jet_space(2, 3)
-    tables = [sp.pairs, jet_space(2, 2).pairs, sp.product_pairs[1][2]]
+    p = sp.pairs
+    tables = [p, jet_space(2, 2).pairs, p.where((sp.degree[p.ia] <= 1) & (sp.degree[p.ib] <= 2), 0, sp.size)]
     tables += [sp.step_pairs(t) for t in (1, 2, 3)]
     cases = []
     for subscripts in _package_subscripts():
