@@ -71,9 +71,10 @@ def run_verify(scenario: Scenario, tolerance: float | None = None) -> Report:
         "bochner_rel_residual": bochner.rel_residual,
         **{f"{res.name.replace('-', '_')}_residual": res.abs_residual for res in static},
     }
+    keys = ("point", *columns)
     rows = tuple(
-        {"point": list(pt), **{name: float(col[i]) for name, col in columns.items()}}
-        for i, pt in enumerate(points)
+        dict(zip(keys, [list(pt), *values]))
+        for pt, values in zip(points, np.column_stack(tuple(columns.values())).tolist())
     )
 
     def tol(key: str) -> float:

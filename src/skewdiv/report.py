@@ -1,10 +1,15 @@
 """Deterministic report assembly and CSV/JSON serialization.
 
-All floats serialize with 17 significant digits ('.17g'), '.' decimal
-separator and LF line endings, so identical runs produce byte-identical
-files and every double round-trips exactly.  A non-finite value is never
-folded away: it fails its verdict, and JSON carries it as the string
-"nan", "inf" or "-inf" (the CSV spelling), so the output stays valid JSON.
+Both formats use a '.' decimal separator and LF line endings, so identical
+runs produce byte-identical files, and every double round-trips exactly.
+CSV writes each float with 17 significant digits ('.17g', as :func:`fmt17`).
+JSON writes the shortest ``repr`` that round-trips (``0.2``,
+``2.561175127923577``), as ``json`` does: :func:`report_to_json` writes the
+bytes of ``json.dumps(doc, indent=2, allow_nan=False)`` plus a newline,
+without running ``json``'s pure-Python indenting encoder.  A non-finite
+value is never folded away: it fails its verdict, and JSON carries it as the
+string "nan", "inf" or "-inf" (the CSV spelling), so the output stays valid
+JSON.
 """
 
 from __future__ import annotations
@@ -77,8 +82,10 @@ def extreme(values, points, pick) -> tuple[float, tuple]:
     the first one wins.
     """
     values = np.asarray(values, dtype=float)
-    bad = np.flatnonzero(~np.isfinite(values))
-    i = int(bad[0]) if bad.size else int(pick(values))
+    finite = np.isfinite(values)
+    i = int(np.argmin(finite))  # the first non-finite value, if there is one
+    if finite[i]:
+        i = int(pick(values))
     return float(values[i]), tuple(points[i])
 
 
@@ -92,26 +99,76 @@ def summarize_residuals(name: str, points, abs_residual, rel_residual) -> dict:
     return {"name": name, "max_abs": max_abs, "max_rel": max_rel, "worst_point": list(worst)}
 
 
-def _json_safe(x):
-    """``x`` with every non-finite float replaced by its :func:`fmt17` string."""
-    if isinstance(x, float):
-        return x if math.isfinite(x) else fmt17(x)
-    if isinstance(x, dict):
-        return {k: _json_safe(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_json_safe(v) for v in x]
-    return x
+_ENCODE = json.encoder.encode_basestring_ascii
+
+
+def _key_json(key) -> str:
+    """A dict key as ``json`` writes it: a string, or a float, bool, None or int spelt as one."""
+    if isinstance(key, str):
+        return _ENCODE(key)
+    if key is None or isinstance(key, (int, float)):
+        return '"' + json.dumps(key, allow_nan=False) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _write(x, ind: str, out: list) -> None:
+    """Append ``x`` to ``out`` as ``json.dumps(x, indent=2)`` writes it at indent ``ind``.
+
+    A non-finite float is written as its :func:`fmt17` string.
+    """
+    # json's own order of checks
+    if isinstance(x, str):
+        out.append(_ENCODE(x))
+    elif x is None:
+        out.append("null")
+    elif x is True:
+        out.append("true")
+    elif x is False:
+        out.append("false")
+    elif isinstance(x, int):
+        out.append(int.__repr__(x))
+    elif isinstance(x, float):
+        out.append(float.__repr__(x) if math.isfinite(x) else _ENCODE(fmt17(x)))
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            out.append("[]")
+            return
+        inner = ind + "  "
+        sep = ",\n" + inner
+        out.append("[\n" + inner)
+        for v in x:
+            _write(v, inner, out)
+            out.append(sep)
+        out[-1] = "\n" + ind + "]"
+    elif isinstance(x, dict):
+        if not x:
+            out.append("{}")
+            return
+        inner = ind + "  "
+        sep = ",\n" + inner
+        out.append("{\n" + inner)
+        for k, v in x.items():
+            out.append(_key_json(k) + ": ")
+            _write(v, inner, out)
+            out.append(sep)
+        out[-1] = "\n" + ind + "}"
+    else:
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
 def report_to_json(report: Report) -> str:
+    """The report as ``json.dumps(doc, indent=2) + "\\n"`` writes it, non-finite floats as strings."""
     doc = {
         "version": VERSION,
         "scenario": report.scenario,
-        "residuals": list(report.residuals),
-        "violations": list(report.violations),
+        "residuals": report.residuals,
+        "violations": report.violations,
         "verdicts": [{"name": v.name, "pass": v.passed} for v in report.verdicts],
     }
-    return json.dumps(_json_safe(doc), indent=2, allow_nan=False) + "\n"
+    out = []
+    _write(doc, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def rows_to_csv(columns: Sequence[str], rows: Iterable[Sequence]) -> str:

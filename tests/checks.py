@@ -22,6 +22,8 @@ fails on a public name there that no code in the package reads.
 * :func:`expression_jets` gives the jets of trees as the entries of one
   :class:`~skewdiv.geometry.Field`, lowered on each call, and
   :func:`metric_rows` a metric's entry trees as its rows.
+* :func:`reference_report_json` is the report as ``json`` itself writes
+  it, the route the package's own writer must match byte for byte.
 * :func:`weyl` and :func:`traceless_ricci` are curvature values that no
   command reads: the Weyl tensor, which the tests keep as a reference for
   the balance's curvature term, and the trace-free Ricci tensor that
@@ -31,17 +33,20 @@ fails on a public name there that no code in the package reads.
   form what else they read from the analysis itself.
 """
 
+import json
 import math
 from typing import Sequence
 
 import numpy as np
 
+from skewdiv import __version__
 from skewdiv.errors import EvalDomainError, OrderExceededError
 from skewdiv.expr import Expr, ParamSet
 from skewdiv.geometry import Field, IdentityResidual, MetricField, MetricJets, cov_derivative, point_tuple, residual
 from skewdiv.identities import _balance_terms, _field_residuals
 from skewdiv.jets import Jet, contract, jet_space, partials
 from skewdiv.ptensor import PointAnalysis
+from skewdiv.report import Report, fmt17
 from skewdiv.warped import WarpedSpec
 
 F_GATE = 1e-8
@@ -191,3 +196,26 @@ def static_bochner_residual(an: PointAnalysis) -> IdentityResidual:
     t_grad_pn = -0.5 / fval * np.einsum("...a,...a->...", grad_f, grad_p_norm_sq_val(an))
     terms = (t_grad, t_div, t_scal, t_pair, t_grad_pn)
     return residual("static-bochner", lhs, sum(terms), terms)
+
+
+def _json_safe(x):
+    """``x`` with every non-finite float replaced by its ``fmt17`` string, and tuples as lists."""
+    if isinstance(x, float):
+        return x if math.isfinite(x) else fmt17(x)
+    if isinstance(x, dict):
+        return {k: _json_safe(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_json_safe(v) for v in x]
+    return x
+
+
+def reference_report_json(report: Report) -> str:
+    """The report as ``json.dumps(..., indent=2, allow_nan=False)`` writes it, over a copy with non-finite floats as strings."""
+    doc = {
+        "version": __version__,
+        "scenario": report.scenario,
+        "residuals": list(report.residuals),
+        "violations": list(report.violations),
+        "verdicts": [{"name": v.name, "pass": v.passed} for v in report.verdicts],
+    }
+    return json.dumps(_json_safe(doc), indent=2, allow_nan=False) + "\n"
