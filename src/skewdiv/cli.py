@@ -303,11 +303,9 @@ def cmd_frame(args) -> int:
     except DegeneratePError as err:
         print(f"degenerate P: {err}", file=sys.stderr)
         return 1
-    n = scenario.dim
     print(f"adapted frame at {tuple(point)}:")
-    for i in range(n):
-        comps = ", ".join(fmt17(x) for x in frame.vectors[i])
-        print(f"  E_{i+1} = ({comps})")
+    for i, vector in enumerate(frame.vectors):
+        print(f"  E_{i+1} = ({', '.join(fmt17(x) for x in vector)})")
     print(f"  u = P(E_1, E_2) = {fmt17(frame.u)}")
     print(f"  gram residual = {fmt17(frame.gram_residual)}")
     print("frame divergence (theta components):")
@@ -318,12 +316,8 @@ def cmd_frame(args) -> int:
     print("discrepancy in chart components (dx^k):")
     print("  " + " ".join(fmt17(x) for x in disc_chart))
     print("bracket terms <E_k,[E_i,E_j]>: nonzero entries")
-    for i in range(n):
-        for j in range(n):
-            for kk in range(n):
-                val = frame.bracket_frame[i, j, kk]
-                if abs(val) > 1e-13:
-                    print(f"  <E_{kk+1},[E_{i+1},E_{j+1}]> = {fmt17(val)}")
+    for i, j, k in np.argwhere(np.abs(frame.bracket_frame) > 1e-13).tolist():
+        print(f"  <E_{k+1},[E_{i+1},E_{j+1}]> = {fmt17(frame.bracket_frame[i, j, k])}")
     return 0
 
 

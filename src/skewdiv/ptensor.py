@@ -17,9 +17,9 @@ The factor-2 inequality fails on suitable warped products while the
 2/(n-1) bound holds pointwise; both are reported for every analyzed point.
 
 It also constructs the orthonormal frame adapted to P (E_1 along grad f, E_2
-along A grad f where A raises one P slot), expresses div P in that frame both
-through the full connection-coefficient formula and through the bracket-free
-shortcut that drops the [E_i, E_j] terms, and reports their discrepancy.
+along A grad f where A raises one P slot), takes its connection from its Lie
+brackets alone (Koszul), and writes div P in it with that connection and,
+as the bracket-free shortcut, without it; it reports their discrepancy.
 
 Dictionary to the differential-form picture (norm conventions differ on
 forms vs tensors): the associated 2-form has squared gradient norm
@@ -292,13 +292,14 @@ def cyclic_residual(an: PointAnalysis) -> IdentityResidual:
 
 @dataclass(frozen=True)
 class FrameEval:
-    """Adapted orthonormal frame and the two frame divergence formulas.
+    """Adapted orthonormal frame and div P in it, with and without the connection.
 
     ``vectors[i]`` holds the chart components of E_i (rows), and ``u`` is
-    P(E_1, E_2).  ``div_true``
-    uses the connection-coefficient formula; ``div_false`` is the
-    bracket-free shortcut -E_2(u) theta^1 + E_1(u) theta^2.  Frame covector
-    components convert to chart components through :meth:`covector_to_chart`.
+    P(E_1, E_2).  ``div_true`` is the frame divergence with the connection
+    that the Koszul formula takes from ``bracket_frame``; ``div_false`` is
+    the same formula without it, the bracket-free shortcut
+    -E_2(u) theta^1 + E_1(u) theta^2.  Frame covector components convert to
+    chart components through :meth:`covector_to_chart`.
     """
 
     vectors: np.ndarray
@@ -323,8 +324,9 @@ def build_frame(an: PointAnalysis) -> FrameEval:
     |A E_1| with A^j_i = g^jm P_im; the remaining vectors come from
     Gram-Schmidt over the coordinate basis, always absorbing the candidate
     with the largest residual norm (ties broken by lowest coordinate index),
-    which makes the completion deterministic.  Raises FrameConsistencyError
-    unless the connection formula gives the coordinate div P in the frame.
+    which makes the completion deterministic.  No Gamma is read, so the
+    coordinate div P is an independent check: raises FrameConsistencyError
+    unless ``div_true`` is that div P in the frame.
     """
     an.require_order(3, "the adapted frame")
     if an.mj.batch:
@@ -389,27 +391,19 @@ def build_frame(an: PointAnalysis) -> FrameEval:
     du = partials(u_coef, n)[..., 0]
     eu = vectors @ du
 
-    # <nabla_{E_i} E_j, E_k> = -E_i^a E_j^b nabla_a theta^k_b for the
-    # coframe theta^k = g(E_k, .); the frame index k is a batch axis.
-    theta = contract("bc,kc->kb", g, frame_jets, sp.pairs)
-    gamma = np.broadcast_to(an.mj.gamma, (n,) + an.mj.gamma.shape)
-    nabla_theta = cov_derivative(theta, gamma)[..., 0]  # [k, a, b]
-    connection = -np.einsum("ia,jb,kab->ijk", vectors, vectors, nabla_theta)
+    brackets = np.einsum("ia,ajc->ijc", vectors, dE) - np.einsum("ja,aic->ijc", vectors, dE)
+    B = np.einsum("ijc,cd,kd->ijk", brackets, g_val, vectors)  # <E_k, [E_i, E_j]>
+    # Koszul on an orthonormal frame: <nabla_{E_i} E_j, E_k> = (B_ijk + B_kij - B_jki) / 2.
+    connection = 0.5 * (B + np.einsum("kij->ijk", B) - np.einsum("jki->ijk", B))
 
-    brackets = np.einsum("ia,ajc->ijc", vectors, dE) - np.einsum(
-        "ja,aic->ijc", vectors, dE
-    )
-    bracket_frame = np.einsum("ijc,cd,kd->ijk", brackets, g_val, vectors)
-
-    div_true = np.zeros(n)
-    div_true[0] = -eu[1] + u * sum(connection[i, i, 1] for i in range(2, n))
-    div_true[1] = eu[0] - u * sum(connection[i, i, 0] for i in range(2, n))
-    for k in range(2, n):
-        div_true[k] = u * (-connection[0, k, 1] + connection[1, k, 0])
-
-    div_false = np.zeros(n)
-    div_false[0] = -eu[1]
-    div_false[1] = eu[0]
+    # P(E_i, E_j) = u J_ij, so (div P)(E_k) = sum_i E_i(u) J_ik
+    # - u sum_i (<nabla_{E_i} E_i, E_m> J_mk + <nabla_{E_i} E_k, E_m> J_im).
+    # The bracket-free shortcut is the first sum alone; adding 0.0 turns the
+    # -0.0 of a zero column of J into 0.
+    J = np.zeros((n, n))
+    J[0, 1], J[1, 0] = 1.0, -1.0
+    div_false = eu @ J + 0.0
+    div_true = div_false - u * (np.einsum("iim,mk->k", connection, J) + np.einsum("ikm,im->k", connection, J))
 
     div_coord_in_frame = vectors @ an.div_P_val
     gap = np.max(np.abs(div_true - div_coord_in_frame))
@@ -422,7 +416,7 @@ def build_frame(an: PointAnalysis) -> FrameEval:
     return FrameEval(
         vectors=vectors,
         u=u,
-        bracket_frame=bracket_frame,
+        bracket_frame=B,
         gram_residual=gram_residual,
         div_true=div_true,
         div_false=div_false,

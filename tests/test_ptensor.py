@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -171,16 +172,17 @@ def test_div_true_matches_coordinates_and_false_misses():
 def test_discrepancy_equals_bracket_terms():
     """The gap between the two formulas is exactly the Lie-bracket content.
 
-    disc and the bracket expressions come through different routes: the
-    connection coefficients use Gamma, the brackets only commutators of the
-    frame jets.
+    build_frame forms the gap with one einsum over the Koszul connection;
+    here it is checked against the components derived by hand from the
+    brackets: u sum_{i>=2} B_1ii, -u sum_{i>=2} B_0ii and, for k >= 2 (so
+    in 4-D for two of them), u B_01k, with B_ijk = <E_k, [E_i, E_j]>.
     """
     cases = [
         (warped_spec(), (0.2, 0.3, 0.4)),
         (warped_spec(k=5.0, c=2.0, lam="f^2", psi="sin(x1)"), (0.4, 0.6, 0.2)),
     ]
-    for seed in (70, 71, 72):
-        sc = random_scenario(seed, 3)
+    for dim, seed in itertools.product((3, 4), (70, 71, 72)):
+        sc = random_scenario(seed, dim)
         cases.append((sc.spec(), sc.grid_points()[0]))
     for spec, pt in cases:
         try:
@@ -236,20 +238,22 @@ def test_frame_is_deterministic():
 
 
 def test_coordinate_vs_frame_divergence_random():
-    for seed in (80, 81, 82, 83):
-        sc = random_scenario(seed, 3)
-        pt = sc.grid_points()[0]
-        an = PointAnalysis(sc.spec(), pt)
-        try:
+    """On generic germs the frame formula is the coordinate div P and the shortcut is not.
+
+    The frame takes its connection from its brackets, the coordinate div P
+    from Gamma: the two routes agree to rounding at every grid point of 30
+    random curved germs in 3-D and in 4-D, while the bracket-free shortcut
+    misses by far more.
+    """
+    for dim, seed in itertools.product((3, 4), range(30)):
+        sc = random_scenario(seed, dim)
+        for pt in sc.grid_points():
+            an = PointAnalysis(sc.spec(), pt)
             fr = build_frame(an)
-        except DegeneratePError:
-            continue
-        div_coord_in_frame = fr.vectors @ an.div_P_val
-        assert np.allclose(
-            fr.div_true,
-            div_coord_in_frame,
-            atol=1e-10 * max(1.0, np.max(np.abs(div_coord_in_frame))),
-        )
+            div_coord_in_frame = fr.vectors @ an.div_P_val
+            scale = np.max(np.abs(div_coord_in_frame))
+            assert np.max(np.abs(fr.div_true - div_coord_in_frame)) <= 1e-12 * scale, (seed, pt)
+            assert np.max(np.abs(fr.div_false - div_coord_in_frame)) > 1e-5 * scale, (seed, pt)
 
 
 def test_lambda_profile_enters_P():
